@@ -162,8 +162,9 @@ let ledger ~gen_s ~search_s (w : Workload.t) tracer (o : Edge.outcome) (rate : R
 
 (* ---- one measured run --------------------------------------------------- *)
 
-(* Only these numbers outlive a run, so the heap does not grow with the
-   number of runs and later runs pay no more GC than earlier ones. *)
+(* Only these numbers outlive a run, so the heap grows by one float per
+   trace node and run, and later runs pay hardly more GC than earlier
+   ones. *)
 type sample = {
   e2e_eps : float;
   sustain_eps : float;
@@ -172,9 +173,18 @@ type sample = {
   audit_bytes : int;  (** signed upload: batch payloads and tags *)
   failed : int;  (** windows that failed the oracle, the open or the verdict *)
   ledger : ledger option;  (** traced runs only *)
+  costs : float array;  (** recorded cost of each trace node, in schedule order *)
 }
 
-let measure ?tracer ~gen_s ~reference (w : Workload.t) frames () =
+let same_shape (a : Trace.node array) (b : Trace.node array) =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun (x : Trace.node) (y : Trace.node) ->
+         x.label = y.label && x.deps = y.deps && x.arrival_events = y.arrival_events
+         && x.role = y.role)
+       a b
+
+let measure ?tracer ~shape ~gen_s ~reference (w : Workload.t) frames () =
   Gc.full_major ();
   let o = Edge.run ?tracer w frames in
   let wall = o.Edge.edge_s +. o.audit_open_s +. o.verify_s +. o.cloud_open_s in
@@ -203,7 +213,20 @@ let measure ?tracer ~gen_s ~reference (w : Workload.t) frames () =
     failed = Edge.failed_windows ~reference o;
     ledger =
       Option.map (fun tr -> ledger ~gen_s ~search_s:(rate_s +. replay_s) w tr o rate) tracer;
+    costs =
+      (let nodes = Trace.nodes trace in
+       (match !shape with
+       | None -> shape := Some nodes
+       | Some s -> if not (same_shape s nodes) then failwith "trace shape differs between runs");
+       Array.map (fun (n : Trace.node) -> n.cost_ns) nodes);
   }
+
+let min_trace shape runs =
+  Array.mapi
+    (fun i (n : Trace.node) ->
+      { n with cost_ns = List.fold_left (fun acc x -> Float.min acc x.costs.(i)) Float.infinity runs })
+    shape
+  |> Trace.of_nodes
 
 (* ---- output ------------------------------------------------------------ *)
 
@@ -248,7 +271,8 @@ let run ~name ~seed ~seconds ~trace =
   let events = Workload.events w in
   let windows = w.Workload.bench.B.spec.Sbt_workloads.Datagen.windows in
   let reference = Oracle.reference w in
-  let measure ?tracer () = measure ?tracer ~gen_s ~reference w frames () in
+  let shape = ref None in
+  let measure ?tracer () = measure ?tracer ~shape ~gen_s ~reference w frames () in
   (* Warm-up run: untimed, but checked like the others. *)
   let warm = measure () in
   let t_start = Clock.now_ns () in
@@ -282,6 +306,35 @@ let run ~name ~seed ~seconds ~trace =
       "delay sample: %d windows of the fastest %d of %d runs at %.0f ev/s offered; p50 and p%.0f (%d \
        beyond)\n"
       n (List.length kept) (List.length plain) w.Workload.offered_eps tail_pct (n - 1 - rank tail_pct);
+    let shape_nodes = Option.get !shape in
+    List.iter
+      (fun k ->
+        let g = min_iters in
+        if List.length plain >= g * k then begin
+          let ranked = fastest (g * k) (fun x -> x.e2e_eps) plain in
+          let groups = List.init g (fun j -> List.filteri (fun i _ -> i mod g = j) ranked) in
+          let traces = List.map (min_trace shape_nodes) groups in
+          let ds =
+            List.concat_map
+              (fun t -> List.map snd (Trace.replay t ~cores ~rate_eps:w.Workload.offered_eps).Trace.delays)
+              traces
+            |> List.sort compare |> Array.of_list
+          in
+          let n = Array.length ds in
+          let rank p = min (n - 1) (int_of_float (Float.ceil (p /. 100.0 *. float_of_int n)) - 1) in
+          let sus =
+            median
+              (List.map
+                 (fun t ->
+                   (Rate_search.max_rate ~trace:t ~cores
+                      ~target_delay_ns:(w.Workload.bench.B.target_delay_ms *. 1e6) ())
+                     .Rate_search.rate_eps)
+                 traces)
+          in
+          Printf.printf "PROTO k=%d p50 %.5f p90 %.5f sustain %.6g\n" k (ds.(rank 50.0) /. 1e6)
+            (ds.(rank 90.0) /. 1e6) sus
+        end)
+      [ 1; 2; 3; 4 ];
     print_result ~correct:(failed = 0) ~attempted ~failed
       [
         ("setup_s", (setup_s, "s"));
