@@ -614,7 +614,7 @@ let fig11_merge_uarray n_bufs buf_ints =
   dt
 
 let fig11_merge_vector n_bufs buf_ints =
-  let module V = Sbt_umem.Growable_vector in
+  let module V = Sbt_baselines.Growable_vector in
   let pool = Sbt_umem.Page_pool.create ~budget_bytes:(1 lsl 30) in
   let rng = Sbt_crypto.Rng.create ~seed:5L in
   let mk_sorted () =
@@ -1203,142 +1203,6 @@ let tenants_bench () =
   Printf.printf "  wrote %s\n" (Bench_json.path ~section:"tenants" ())
 
 (* ------------------------------------------------------------------ *)
-(* Secure-memory slab allocator: small-object alloc/free rate per size
-   class and fragmentation high-water, slab arenas vs the old
-   page-granular Page_pool path; plus the growable-vector backing
-   comparison (PR 9)                                                     *)
-
-let umem_bench () =
-  section "[umem] slab allocator: alloc/free rate and fragmentation vs page path (PR 9)";
-  let module Pool = Sbt_umem.Page_pool in
-  let module Slab = Sbt_umem.Slab in
-  let module GV = Sbt_umem.Growable_vector in
-  let iters = if smoke then 20_000 else 200_000 in
-  let ring = 64 in
-  let time f =
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let t0 = Clock.now_ns () in
-      f ();
-      let dt = Clock.elapsed_ns ~since:t0 in
-      if dt < !best then best := dt
-    done;
-    Float.max 1.0 !best
-  in
-  Printf.printf
-    "  steady-state ring of %d live small objects, %d alloc+free pairs per class;\n" ring iters;
-  Printf.printf
-    "  pool-ops = shared Page_pool touches (the lock-bearing path under domains);\n";
-  Printf.printf "  frag-hw = peak (held - live) bytes the parent pool over-accounts:\n";
-  Printf.printf "  %6s %12s %12s %10s %10s %12s %12s\n" "class" "slab Mops/s" "page Mops/s"
-    "slab p-ops" "page p-ops" "slab frag" "page frag";
-  Array.iter
-    (fun cls ->
-      (* Slab path: size-class slots out of per-arena bitmap pages. *)
-      let p_slab = Pool.create ~budget_bytes:(64 * 1024 * 1024) in
-      let a = Slab.over_pool p_slab in
-      let ptrs = Array.make ring (-1) in
-      let slab_ns =
-        time (fun () ->
-            for i = 0 to iters - 1 do
-              let s = i mod ring in
-              if ptrs.(s) >= 0 then Slab.free a ptrs.(s);
-              ptrs.(s) <- Slab.alloc a ~bytes:cls
-            done;
-            Array.iteri
-              (fun s q ->
-                if q >= 0 then begin
-                  Slab.free a q;
-                  ptrs.(s) <- -1
-                end)
-              ptrs;
-            Slab.drain a)
-      in
-      let slab_stats = Slab.stats a in
-      let slab_frag = slab_stats.Slab.frag_high_water_bytes in
-      (* Parent-pool traffic: the slab touches the shared pool once per
-         slab-page refill/drain; the old path touched it on every object. *)
-      let slab_pool_ops = slab_stats.Slab.refills + slab_stats.Slab.drains in
-      (* Old path: every small object commits and releases a whole page. *)
-      let p_page = Pool.create ~budget_bytes:(64 * 1024 * 1024) in
-      let live = Array.make ring false in
-      let page_ns =
-        time (fun () ->
-            for i = 0 to iters - 1 do
-              let s = i mod ring in
-              if live.(s) then Pool.release p_page ~pages:1;
-              Pool.commit p_page ~pages:1;
-              live.(s) <- true
-            done;
-            Array.iteri
-              (fun s l ->
-                if l then begin
-                  Pool.release p_page ~pages:1;
-                  live.(s) <- false
-                end)
-              live)
-      in
-      let page_frag = Pool.high_water_bytes p_page - (ring * cls) in
-      let page_pool_ops = 2 * iters in
-      let ops_s ns = float_of_int iters /. (ns /. 1e9) in
-      Printf.printf "  %6d %12.2f %12.2f %10d %10d %12d %12d\n" cls
-        (ops_s slab_ns /. 1e6)
-        (ops_s page_ns /. 1e6)
-        slab_pool_ops page_pool_ops slab_frag page_frag;
-      List.iter
-        (fun (path, ns, frag, pool_ops) ->
-          ignore
-            (Bench_json.append ~section:"umem"
-               [
-                 ("kind", J.Str "alloc_free");
-                 ("class_bytes", J.num_of_int cls);
-                 ("path", J.Str path);
-                 ("iters", J.num_of_int iters);
-                 ("ns", J.Num ns);
-                 ("ops_per_sec", J.Num (ops_s ns));
-                 ("pool_ops", J.num_of_int pool_ops);
-                 ("frag_high_water_bytes", J.num_of_int frag);
-               ]))
-        [ ("slab", slab_ns, slab_frag, slab_pool_ops); ("page", page_ns, page_frag, page_pool_ops) ])
-    Slab.size_classes;
-  (* Growable vector: slab-backed size-class growth vs page doubling. *)
-  let gv_records = if smoke then 5_000 else 50_000 in
-  let gv path =
-    let p = Pool.create ~budget_bytes:(64 * 1024 * 1024) in
-    let slab = if path = "slab" then Some (Slab.over_pool p) else None in
-    let reloc = ref 0 in
-    let ns =
-      time (fun () ->
-          let v = GV.create ?slab ~pool:p ~width:1 () in
-          for i = 0 to gv_records - 1 do
-            GV.append v [| Int32.of_int i |]
-          done;
-          reloc := GV.relocations v;
-          GV.free v;
-          Option.iter Slab.drain slab)
-    in
-    ignore
-      (Bench_json.append ~section:"umem"
-         [
-           ("kind", J.Str "growable_vector");
-           ("path", J.Str path);
-           ("records", J.num_of_int gv_records);
-           ("ns", J.Num ns);
-           ("relocations", J.num_of_int !reloc);
-           ("high_water_bytes", J.num_of_int (Pool.high_water_bytes p));
-         ]);
-    (ns, !reloc, Pool.high_water_bytes p)
-  in
-  let s_ns, s_rel, s_hw = gv "slab" in
-  let p_ns, p_rel, p_hw = gv "page" in
-  Printf.printf
-    "  growable-vector %d appends: slab %.1f ms (%d relocs, hw %dB), page %.1f ms (%d relocs, hw %dB)\n"
-    gv_records (s_ns /. 1e6) s_rel s_hw (p_ns /. 1e6) p_rel p_hw;
-  Printf.printf "  wrote %s\n" (Bench_json.path ~section:"umem" ())
-
-(* ------------------------------------------------------------------ *)
-
-(* ------------------------------------------------------------------ *)
 (* Out-of-order robustness: throughput and output delay vs disorder
    fraction, and what each attested late-data policy costs in
    correction volume (PR 10)                                             *)
@@ -1417,7 +1281,6 @@ let sections =
     ("batch-sweep", batch_sweep);
     ("switch-sweep", switch_sweep);
     ("fusion", fusion);
-    ("umem", umem_bench);
     ("attest-overhead", attest_overhead);
     ("opaque-refs", opaque_refs);
     ("resilience", resilience);

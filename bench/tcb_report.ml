@@ -86,12 +86,6 @@ let dataplane_core_files =
 (* The verifier is cloud-side, not TCB. *)
 let verifier_files = [ "lib/attest/verifier.ml"; "lib/attest/verifier.mli" ]
 
-(* The slab allocator (PR 9) is broken out of "Memory management" as an
-   informational sub-row — it is already counted in the lib/umem total;
-   the paper's TCB argument leans on the memory manager staying small. *)
-let slab_allocator_files =
-  [ "lib/umem/slab.ml"; "lib/umem/slab.mli"; "lib/umem/page_pool.ml"; "lib/umem/page_pool.mli" ]
-
 let print () =
   if not (Sys.file_exists "lib") then
     print_endline
@@ -112,9 +106,6 @@ let print () =
     untrusted_total := !untrusted_total - dp_core + verifier;
     Printf.printf "  %-30s %10d  yes (dataplane/opaque/event)\n" "Data plane (lib/core subset)" dp_core;
     Printf.printf "  %-30s %10d  no (cloud-side)\n" "Verifier (moved out of TCB)" verifier;
-    let slab_alloc = List.fold_left (fun acc f -> acc + (if Sys.file_exists f then sloc_of_file f else 0)) 0 slab_allocator_files in
-    Printf.printf "  %-30s %10d  yes (within Memory management: slab + page pool)\n"
-      "Secure allocator (subset)" slab_alloc;
     Printf.printf "  %-30s %10d\n" "TCB total" !trusted_total;
     Printf.printf "  %-30s %10d\n" "untrusted total" !untrusted_total;
     Printf.printf "  TCB fraction of engine source: %.0f%%  (paper: data plane = 5K of 12.4K new SLoC)\n"

@@ -617,22 +617,6 @@ let fuse_arg =
            per stage.  Sealed results, verifier verdicts and loss are byte-identical \
            to $(b,off); compare switch counts with --verbose")
 
-let slab_arg =
-  let slab_conv =
-    Arg.conv
-      (fuse_of_string, fun fmt b -> Format.pp_print_string fmt (if b then "on" else "off"))
-      ~docv:"on|off"
-  in
-  Arg.(
-    value & opt slab_conv true
-    & info [ "slab" ]
-        ~doc:
-          "Secure-memory slab allocator: $(b,on) (default) routes small-object \
-           scratch — egress staging, per-chunk kernel scratch, per-piece partial \
-           tables — through size-class bitmap slab arenas; $(b,off) falls back to \
-           page-granular pool commits.  Sealed results, audit records and verifier \
-           verdicts are byte-identical either way (the CI cmp smoke)")
-
 let verbose_arg = Arg.(value & flag & info [ "verbose" ] ~doc:"Print data-plane statistics")
 
 let frames_arg =
@@ -992,13 +976,12 @@ let undeclared_late_arg =
            silent policy although the run handled late data — the verifier must flag \
            Undeclared_late_handling (exit 2)")
 
-let dispatch name version windows epw batch cores_list target_ms hints fuse slab verbose
+let dispatch name version windows epw batch cores_list target_ms hints fuse verbose
     frames_in audit_out trace_out exec_domains exec_mode deterministic exec_time_scale
     results_out resil fault_rates fault_seed ckpt_every max_restarts crash_at crash_site recover
     fleet_m partition_by kills uplinks stragglers suspect_after recover_after rogue
     omit_manifests tenants_n tenant_quotas tenant_mix solo_tenant disorder late_policy
     session_gap undeclared_late =
-  Sbt_umem.Slab.set_enabled slab;
   let disorder_active =
     disorder > 0.0 || late_policy <> D.Silent || session_gap <> None || undeclared_late
   in
@@ -1062,8 +1045,7 @@ let cmd =
     (Cmd.info "sbt_run" ~doc)
     Term.(
       const dispatch $ name_arg $ version_arg $ windows_arg $ epw_arg $ batch_arg $ cores_arg
-      $ target_arg $ hints_arg $ fuse_arg $ slab_arg $ verbose_arg $ frames_arg $ audit_arg
-      $ trace_arg
+      $ target_arg $ hints_arg $ fuse_arg $ verbose_arg $ frames_arg $ audit_arg $ trace_arg
       $ exec_arg $ exec_mode_arg $ deterministic_arg $ exec_time_scale_arg $ results_out_arg
       $ resilience_arg $ fault_rates_arg $ fault_seed_arg $ ckpt_every_arg $ max_restarts_arg
       $ crash_at_arg $ crash_site_arg $ recover_arg $ fleet_arg $ partition_by_arg $ kills_arg

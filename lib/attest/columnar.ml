@@ -6,7 +6,7 @@ type columns = {
   tags : Buffer.t; (* byte per record -> Huffman *)
   ts : Buffer.t; (* delta varint *)
   ops : Buffer.t; (* byte per execution -> Huffman *)
-  counts : Buffer.t; (* bytes (in/out/hint counts) -> Huffman *)
+  counts : Buffer.t; (* unsigned varints (list lengths) -> Huffman *)
   new_ids : Buffer.t; (* ids at creation (near-monotonic) - delta varint *)
   used_ids : Buffer.t; (* ids at consumption - delta varint, own cursor *)
   win_nos : Buffer.t; (* delta varint *)
@@ -67,6 +67,9 @@ let split records =
     Varint.write_signed c.values (Int64.of_int (v - !prev_val));
     prev_val := v
   in
+  (* List lengths below 128 take one byte; a window close over hundreds
+     of segments takes two. *)
+  let put_count l = Varint.write_unsigned c.counts (Int64.of_int (List.length l)) in
   (* Fused params and chain hashes repeat verbatim across segments of the
      same pipeline (the chain is a function of ops+params alone), so the
      blob column back-references per field: 0 = "same as this field's
@@ -114,9 +117,9 @@ let split records =
           Buffer.add_char c.tags '\003';
           put_ts ts;
           Buffer.add_char c.ops (Char.unsafe_chr (op land 0xFF));
-          Buffer.add_char c.counts (Char.unsafe_chr (List.length inputs land 0xFF));
-          Buffer.add_char c.counts (Char.unsafe_chr (List.length outputs land 0xFF));
-          Buffer.add_char c.counts (Char.unsafe_chr (List.length hints land 0xFF));
+          put_count inputs;
+          put_count outputs;
+          put_count hints;
           List.iter put_used_id inputs;
           List.iter put_new_id outputs;
           List.iter put_hint hints
@@ -132,7 +135,7 @@ let split records =
           put_seq seq;
           put_val events;
           Buffer.add_char c.counts (Char.unsafe_chr (Record.gap_reason_tag reason land 0xFF));
-          Buffer.add_char c.counts (Char.unsafe_chr (List.length windows land 0xFF));
+          put_count windows;
           List.iter put_win windows
       | Record.Checkpoint { ts; seq; watermark } ->
           Buffer.add_char c.tags '\006';
@@ -142,13 +145,13 @@ let split records =
       | Record.Fused { ts; ops; params; chain; inputs; outputs; hints } ->
           Buffer.add_char c.tags '\007';
           put_ts ts;
-          Buffer.add_char c.counts (Char.unsafe_chr (List.length ops land 0xFF));
+          put_count ops;
           List.iter (fun op -> Buffer.add_char c.ops (Char.unsafe_chr (op land 0xFF))) ops;
           put_blob prev_params_blob params;
           put_blob prev_chain_blob chain;
-          Buffer.add_char c.counts (Char.unsafe_chr (List.length inputs land 0xFF));
-          Buffer.add_char c.counts (Char.unsafe_chr (List.length outputs land 0xFF));
-          Buffer.add_char c.counts (Char.unsafe_chr (List.length hints land 0xFF));
+          put_count inputs;
+          put_count outputs;
+          put_count hints;
           List.iter put_used_id inputs;
           List.iter put_new_id outputs;
           List.iter put_hint hints
@@ -278,6 +281,7 @@ let decompress data =
     incr pos;
     c
   in
+  let get_count () = Int64.to_int (Varint.read_unsigned counts cnt_pos) in
   List.init n (fun i ->
       match Char.code (Bytes.get tags i) with
       | 0 ->
@@ -300,9 +304,9 @@ let decompress data =
       | 3 ->
           let ts = get_ts () in
           let op = get_byte ops op_pos in
-          let n_in = get_byte counts cnt_pos in
-          let n_out = get_byte counts cnt_pos in
-          let n_h = get_byte counts cnt_pos in
+          let n_in = get_count () in
+          let n_out = get_count () in
+          let n_h = get_count () in
           let inputs = List.init n_in (fun _ -> get_used_id ()) in
           let outputs = List.init n_out (fun _ -> get_new_id ()) in
           let hints = List.init n_h (fun _ -> get_hint ()) in
@@ -318,7 +322,7 @@ let decompress data =
           let seq = get_seq () in
           let events = get_val () in
           let reason = Record.gap_reason_of_tag (get_byte counts cnt_pos) in
-          let n_w = get_byte counts cnt_pos in
+          let n_w = get_count () in
           let windows = List.init n_w (fun _ -> get_win ()) in
           Record.Gap { ts; stream; seq; events; windows; reason }
       | 6 ->
@@ -328,13 +332,13 @@ let decompress data =
           Record.Checkpoint { ts; seq; watermark }
       | 7 ->
           let ts = get_ts () in
-          let n_ops = get_byte counts cnt_pos in
+          let n_ops = get_count () in
           let ops = List.init n_ops (fun _ -> get_byte ops op_pos) in
           let params = get_blob prev_params_blob in
           let chain = get_blob prev_chain_blob in
-          let n_in = get_byte counts cnt_pos in
-          let n_out = get_byte counts cnt_pos in
-          let n_h = get_byte counts cnt_pos in
+          let n_in = get_count () in
+          let n_out = get_count () in
+          let n_h = get_count () in
           let inputs = List.init n_in (fun _ -> get_used_id ()) in
           let outputs = List.init n_out (fun _ -> get_new_id ()) in
           let hints = List.init n_h (fun _ -> get_hint ()) in

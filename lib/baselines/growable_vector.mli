@@ -3,17 +3,12 @@
     The baseline uArray is compared against in Figure 11: it grows
     transparently but by doubling into a freshly allocated region and
     copying, where a uArray grows in place.  Page accounting mirrors
-    uArray's so the two are also comparable on memory.
-
-    With a {!Slab} arena attached ([?slab]), small vectors grow through
-    the slab size classes instead of page-doubling — a 64-byte vector
-    accounts 64 bytes, not a pinned 4 KB page — and the old backing
-    (slot or pages) is released eagerly as soon as the growth copy
-    completes, rather than parking until window close. *)
+    uArray's so the two are also comparable on memory.  Only the bench and
+    tests use it; it is not part of the trusted data plane. *)
 
 type t
 
-val create : ?slab:Slab.t -> pool:Page_pool.t -> width:int -> unit -> t
+val create : pool:Sbt_umem.Page_pool.t -> width:int -> unit -> t
 (** Starts with a small capacity (16 records), like a freshly constructed
     vector. *)
 
@@ -25,7 +20,7 @@ val relocations : t -> int
 val append_fields3 : t -> int32 -> int32 -> int32 -> unit
 val append : t -> int32 array -> unit
 val get_field : t -> int -> int -> int32
-val raw : t -> Uarray.buf
+val raw : t -> Sbt_umem.Uarray.buf
 val reserve : t -> int -> int
 (** Grow by [n] uninitialized records (relocating as needed); returns the
     first new index. *)

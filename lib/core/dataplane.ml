@@ -1,7 +1,6 @@
 module U = Sbt_umem.Uarray
 module Alloc = Sbt_umem.Allocator
 module Pool = Sbt_umem.Page_pool
-module Slab = Sbt_umem.Slab
 module P = Sbt_prim.Primitive
 module Tz = Sbt_tz
 
@@ -217,12 +216,6 @@ type capture = {
 type t = {
   cfg : config;
   pool : Pool.t;
-  (* Small-object staging arena for egress payload marshalling.  It sits
-     over its own tiny private pool, never the data-plane pool above:
-     shed/backpressure decisions key off [Pool.committed_bytes pool], so
-     staging scratch must not perturb them — that is what keeps sealed
-     outputs byte-identical with the slab on or off. *)
-  staging : Slab.t;
   alloc : Alloc.t;
   refs : Opaque.t;
   log : Sbt_attest.Log.t;
@@ -879,9 +872,9 @@ let do_invoke (t : t) ~op ~inputs ~trigger ~params ~hints ~retire_inputs =
   if retire_inputs then List.iter (retire_ref t) inputs;
   Rs_outputs out_refs
 
-(* Fused super-kernel (PR 7): a whole chain of per-record primitives runs
-   in this one entry — one world-switch pair, one pass over the data, one
-   composite audit record.  The chain hash is computed here, in-TEE, so
+(* Fused super-kernel: a whole chain of per-record primitives runs in one
+   invoke — one world-switch pair, one pass over the data, one composite
+   audit record.  The chain hash is computed here, in-TEE, so
    the normal world cannot later present a different composition as the
    one that ran. *)
 let do_invoke_fused (t : t) ~steps ~inputs ~trigger ~hints ~retire_inputs =
@@ -970,34 +963,11 @@ let seal_out t ~input ~window ~nonce ~mk_record =
   let events = U.length ua and width = U.width ua in
   let cipher =
     timed t `Crypto (fun () ->
-        let cells = events * width in
-        let payload = Bytes.create (cells * 4) in
+        let payload = Bytes.create (events * width * 4) in
         let buf = U.raw ua in
-        let marshal (src : U.buf) =
-          for i = 0 to cells - 1 do
-            Bytes.set_int32_le payload (4 * i) (Bigarray.Array1.get src i)
-          done
-        in
-        (* Small results stage through a slab slot of the matching size
-           class instead of conjuring page-granular scratch; the slot is
-           freed the moment the copy-out completes.  The staged cells are
-           the same int32s, serialized by the same loop, so the sealed
-           bytes are identical either way. *)
-        let staged =
-          Slab.enabled () && Slab.fits (cells * 4) &&
-          match Slab.alloc t.staging ~bytes:(cells * 4) with
-          | ptr ->
-              Fun.protect
-                ~finally:(fun () -> Slab.free t.staging ptr)
-                (fun () ->
-                  let stage = Slab.view t.staging ptr in
-                  Bigarray.Array1.blit (Bigarray.Array1.sub buf 0 cells)
-                    (Bigarray.Array1.sub stage 0 cells);
-                  marshal stage);
-              true
-          | exception Pool.Out_of_secure_memory _ -> false
-        in
-        if not staged then marshal buf;
+        for i = 0 to (events * width) - 1 do
+          Bytes.set_int32_le payload (4 * i) (Bigarray.Array1.get buf i)
+        done;
         match t.cfg.version with
         | Insecure -> payload
         | Full | Clear_ingress | Io_via_os ->
@@ -1251,19 +1221,21 @@ let do_checkpoint t ~control ~watermark =
 let measured_total (t : t) = t.compute_ns +. t.mem_ns +. t.crypto_ns +. t.ingest_ns
 
 (* One "prim" span per primitive/udf/seal execution, at the TEE's virtual
-   clock.  The duration is the measured-time delta scaled by the cost
-   model's host_scale — the same virtual quantity the DES charges — so at
-   host_scale 0 even the trace bytes are deterministic. *)
+   clock.  The duration is the measured-time delta with crypto charged at
+   the cost model's crypto_scale, all scaled by host_scale — the same
+   virtual quantity the DES charges — so at host_scale 0 even the trace
+   bytes are deterministic. *)
 let traced_prim t name f =
   match t.cfg.tracer with
   | None -> f ()
   | Some tr ->
-      let ts = t.now_ns and before = measured_total t in
+      let ts = t.now_ns and before = measured_total t and crypto_before = t.crypto_ns in
       let r = f () in
-      let dur =
-        (measured_total t -. before)
-        *. t.cfg.platform.Tz.Platform.cost.Tz.Cost_model.host_scale
+      let cost = t.cfg.platform.Tz.Platform.cost in
+      let crypto_adjust =
+        (t.crypto_ns -. crypto_before) *. (cost.Tz.Cost_model.crypto_scale -. 1.0)
       in
+      let dur = (measured_total t -. before +. crypto_adjust) *. cost.Tz.Cost_model.host_scale in
       Sbt_obs.Tracer.complete tr ~pid:1 ~tid:0 ~cat:"prim" ~name ~ts_ns:ts ~dur_ns:dur ();
       r
 
@@ -1307,7 +1279,6 @@ let create cfg =
     {
       cfg;
       pool;
-      staging = Slab.over_pool (Pool.create ~budget_bytes:(1024 * 1024));
       alloc;
       refs = Opaque.create ~rng;
       log = Sbt_attest.Log.create ~key:cfg.egress_key ~flush_every:cfg.audit_flush_every;
@@ -1371,13 +1342,8 @@ let create cfg =
            (Pool.committed_bytes pool) (Alloc.live_groups alloc)));
   Tz.Smc.register smc Tz.Smc.Invoke (fun rpc ->
       match rpc with
-      | Rpc_op (R_invoke_fused _) -> raise (Rejected "wrong entry")
       | Rpc_op req -> Rr_op (dispatch t req)
       | Rpc_init | Rpc_finalize | Rpc_debug -> raise (Rejected "wrong entry"));
-  Tz.Smc.register smc Tz.Smc.Fused (fun rpc ->
-      match rpc with
-      | Rpc_op (R_invoke_fused _ as req) -> Rr_op (dispatch t req)
-      | Rpc_op _ | Rpc_init | Rpc_finalize | Rpc_debug -> raise (Rejected "wrong entry"));
   (* Transient SMC entry failures: the plan decides, per ingest frame
      identity, how many consecutive attempts the monitor refuses — so the
      schedule replays identically whatever order tasks run in. *)
@@ -1485,10 +1451,7 @@ let call t req =
   match t.cfg.version with
   | Insecure -> dispatch t req
   | Full | Clear_ingress | Io_via_os -> (
-      let entry =
-        match req with R_invoke_fused _ -> Tz.Smc.Fused | _ -> Tz.Smc.Invoke
-      in
-      match Tz.Smc.call t.smc entry (Rpc_op req) with
+      match Tz.Smc.call t.smc Tz.Smc.Invoke (Rpc_op req) with
       | Rr_op resp -> resp
       | Rr_unit | Rr_debug _ -> raise (Rejected "unexpected response"))
 
@@ -1577,10 +1540,6 @@ let set_now_ns t ns = t.now_ns <- ns
 let now_ns t = t.now_ns
 
 let metrics_quote t ~nonce =
-  (* Fold the staging arena's umem.* metrics in just before the snapshot
-     is sealed; [Slab.publish] pushes deltas, so repeated quotes never
-     double-count. *)
-  Slab.publish t.staging t.reg;
   let payload = Sbt_obs.Metrics.encode_snapshot t.reg in
   let measurement = Sbt_crypto.Sha256.digest payload in
   (payload, Sbt_attest.Quote.issue ~device_key:t.cfg.egress_key measurement ~nonce)

@@ -202,9 +202,9 @@ type request =
       hints : hint list;
       retire_inputs : bool;
     }
-      (** Run a fused super-kernel (PR 7): the whole chain of per-record
-          steps executes in a single trusted entry ({!Sbt_tz.Smc.Fused})
-          over one input uArray — one world-switch pair instead of one per
+      (** Run a fused super-kernel: the whole chain of per-record steps
+          executes in a single call of the shared invoke entry over one
+          input uArray — one world-switch pair instead of one per
           primitive — and emits a single composite
           {!Sbt_attest.Record.Fused} audit record carrying the ordered op
           ids, the encoded parameters, and an in-TEE chain hash.

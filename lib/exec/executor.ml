@@ -1,7 +1,6 @@
 module Trace = Sbt_sim.Trace
 module Clock = Sbt_sim.Clock
 module Pool = Sbt_umem.Page_pool
-module Slab = Sbt_umem.Slab
 module PK = Sbt_prim.Par_kernel
 
 type mode = [ `Paced | `Spin | `Work ]
@@ -108,10 +107,6 @@ type worker = {
   id : int;
   deque : int Deque.t;
   shard : Pool.shard;
-  slab : Slab.t;
-      (* Arena over [shard]: small chunk scratch is slot-accounted here,
-         so a 24-byte fused row no longer pins a 4 KB page, and the
-         shared pool is only touched on bulk shard refills. *)
   scratch : Bytes.t;
   mutable w_tasks : int;
   mutable w_steals : int;
@@ -159,7 +154,6 @@ let run ?tracer ?registry ?pool ?(time_scale = 1.0) ?(mode : mode = `Paced)
           id;
           deque = Deque.create ();
           shard = shards.(id);
-          slab = Slab.over_shard shards.(id);
           scratch = Bytes.create (scratch_pages * Pool.page_size);
           w_tasks = 0;
           w_steals = 0;
@@ -173,19 +167,12 @@ let run ?tracer ?registry ?pool ?(time_scale = 1.0) ?(mode : mode = `Paced)
   (* --- intra-task chunk parallelism (`Work` mode) ---------------------- *)
   let slots : batch option Atomic.t array = Array.init domains (fun _ -> Atomic.make None) in
   let run_chunk w (c : PK.chunk) =
-    let bytes = max 0 c.PK.scratch_bytes in
-    if bytes = 0 then c.PK.run ()
-    else if Slab.enabled () && Slab.fits bytes then begin
-      (* Small scratch: one slab slot of the matching class, no lock,
-         accounted through the shard the arena refills from. *)
-      let ptr = Slab.alloc w.slab ~bytes in
-      Fun.protect ~finally:(fun () -> Slab.free w.slab ptr) c.PK.run
-    end
-    else begin
-      let pages = Pool.pages_for_bytes bytes in
+    let pages = Pool.pages_for_bytes (max 0 c.PK.scratch_bytes) in
+    if pages > 0 then begin
       Pool.shard_commit w.shard ~pages;
       Fun.protect ~finally:(fun () -> Pool.shard_release w.shard ~pages) c.PK.run
-    end;
+    end
+    else c.PK.run ();
     w.w_chunks <- w.w_chunks + 1
   in
   let help_batch w (b : batch) =
@@ -261,12 +248,10 @@ let run ?tracer ?registry ?pool ?(time_scale = 1.0) ?(mode : mode = `Paced)
           ~finally:(fun () -> Pool.shard_release w.shard ~pages:scratch_pages)
           (fun () ->
             run_kernel ~mode:m ~scratch:w.scratch ~target_ns:(node.Trace.cost_ns *. time_scale)));
-    (* Window close: drain the slab arena (empty slab pages back to the
-       shard), then fold the shard's quota back into the parent pool so
-       its accounting drops to real usage. *)
+    (* Window close: fold this domain's scratch shard back into the
+       parent pool so its accounting drops to real usage. *)
     (match node.Trace.role with
     | Trace.Egress_of _ ->
-        Slab.drain w.slab;
         Pool.merge_shard w.shard;
         Atomic.incr pool_merges
     | Trace.Plain | Trace.Watermark_arrival _ -> ());
@@ -332,7 +317,6 @@ let run ?tracer ?registry ?pool ?(time_scale = 1.0) ?(mode : mode = `Paced)
   worker_loop workers.(0);
   Array.iter Domain.join spawned;
   let wall_ns = Clock.elapsed_ns ~since:t_start in
-  Array.iter (fun w -> Slab.drain w.slab) workers;
   Array.iter (fun s -> Pool.merge_shard s) shards;
   let executed = Array.fold_left (fun a w -> a + w.w_tasks) 0 workers in
   if executed <> n then
@@ -397,10 +381,6 @@ let run ?tracer ?registry ?pool ?(time_scale = 1.0) ?(mode : mode = `Paced)
       add (counter reg "exec.pool_merges") report.pool_merges;
       add (counter reg "exec.domains") domains;
       add (counter reg "exec.wall_ns") (int_of_float (Float.max 0.0 wall_ns));
-      (* umem.*: every worker arena publishes into the same registry
-         after the join — counters sum across domains, gauges keep the
-         per-arena peak via the registry's high-water tracking. *)
-      Array.iter (fun w -> Slab.publish w.slab reg) workers;
       add (counter reg "umem.shard.refills")
         (Array.fold_left (fun a s -> a + Pool.shard_refills s) 0 shards);
       add (counter reg "umem.shard.drains")

@@ -1,11 +1,11 @@
-(** Fused super-kernel descriptors (PR 7).
+(** Fused super-kernel descriptors.
 
     A fused chain is an ordered list of stateless per-record primitives
     (band filter, equality select, projection, key shift) executed in one
-    single-pass kernel behind one trusted entry, instead of one SMC round
-    trip per primitive.  The chain descriptor is the call ABI of the
-    [Fused] SMC entry and — encoded with {!encode_steps} — the parameter
-    blob of the composite audit record the execution emits.
+    single-pass kernel behind one call of the shared invoke entry, instead
+    of one SMC round trip per primitive.  The chain descriptor is the
+    argument of that call and — encoded with {!encode_steps} — the
+    parameter blob of the composite audit record the execution emits.
 
     Chain semantics are defined by the unfused primitives they collapse:
     running the steps left-to-right over each record, dropping it at the

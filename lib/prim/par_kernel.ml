@@ -1,6 +1,4 @@
 module U = Sbt_umem.Uarray
-module Pool = Sbt_umem.Page_pool
-module Slab = Sbt_umem.Slab
 
 type chunk = { scratch_bytes : int; run : unit -> unit }
 type runner = { width : int; run_chunks : chunk array -> unit }
@@ -55,17 +53,6 @@ let blit_records ~(src : U.buf) ~src_r ~(dst : U.buf) ~dst_r ~w ~n =
 let host_buf cells : U.buf = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (max 1 cells)
 
 let bytes_for_records w n = n * w * 4
-
-(* Domain-local slab arena backing the real small kernel scratch (the
-   flat per-piece window tables below).  Each domain lazily gets its own
-   arena over a private 4 MB host-modeling pool, so chunk bodies running
-   on executor workers allocate scratch without locks; usage is strictly
-   transient (alloc and free within one chunk), so an arena never holds
-   more than a page or two per size class. *)
-let scratch_arena_key =
-  Domain.DLS.new_key (fun () -> Slab.over_pool (Pool.create ~budget_bytes:(4 * 1024 * 1024)))
-
-let scratch_arena () = Domain.DLS.get scratch_arena_key
 
 (* Contiguous record-range splits: piece [i] covers
    [i*n/pieces, (i+1)*n/pieces).  Pieces may be empty when n < pieces. *)
@@ -264,62 +251,15 @@ let sort_raw ?(runner = serial) ?pieces ~w ~key_field ~src ~dst_buf ~dst_off () 
    scatter — piece [i]'s records land after pieces [0..i-1]'s within every
    window, which is exactly the serial record order. *)
 
-(* The per-piece partial table.  When the piece's window range is dense
-   enough to fit a slab slot (the overwhelmingly common case: a batch
-   spans a handful of windows), counting runs over a flat slot-backed
-   array — one increment per record instead of two hash probes and a
-   boxed option — and only the non-zero cells are folded into the
-   Hashtbl the merge layer expects.  The table contents are identical
-   either way, so sealed results cannot depend on the path taken. *)
 let window_counts_of_piece (buf : U.buf) ~w ~ts_field ~size ~slide ~off ~len =
   let t = Hashtbl.create 32 in
-  let via_hashtbl () =
-    for r = off to off + len - 1 do
-      let ts = Int32.to_int (get buf ((r * w) + ts_field)) in
-      let lo, hi = Segment.windows_of ~ts ~size ~slide in
-      for win = lo to hi do
-        Hashtbl.replace t win (1 + Option.value ~default:0 (Hashtbl.find_opt t win))
-      done
+  for r = off to off + len - 1 do
+    let ts = Int32.to_int (get buf ((r * w) + ts_field)) in
+    let lo, hi = Segment.windows_of ~ts ~size ~slide in
+    for win = lo to hi do
+      Hashtbl.replace t win (1 + Option.value ~default:0 (Hashtbl.find_opt t win))
     done
-  in
-  if len > 0 && Slab.enabled () then begin
-    let lo_min = ref max_int and hi_max = ref min_int in
-    for r = off to off + len - 1 do
-      let ts = Int32.to_int (get buf ((r * w) + ts_field)) in
-      let lo, hi = Segment.windows_of ~ts ~size ~slide in
-      if lo < !lo_min then lo_min := lo;
-      if hi > !hi_max then hi_max := hi
-    done;
-    let range = !hi_max - !lo_min + 1 in
-    if range > 0 && Slab.fits (range * 4) then begin
-      let arena = scratch_arena () in
-      match Slab.alloc arena ~bytes:(range * 4) with
-      | exception Pool.Out_of_secure_memory _ -> via_hashtbl ()
-      | ptr ->
-          let counts = Slab.view arena ptr in
-          Fun.protect
-            ~finally:(fun () -> Slab.free arena ptr)
-            (fun () ->
-              for i = 0 to range - 1 do
-                Bigarray.Array1.unsafe_set counts i 0l
-              done;
-              for r = off to off + len - 1 do
-                let ts = Int32.to_int (get buf ((r * w) + ts_field)) in
-                let lo, hi = Segment.windows_of ~ts ~size ~slide in
-                for win = lo to hi do
-                  let i = win - !lo_min in
-                  Bigarray.Array1.unsafe_set counts i
-                    (Int32.add (Bigarray.Array1.unsafe_get counts i) 1l)
-                done
-              done;
-              for i = 0 to range - 1 do
-                let c = Bigarray.Array1.unsafe_get counts i in
-                if c <> 0l then Hashtbl.replace t (!lo_min + i) (Int32.to_int c)
-              done)
-    end
-    else via_hashtbl ()
-  end
-  else via_hashtbl ();
+  done;
   t
 
 let segment_count_tables ~runner ~pieces ~w ~ts_field ~size ~slide ~src =

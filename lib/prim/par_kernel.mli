@@ -4,7 +4,7 @@
     the big cores inside the TEE.  This module is the chunking substrate
     and the parallel kernel variants: contiguous record-range splits over
     {!Sbt_umem.Uarray.raw} buffers, per-chunk scratch accounted in
-    {!Sbt_umem.Slab} slots or {!Sbt_umem.Page_pool} pages, and deterministic stitching so every
+    {!Sbt_umem.Page_pool} pages, and deterministic stitching so every
     parallel variant produces output {e byte-identical} to its serial
     counterpart (see DESIGN.md §9 for the determinism argument).
 
@@ -16,10 +16,9 @@
 type chunk = {
   scratch_bytes : int;
       (** Modeled secure-memory scratch footprint of this chunk, in
-          bytes.  The executor accounts it on the executing domain's
-          slab arena (slot-granular, for footprints within the
-          {!Sbt_umem.Slab} size classes) or pool shard (page-granular
-          beyond them, or with the slab disabled). *)
+          bytes.  The executor commits it, rounded up to whole
+          {!Sbt_umem.Page_pool} pages, on the executing domain's pool
+          shard. *)
   run : unit -> unit;
 }
 

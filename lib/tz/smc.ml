@@ -1,15 +1,14 @@
-type entry = Init | Finalize | Debug | Invoke | Fused
+type entry = Init | Finalize | Debug | Invoke
 
-let entry_count = 5
+let entry_count = 4
 
 let entry_name = function
   | Init -> "init"
   | Finalize -> "finalize"
   | Debug -> "debug"
   | Invoke -> "invoke"
-  | Fused -> "fused"
 
-let entry_index = function Init -> 0 | Finalize -> 1 | Debug -> 2 | Invoke -> 3 | Fused -> 4
+let entry_index = function Init -> 0 | Finalize -> 1 | Debug -> 2 | Invoke -> 3
 
 exception Entry_busy of entry
 

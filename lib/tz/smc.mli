@@ -2,14 +2,13 @@
 
     The StreamBox-TZ data plane exports exactly four entry functions
     (paper §9.1): initialization, finalization, one debugging hook, and one
-    function shared by all 23 trusted primitives — plus, since PR 7, one
-    entry for fused super-kernels, which executes a whole chain of
-    per-record primitives in a single world-switch pair.  This module
-    enforces that surface — handlers can only be registered for these five
-    entries, and every call crosses the world boundary exactly once, with
-    the switch pair charged to the platform's accounting. *)
+    function shared by all 23 trusted primitives, fused chains included.
+    This module enforces that surface — handlers can only be registered
+    for these four entries, and every call crosses the world boundary
+    exactly once, with the switch pair charged to the platform's
+    accounting. *)
 
-type entry = Init | Finalize | Debug | Invoke | Fused
+type entry = Init | Finalize | Debug | Invoke
 
 exception Entry_busy of entry
 (** Raised by {!call} when an installed fault hook refuses the entry —
@@ -18,7 +17,7 @@ exception Entry_busy of entry
     backoff and degrade gracefully past their budget. *)
 
 val entry_count : int
-(** 5, by construction. *)
+(** 4, by construction. *)
 
 val entry_name : entry -> string
 

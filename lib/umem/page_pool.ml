@@ -51,12 +51,11 @@ let reset_high_water t = t.high_water <- t.committed
 
    The chunk size adapts: it starts at [base_refill] and doubles on every
    dry run (capped at [max_refill_factor] times the base), so a shard
-   under sustained allocation pressure — a slab arena refilling page
-   after page — amortizes the parent lock over ever-larger grants instead
-   of inheriting the fixed-chunk contention PR 3 documented.  Both drain
-   paths return slack eagerly: [shard_release] caps idle quota against
-   the *current* chunk size, and [merge_shard] (window close) returns all
-   quota and decays the chunk back to [base_refill].
+   under sustained allocation pressure amortizes the parent lock over
+   ever-larger grants instead of paying one lock trip per fixed chunk.
+   Both drain paths return slack eagerly: [shard_release] caps idle quota
+   against the *current* chunk size, and [merge_shard] (window close)
+   returns all quota and decays the chunk back to [base_refill].
 
    Quota held by a shard is counted as committed in the parent, so the
    parent's committed/high-water accounting — the source of truth behind

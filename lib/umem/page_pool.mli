@@ -35,16 +35,16 @@ val pages_for_bytes : int -> int
 (** {2 Per-domain shards}
 
     Domain-local views of the pool for the real-parallel executor
-    ({!Sbt_exec.Executor}) and for {!Slab} arenas: each domain owns one
-    shard and commits scratch pages against lock-free shard-local
-    counters, drawing page quota from the parent in adaptive chunks
-    under the parent's lock — the chunk starts at [refill_pages],
-    doubles on every dry run (capped at 8x), and decays back at
-    {!merge_shard}.  Quota held by a shard counts as committed in the
-    parent, so parent accounting (Figures 7/10) remains a conservative
-    bound — at most twice the current chunk of slack per shard, all
-    returned at every {!merge_shard} (window close).  Shard counters are
-    unlocked: only the owning domain may touch a given shard. *)
+    ({!Sbt_exec.Executor}): each domain owns one shard and commits
+    scratch pages against lock-free shard-local counters, drawing page
+    quota from the parent in adaptive chunks under the parent's lock —
+    the chunk starts at [refill_pages], doubles on every dry run (capped
+    at 8x), and decays back at {!merge_shard}.  Quota held by a shard
+    counts as committed in the parent, so parent accounting (Figures
+    7/10) remains a conservative bound — at most twice the current chunk
+    of slack per shard, all returned at every {!merge_shard} (window
+    close).  Shard counters are unlocked: only the owning domain may
+    touch a given shard. *)
 
 type shard
 

@@ -169,6 +169,32 @@ let test_columnar_ratio () =
 let test_columnar_empty () =
   Alcotest.(check bool) "empty" true (Columnar.decompress (Columnar.compress []) = [])
 
+let test_columnar_wide_counts () =
+  (* A window close over 300 segments: list lengths past one byte must
+     survive the counts column. *)
+  let records =
+    [
+      Record.Execution
+        {
+          ts = 7;
+          op = P.to_id P.Sum;
+          inputs = List.init 300 (fun i -> 10 + i);
+          outputs = [ 400 ];
+          hints = [];
+        };
+      Record.Gap
+        {
+          ts = 9;
+          stream = 0;
+          seq = 3;
+          events = 64;
+          windows = List.init 256 Fun.id;
+          reason = Record.Link_loss;
+        };
+    ]
+  in
+  Alcotest.(check bool) "identical" true (Columnar.decompress (Columnar.compress records) = records)
+
 (* Property: the columnar codec is an exact inverse on arbitrary
    well-formed record streams (random ids, timestamps, ops, arities and
    hints - not just the friendly monotonic case). *)
@@ -804,6 +830,7 @@ let () =
           Alcotest.test_case "roundtrip mixed" `Quick test_columnar_roundtrip_sample;
           Alcotest.test_case "ratio >= 4x" `Quick test_columnar_ratio;
           Alcotest.test_case "empty" `Quick test_columnar_empty;
+          Alcotest.test_case "counts past one byte" `Quick test_columnar_wide_counts;
           q prop_columnar_roundtrip_random;
         ] );
       ( "log",

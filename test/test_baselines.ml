@@ -1,10 +1,13 @@
 (* Tests for the comparison baselines: hash-based commodity engines, the
-   SecureStreams-style per-operator-enclave model, and the LZSS generic
-   compressor. *)
+   SecureStreams-style per-operator-enclave model, the LZSS generic
+   compressor, and the std::vector-style growable vector. *)
 
 module H = Sbt_baselines.Hash_engine
 module SS = Sbt_baselines.Secure_streams
 module Lzss = Sbt_baselines.Lzss
+module V = Sbt_baselines.Growable_vector
+module Pool = Sbt_umem.Page_pool
+module U = Sbt_umem.Uarray
 module B = Sbt_workloads.Benchmarks
 module Datagen = Sbt_workloads.Datagen
 module Frame = Sbt_net.Frame
@@ -116,6 +119,41 @@ let test_columnar_beats_lzss_on_audit_records () =
     (Printf.sprintf "columnar %d < lzss %d" columnar generic)
     true (columnar < generic)
 
+(* --- growable vector (std::vector baseline) ------------------------------------ *)
+
+let pool () = Pool.create ~budget_bytes:(64 * 1024 * 1024)
+
+let test_vector_growth_and_relocation () =
+  let p = pool () in
+  let v = V.create ~pool:p ~width:1 () in
+  for i = 0 to 999 do
+    V.append v [| Int32.of_int i |]
+  done;
+  Alcotest.(check int) "length" 1000 (V.length v);
+  Alcotest.(check int32) "content" 999l (V.get_field v 999 0);
+  (* Plain doubling from 16: 32, 64, ..., 1024. *)
+  Alcotest.(check int) "capacity doubled" 1024 (V.capacity v);
+  Alcotest.(check int) "one relocation per doubling" 6 (V.relocations v);
+  V.free v;
+  Alcotest.(check int) "pages released" 0 (Pool.committed_pages p)
+
+let test_vector_matches_uarray_content () =
+  let p = pool () in
+  let v = V.create ~pool:p ~width:3 () in
+  let ua = U.create ~id:9 ~pool:p ~width:3 ~capacity:100 () in
+  for i = 0 to 99 do
+    let f = [| Int32.of_int i; Int32.of_int (2 * i); Int32.of_int (3 * i) |] in
+    V.append v f;
+    U.append ua f
+  done;
+  let same = ref true in
+  for i = 0 to 99 do
+    for j = 0 to 2 do
+      if V.get_field v i j <> U.get_field ua i j then same := false
+    done
+  done;
+  Alcotest.(check bool) "identical contents" true !same
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "baselines"
@@ -133,5 +171,10 @@ let () =
           q prop_lzss_roundtrip;
           q prop_lzss_binary_roundtrip;
           Alcotest.test_case "columnar beats lzss" `Quick test_columnar_beats_lzss_on_audit_records;
+        ] );
+      ( "growable-vector",
+        [
+          Alcotest.test_case "growth and relocation" `Quick test_vector_growth_and_relocation;
+          Alcotest.test_case "matches uArray content" `Quick test_vector_matches_uarray_content;
         ] );
     ]

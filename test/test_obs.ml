@@ -459,6 +459,39 @@ let obs_effect_free =
 
 (* --- golden span tree --------------------------------------------------------- *)
 
+(* Under the default cost model the DES charges crypto at crypto_scale, so
+   a "prim" span must be charged the same way: a seal over a large join
+   output otherwise runs far past the end of the task that contains it.
+   Every secure-world span is emitted before its task's "des" span closes
+   (DES tasks run serially for real), which is how spans map to tasks. *)
+let test_prim_spans_within_des_tasks () =
+  let tr = Tracer.create () in
+  let bench = B.join ~windows:2 ~events_per_window:20000 ~batch_events:10000 () in
+  let cfg = Control.Config.make ~version:D.Clear_ingress ~cores:4 ~tracer:tr () in
+  let r = Control.run cfg bench.B.pipeline (B.frames bench) in
+  Alcotest.(check int) "both windows sealed" 2 (List.length r.Control.results);
+  let checked = ref 0 and seals = ref 0 in
+  let pending = ref [] in
+  List.iter
+    (function
+      | Tracer.Complete { cat = "des"; ts_ns; dur_ns; _ } ->
+          List.iter
+            (fun (name, p_end) ->
+              incr checked;
+              if name = "seal" then incr seals;
+              if p_end > ts_ns +. dur_ns then
+                Alcotest.failf "prim %s ends at %.0f ns, after its task's end at %.0f ns" name
+                  p_end (ts_ns +. dur_ns))
+            !pending;
+          pending := []
+      | Tracer.Complete { pid = 1; cat = "prim"; name; ts_ns; dur_ns; _ } ->
+          pending := (name, ts_ns +. dur_ns) :: !pending
+      | _ -> ())
+    (Tracer.events tr);
+  Alcotest.(check bool) "every prim span inside a task" true (!pending = []);
+  Alcotest.(check int) "one seal per result" 2 !seals;
+  Alcotest.(check bool) "primitive spans checked" true (!checked > !seals)
+
 let test_golden_span_tree () =
   let tr = Tracer.create () in
   let _, r = det_run ~tracer:tr ~windows:2 ~events_per_window:2000 ~batch_events:500 () in
@@ -677,95 +710,6 @@ let test_tenant_scoped_registries () =
     "clean enclave: no declared gaps" 0
     (Metrics.find_counter reg "tenants.gaps_declared")
 
-(* --- umem.* metrics ----------------------------------------------------------
-   Pins the slab allocator's metric names and semantics: per-size-class
-   alloc/free counters, occupancy and fragmentation gauges with registry
-   high-water, and arena refill/drain counters — and that [Slab.publish]
-   pushes deltas, so republishing (one call per metrics quote) never
-   double-counts. *)
-
-module Slab = Sbt_umem.Slab
-module Pool = Sbt_umem.Page_pool
-
-let gauge_now reg name =
-  match
-    List.find_map
-      (function
-        | Metrics.S_gauge { name = n; value; _ } when n = name -> Some value | _ -> None)
-      (Metrics.snapshot reg)
-  with
-  | Some v -> v
-  | None -> Alcotest.fail (name ^ ": gauge not registered")
-
-let test_umem_metrics_published () =
-  let reg = Metrics.create () in
-  let pool = Pool.create ~budget_bytes:(4 * 1024 * 1024) in
-  let a = Slab.over_pool pool in
-  let x = Slab.alloc a ~bytes:60 in
-  let y = Slab.alloc a ~bytes:60 in
-  let z = Slab.alloc a ~bytes:1000 in
-  Slab.free a y;
-  Slab.publish a reg;
-  Alcotest.(check int) "alloc counter per size class" 2
-    (Metrics.find_counter reg "umem.slab.alloc.64");
-  Alcotest.(check int) "1000B rounds into the 1024 class" 1
-    (Metrics.find_counter reg "umem.slab.alloc.1024");
-  Alcotest.(check int) "free counter per size class" 1
-    (Metrics.find_counter reg "umem.slab.free.64");
-  Alcotest.(check int) "refills count slab pages drawn" 2
-    (Metrics.find_counter reg "umem.arena.refills");
-  (* Occupancy gauge: current = live (64 + 1024), high-water = the peak
-     while both 64B slots and the 1024B slot were live. *)
-  Alcotest.(check (float 0.0)) "live gauge current" (float_of_int (64 + 1024))
-    (gauge_now reg "umem.slab.live_bytes");
-  Alcotest.(check (float 0.0)) "live gauge high water" (float_of_int (64 + 64 + 1024))
-    (Metrics.find_gauge_high_water reg "umem.slab.live_bytes");
-  Alcotest.(check (float 0.0)) "held gauge: two slab pages" (float_of_int (2 * 4096))
-    (gauge_now reg "umem.slab.held_bytes");
-  Alcotest.(check bool) "frag high water positive" true
-    (Metrics.find_gauge_high_water reg "umem.slab.frag_bytes" > 0.0);
-  (* Publishing again without new activity adds nothing. *)
-  Slab.publish a reg;
-  Alcotest.(check int) "republish is delta: counters unchanged" 2
-    (Metrics.find_counter reg "umem.slab.alloc.64");
-  (* New activity since the last publish shows up as exactly its delta. *)
-  Slab.free a x;
-  Slab.free a z;
-  Slab.drain a;
-  Slab.publish a reg;
-  Alcotest.(check int) "delta publish folds new frees" 2
-    (Metrics.find_counter reg "umem.slab.free.64");
-  Alcotest.(check int) "drains counted at window close" 2
-    (Metrics.find_counter reg "umem.arena.drains");
-  Alcotest.(check (float 0.0)) "all returned: held gauge at zero" 0.0
-    (gauge_now reg "umem.slab.held_bytes")
-
-let test_umem_metrics_in_tee_quote () =
-  (* End-to-end: a pipeline run's attested TEE metrics snapshot carries
-     the umem.* series from the data plane's egress staging arena. *)
-  let bench = B.win_sum ~windows:2 ~events_per_window:1_000 ~batch_events:500 () in
-  let outcome =
-    Sbt_core.Runner.run ~cores_list:[ 4 ] ~deterministic:true bench.B.pipeline
-      (B.frames bench)
-  in
-  let snap = Metrics.decode_snapshot outcome.Sbt_core.Runner.tee_metrics in
-  let names =
-    List.map
-      (function
-        | Metrics.S_counter { name; _ } -> name
-        | Metrics.S_gauge { name; _ } -> name
-        | Metrics.S_histogram { name; _ } -> name)
-      snap
-  in
-  let has n = List.mem n names in
-  let any_alloc =
-    List.exists (fun c -> has (Printf.sprintf "umem.slab.alloc.%d" c))
-      (Array.to_list Slab.size_classes)
-  in
-  Alcotest.(check bool) "egress staging allocs in quote" true any_alloc;
-  Alcotest.(check bool) "live gauge in quote" true (has "umem.slab.live_bytes");
-  Alcotest.(check bool) "refill counter in quote" true (has "umem.arena.refills")
-
 let () =
   Alcotest.run "obs"
     [
@@ -777,10 +721,6 @@ let () =
           Alcotest.test_case "histogram buckets" `Quick test_histogram_buckets;
           Alcotest.test_case "histogram percentiles" `Quick test_histogram_percentiles;
           Alcotest.test_case "snapshot roundtrip" `Quick test_snapshot_roundtrip;
-          Alcotest.test_case "umem.* published with delta semantics" `Quick
-            test_umem_metrics_published;
-          Alcotest.test_case "umem.* in the attested TEE quote" `Quick
-            test_umem_metrics_in_tee_quote;
         ] );
       ( "tracer",
         [
@@ -797,6 +737,8 @@ let () =
       ( "pipeline",
         [
           Alcotest.test_case "golden span tree" `Quick test_golden_span_tree;
+          Alcotest.test_case "prim spans end inside their task" `Quick
+            test_prim_spans_within_des_tasks;
           Alcotest.test_case "resilience metrics match" `Quick test_resilience_metrics_match;
           Alcotest.test_case "clean-run counters" `Quick test_clean_run_counters;
           Alcotest.test_case "fusion counter semantics" `Quick test_fusion_counter_semantics;

@@ -94,9 +94,12 @@ let test_platform_copy_charge () =
 (* --- SMC ---------------------------------------------------------------- *)
 
 let test_smc_entry_surface () =
-  (* The paper's four entries plus the PR 7 fused super-kernel entry. *)
-  Alcotest.(check int) "exactly five entries" 5 Tz.Smc.entry_count;
-  Alcotest.(check string) "fused entry named" "fused" (Tz.Smc.entry_name Tz.Smc.Fused)
+  (* The paper's four entries; fused chains share the invoke entry. *)
+  Alcotest.(check int) "exactly four entries" 4 Tz.Smc.entry_count;
+  Alcotest.(check (list string))
+    "entry names"
+    [ "init"; "finalize"; "debug"; "invoke" ]
+    (List.map Tz.Smc.entry_name Tz.Smc.[ Init; Finalize; Debug; Invoke ])
 
 let test_smc_dispatch () =
   let p = Tz.Platform.create () in

@@ -1,14 +1,13 @@
-(* Tests for the TEE memory manager: the secure page pool, the virtual
-   address space, uArray lifecycle, uGroup prefix reclamation, the
-   hint-guided allocator and its ablation mode, and the std::vector
-   baseline. *)
+(* Tests for the TEE memory manager: the secure page pool and its
+   per-domain shards, the virtual address space, uArray lifecycle, uGroup
+   prefix reclamation, and the hint-guided allocator and its ablation
+   mode. *)
 
 module Pool = Sbt_umem.Page_pool
 module Vspace = Sbt_umem.Vspace
 module U = Sbt_umem.Uarray
 module G = Sbt_umem.Ugroup
 module A = Sbt_umem.Allocator
-module V = Sbt_umem.Growable_vector
 
 let mb = 1024 * 1024
 
@@ -337,195 +336,6 @@ let prop_allocator_conservation =
       List.iter (fun ua -> A.retire a ua) !live;
       Pool.committed_pages p = 0 && A.live_uarrays a = 0)
 
-(* --- growable vector (std::vector baseline) ---------------------------------- *)
-
-let test_vector_growth_and_relocation () =
-  let p = pool () in
-  let v = V.create ~pool:p ~width:1 () in
-  for i = 0 to 999 do
-    V.append v [| Int32.of_int i |]
-  done;
-  Alcotest.(check int) "length" 1000 (V.length v);
-  Alcotest.(check int32) "content" 999l (V.get_field v 999 0);
-  Alcotest.(check bool) "relocated several times" true (V.relocations v >= 5);
-  V.free v;
-  Alcotest.(check int) "pages released" 0 (Pool.committed_pages p)
-
-let test_vector_matches_uarray_content () =
-  let p = pool () in
-  let v = V.create ~pool:p ~width:3 () in
-  let ua = U.create ~id:9 ~pool:p ~width:3 ~capacity:100 () in
-  for i = 0 to 99 do
-    let f = [| Int32.of_int i; Int32.of_int (2 * i); Int32.of_int (3 * i) |] in
-    V.append v f;
-    U.append ua f
-  done;
-  let same = ref true in
-  for i = 0 to 99 do
-    for j = 0 to 2 do
-      if V.get_field v i j <> U.get_field ua i j then same := false
-    done
-  done;
-  Alcotest.(check bool) "identical contents" true !same
-
-(* --- slab allocator ----------------------------------------------------------- *)
-
-module Slab = Sbt_umem.Slab
-
-let expect_invalid name f =
-  match f () with
-  | _ -> Alcotest.fail (name ^ ": expected Invalid_argument")
-  | exception Invalid_argument _ -> ()
-
-let test_bitmap_word_boundaries () =
-  (* Exactly one 64-bit word. *)
-  let bm = Slab.Bitmap.make ~slots:64 in
-  Alcotest.(check int) "fresh ffs is slot 0" 0 (Slab.Bitmap.find_first_set bm);
-  for i = 0 to 62 do
-    Slab.Bitmap.clear bm i
-  done;
-  Alcotest.(check int) "last slot of the word" 63 (Slab.Bitmap.find_first_set bm);
-  Alcotest.(check bool) "bit 63 still free" true (Slab.Bitmap.test bm 63);
-  Slab.Bitmap.clear bm 63;
-  Alcotest.(check int) "empty bitmap" (-1) (Slab.Bitmap.find_first_set bm);
-  Slab.Bitmap.set bm 63;
-  Alcotest.(check int) "re-freed slot found" 63 (Slab.Bitmap.find_first_set bm)
-
-let test_bitmap_word_crossing () =
-  (* 65 slots: the second word holds exactly one valid bit. *)
-  let bm = Slab.Bitmap.make ~slots:65 in
-  for i = 0 to 63 do
-    Slab.Bitmap.clear bm i
-  done;
-  Alcotest.(check int) "first slot of word 2" 64 (Slab.Bitmap.find_first_set bm);
-  Slab.Bitmap.clear bm 64;
-  Alcotest.(check int) "none past the last slot" (-1) (Slab.Bitmap.find_first_set bm);
-  (* Non-multiple-of-64 slot count: only [0, slots) start free. *)
-  let bm = Slab.Bitmap.make ~slots:100 in
-  for i = 0 to 98 do
-    Slab.Bitmap.clear bm i
-  done;
-  Alcotest.(check int) "last slot" 99 (Slab.Bitmap.find_first_set bm);
-  Slab.Bitmap.clear bm 99;
-  Alcotest.(check int) "exhausted" (-1) (Slab.Bitmap.find_first_set bm)
-
-let test_slab_roundtrip () =
-  let p = pool () in
-  let a = Slab.over_pool p in
-  Alcotest.(check int) "class rounding" 128 (Slab.class_bytes_for 100);
-  Alcotest.(check bool) "2049 does not fit" false (Slab.fits (Slab.max_class_bytes + 1));
-  let x = Slab.alloc a ~bytes:100 in
-  Alcotest.(check int) "slot is one class up" 128 (Slab.slot_bytes a x);
-  Alcotest.(check int) "one slab page committed" 1 (Pool.committed_pages p);
-  let v = Slab.view a x in
-  Alcotest.(check int) "view covers the class" 32 (Bigarray.Array1.dim v);
-  for i = 0 to 31 do
-    Bigarray.Array1.set v i (Int32.of_int (i * 7))
-  done;
-  let y = Slab.alloc a ~bytes:100 in
-  Alcotest.(check bool) "distinct slots" true (x <> y);
-  Bigarray.Array1.set (Slab.view a y) 0 9999l;
-  Alcotest.(check int32) "neighbour write does not leak in" 0l (Bigarray.Array1.get v 0);
-  Alcotest.(check int32) "contents survive neighbour alloc" 217l (Bigarray.Array1.get v 31);
-  Alcotest.(check int) "live tracks both slots" 256 (Slab.live_bytes a);
-  Slab.free a x;
-  Slab.free a y;
-  Alcotest.(check int) "live drains to zero" 0 (Slab.live_bytes a);
-  Slab.drain a;
-  Alcotest.(check int) "empty page returned to the pool" 0 (Pool.committed_pages p)
-
-let test_slab_free_validation () =
-  let p = pool () in
-  let a = Slab.over_pool p in
-  let x = Slab.alloc a ~bytes:64 in
-  expect_invalid "misaligned" (fun () -> Slab.free a (x + 4));
-  expect_invalid "foreign page" (fun () -> Slab.free a (42 * 4096));
-  Slab.free a x;
-  expect_invalid "double free" (fun () -> Slab.free a x);
-  expect_invalid "oversized alloc" (fun () -> Slab.alloc a ~bytes:(Slab.max_class_bytes + 1));
-  expect_invalid "zero-byte alloc" (fun () -> Slab.alloc a ~bytes:0)
-
-let test_slab_conservative_accounting () =
-  (* A single live slot pins its whole slab page in the parent pool —
-     committed stays a conservative over-bound until the last free. *)
-  let p = pool () in
-  let a = Slab.over_pool p in
-  let x = Slab.alloc a ~bytes:64 in
-  let y = Slab.alloc a ~bytes:64 in
-  Alcotest.(check int) "two slots share a page" 1 (Pool.committed_pages p);
-  Slab.free a x;
-  Slab.drain a;
-  Alcotest.(check int) "partial page not drained" 1 (Pool.committed_pages p);
-  Slab.free a y;
-  Slab.drain a;
-  Alcotest.(check int) "fully-free page drained" 0 (Pool.committed_pages p);
-  let st = Slab.stats a in
-  Alcotest.(check int) "one refill" 1 st.Slab.refills;
-  Alcotest.(check int) "one drained page" 1 st.Slab.drains;
-  (* Peak held-minus-live: the whole page just before drain returned it. *)
-  Alcotest.(check int) "frag peak saw the empty held page" 4096 st.Slab.frag_high_water_bytes
-
-let test_slab_page_spill () =
-  (* 4096/64 = 64 slots per page: the 65th allocation opens page two. *)
-  let p = pool () in
-  let a = Slab.over_pool p in
-  let ptrs = Array.init 65 (fun _ -> Slab.alloc a ~bytes:64) in
-  Alcotest.(check int) "second page opened" 2 (Pool.committed_pages p);
-  let sorted = Array.copy ptrs in
-  Array.sort compare sorted;
-  let distinct = ref true in
-  for i = 1 to 64 do
-    if sorted.(i - 1) = sorted.(i) then distinct := false
-  done;
-  Alcotest.(check bool) "65 distinct slots" true !distinct;
-  Array.iter (Slab.free a) ptrs;
-  Slab.drain a;
-  Alcotest.(check int) "both pages returned" 0 (Pool.committed_pages p)
-
-(* Property: the slab agrees with a naive reference model over random
-   alloc/free traces — no overlapping live slots, contents stable until
-   free, live accounting exact, and everything drains back to the pool. *)
-let prop_slab_matches_model =
-  QCheck.Test.make ~name:"slab matches free-list reference model" ~count:80
-    QCheck.(list (pair (int_bound 8) small_nat))
-    (fun ops ->
-      let p = Pool.create ~budget_bytes:(64 * mb) in
-      let a = Slab.over_pool p in
-      let sizes = [| 1; 17; 64; 65; 128; 300; 512; 1024; 2048 |] in
-      (* live: (ptr, class_bytes, stamp) *)
-      let live = ref [] in
-      let stamp = ref 0 in
-      let ok = ref true in
-      List.iter
-        (fun (kind, sel) ->
-          if kind < 6 then begin
-            let ptr = Slab.alloc a ~bytes:sizes.(sel mod Array.length sizes) in
-            let cls = Slab.slot_bytes a ptr in
-            incr stamp;
-            Bigarray.Array1.set (Slab.view a ptr) 0 (Int32.of_int !stamp);
-            (* No live slot may overlap the new one. *)
-            List.iter
-              (fun (q, qc, _) ->
-                if ptr < q + qc && q < ptr + cls then ok := false)
-              !live;
-            live := (ptr, cls, !stamp) :: !live
-          end
-          else
-            match !live with
-            | [] -> ()
-            | _ ->
-                let i = sel mod List.length !live in
-                let ptr, _, st = List.nth !live i in
-                if Bigarray.Array1.get (Slab.view a ptr) 0 <> Int32.of_int st then ok := false;
-                Slab.free a ptr;
-                live := List.filteri (fun j _ -> j <> i) !live)
-        ops;
-      let live_sum = List.fold_left (fun acc (_, c, _) -> acc + c) 0 !live in
-      ok := !ok && Slab.live_bytes a = live_sum;
-      List.iter (fun (ptr, _, _) -> Slab.free a ptr) !live;
-      Slab.drain a;
-      !ok && Slab.live_bytes a = 0 && Pool.committed_pages p = 0)
-
 (* --- adaptive shard refill ----------------------------------------------------- *)
 
 let test_shard_adaptive_refill () =
@@ -561,99 +371,6 @@ let test_shard_eager_slack_return () =
   Alcotest.(check bool) "slack returned eagerly" true (Pool.committed_pages p < before);
   Alcotest.(check bool) "at most one chunk retained" true
     (Pool.committed_pages p <= Pool.shard_refill_pages s)
-
-(* --- growable vector over the slab --------------------------------------------- *)
-
-let test_vector_slab_size_class_growth () =
-  let p = pool () in
-  let a = Slab.over_pool p in
-  let v = V.create ~slab:a ~pool:p ~width:1 () in
-  for i = 0 to 99 do
-    V.append v [| Int32.of_int i |]
-  done;
-  (* 400 B of data sits in a 512 B slot, not a pinned 4 KB page.  The
-     growth path walked classes 64..512, opening one slab page per class;
-     drain returns the now-empty ones and only the live slot's page
-     stays. *)
-  Alcotest.(check int) "live bytes are one 512B slot" 512 (Slab.live_bytes a);
-  Slab.drain a;
-  Alcotest.(check int) "slot-backed, one slab page after drain" 1 (Pool.committed_pages p);
-  Alcotest.(check int32) "content intact" 99l (V.get_field v 99 0);
-  (* Growing past the largest class falls back to page-granular backing
-     and eagerly releases the old slot. *)
-  for i = 100 to 599 do
-    V.append v [| Int32.of_int i |]
-  done;
-  Alcotest.(check int) "old slot released on page fallback" 0 (Slab.live_bytes a);
-  Alcotest.(check int32) "content intact after fallback" 599l (V.get_field v 599 0);
-  V.free v;
-  Slab.drain a;
-  Alcotest.(check int) "everything returned" 0 (Pool.committed_pages p)
-
-let test_vector_slab_matches_plain () =
-  let p1 = pool () and p2 = pool () in
-  let v_plain = V.create ~pool:p1 ~width:2 () in
-  let v_slab = V.create ~slab:(Slab.over_pool p2) ~pool:p2 ~width:2 () in
-  for i = 0 to 499 do
-    let f = [| Int32.of_int i; Int32.of_int (i * i) |] in
-    V.append v_plain f;
-    V.append v_slab f
-  done;
-  let same = ref true in
-  for i = 0 to 499 do
-    for j = 0 to 1 do
-      if V.get_field v_plain i j <> V.get_field v_slab i j then same := false
-    done
-  done;
-  Alcotest.(check bool) "identical contents" true !same;
-  Alcotest.(check int) "same length" (V.length v_plain) (V.length v_slab)
-
-(* --- slab on/off: sealed outputs byte-identical -------------------------------- *)
-
-module Runtime = Sbt_core.Runtime
-module B = Sbt_workloads.Benchmarks
-module Log = Sbt_attest.Log
-module Verifier = Sbt_attest.Verifier
-
-let egress_key = Bytes.of_string "sbt-egress-key16"
-
-(* Results and audit stream only: tee_metrics legitimately differs with
-   the slab on (umem.* series appear), the sealed outputs must not. *)
-let sealed_observables (r : Runtime.run_result) =
-  ( r.Runtime.results,
-    List.map (fun (b : Log.batch) -> (b.Log.seq, b.Log.payload, b.Log.tag)) r.Runtime.audit )
-
-let verdict (r : Runtime.run_result) =
-  let records = List.concat_map (Log.open_batch ~key:egress_key) r.Runtime.audit in
-  let rep = Verifier.verify r.Runtime.verifier_spec records in
-  (Verifier.ok rep, rep.Verifier.declared_gaps, List.length rep.Verifier.violations)
-
-let with_slab on f =
-  let prev = Slab.enabled () in
-  Slab.set_enabled on;
-  Fun.protect ~finally:(fun () -> Slab.set_enabled prev) f
-
-let prop_slab_toggle_equivalence =
-  QCheck.Test.make ~name:"slab on/off: byte-identical sealed outputs (`Des & `Domains 2)"
-    ~count:4
-    QCheck.(pair (int_range 1 2) (int_range 500 2_000))
-    (fun (windows, events_per_window) ->
-      let cost = { Sbt_tz.Cost_model.default with Sbt_tz.Cost_model.host_scale = 0.0 } in
-      let cfg = Sbt_core.Runtime.Config.make ~cores:4 ~cost () in
-      let run ?exec_mode engine =
-        let bench = B.win_sum ~windows ~events_per_window ~batch_events:500 () in
-        Runtime.run ~engine ?exec_mode ~exec_time_scale:0.0 cfg bench.B.pipeline
-          (B.frames bench)
-      in
-      let des_on = with_slab true (fun () -> run (`Des 4)) in
-      let des_off = with_slab false (fun () -> run (`Des 4)) in
-      let d2_on = with_slab true (fun () -> run ~exec_mode:`Work (`Domains 2)) in
-      let d2_off = with_slab false (fun () -> run ~exec_mode:`Work (`Domains 2)) in
-      sealed_observables des_on = sealed_observables des_off
-      && sealed_observables des_on = sealed_observables d2_on
-      && sealed_observables d2_on = sealed_observables d2_off
-      && verdict des_on = verdict des_off
-      && verdict d2_on = verdict d2_off)
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
@@ -702,29 +419,10 @@ let () =
           Alcotest.test_case "monotonic ids" `Quick test_allocator_ids_monotonic;
           q prop_allocator_conservation;
         ] );
-      ( "growable-vector",
-        [
-          Alcotest.test_case "growth and relocation" `Quick test_vector_growth_and_relocation;
-          Alcotest.test_case "matches uArray content" `Quick test_vector_matches_uarray_content;
-          Alcotest.test_case "slab size-class growth" `Quick test_vector_slab_size_class_growth;
-          Alcotest.test_case "slab matches plain contents" `Quick test_vector_slab_matches_plain;
-        ] );
-      ( "slab",
-        [
-          Alcotest.test_case "bitmap word boundaries" `Quick test_bitmap_word_boundaries;
-          Alcotest.test_case "bitmap word crossing" `Quick test_bitmap_word_crossing;
-          Alcotest.test_case "alloc/free roundtrip" `Quick test_slab_roundtrip;
-          Alcotest.test_case "free validation" `Quick test_slab_free_validation;
-          Alcotest.test_case "conservative accounting" `Quick test_slab_conservative_accounting;
-          Alcotest.test_case "page spill at 65 slots" `Quick test_slab_page_spill;
-          q prop_slab_matches_model;
-        ] );
       ( "shard-adaptive-refill",
         [
           Alcotest.test_case "grow under dry runs, decay at merge" `Quick
             test_shard_adaptive_refill;
           Alcotest.test_case "eager slack return" `Quick test_shard_eager_slack_return;
         ] );
-      ( "slab-toggle",
-        [ q prop_slab_toggle_equivalence ] );
     ]
