@@ -14,7 +14,7 @@
 
 module B = Sbt_workloads.Benchmarks
 module Runner = Sbt_core.Runner
-module Control = Sbt_core.Control
+module Runtime = Sbt_core.Runtime
 module D = Sbt_core.Dataplane
 module Pipeline = Sbt_core.Pipeline
 module P = Sbt_prim.Primitive
@@ -85,8 +85,8 @@ let run_version (mk : ?windows:int -> ?events_per_window:int -> ?batch_events:in
   let encrypted = match version with D.Full | D.Io_via_os -> true | D.Clear_ingress | D.Insecure -> false in
   let bench = mk ~windows ~events_per_window:epw ~batch_events:batch ~encrypted () in
   let o =
-    Runner.run ~cores_list:[ 2; 4; 8 ] ~target_delay_ms:bench.B.target_delay_ms ~version
-      ~repeats:2 bench.B.pipeline (B.frames bench)
+    Runner.run ~cores_list:[ 2; 4; 8 ] ~target_delay_ms:bench.B.target_delay_ms ~repeats:2
+      (Runtime.Config.make ~version ()) bench.B.pipeline (B.frames bench)
   in
   if not o.Runner.verified then
     Printf.printf "  !! %s/%s failed verification\n" bench.B.name (D.version_name version);
@@ -177,7 +177,6 @@ let fig7 () =
 
 let fig7_wall () =
   section "[fig7_wall] real-parallel wall clock, domains executor (Fig 7 companion)";
-  let module Runtime = Sbt_core.Runtime in
   let module E = Sbt_exec.Executor in
   let bench = B.win_sum ~windows ~events_per_window:epw ~batch_events:batch () in
   let cfg = Runtime.Config.make ~cores:8 () in
@@ -357,7 +356,7 @@ let fig8 () =
   let frames = B.frames bench in
   let bytes_per_event = 12.0 in
   let sbt =
-    Runner.run ~cores_list:[ 8 ] ~target_delay_ms:50.0 ~version:D.Full bench.B.pipeline
+    Runner.run ~cores_list:[ 8 ] ~target_delay_ms:50.0 (Runtime.Config.make ()) bench.B.pipeline
       (B.frames (B.win_sum ~windows ~events_per_window:epw ~batch_events:batch ~encrypted:true ()))
   in
   let sbt_rate = (List.hd sbt.Runner.points).Runner.events_per_sec in
@@ -389,7 +388,7 @@ let fig8 () =
    We reproduce it against the data plane and read the cost categories
    from its accounting. *)
 let fig9_one_batch events =
-  let dp = D.create (D.default_config ~version:D.Full ()) in
+  let dp = D.create (D.Config.make ~version:D.Full ()) in
   D.set_ingest_width dp 3;
   let rng = Sbt_crypto.Rng.create ~seed:99L in
   (* Timestamps spread over 8 "lanes" so Segment yields 8 sub-batches. *)
@@ -540,17 +539,17 @@ let fig10_one (mk : ?windows:int -> ?events_per_window:int -> ?batch_events:int 
   let alloc_mode =
     if hints then Sbt_umem.Allocator.Hint_guided else Sbt_umem.Allocator.Producer_grouping
   in
-  let cfg = Control.Config.make ~cores:8 ~alloc_mode ~hints_enabled:hints () in
+  let cfg = Runtime.Config.make ~cores:8 ~alloc_mode ~hints_enabled:hints () in
   let r =
     Sbt_core.Session.create ~verify:false cfg
     |> Sbt_core.Session.add_tenant ~pipeline:bench.B.pipeline ~source:(B.frames bench)
     |> Sbt_core.Session.run_single
   in
-  let samples = List.map float_of_int r.Control.mem_samples_bytes in
+  let samples = List.map float_of_int r.Runtime.mem_samples_bytes in
   let n = float_of_int (max 1 (List.length samples)) in
   let mean = List.fold_left ( +. ) 0.0 samples /. n in
   let var = List.fold_left (fun a s -> a +. ((s -. mean) ** 2.0)) 0.0 samples /. n in
-  (mean /. 1e6, 2.0 *. sqrt var /. 1e6, float_of_int r.Control.pool_high_water_bytes /. 1e6)
+  (mean /. 1e6, 2.0 *. sqrt var /. 1e6, float_of_int r.Runtime.pool_high_water_bytes /. 1e6)
 
 let fig10 () =
   section "[fig10] TEE memory with vs without consumption hints (paper Fig 10)";
@@ -685,14 +684,14 @@ let fig11 () =
 
 let fig12_one (mk : ?windows:int -> ?events_per_window:int -> ?batch_events:int -> ?encrypted:bool -> unit -> B.t) batch_events =
   let bench = mk ~windows ~events_per_window:epw ~batch_events () in
-  let cfg = Control.default_config () in
+  let cfg = Runtime.Config.make () in
   let r =
     Sbt_core.Session.create ~verify:false cfg
     |> Sbt_core.Session.add_tenant ~pipeline:bench.B.pipeline ~source:(B.frames bench)
     |> Sbt_core.Session.run_single
   in
   let records =
-    List.concat_map (fun b -> Sbt_attest.Log.open_batch ~key:egress_key b) r.Control.audit
+    List.concat_map (fun b -> Sbt_attest.Log.open_batch ~key:egress_key b) r.Runtime.audit
   in
   let raw = Sbt_attest.Columnar.raw_size records in
   let compressed = Bytes.length (Sbt_attest.Columnar.compress records) in
@@ -766,8 +765,8 @@ let batch_sweep () =
     (fun be ->
       let bench = B.topk ~windows ~events_per_window:epw ~batch_events:be () in
       let o =
-        Runner.run ~cores_list:[ 8 ] ~target_delay_ms:bench.B.target_delay_ms
-          ~version:D.Clear_ingress ~repeats:2 bench.B.pipeline (B.frames bench)
+        Runner.run ~cores_list:[ 8 ] ~target_delay_ms:bench.B.target_delay_ms ~repeats:2
+          (Runtime.Config.make ~version:D.Clear_ingress ()) bench.B.pipeline (B.frames bench)
       in
       let p = List.hd o.Runner.points in
       Printf.printf "  %10d %12.2f %12.1f %14d\n" be
@@ -791,10 +790,10 @@ let switch_sweep () =
         Sbt_tz.Cost_model.with_switch_ns (switch_us *. 1e3) Sbt_tz.Cost_model.default
       in
       let platform = Sbt_tz.Platform.create ~cores:8 ~cost () in
-      let cfg = Control.Config.make ~version:D.Clear_ingress ~cores:8 ~platform () in
-      let r = Control.run cfg bench.B.pipeline (B.frames bench) in
+      let cfg = Runtime.Config.make ~version:D.Clear_ingress ~cores:8 ~platform () in
+      let r = Runtime.run cfg bench.B.pipeline (B.frames bench) in
       let res =
-        Sbt_sim.Rate_search.max_rate ~trace:r.Control.trace ~cores:8
+        Sbt_sim.Rate_search.max_rate ~trace:r.Runtime.trace ~cores:8
           ~target_delay_ns:(bench.B.target_delay_ms *. 1e6)
           ()
       in
@@ -807,12 +806,12 @@ let switch_sweep () =
 let attest_overhead () =
   section "[attest-overhead] audit generation and verifier replay (paper 9.2)";
   let bench = B.win_sum ~windows ~events_per_window:epw ~batch_events:batch () in
-  let cfg = Control.default_config () in
+  let cfg = Runtime.Config.make () in
   let t0 = Clock.now_ns () in
-  let r = Control.run cfg bench.B.pipeline (B.frames bench) in
+  let r = Runtime.run cfg bench.B.pipeline (B.frames bench) in
   let run_ns = Clock.elapsed_ns ~since:t0 in
   let records =
-    List.concat_map (fun b -> Sbt_attest.Log.open_batch ~key:egress_key b) r.Control.audit
+    List.concat_map (fun b -> Sbt_attest.Log.open_batch ~key:egress_key b) r.Runtime.audit
   in
   let n = List.length records in
   let event_seconds = float_of_int windows in
@@ -827,7 +826,7 @@ let attest_overhead () =
   Printf.printf "  compression: %.2f ms per log (%.2f%% of the run's CPU)\n" (comp_ns /. 1e6)
     (100.0 *. comp_ns /. run_ns);
   (* Verifier replay rate. *)
-  let spec = r.Control.verifier_spec in
+  let spec = r.Runtime.verifier_spec in
   let t2 = Clock.now_ns () in
   let reps = 20 in
   for _ = 1 to reps do
@@ -889,11 +888,14 @@ let resilience () =
     (fun rate ->
       let plan = Fault.uniform ~seed:7L ~rate () in
       let frames, _ = Sbt_net.Lossy.apply plan clean_frames in
-      let o = Runner.run ~cores_list:[ 4 ] ~version:D.Full ~fault_plan:plan bench.B.pipeline frames in
+      let o =
+        Runner.run ~cores_list:[ 4 ] (Runtime.Config.make ~cores:4 ~fault_plan:plan ())
+          bench.B.pipeline frames
+      in
       let rep = o.Runner.verifier_report in
       let loss = o.Runner.loss in
       let goodput =
-        float_of_int (o.Runner.total_events - Control.Loss.events_dropped loss)
+        float_of_int (o.Runner.total_events - Runtime.Loss.events_dropped loss)
         /. float_of_int (max 1 generated)
       in
       ignore
@@ -901,7 +903,7 @@ let resilience () =
            [
              ("fault_rate", J.Num rate);
              ("goodput", J.Num goodput);
-             ("gaps_declared", J.num_of_int (Control.Loss.gaps_declared loss));
+             ("gaps_declared", J.num_of_int (Runtime.Loss.gaps_declared loss));
              ("sheds", J.num_of_int o.Runner.dp_stats.D.sheds);
              ("smc_busy", J.num_of_int o.Runner.dp_stats.D.smc_busy_rejections);
              ("loss_fraction", J.Num rep.Sbt_attest.Verifier.loss_fraction);
@@ -909,7 +911,7 @@ let resilience () =
              ("control_metrics", Sbt_obs.Metrics.to_json o.Runner.registry);
            ]);
       Printf.printf "  %-6.2f %-9.3f %-6d %-6d %-6d %-10.3f %d\n" rate goodput
-        (Control.Loss.gaps_declared loss)
+        (Runtime.Loss.gaps_declared loss)
         o.Runner.dp_stats.D.sheds o.Runner.dp_stats.D.smc_busy_rejections
         rep.Sbt_attest.Verifier.loss_fraction
         (List.length rep.Sbt_attest.Verifier.violations))
@@ -923,11 +925,9 @@ let resilience () =
 
 let recovery_bench () =
   section "[recovery] sealed checkpoints, crash replay, exactly-once stitch (WinSum)";
-  let module Runtime = Sbt_core.Runtime in
   let module Fault = Sbt_fault.Fault in
   let bench = B.win_sum ~windows ~events_per_window:(epw / 4) ~batch_events:(batch / 4) () in
   let frames = B.frames bench in
-  let cost = { Sbt_tz.Cost_model.default with Sbt_tz.Cost_model.host_scale = 0.0 } in
   let observables (s : Runtime.supervised) =
     ( s.Runtime.sv_results,
       List.map
@@ -936,7 +936,9 @@ let recovery_bench () =
   in
   (* Baseline: the same frames, no supervisor, no checkpoints. *)
   let t0 = Unix.gettimeofday () in
-  let plain = Runtime.run (Runtime.Config.make ~cores:4 ~cost ()) bench.B.pipeline frames in
+  let plain =
+    Runtime.run (Runtime.Config.make ~cores:4 ~deterministic:true ()) bench.B.pipeline frames
+  in
   let plain_wall = Unix.gettimeofday () -. t0 in
   let crash_after = max 1 (plain.Runtime.tasks_executed / 2) in
   Printf.printf "  baseline: %d tasks, %d frames; crash injected after %d tasks\n"
@@ -945,12 +947,12 @@ let recovery_bench () =
     "ckpt-ms" "replayed" "recov-ms" "identical" "verified";
   List.iter
     (fun every ->
-      let clean_cfg = Runtime.Config.make ~cores:4 ~cost () in
+      let clean_cfg = Runtime.Config.make ~cores:4 ~deterministic:true () in
       let t1 = Unix.gettimeofday () in
       let clean = Runtime.run_supervised ~ckpt_every:every clean_cfg bench.B.pipeline frames in
       let clean_wall = Unix.gettimeofday () -. t1 in
       let plan = Fault.with_crash Fault.none ~site:Fault.Crash_control ~after_tasks:crash_after in
-      let crash_cfg = Runtime.Config.make ~cores:4 ~cost ~fault_plan:plan () in
+      let crash_cfg = Runtime.Config.make ~cores:4 ~deterministic:true ~fault_plan:plan () in
       let t2 = Unix.gettimeofday () in
       let crashed = Runtime.run_supervised ~ckpt_every:every crash_cfg bench.B.pipeline frames in
       let crash_wall = Unix.gettimeofday () -. t2 in
@@ -999,8 +1001,7 @@ let fleet_bench () =
   let module V = Sbt_attest.Verifier in
   let epw_f = max 400 (epw / 8) in
   let batch_f = max 100 (batch / 8) in
-  let cost = { Sbt_tz.Cost_model.default with Sbt_tz.Cost_model.host_scale = 0.0 } in
-  let cfg = Sbt_core.Runtime.Config.make ~cores:4 ~cost () in
+  let cfg = Sbt_core.Runtime.Config.make ~cores:4 ~deterministic:true () in
   let bench = B.win_sum ~windows ~events_per_window:epw_f ~batch_events:batch_f () in
   let frames = B.frames bench in
   let p99_freshness (r : V.fleet_report) =
@@ -1087,8 +1088,8 @@ let fusion () =
     let bench = B.fps ~windows ~events_per_window:epw_f ~batch_events () in
     let o =
       Runner.run ~cores_list:[ 8 ] ~target_delay_ms:bench.B.target_delay_ms
-        ~version:D.Clear_ingress ~deterministic:true ~fuse bench.B.pipeline
-        (B.frames bench)
+        (Runtime.Config.make ~version:D.Clear_ingress ~deterministic:true ~fuse ())
+        bench.B.pipeline (B.frames bench)
     in
     let switches = Sbt_obs.Metrics.find_counter o.Runner.registry "smc.switches" in
     let audit_bytes = Sbt_obs.Metrics.find_counter o.Runner.registry "audit.bytes" in
@@ -1142,8 +1143,7 @@ let tenants_bench () =
   let module Multi = Sbt_core.Multi in
   let module V = Sbt_attest.Verifier in
   let counts = if smoke then [ 1; 8 ] else if quick then [ 1; 8; 64 ] else [ 1; 8; 64; 256 ] in
-  let cost = { Sbt_tz.Cost_model.default with Sbt_tz.Cost_model.host_scale = 0.0 } in
-  let cfg = Sbt_core.Runtime.Config.make ~cores:4 ~cost () in
+  let cfg = Sbt_core.Runtime.Config.make ~cores:4 ~deterministic:true () in
   Printf.printf
     "  N small tenant pipelines (taxi per-fleet, power per-district mixes) share the\n";
   Printf.printf
@@ -1238,7 +1238,8 @@ let disorder_bench () =
       List.iter
         (fun rate ->
           let outcome =
-            Runner.run ~cores_list:[ 4 ] ~deterministic:true ~late_policy:policy
+            Runner.run ~cores_list:[ 4 ]
+              (Runtime.Config.make ~cores:4 ~deterministic:true ~late_policy:policy ())
               (bench ()).B.pipeline (frames rate)
           in
           let pt = List.hd outcome.Runner.points in

@@ -10,7 +10,7 @@
    Run with: dune exec examples/attested_winsum.exe *)
 
 module B = Sbt_workloads.Benchmarks
-module Control = Sbt_core.Control
+module Runtime = Sbt_core.Runtime
 module D = Sbt_core.Dataplane
 module Pipeline = Sbt_core.Pipeline
 module Log = Sbt_attest.Log
@@ -21,7 +21,7 @@ let egress_key = Bytes.of_string "sbt-egress-key16"
 
 let run_edge () =
   let bench = B.win_sum ~windows:3 ~events_per_window:20_000 ~batch_events:4_000 () in
-  let cfg = Control.Config.make () in
+  let cfg = Runtime.Config.make () in
   let r =
     Sbt_core.Session.create cfg
     |> Sbt_core.Session.add_tenant ~pipeline:bench.B.pipeline ~source:(B.frames bench)
@@ -38,12 +38,12 @@ let () =
   print_endline "== StreamBox-TZ continuous attestation ==";
   let r, _bench = run_edge () in
   (* Cloud side: authenticate and decompress each uploaded batch. *)
-  let records = List.concat_map (fun b -> Log.open_batch ~key:egress_key b) r.Control.audit in
-  Printf.printf "edge uploaded %d signed batches (%d records)\n" (List.length r.Control.audit)
+  let records = List.concat_map (fun b -> Log.open_batch ~key:egress_key b) r.Runtime.audit in
+  Printf.printf "edge uploaded %d signed batches (%d records)\n" (List.length r.Runtime.audit)
     (List.length records);
 
   (* 1. Honest run verifies. *)
-  verdict "honest run" (V.verify r.Control.verifier_spec records);
+  verdict "honest run" (V.verify r.Runtime.verifier_spec records);
 
   (* 2. Dropped batch: remove one batch's windowing record. *)
   let dropped =
@@ -56,7 +56,7 @@ let () =
         | _ -> true)
       records
   in
-  verdict "dropped window assignment" (V.verify r.Control.verifier_spec dropped);
+  verdict "dropped window assignment" (V.verify r.Runtime.verifier_spec dropped);
 
   (* 3. Wrong primitive: claim a Count ran where Sum was declared. *)
   let sum_id = Sbt_prim.Primitive.to_id Sbt_prim.Primitive.Sum in
@@ -69,10 +69,10 @@ let () =
         | x -> x)
       records
   in
-  verdict "wrong primitive executed" (V.verify r.Control.verifier_spec rewritten);
+  verdict "wrong primitive executed" (V.verify r.Runtime.verifier_spec rewritten);
 
   (* 4. Forged upload: flip a byte in a signed batch. *)
-  (match r.Control.audit with
+  (match r.Runtime.audit with
   | b :: _ ->
       let forged = Bytes.copy b.Log.payload in
       Bytes.set forged 4 (Char.chr (Char.code (Bytes.get forged 4) lxor 0x80));
@@ -83,5 +83,5 @@ let () =
   | [] -> ());
 
   (* 5. Freshness: re-verify with a tight delay bound. *)
-  let strict = { r.Control.verifier_spec with V.freshness_bound = Some 1 } in
+  let strict = { r.Runtime.verifier_spec with V.freshness_bound = Some 1 } in
   verdict "1us freshness bound" (V.verify strict records)

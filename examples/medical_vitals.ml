@@ -51,7 +51,8 @@ let disordered_frames () =
       watermark = G.Heuristic 0;
     }
 
-let run ?late_policy pipeline frames = Runner.run ~deterministic:true ?late_policy pipeline frames
+let run ?late_policy pipeline frames =
+  Runner.run (Sbt_core.Runtime.Config.make ~deterministic:true ?late_policy ()) pipeline frames
 
 let () =
   print_endline "== StreamBox-TZ out-of-order vitals: late data with a paper trail ==";
@@ -85,7 +86,7 @@ let () =
   (* The attack: present the retract run's log under a declaration that
      claims the silent policy.  The replay sees Correction records no
      declared policy accounts for and rejects. *)
-  let key = (D.default_config ~version:D.Full ()).D.egress_key in
+  let key = (D.Config.make ~version:D.Full ()).D.egress_key in
   let records = List.concat_map (fun b -> Log.open_batch ~key b) retracted.Runner.audit in
   let lying_spec = { retracted.Runner.spec with V.late_policy = 0 } in
   let caught = V.verify lying_spec records in

@@ -21,11 +21,11 @@ let run_in_tee_prediction () =
   let bench = B.power ~windows:5 ~events_per_window:20_000 ~batch_events:5_000 () in
   let pipe = Sbt_core.Pipeline.load_predict ~alpha_percent:50 () in
   let r =
-    Sbt_core.Session.create (Sbt_core.Control.Config.make ())
+    Sbt_core.Session.create (Sbt_core.Runtime.Config.make ())
     |> Sbt_core.Session.add_tenant ~pipeline:pipe ~source:(B.frames bench)
     |> Sbt_core.Session.run_single
   in
-  List.sort compare r.Sbt_core.Control.results
+  List.sort compare r.Sbt_core.Runtime.results
   |> List.iter (fun (w, sealed) ->
          let rows = D.open_result ~egress_key sealed in
          Printf.printf "window %d predictions (house:load):" w;
@@ -37,9 +37,9 @@ let run_in_tee_prediction () =
   let records =
     List.concat_map
       (fun b -> Sbt_attest.Log.open_batch ~key:egress_key b)
-      r.Sbt_core.Control.audit
+      r.Sbt_core.Runtime.audit
   in
-  let report = Sbt_attest.Verifier.verify r.Sbt_core.Control.verifier_spec records in
+  let report = Sbt_attest.Verifier.verify r.Sbt_core.Runtime.verifier_spec records in
   Printf.printf "stateful attestation (state uArrays flow across windows): %s\n"
     (if Sbt_attest.Verifier.ok report then "OK" else "VIOLATIONS")
 
@@ -48,8 +48,8 @@ let () =
   print_endline "-- part 1: houses with the most above-average plugs (9.2 Power) --";
   let bench = B.power ~windows:5 ~events_per_window:40_000 ~batch_events:8_000 () in
   let outcome =
-    Runner.run ~cores_list:[ 8 ] ~target_delay_ms:bench.B.target_delay_ms bench.B.pipeline
-      (B.frames bench)
+    Runner.run ~cores_list:[ 8 ] ~target_delay_ms:bench.B.target_delay_ms
+      (Sbt_core.Runtime.Config.make ()) bench.B.pipeline (B.frames bench)
   in
   (* Per window: the houses with the most high-power plugs. *)
   let ewma : (int, float) Hashtbl.t = Hashtbl.create 64 in

@@ -21,8 +21,8 @@ let () =
         also replays the recorded schedule at several core counts to find
         the max sustainable throughput under the delay target. *)
   let outcome =
-    Runner.run ~cores_list:[ 2; 4; 8 ] ~target_delay_ms:bench.B.target_delay_ms bench.B.pipeline
-      frames
+    Runner.run ~cores_list:[ 2; 4; 8 ] ~target_delay_ms:bench.B.target_delay_ms
+      (Sbt_core.Runtime.Config.make ()) bench.B.pipeline frames
   in
 
   (* 3. Results arrive encrypted and signed; open them with the shared key. *)

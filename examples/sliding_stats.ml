@@ -9,7 +9,7 @@
 
 module Datagen = Sbt_workloads.Datagen
 module Pipeline = Sbt_core.Pipeline
-module Control = Sbt_core.Control
+module Runtime = Sbt_core.Runtime
 module D = Sbt_core.Dataplane
 module V = Sbt_attest.Verifier
 
@@ -27,11 +27,11 @@ let () =
   let frames = Datagen.frames spec in
   let pipe = Pipeline.win_sum ~window_size_ticks:1000 ~window_slide_ticks:250 () in
   let r =
-    Sbt_core.Session.create (Control.Config.make ())
+    Sbt_core.Session.create (Runtime.Config.make ())
     |> Sbt_core.Session.add_tenant ~pipeline:pipe ~source:frames
     |> Sbt_core.Session.run_single
   in
-  List.sort compare r.Control.results
+  List.sort compare r.Runtime.results
   |> List.iter (fun (w, sealed) ->
          let rows = D.open_result ~egress_key sealed in
          let lo = Int64.logand (Int64.of_int32 rows.(0).(0)) 0xFFFFFFFFL in
@@ -39,8 +39,8 @@ let () =
          Printf.printf "window %2d  [%4d ms, %4d ms)  sum = %Ld\n" w (w * 250)
            ((w * 250) + 1000) (Int64.add hi lo));
   let records =
-    List.concat_map (fun b -> Sbt_attest.Log.open_batch ~key:egress_key b) r.Control.audit
+    List.concat_map (fun b -> Sbt_attest.Log.open_batch ~key:egress_key b) r.Runtime.audit
   in
-  let report = V.verify r.Control.verifier_spec records in
+  let report = V.verify r.Runtime.verifier_spec records in
   Printf.printf "verifier over %d overlapping windows: %s\n" report.V.windows_verified
     (if V.ok report then "OK" else "VIOLATIONS")

@@ -13,8 +13,8 @@ let () =
   print_endline "== StreamBox-TZ: distinct taxis per 1-second window ==";
   let bench = B.distinct ~windows:4 ~events_per_window:60_000 ~batch_events:10_000 () in
   let outcome =
-    Runner.run ~cores_list:[ 2; 8 ] ~target_delay_ms:bench.B.target_delay_ms bench.B.pipeline
-      (B.frames bench)
+    Runner.run ~cores_list:[ 2; 8 ] ~target_delay_ms:bench.B.target_delay_ms
+      (Sbt_core.Runtime.Config.make ()) bench.B.pipeline (B.frames bench)
   in
   let egress_key = Bytes.of_string "sbt-egress-key16" in
   List.iter

@@ -59,8 +59,8 @@ type config = {
 module Config = struct
   type t = config
 
-  let make ?(version = Full) ?(cores = 8) ?(secure_mb = 512) ?cost ?platform
-      ?(alloc_mode = Alloc.Hint_guided) ?(sort_algorithm = Sbt_prim.Sort.Radix)
+  let make ?(version = Full) ?(cores = 8) ?(secure_mb = 512) ?cost ?(deterministic = false)
+      ?platform ?(alloc_mode = Alloc.Hint_guided) ?(sort_algorithm = Sbt_prim.Sort.Radix)
       ?(ingress_key = Bytes.of_string "sbt-ingress-k16!")
       ?(egress_key = Bytes.of_string "sbt-egress-key16")
       ?(audit_flush_every = 256) ?audit_enabled ?(backpressure_threshold = 0.90)
@@ -77,6 +77,7 @@ module Config = struct
             | None, Insecure -> Tz.Cost_model.free
             | None, (Full | Clear_ingress | Io_via_os) -> Tz.Cost_model.default
           in
+          let cost = if deterministic then { cost with Tz.Cost_model.host_scale = 0.0 } else cost in
           Tz.Platform.create ~cores ~cost ~secure_mb ()
     in
     let audit_enabled =
@@ -103,22 +104,7 @@ module Config = struct
       pool_budget_bytes;
       namespace;
     }
-
-  let with_platform platform cfg = { cfg with platform }
-  let with_alloc_mode alloc_mode cfg = { cfg with alloc_mode }
-  let with_sort_algorithm sort_algorithm cfg = { cfg with sort_algorithm }
-  let with_fault_plan fault_plan cfg = { cfg with fault_plan }
-  let with_tracer tracer cfg = { cfg with tracer = Some tracer }
-
-  let with_backpressure ?(adaptive = false) threshold cfg =
-    { cfg with backpressure_threshold = threshold; adaptive_backpressure = adaptive }
-
-  let with_audit ?(flush_every = 256) enabled cfg =
-    { cfg with audit_enabled = enabled; audit_flush_every = flush_every }
 end
-
-let default_config ?version ?cores ?secure_mb () =
-  Config.make ?version ?cores ?secure_mb ()
 
 type hint = H_after of int64 | H_parallel
 

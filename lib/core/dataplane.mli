@@ -89,8 +89,8 @@ type config = {
           [None] (the default, single-tenant) skips all guarding *)
 }
 
-(** Labelled construction and functional update for {!config} — the one
-    way to build a config without writing out every field. *)
+(** Labelled construction for {!config} — the one way to build a config
+    without writing out every field. *)
 module Config : sig
   type t = config
 
@@ -99,6 +99,7 @@ module Config : sig
     ?cores:int ->
     ?secure_mb:int ->
     ?cost:Sbt_tz.Cost_model.t ->
+    ?deterministic:bool ->
     ?platform:Sbt_tz.Platform.t ->
     ?alloc_mode:Sbt_umem.Allocator.mode ->
     ?sort_algorithm:Sbt_prim.Sort.algorithm ->
@@ -120,24 +121,12 @@ module Config : sig
       platform: hint-guided allocator, radix sort, audit on (off for
       [Insecure]), backpressure at 90% pool usage, no faults, no tracer.
       [cost] defaults per [version] ({!Sbt_tz.Cost_model.free} for
-      [Insecure], [default] otherwise); passing [platform] overrides
-      [cores]/[secure_mb]/[cost] wholesale. *)
-
-  val with_platform : Sbt_tz.Platform.t -> t -> t
-  val with_alloc_mode : Sbt_umem.Allocator.mode -> t -> t
-  val with_sort_algorithm : Sbt_prim.Sort.algorithm -> t -> t
-  val with_fault_plan : Sbt_fault.Fault.plan -> t -> t
-  val with_tracer : Sbt_obs.Tracer.t -> t -> t
-
-  val with_backpressure : ?adaptive:bool -> float -> t -> t
-  (** [with_backpressure thr] sets the stall threshold; [~adaptive:true]
-      also turns on adaptive stalling. *)
-
-  val with_audit : ?flush_every:int -> bool -> t -> t
+      [Insecure], [default] otherwise); [deterministic] (default false)
+      zeroes that cost's [host_scale], so recorded costs carry no measured
+      host time and results, audit bytes and verdicts reproduce across
+      processes.  Passing [platform] overrides
+      [cores]/[secure_mb]/[cost]/[deterministic] wholesale. *)
 end
-
-val default_config : ?version:version -> ?cores:int -> ?secure_mb:int -> unit -> config
-(** [Config.make] restricted to its historical labels. *)
 
 type t
 

@@ -68,30 +68,10 @@ let merge_corrections ~egress_key results corrections =
   in
   List.sort (fun (a, _) (b, _) -> compare a b) (merged @ extra)
 
-let run ?(cores_list = [ 2; 4; 8 ]) ?(target_delay_ms = 500.0) ?(version = D.Full)
-    ?(hints_enabled = true) ?(fuse = false)
-    ?(alloc_mode = Sbt_umem.Allocator.Hint_guided)
-    ?(sort_algorithm = Sbt_prim.Sort.Radix) ?(secure_mb = 512) ?(repeats = 1)
-    ?(fault_plan = Sbt_fault.Fault.none) ?(late_policy = D.Silent) ?tracer
-    ?(deterministic = false) ?exec_domains ?exec_time_scale ?exec_mode
-    (pipe : Pipeline.t) frames =
-  let max_cores = List.fold_left max 1 cores_list in
-  (* Deterministic runs zero the host_scale so no measured host time leaks
-     into costs — recordings become byte-reproducible across processes. *)
-  let cost =
-    if not deterministic then None
-    else
-      let base =
-        match version with
-        | D.Insecure -> Sbt_tz.Cost_model.free
-        | D.Full | D.Clear_ingress | D.Io_via_os -> Sbt_tz.Cost_model.default
-      in
-      Some { base with Sbt_tz.Cost_model.host_scale = 0.0 }
-  in
-  let cfg =
-    Runtime.Config.make ~version ~cores:max_cores ~secure_mb ?cost ~alloc_mode
-      ~sort_algorithm ~fault_plan ~late_policy ?tracer ~hints_enabled ~fuse ()
-  in
+let run ?(cores_list = [ 2; 4; 8 ]) ?(target_delay_ms = 500.0) ?(repeats = 1) ?exec_domains
+    ?exec_time_scale ?exec_mode (cfg : Runtime.config) (pipe : Pipeline.t) frames =
+  let version = cfg.Runtime.dp_config.D.version in
+  let tracer = cfg.Runtime.dp_config.D.tracer in
   let record () =
     (* With repeats > 1 the trace buffer would accumulate every
        recording; keep only the latest (callers wanting a trace use
@@ -101,9 +81,7 @@ let run ?(cores_list = [ 2; 4; 8 ]) ?(target_delay_ms = 500.0) ?(version = D.Ful
     (* Capture heavy-kernel inputs only when a [`Work] measurement will
        replay them; snapshot copies are pure overhead otherwise. *)
     let capture = exec_domains <> None && exec_mode = Some `Work in
-    Session.create ~engine:(`Des max_cores) ~capture ~verify:false cfg
-    |> Session.add_tenant ~pipeline:pipe ~source:frames
-    |> Session.run_single
+    Runtime.run ~capture cfg pipe frames
   in
   (* Host noise shows up as inflated task costs; repeated recordings keep
      the least-noisy (cheapest) trace. *)
@@ -111,8 +89,8 @@ let run ?(cores_list = [ 2; 4; 8 ]) ?(target_delay_ms = 500.0) ?(version = D.Ful
   for _ = 2 to repeats do
     let r' = record () in
     if
-      Sbt_sim.Trace.total_cost_ns r'.Control.trace
-      < Sbt_sim.Trace.total_cost_ns !r.Control.trace
+      Sbt_sim.Trace.total_cost_ns r'.Runtime.trace
+      < Sbt_sim.Trace.total_cost_ns !r.Runtime.trace
     then r := r'
   done;
   let r = !r in
@@ -130,7 +108,7 @@ let run ?(cores_list = [ 2; 4; 8 ]) ?(target_delay_ms = 500.0) ?(version = D.Ful
     List.map
       (fun cores ->
         let res =
-          Sbt_sim.Rate_search.max_rate ~trace:r.Control.trace ~cores
+          Sbt_sim.Rate_search.max_rate ~trace:r.Runtime.trace ~cores
             ~target_delay_ns:(target_delay_ms *. 1e6)
             ()
         in
@@ -148,9 +126,9 @@ let run ?(cores_list = [ 2; 4; 8 ]) ?(target_delay_ms = 500.0) ?(version = D.Ful
   let records =
     List.concat_map
       (fun b -> Sbt_attest.Log.open_batch ~key:egress_key b)
-      r.Control.audit
+      r.Runtime.audit
   in
-  let report = Sbt_attest.Verifier.verify r.Control.verifier_spec records in
+  let report = Sbt_attest.Verifier.verify r.Runtime.verifier_spec records in
   let verified =
     match version with
     | D.Insecure -> true (* no attestation in the insecure baseline *)
@@ -159,33 +137,33 @@ let run ?(cores_list = [ 2; 4; 8 ]) ?(target_delay_ms = 500.0) ?(version = D.Ful
   let audit_records = List.length records in
   let audit_raw = Sbt_attest.Columnar.raw_size records in
   let audit_compressed =
-    List.fold_left (fun acc b -> acc + Bytes.length b.Sbt_attest.Log.payload) 0 r.Control.audit
+    List.fold_left (fun acc b -> acc + Bytes.length b.Sbt_attest.Log.payload) 0 r.Runtime.audit
   in
   {
     version;
     pipeline_name = pipe.Pipeline.name;
     points;
-    mem_steady_mb = mean r.Control.mem_samples_bytes /. 1e6;
-    mem_high_water_mb = float_of_int r.Control.pool_high_water_bytes /. 1e6;
-    total_events = r.Control.total_events;
-    dp_stats = r.Control.dp_stats;
+    mem_steady_mb = mean r.Runtime.mem_samples_bytes /. 1e6;
+    mem_high_water_mb = float_of_int r.Runtime.pool_high_water_bytes /. 1e6;
+    total_events = r.Runtime.total_events;
+    dp_stats = r.Runtime.dp_stats;
     audit_records;
     audit_raw_bytes = audit_raw;
     audit_compressed_bytes = audit_compressed;
     verified;
     verifier_report = report;
-    loss = r.Control.loss;
-    results = List.sort (fun (a, _) (b, _) -> compare a b) r.Control.results;
-    corrections = r.Control.corrections;
+    loss = r.Runtime.loss;
+    results = List.sort (fun (a, _) (b, _) -> compare a b) r.Runtime.results;
+    corrections = r.Runtime.corrections;
     results_corrected =
       merge_corrections ~egress_key
-        (List.sort (fun (a, _) (b, _) -> compare a b) r.Control.results)
-        r.Control.corrections;
-    audit = r.Control.audit;
-    spec = r.Control.verifier_spec;
-    registry = r.Control.registry;
-    tee_metrics = r.Control.tee_metrics;
-    tee_quote = r.Control.tee_quote;
+        (List.sort (fun (a, _) (b, _) -> compare a b) r.Runtime.results)
+        r.Runtime.corrections;
+    audit = r.Runtime.audit;
+    spec = r.Runtime.verifier_spec;
+    registry = r.Runtime.registry;
+    tee_metrics = r.Runtime.tee_metrics;
+    tee_quote = r.Runtime.tee_quote;
     exec = exec_report;
   }
 

@@ -61,37 +61,26 @@ val merge_corrections :
 val run :
   ?cores_list:int list ->
   ?target_delay_ms:float ->
-  ?version:Dataplane.version ->
-  ?hints_enabled:bool ->
-  ?fuse:bool ->
-  ?alloc_mode:Sbt_umem.Allocator.mode ->
-  ?sort_algorithm:Sbt_prim.Sort.algorithm ->
-  ?secure_mb:int ->
   ?repeats:int ->
-  ?fault_plan:Sbt_fault.Fault.plan ->
-  ?late_policy:Dataplane.late_policy ->
-  ?tracer:Sbt_obs.Tracer.t ->
-  ?deterministic:bool ->
   ?exec_domains:int ->
   ?exec_time_scale:float ->
   ?exec_mode:Sbt_exec.Executor.mode ->
+  Runtime.config ->
   Pipeline.t ->
   Sbt_net.Frame.t list ->
   outcome
-(** Defaults: cores [\[2;4;8\]], 500 ms target, [Full] version, hints on,
-    fusion off ([fuse] runs adjacent per-record batch stages as fused
-    super-kernels — fewer world switches, same bytes out), hint-guided
-    allocator, radix sort, 512 MB secure DRAM, one recording run.  [repeats > 1] records several times and keeps the cheapest
-    trace, suppressing host measurement noise.  [tracer] records
-    virtual-time spans for the recording run (use [repeats = 1] so the
-    trace matches the kept recording; the buffer is reset before each
-    repeat and holds the last one).
+(** Record the pipeline once under [`Des cfg.cores] — the recording
+    cores fix the schedule and so every audit timestamp — then search
+    the maximum sustainable rate at each of [cores_list] (default
+    [\[2;4;8\]]) under a [target_delay_ms] output-delay target (default
+    500 ms).  [repeats > 1] records several times and keeps the cheapest
+    trace, suppressing host measurement noise; pointless under a
+    deterministic config, where every recording is identical.  A tracer
+    in [cfg] records the kept run's virtual-time spans (use
+    [repeats = 1]: the buffer is reset before each repeat).
 
-    [deterministic] zeroes the cost model's host_scale so recorded costs
-    carry no measured host time — results, audit bytes and verdicts
-    become byte-reproducible across processes (and [repeats] is then
-    pointless: every recording is identical).  [exec_domains] runs the
-    real-parallel executor ({!Runtime.exec_trace}) once over the kept
-    recording; [exec_time_scale]/[exec_mode] tune that phase. *)
+    [exec_domains] runs the real-parallel executor
+    ({!Runtime.exec_trace}) once over the kept recording;
+    [exec_time_scale]/[exec_mode] tune that phase. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -15,7 +15,7 @@ type config = {
 module Config = struct
   type t = config
 
-  let make ?version ?(cores = 8) ?secure_mb ?cost ?platform ?alloc_mode
+  let make ?version ?(cores = 8) ?secure_mb ?cost ?deterministic ?platform ?alloc_mode
       ?sort_algorithm ?ingress_key ?egress_key ?audit_flush_every ?audit_enabled
       ?backpressure_threshold ?adaptive_backpressure ?seed ?fault_plan ?late_policy
       ?tracer ?(hints_enabled = true) ?(fuse = false) ?dp_config () =
@@ -23,26 +23,13 @@ module Config = struct
       match dp_config with
       | Some c -> c
       | None ->
-          D.Config.make ?version ~cores ?secure_mb ?cost ?platform ?alloc_mode
-            ?sort_algorithm ?ingress_key ?egress_key ?audit_flush_every
+          D.Config.make ?version ~cores ?secure_mb ?cost ?deterministic ?platform
+            ?alloc_mode ?sort_algorithm ?ingress_key ?egress_key ?audit_flush_every
             ?audit_enabled ?backpressure_threshold ?adaptive_backpressure ?seed
             ?fault_plan ?late_policy ?tracer ()
     in
     { dp_config; cores; hints_enabled; fuse }
-
-  let with_dp_config dp_config cfg = { cfg with dp_config }
-  let with_cores cores cfg = { cfg with cores }
-  let with_hints hints_enabled cfg = { cfg with hints_enabled }
-  let with_fuse fuse cfg = { cfg with fuse }
-
-  let with_tracer tracer cfg =
-    { cfg with dp_config = D.Config.with_tracer tracer cfg.dp_config }
-
-  let with_fault_plan plan cfg =
-    { cfg with dp_config = D.Config.with_fault_plan plan cfg.dp_config }
 end
-
-let default_config ?version ?cores () = Config.make ?version ?cores ()
 
 module Loss = struct
   type t = { gaps_declared : int; batches_dropped : int; events_dropped : int }
@@ -371,6 +358,16 @@ let record ~recording_cores ?(capture = false) ?ckpt_every ?on_checkpoint ?resum
      stages would have consumed them long before the close. *)
   if cfg.dp_config.D.late_policy = D.Retract_reemit && pipe.Pipeline.batch_ops <> [] then
     invalid_arg "Runtime: retract-and-reemit needs a pipeline with no batch stages";
+  (* A checkpoint seals neither the late-data bookkeeping a non-silent
+     policy audits nor the in-TEE session-window table, so a resumed boot
+     could not reproduce either. *)
+  if
+    ckpt_every <> None
+    && (cfg.dp_config.D.late_policy <> D.Silent || Pipeline.session_gap pipe <> None)
+  then
+    invalid_arg
+      "Runtime: checkpointed runs need the silent late policy and fixed windows \
+       (a checkpoint carries no late-data or session-window state)";
   D.set_ingest_width dp pipe.Pipeline.schema.Event.width;
   let platform = cfg.dp_config.D.platform in
   let cost = platform.Sbt_tz.Platform.cost in
@@ -1307,9 +1304,9 @@ let run_supervised ?(max_restarts = 3) ?(ckpt_every = 1) cfg pipe frames =
               (-1) !durable_uploads
           in
           let cfgb =
-            Config.with_fault_plan
-              (Sbt_fault.Fault.without_crash cfgb.dp_config.D.fault_plan)
-              cfgb
+            let dp = cfgb.dp_config in
+            let fault_plan = Sbt_fault.Fault.without_crash dp.D.fault_plan in
+            { cfgb with dp_config = { dp with D.fault_plan } }
           in
           match Sbt_recovery.Store.latest store with
           | None ->

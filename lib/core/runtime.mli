@@ -34,9 +34,9 @@ type config = {
           results, verdicts and loss are byte-identical either way. *)
 }
 
-(** Labelled construction and functional update for {!config}.  [make]'s
-    data-plane labels are forwarded to {!Dataplane.Config.make}; passing
-    [?dp_config] overrides them wholesale. *)
+(** Labelled construction for {!config}.  [make]'s data-plane labels are
+    forwarded to {!Dataplane.Config.make}; passing [?dp_config] overrides
+    them wholesale. *)
 module Config : sig
   type t = config
 
@@ -45,6 +45,7 @@ module Config : sig
     ?cores:int ->
     ?secure_mb:int ->
     ?cost:Sbt_tz.Cost_model.t ->
+    ?deterministic:bool ->
     ?platform:Sbt_tz.Platform.t ->
     ?alloc_mode:Sbt_umem.Allocator.mode ->
     ?sort_algorithm:Sbt_prim.Sort.algorithm ->
@@ -65,19 +66,10 @@ module Config : sig
     t
   (** Defaults: 8 cores, hints on, fusion off, and
       {!Dataplane.Config.make}'s defaults for the data plane.  [cores]
-      sizes both the recording DES and the data-plane platform. *)
-
-  val with_dp_config : Dataplane.config -> t -> t
-  val with_cores : int -> t -> t
-  val with_hints : bool -> t -> t
-  val with_fuse : bool -> t -> t
-  val with_tracer : Sbt_obs.Tracer.t -> t -> t
-  val with_fault_plan : Sbt_fault.Fault.plan -> t -> t
+      sizes both the recording DES and the data-plane platform.
+      [deterministic] zeroes the cost model's [host_scale] (see
+      {!Dataplane.Config.make}). *)
 end
-
-val default_config : ?version:Dataplane.version -> ?cores:int -> unit -> config
-(** [Config.make] with only the historical labels — kept so existing
-    call sites read unchanged. *)
 
 (** Loss accounting for one run: what graceful degradation dropped, and
     declared.  Every drop is covered by a signed Gap record, so
@@ -157,9 +149,9 @@ val run :
     [`Des cfg.cores].  [exec_time_scale] and [exec_mode] apply only to
     the [`Domains _] measurement phase (see {!Sbt_exec.Executor.run}).
 
-    New code should prefer the {!Session} builder ([Session.create cfg
-    |> add_tenant ... |> run]) — this function is the engine underneath
-    it, kept public for the 1-tenant wrappers.
+    This is the single-pipeline run; {!Session} admits several tenant
+    pipelines into one enclave, and a 1-tenant [Session.run_single] is
+    this function under the tenant's config.
 
     [registry] supplies the control-plane metrics registry (possibly a
     {!Sbt_obs.Metrics.scoped} view, e.g. a tenant's [tenantN.*] scope);
@@ -308,8 +300,7 @@ val run_supervised :
   supervised
 (** Run under a normal-world supervisor with sealed TEE checkpoints
     every [ckpt_every] closed windows (default 1) and source-side frame
-    replay.  (New code should prefer {!Session.run_supervised}, which
-    generalizes this to N tenants.)  On an injected crash the supervisor unseals the latest
+    replay.  On an injected crash the supervisor unseals the latest
     checkpoint — rejecting tampered blobs ({!Sbt_recovery.Seal.Tamper})
     and blobs older than the newest checkpoint attested in the signed
     audit stream ({!Sbt_recovery.Seal.Rollback}) — rebuilds the data
@@ -318,4 +309,9 @@ val run_supervised :
     beyond that.  Stateful cross-window pipelines (operator state held
     in plan closures, e.g. [power_grid]) are not checkpointable — their
     state lives outside the TEE snapshot; use stateless-per-window
-    pipelines with recovery. *)
+    pipelines with recovery.
+
+    Raises [Invalid_argument] when the config's late policy is not
+    [Silent] or the pipeline closes session windows: a checkpoint
+    carries neither late-data corrections nor session-window state.
+    The same check guards {!Node} (hence every fleet run). *)

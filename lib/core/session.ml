@@ -1,15 +1,7 @@
-(* The unified Session API (PR 8): one builder in front of every way to
-   run a pipeline.
-
-   Historically the entry points accreted one per feature — Control.run
-   (one pipeline, DES), Runtime.run (engine choice), Runtime.run_supervised
-   (crash recovery), Runner.run (rate search + ?fuse), Fleet.run
-   (multi-node) — each with its own argument spelling.  A Session is the
-   common prefix of all of them: a run configuration plus the set of
-   tenant pipelines admitted into the enclave.  Single-tenant is the
-   1-tenant special case (tenant 0 inherits the base egress key, so a
-   1-tenant Session run is byte-identical to the old Runtime.run), and
-   the old functions survive as thin wrappers over a Session. *)
+(* A Session is a run configuration plus the set of tenant pipelines
+   admitted into the enclave.  Single-tenant is the 1-tenant special case
+   (tenant 0 inherits the base egress key, so a 1-tenant Session run is
+   byte-identical to Runtime.run on the same config). *)
 
 type t = {
   cfg : Runtime.config;
@@ -33,8 +25,6 @@ let add_tenant ?id ?quota_pages ~pipeline ~source t =
   { t with tenants = { Multi.id; pipeline; source; quota_pages } :: t.tenants }
 
 let tenants t = List.sort (fun a b -> compare a.Multi.id b.Multi.id) t.tenants
-let config t = t.cfg
-let engine t = t.engine
 
 let run t =
   Multi.run ?engine:t.engine ?exec_time_scale:t.exec_time_scale ?exec_mode:t.exec_mode
@@ -46,9 +36,8 @@ let the_tenant t =
   | [] -> invalid_arg "Session: no tenant admitted"
   | _ -> invalid_arg "Session: expected exactly one tenant"
 
-(* The single-tenant fast path the legacy wrappers ride: one recording,
-   no merged-schedule replay, no verification — exactly what the old
-   entry points did, so their cost and observables are unchanged. *)
+(* The single-tenant fast path: one recording, no merged-schedule
+   replay, no verification. *)
 let run_single t =
   let tn = the_tenant t in
   let owners : (int64, int) Hashtbl.t = Hashtbl.create 64 in
@@ -60,16 +49,3 @@ let run_single t =
   in
   Runtime.run ?engine:t.engine ?exec_time_scale:t.exec_time_scale ?exec_mode:t.exec_mode
     ?capture:t.capture ?registry tcfg tn.Multi.pipeline tn.Multi.source
-
-(* Crash recovery composes per tenant: each tenant's supervised run is
-   already independent (own sealed checkpoints, own replay buffer, own
-   epoch manifests), so N-tenant supervision is N independent
-   supervisors over tenant-scoped configs. *)
-let run_supervised ?max_restarts ?ckpt_every t =
-  (match t.tenants with [] -> invalid_arg "Session: no tenant admitted" | _ -> ());
-  let owners : (int64, int) Hashtbl.t = Hashtbl.create 64 in
-  List.map
-    (fun tn ->
-      let tcfg = Multi.tenant_config t.cfg ~owners tn in
-      (tn.Multi.id, Runtime.run_supervised ?max_restarts ?ckpt_every tcfg tn.Multi.pipeline tn.Multi.source))
-    (tenants t)

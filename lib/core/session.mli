@@ -1,4 +1,4 @@
-(** The unified Session API: one builder in front of every way to run.
+(** The multi-tenant run: N pipelines admitted into one enclave.
 
     A Session is a run configuration plus the tenant pipelines admitted
     into the enclave:
@@ -12,10 +12,10 @@
 
     Single-tenant is the 1-tenant special case — tenant 0 inherits the
     base egress key and an uncapped pool, so a 1-tenant {!run_single} is
-    byte-identical to the historical [Runtime.run].  The legacy entry
-    points ([Control.run], [Runtime.run], [Runtime.run_supervised],
-    [Runner.run], [Fleet.run]) survive as thin wrappers and should not
-    be used in new code. *)
+    byte-identical to {!Runtime.run} on the same config.  The other
+    capabilities each have one entry point of their own:
+    {!Runtime.run_supervised} (crash recovery), {!Runner.run} (rate
+    search) and [Sbt_fleet.Fleet.run] (multi-node). *)
 
 type t
 
@@ -43,23 +43,12 @@ val add_tenant :
 val tenants : t -> Multi.tenant list
 (** Admitted tenants, id-ascending. *)
 
-val config : t -> Runtime.config
-
-val engine : t -> Runtime.engine option
-
 val run : t -> Multi.result
 (** Run all admitted tenants in one enclave — see {!Multi.run}.
     Raises [Invalid_argument] if no tenant was admitted. *)
 
 val run_single : t -> Runtime.run_result
 (** The single-tenant fast path: one recording, no merged-schedule
-    replay, no verification — the historical [Runtime.run] semantics,
+    replay, no verification — {!Runtime.run} under the tenant's config,
     byte-identical observables included.  Raises [Invalid_argument]
     unless exactly one tenant was admitted. *)
-
-val run_supervised :
-  ?max_restarts:int -> ?ckpt_every:int -> t -> (int * Runtime.supervised) list
-(** Crash-recovering run, one independent supervisor per tenant (own
-    sealed checkpoints, replay buffer, epoch manifests); returns
-    per-tenant supervised results, id-ascending.  See
-    {!Runtime.run_supervised} for the recovery semantics. *)

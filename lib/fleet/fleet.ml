@@ -59,7 +59,7 @@ let closable_windows ~size ~slide frames =
   in
   if wm_max >= size then ((wm_max - size) / slide) + 1 else 0
 
-let run_impl ?registry ?(ckpt_every = 1) ?(rogue_handoff = false) ?(plan = Fault.none) ~scenario
+let run ?registry ?(ckpt_every = 1) ?(rogue_handoff = false) ?(plan = Fault.none) ~scenario
     ~nodes:m ~batch_events cfg pipe frames =
   if m < 1 then invalid_arg "Fleet.run: nodes must be >= 1";
   let size = pipe.P.window_size_ticks and slide = pipe.P.window_slide_ticks in
@@ -302,22 +302,3 @@ let run_impl ?registry ?(ckpt_every = 1) ?(rogue_handoff = false) ?(plan = Fault
     uplink_bytes;
     registry = reg;
   }
-
-(* The Session-facing entry: a fleet partitions exactly one tenant's
-   pipeline M ways (multi-tenant fleets would be M x N sessions — out of
-   scope; compose Multi per node instead). *)
-let run_session ?registry ?ckpt_every ?rogue_handoff ?plan ~scenario ~nodes ~batch_events
-    session =
-  match Sbt_core.Session.tenants session with
-  | [ t ] ->
-      run_impl ?registry ?ckpt_every ?rogue_handoff ?plan ~scenario ~nodes ~batch_events
-        (Sbt_core.Session.config session)
-        t.Sbt_core.Multi.pipeline t.Sbt_core.Multi.source
-  | _ -> invalid_arg "Fleet.run_session: a fleet partitions exactly one tenant pipeline"
-
-(* Deprecated wrapper over [run_session]. *)
-let run ?registry ?ckpt_every ?rogue_handoff ?plan ~scenario ~nodes ~batch_events cfg pipe
-    frames =
-  run_session ?registry ?ckpt_every ?rogue_handoff ?plan ~scenario ~nodes ~batch_events
-    (Sbt_core.Session.create cfg
-    |> Sbt_core.Session.add_tenant ~pipeline:pipe ~source:frames)

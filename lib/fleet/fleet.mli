@@ -73,22 +73,6 @@ type summary = {
           fleet-scope totals ([fleet.*]) *)
 }
 
-val run_session :
-  ?registry:Sbt_obs.Metrics.t ->
-  ?ckpt_every:int ->
-  ?rogue_handoff:bool ->
-  ?plan:Sbt_fault.Fault.plan ->
-  scenario:Sbt_fault.Fault.fleet_scenario ->
-  nodes:int ->
-  batch_events:int ->
-  Sbt_core.Session.t ->
-  summary
-(** The {!Sbt_core.Session}-facing entry: partition the session's single
-    tenant pipeline across [nodes] edges and run the churn scenario.
-    Raises [Invalid_argument] unless the session admitted exactly one
-    tenant (a fleet partitions one workload; multi-tenant enclaves
-    compose per node via {!Sbt_core.Multi} instead). *)
-
 val run :
   ?registry:Sbt_obs.Metrics.t ->
   ?ckpt_every:int ->
@@ -101,13 +85,13 @@ val run :
   Sbt_core.Pipeline.t ->
   Sbt_net.Frame.t list ->
   summary
-(** Deprecated wrapper: builds a 1-tenant session and calls
-    {!run_session}.  Run the fleet over a cleartext workload frame
-    stream (see
+(** Run the fleet over a cleartext workload frame stream (see
     {!Partition.split} for partitioning rules; [batch_events] is the
-    workload's batch size).  [ckpt_every] defaults to 1 so every beat is
-    a consistent kill point.  [plan] supplies the reconnect backoff for
-    uplink partitions (default {!Sbt_fault.Fault.none}).
+    workload's batch size).  A fleet partitions one pipeline; several
+    tenants in one enclave are {!Sbt_core.Session}'s job.  [ckpt_every]
+    defaults to 1 so every beat is a consistent kill point.  [plan]
+    supplies the reconnect backoff for uplink partitions (default
+    {!Sbt_fault.Fault.none}).
 
     [rogue_handoff] simulates an adversarial failover: the survivor
     re-runs the dead edge's partition from scratch and discards the
@@ -118,4 +102,6 @@ val run :
 
     Raises {!No_survivor} when a death finds no eligible adopter, and
     [Invalid_argument] on an empty fleet, a workload closing no
-    windows, or a scenario naming a node outside the fleet. *)
+    windows, a scenario naming a node outside the fleet, or a config or
+    pipeline a checkpoint cannot carry (see
+    {!Sbt_core.Runtime.run_supervised}). *)

@@ -6,7 +6,7 @@
 module D = Sbt_core.Dataplane
 module Opaque = Sbt_core.Opaque
 module Pipeline = Sbt_core.Pipeline
-module Control = Sbt_core.Control
+module Runtime = Sbt_core.Runtime
 module Runner = Sbt_core.Runner
 module Event = Sbt_core.Event
 module P = Sbt_prim.Primitive
@@ -57,7 +57,7 @@ let prop_opaque_fabricated_never_resolves =
 (* --- dataplane units ---------------------------------------------------------- *)
 
 let mk_dp ?(version = D.Full) ?(secure_mb = 64) () =
-  D.create (D.default_config ~version ~secure_mb ())
+  D.create (D.Config.make ~version ~secure_mb ())
 
 let payload_of rows = Frame.pack_events ~width:3 (Array.of_list (List.map Array.of_list rows))
 
@@ -262,11 +262,11 @@ let window_of ts = Int32.to_int ts / Event.ticks_per_second
 
 let run_pipeline ?(version = D.Full) (bench : B.t) =
   let frames = B.frames bench in
-  let cfg = Control.Config.make ~version ~cores:8 () in
-  (Control.run cfg bench.B.pipeline frames, frames)
+  let cfg = Runtime.Config.make ~version ~cores:8 () in
+  (Runtime.run cfg bench.B.pipeline frames, frames)
 
-let result_rows (r : Control.run_result) w =
-  match List.assoc_opt w r.Control.results with
+let result_rows (r : Runtime.run_result) w =
+  match List.assoc_opt w r.Runtime.results with
   | Some sealed -> D.open_result ~egress_key sealed
   | None -> Alcotest.failf "no result for window %d" w
 
@@ -444,14 +444,14 @@ let test_encrypted_source_same_results () =
 
 (* --- attestation over real runs -------------------------------------------------- *)
 
-let records_of_run (r : Control.run_result) =
-  List.concat_map (fun b -> Sbt_attest.Log.open_batch ~key:egress_key b) r.Control.audit
+let records_of_run (r : Runtime.run_result) =
+  List.concat_map (fun b -> Sbt_attest.Log.open_batch ~key:egress_key b) r.Runtime.audit
 
 let test_real_run_verifies () =
   List.iter
     (fun (bench : B.t) ->
       let r, _ = run_pipeline bench in
-      let report = V.verify r.Control.verifier_spec (records_of_run r) in
+      let report = V.verify r.Runtime.verifier_spec (records_of_run r) in
       if not (V.ok report) then
         Alcotest.failf "%s: %s" bench.B.name (Format.asprintf "%a" V.pp_report report);
       Alcotest.(check bool)
@@ -482,7 +482,7 @@ let test_tampered_log_rejected () =
         | _ -> true)
       records
   in
-  let report = V.verify r.Control.verifier_spec dropped in
+  let report = V.verify r.Runtime.verifier_spec dropped in
   Alcotest.(check bool) "dropped record detected" false (V.ok report)
 
 let test_misdeclared_pipeline_rejected () =
@@ -500,8 +500,8 @@ let test_misdeclared_pipeline_rejected () =
 let test_runner_scaling_and_verification () =
   let bench = B.win_sum ~windows:3 ~events_per_window:10_000 ~batch_events:2_000 () in
   let o =
-    Runner.run ~cores_list:[ 1; 2; 4; 8 ] ~target_delay_ms:bench.B.target_delay_ms bench.B.pipeline
-      (B.frames bench)
+    Runner.run ~cores_list:[ 1; 2; 4; 8 ] ~target_delay_ms:bench.B.target_delay_ms
+      (Runtime.Config.make ()) bench.B.pipeline (B.frames bench)
   in
   Alcotest.(check bool) "verified" true o.Runner.verified;
   let rates = List.map (fun p -> p.Runner.events_per_sec) o.Runner.points in
@@ -523,13 +523,14 @@ let test_runner_insecure_faster_than_full () =
   let mk () = B.filter ~windows:2 ~events_per_window:10_000 ~batch_events:2_000 () in
   let bench = mk () in
   let full =
-    Runner.run ~cores_list:[ 8 ] ~target_delay_ms:50.0 ~version:D.Clear_ingress bench.B.pipeline
-      (B.frames bench)
+    Runner.run ~cores_list:[ 8 ] ~target_delay_ms:50.0
+      (Runtime.Config.make ~version:D.Clear_ingress ())
+      bench.B.pipeline (B.frames bench)
   in
   let bench = mk () in
   let insecure =
-    Runner.run ~cores_list:[ 8 ] ~target_delay_ms:50.0 ~version:D.Insecure bench.B.pipeline
-      (B.frames bench)
+    Runner.run ~cores_list:[ 8 ] ~target_delay_ms:50.0 (Runtime.Config.make ~version:D.Insecure ())
+      bench.B.pipeline (B.frames bench)
   in
   let rate o = (List.hd o.Runner.points).Runner.events_per_sec in
   Alcotest.(check bool)
@@ -537,10 +538,28 @@ let test_runner_insecure_faster_than_full () =
     true
     (rate insecure >= rate full *. 0.95)
 
+(* Runner records once on [cfg.cores], whatever core counts it then
+   rate-searches: the recording cores fix the schedule, hence every audit
+   timestamp, so its sealed results and audit equal a plain run's. *)
+let test_runner_records_on_config_cores () =
+  let bench = B.win_sum ~windows:2 ~events_per_window:2_000 ~batch_events:500 () in
+  let frames = B.frames bench in
+  let cfg = Runtime.Config.make ~cores:4 ~deterministic:true () in
+  let plain = Runtime.run cfg bench.B.pipeline frames in
+  let sorted = List.sort (fun (a, _) (b, _) -> compare a b) in
+  List.iter
+    (fun cores_list ->
+      let o = Runner.run ~cores_list cfg bench.B.pipeline frames in
+      let what = String.concat "," (List.map string_of_int cores_list) in
+      Alcotest.(check bool) ("results, cores_list " ^ what) true
+        (o.Runner.results = sorted plain.Runtime.results);
+      Alcotest.(check bool) ("audit, cores_list " ^ what) true (o.Runner.audit = plain.Runtime.audit))
+    [ [ 4 ]; [ 2; 8 ] ]
+
 let test_no_leaked_refs_after_run () =
   let bench = B.distinct ~windows:2 ~events_per_window:3_000 ~batch_events:1_000 () in
   let r, _ = run_pipeline bench in
-  Alcotest.(check int) "all refs retired" 0 r.Control.live_refs_after
+  Alcotest.(check int) "all refs retired" 0 r.Runtime.live_refs_after
 
 (* --- resilience under injected faults --------------------------------------------- *)
 
@@ -556,8 +575,8 @@ let faulty_run ?(rate = 0.12) ?(seed = 21L) () =
   let spec = { bench.B.spec with Sbt_workloads.Datagen.authenticated = true } in
   let plan = Fault.uniform ~seed ~rate () in
   let frames, link = Lossy.apply plan (Sbt_workloads.Datagen.frames spec) in
-  let cfg = Control.Config.make ~cores:8 ~fault_plan:plan () in
-  (Control.run cfg bench.B.pipeline frames, link)
+  let cfg = Runtime.Config.make ~cores:8 ~fault_plan:plan () in
+  (Runtime.run cfg bench.B.pipeline frames, link)
 
 (* Gap identity without the host-time-dependent [ts]. *)
 let gap_tuples records =
@@ -569,35 +588,35 @@ let gap_tuples records =
     records
   |> List.sort compare
 
-let opened_results (r : Control.run_result) =
-  List.map (fun (w, sealed) -> (w, D.open_result ~egress_key sealed)) r.Control.results
+let opened_results (r : Runtime.run_result) =
+  List.map (fun (w, sealed) -> (w, D.open_result ~egress_key sealed)) r.Runtime.results
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let test_resilience_three_regimes () =
   (* Regime 1 - clean: no faults, no gaps, verifies. *)
   let bench = resilience_bench () in
   let clean, _ = run_pipeline bench in
-  let clean_report = V.verify clean.Control.verifier_spec (records_of_run clean) in
+  let clean_report = V.verify clean.Runtime.verifier_spec (records_of_run clean) in
   Alcotest.(check bool) "clean verifies" true (V.ok clean_report);
-  Alcotest.(check int) "clean has no gaps" 0 (Control.Loss.gaps_declared clean.Control.loss);
+  Alcotest.(check int) "clean has no gaps" 0 (Runtime.Loss.gaps_declared clean.Runtime.loss);
   Alcotest.(check int) "clean report agrees" 0 clean_report.V.declared_gaps;
   (* Regime 2 - degraded: faults happen, losses are declared, still ok. *)
   let faulty, link = faulty_run () in
   Alcotest.(check bool) "link did damage" true (link.Lossy.dropped + link.Lossy.corrupted > 0);
-  Alcotest.(check bool) "gaps declared" true ((Control.Loss.gaps_declared faulty.Control.loss) > 0);
-  Alcotest.(check bool) "batches dropped" true ((Control.Loss.batches_dropped faulty.Control.loss) > 0);
+  Alcotest.(check bool) "gaps declared" true ((Runtime.Loss.gaps_declared faulty.Runtime.loss) > 0);
+  Alcotest.(check bool) "batches dropped" true ((Runtime.Loss.batches_dropped faulty.Runtime.loss) > 0);
   let records = records_of_run faulty in
-  let report = V.verify faulty.Control.verifier_spec records in
+  let report = V.verify faulty.Runtime.verifier_spec records in
   if not (V.ok report) then
     Alcotest.failf "declared loss must verify as degradation: %s"
       (Format.asprintf "%a" V.pp_report report);
-  Alcotest.(check int) "report sees the gaps" (Control.Loss.gaps_declared faulty.Control.loss) report.V.declared_gaps;
+  Alcotest.(check int) "report sees the gaps" (Runtime.Loss.gaps_declared faulty.Runtime.loss) report.V.declared_gaps;
   Alcotest.(check bool) "loss reported" true
     (report.V.lost_batches > 0 && report.V.loss_fraction > 0.0);
   (* Regime 3 - tampered: stripping the gap declarations from the same log
      turns tolerated degradation into violations. *)
   let stripped = List.filter (function R.Gap _ -> false | _ -> true) records in
-  let tampered = V.verify faulty.Control.verifier_spec stripped in
+  let tampered = V.verify faulty.Runtime.verifier_spec stripped in
   Alcotest.(check bool) "stripped log rejected" false (V.ok tampered);
   Alcotest.(check bool) "undeclared loss flagged" true
     (List.exists (function V.Undeclared_loss _ -> true | _ -> false) tampered.V.violations)
@@ -608,14 +627,14 @@ let test_resilience_deterministic () =
   let r1, l1 = faulty_run () in
   let r2, l2 = faulty_run () in
   Alcotest.(check bool) "same link damage" true (l1 = l2);
-  Alcotest.(check int) "same gap count" (Control.Loss.gaps_declared r1.Control.loss) (Control.Loss.gaps_declared r2.Control.loss);
-  Alcotest.(check int) "same drops" (Control.Loss.batches_dropped r1.Control.loss) (Control.Loss.batches_dropped r2.Control.loss);
-  Alcotest.(check int) "same events lost" (Control.Loss.events_dropped r1.Control.loss) (Control.Loss.events_dropped r2.Control.loss);
+  Alcotest.(check int) "same gap count" (Runtime.Loss.gaps_declared r1.Runtime.loss) (Runtime.Loss.gaps_declared r2.Runtime.loss);
+  Alcotest.(check int) "same drops" (Runtime.Loss.batches_dropped r1.Runtime.loss) (Runtime.Loss.batches_dropped r2.Runtime.loss);
+  Alcotest.(check int) "same events lost" (Runtime.Loss.events_dropped r1.Runtime.loss) (Runtime.Loss.events_dropped r2.Runtime.loss);
   Alcotest.(check bool) "same gaps" true
     (gap_tuples (records_of_run r1) = gap_tuples (records_of_run r2));
   Alcotest.(check bool) "same results" true (opened_results r1 = opened_results r2);
-  let rep1 = V.verify r1.Control.verifier_spec (records_of_run r1) in
-  let rep2 = V.verify r2.Control.verifier_spec (records_of_run r2) in
+  let rep1 = V.verify r1.Runtime.verifier_spec (records_of_run r1) in
+  let rep2 = V.verify r2.Runtime.verifier_spec (records_of_run r2) in
   Alcotest.(check bool) "same verdict" true
     ((V.ok rep1, rep1.V.declared_gaps, rep1.V.lost_batches, rep1.V.degraded_windows)
     = (V.ok rep2, rep2.V.declared_gaps, rep2.V.lost_batches, rep2.V.degraded_windows))
@@ -628,10 +647,10 @@ let test_resilience_zero_cost_opt_in () =
   let plain, _ = run_pipeline bench in
   let r, link = faulty_run ~rate:0.0 () in
   Alcotest.(check int) "nothing dropped" 0 link.Lossy.dropped;
-  Alcotest.(check int) "no gaps" 0 (Control.Loss.gaps_declared r.Control.loss);
-  Alcotest.(check int) "no drops" 0 (Control.Loss.batches_dropped r.Control.loss);
-  Alcotest.(check int) "no sheds" 0 r.Control.dp_stats.D.sheds;
-  Alcotest.(check int) "no smc refusals" 0 r.Control.dp_stats.D.smc_busy_rejections;
+  Alcotest.(check int) "no gaps" 0 (Runtime.Loss.gaps_declared r.Runtime.loss);
+  Alcotest.(check int) "no drops" 0 (Runtime.Loss.batches_dropped r.Runtime.loss);
+  Alcotest.(check int) "no sheds" 0 r.Runtime.dp_stats.D.sheds;
+  Alcotest.(check int) "no smc refusals" 0 r.Runtime.dp_stats.D.smc_busy_rejections;
   Alcotest.(check bool) "same results as the plain path" true
     (opened_results plain = opened_results r)
 
@@ -643,12 +662,12 @@ let test_smc_retry_within_budget () =
     { Fault.none with Fault.smc = { Fault.quiet with Fault.fail_p = 0.5; max_burst = 2 } }
   in
   Alcotest.(check bool) "budget covers bursts" true (plan.Fault.retry_budget >= 2);
-  let cfg = Control.Config.make ~cores:8 ~fault_plan:plan () in
-  let r = Control.run cfg bench.B.pipeline (B.frames bench) in
-  Alcotest.(check bool) "refusals injected" true (r.Control.dp_stats.D.smc_busy_rejections > 0);
-  Alcotest.(check int) "no batch lost" 0 (Control.Loss.batches_dropped r.Control.loss);
-  Alcotest.(check int) "no gaps needed" 0 (Control.Loss.gaps_declared r.Control.loss);
-  let report = V.verify r.Control.verifier_spec (records_of_run r) in
+  let cfg = Runtime.Config.make ~cores:8 ~fault_plan:plan () in
+  let r = Runtime.run cfg bench.B.pipeline (B.frames bench) in
+  Alcotest.(check bool) "refusals injected" true (r.Runtime.dp_stats.D.smc_busy_rejections > 0);
+  Alcotest.(check int) "no batch lost" 0 (Runtime.Loss.batches_dropped r.Runtime.loss);
+  Alcotest.(check int) "no gaps needed" 0 (Runtime.Loss.gaps_declared r.Runtime.loss);
+  let report = V.verify r.Runtime.verifier_spec (records_of_run r) in
   Alcotest.(check bool) "verifies clean" true (V.ok report);
   (* And the retried run computes the same answers.  (Fresh bench: the
      generators carry mutable state, so frames must come from their own
@@ -666,16 +685,16 @@ let test_smc_budget_exhausted_degrades () =
       smc = { Fault.quiet with Fault.fail_p = 0.4; max_burst = 4 };
     }
   in
-  let cfg = Control.Config.make ~cores:8 ~fault_plan:plan () in
-  let r = Control.run cfg bench.B.pipeline (B.frames bench) in
-  Alcotest.(check bool) "some batches dropped" true ((Control.Loss.batches_dropped r.Control.loss) > 0);
+  let cfg = Runtime.Config.make ~cores:8 ~fault_plan:plan () in
+  let r = Runtime.run cfg bench.B.pipeline (B.frames bench) in
+  Alcotest.(check bool) "some batches dropped" true ((Runtime.Loss.batches_dropped r.Runtime.loss) > 0);
   let gaps = gap_tuples (records_of_run r) in
-  Alcotest.(check int) "every drop declared" (Control.Loss.batches_dropped r.Control.loss) (List.length gaps);
+  Alcotest.(check int) "every drop declared" (Runtime.Loss.batches_dropped r.Runtime.loss) (List.length gaps);
   Alcotest.(check bool) "smc reason recorded" true
     (List.exists
        (fun (_, _, _, _, tag) -> R.gap_reason_of_tag tag = R.Smc_unavailable)
        gaps);
-  let report = V.verify r.Control.verifier_spec (records_of_run r) in
+  let report = V.verify r.Runtime.verifier_spec (records_of_run r) in
   if not (V.ok report) then
     Alcotest.failf "declared SMC loss must degrade: %s" (Format.asprintf "%a" V.pp_report report)
 
@@ -684,15 +703,15 @@ let test_pool_pressure_sheds_and_degrades () =
      Out_of_secure_memory, the batch is declared lost, the run verifies. *)
   let bench = resilience_bench () in
   let plan = { Fault.none with Fault.pool = { Fault.quiet with Fault.fail_p = 0.25 } } in
-  let cfg = Control.Config.make ~cores:8 ~fault_plan:plan () in
-  let r = Control.run cfg bench.B.pipeline (B.frames bench) in
-  Alcotest.(check bool) "sheds happened" true (r.Control.dp_stats.D.sheds > 0);
-  Alcotest.(check bool) "drops recorded" true ((Control.Loss.batches_dropped r.Control.loss) > 0);
+  let cfg = Runtime.Config.make ~cores:8 ~fault_plan:plan () in
+  let r = Runtime.run cfg bench.B.pipeline (B.frames bench) in
+  Alcotest.(check bool) "sheds happened" true (r.Runtime.dp_stats.D.sheds > 0);
+  Alcotest.(check bool) "drops recorded" true ((Runtime.Loss.batches_dropped r.Runtime.loss) > 0);
   Alcotest.(check bool) "pool reason recorded" true
     (List.exists
        (fun (_, _, _, _, tag) -> R.gap_reason_of_tag tag = R.Pool_pressure)
        (gap_tuples (records_of_run r)));
-  let report = V.verify r.Control.verifier_spec (records_of_run r) in
+  let report = V.verify r.Runtime.verifier_spec (records_of_run r) in
   Alcotest.(check bool) "verifies as degradation" true (V.ok report)
 
 let test_dataplane_exhaustion_sheds_not_crashes () =
@@ -744,16 +763,16 @@ let test_control_adaptive_backpressure () =
   let mk () = B.win_sum ~windows:2 ~events_per_window:8_000 ~batch_events:1_000 () in
   let bench = mk () in
   let cfg =
-    Control.Config.make ~cores:8 ~secure_mb:1 ~backpressure_threshold:0.05
+    Runtime.Config.make ~cores:8 ~secure_mb:1 ~backpressure_threshold:0.05
       ~adaptive_backpressure:true ()
   in
-  let r = Control.run cfg bench.B.pipeline (B.frames bench) in
-  Alcotest.(check bool) "stalls recorded" true (r.Control.dp_stats.D.backpressure_stalls > 0);
-  Alcotest.(check int) "nothing dropped" 0 (Control.Loss.batches_dropped r.Control.loss);
+  let r = Runtime.run cfg bench.B.pipeline (B.frames bench) in
+  Alcotest.(check bool) "stalls recorded" true (r.Runtime.dp_stats.D.backpressure_stalls > 0);
+  Alcotest.(check int) "nothing dropped" 0 (Runtime.Loss.batches_dropped r.Runtime.loss);
   let plain, _ = run_pipeline (mk ()) in
   Alcotest.(check bool) "same results under pressure" true
     (opened_results plain = opened_results r);
-  let report = V.verify r.Control.verifier_spec (records_of_run r) in
+  let report = V.verify r.Runtime.verifier_spec (records_of_run r) in
   Alcotest.(check bool) "verifies" true (V.ok report)
 
 let () =
@@ -801,6 +820,7 @@ let () =
         [
           Alcotest.test_case "scaling and verification" `Slow test_runner_scaling_and_verification;
           Alcotest.test_case "insecure >= clear-ingress" `Slow test_runner_insecure_faster_than_full;
+          Alcotest.test_case "records on cfg.cores" `Quick test_runner_records_on_config_cores;
           Alcotest.test_case "no leaked refs" `Quick test_no_leaked_refs_after_run;
         ] );
       ( "resilience",

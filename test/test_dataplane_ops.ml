@@ -7,7 +7,7 @@
 module D = Sbt_core.Dataplane
 module P = Sbt_prim.Primitive
 
-let mk_dp () = D.create (D.default_config ~version:D.Clear_ingress ~secure_mb:64 ())
+let mk_dp () = D.create (D.Config.make ~version:D.Clear_ingress ~secure_mb:64 ())
 
 let payload_of ~width rows =
   Sbt_net.Frame.pack_events ~width (Array.of_list (List.map Array.of_list rows))

@@ -21,8 +21,7 @@ module Log = Sbt_attest.Log
 module Frame = Sbt_net.Frame
 
 let det_cfg ?(fuse = false) ?(late = D.Silent) () =
-  let cost = { Sbt_tz.Cost_model.default with Sbt_tz.Cost_model.host_scale = 0.0 } in
-  Runtime.Config.make ~cores:4 ~cost ~fuse ~late_policy:late ()
+  Runtime.Config.make ~cores:4 ~deterministic:true ~fuse ~late_policy:late ()
 
 let egress_key = (det_cfg ()).Runtime.dp_config.D.egress_key
 

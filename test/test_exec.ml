@@ -11,7 +11,6 @@ module Pool = Sbt_umem.Page_pool
 module Log = Sbt_attest.Log
 module Record = Sbt_attest.Record
 module Runtime = Sbt_core.Runtime
-module Control = Sbt_core.Control
 module Metrics = Sbt_obs.Metrics
 module B = Sbt_workloads.Benchmarks
 module Fault = Sbt_fault.Fault
@@ -145,8 +144,7 @@ let test_executor_rejects_bad_args () =
 (* Noise-free cost model so recordings are reproducible across engines
    within the process. *)
 let det_cfg ?(fault_plan = Fault.none) () =
-  let cost = { Sbt_tz.Cost_model.default with Sbt_tz.Cost_model.host_scale = 0.0 } in
-  Runtime.Config.make ~cores:4 ~cost ~fault_plan ()
+  Runtime.Config.make ~cores:4 ~deterministic:true ~fault_plan ()
 
 let observables (r : Runtime.run_result) =
   ( r.Runtime.results,

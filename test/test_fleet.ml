@@ -18,8 +18,7 @@ module Fleet = Sbt_fleet.Fleet
 module M = Sbt_obs.Metrics
 
 let det_cfg () =
-  let cost = { Sbt_tz.Cost_model.default with Sbt_tz.Cost_model.host_scale = 0.0 } in
-  Runtime.Config.make ~cores:4 ~cost ()
+  Runtime.Config.make ~cores:4 ~deterministic:true ()
 
 (* --- failure detector ------------------------------------------------------- *)
 

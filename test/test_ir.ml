@@ -134,8 +134,7 @@ let pipeline_of_chain batch_ops =
   }
 
 let det_cfg ~fuse () =
-  let cost = { Sbt_tz.Cost_model.default with Sbt_tz.Cost_model.host_scale = 0.0 } in
-  Runtime.Config.make ~cores:4 ~cost ~fuse ()
+  Runtime.Config.make ~cores:4 ~deterministic:true ~fuse ()
 
 let frames_for ~windows ~events_per_window ~batch_events =
   Datagen.frames

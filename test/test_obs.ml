@@ -12,7 +12,7 @@ module Chrome = Sbt_obs.Chrome_trace
 module Bench_json = Sbt_obs.Bench_json
 module B = Sbt_workloads.Benchmarks
 module Datagen = Sbt_workloads.Datagen
-module Control = Sbt_core.Control
+module Runtime = Sbt_core.Runtime
 module D = Sbt_core.Dataplane
 module Fault = Sbt_fault.Fault
 module Lossy = Sbt_net.Lossy
@@ -409,29 +409,29 @@ let det_run ?(fault_plan = Fault.none) ?tracer ?(windows = 2) ?(events_per_windo
   let frames = match frames with Some f -> f | None -> B.frames bench in
   let cost = { Sbt_tz.Cost_model.default with Sbt_tz.Cost_model.host_scale = 0.0 } in
   let platform = Sbt_tz.Platform.create ~cores:8 ~cost () in
-  let cfg = Control.Config.make ~cores:4 ~platform ~fault_plan ?tracer () in
-  let r = Control.run cfg bench.B.pipeline frames in
+  let cfg = Runtime.Config.make ~cores:4 ~platform ~fault_plan ?tracer () in
+  let r = Runtime.run cfg bench.B.pipeline frames in
   (bench, r)
 
-let verdict (bench : B.t) (r : Control.run_result) =
+let verdict (bench : B.t) (r : Runtime.run_result) =
   let records =
-    List.concat_map (fun b -> Sbt_attest.Log.open_batch ~key:egress_key b) r.Control.audit
+    List.concat_map (fun b -> Sbt_attest.Log.open_batch ~key:egress_key b) r.Runtime.audit
   in
   ignore bench;
-  let rep = Verifier.verify r.Control.verifier_spec records in
+  let rep = Verifier.verify r.Runtime.verifier_spec records in
   (Verifier.ok rep, rep.Verifier.loss_fraction, List.length rep.Verifier.violations)
 
 (* --- the observer-effect property -------------------------------------------- *)
 
-let observable_state (r : Control.run_result) =
-  ( r.Control.results,
+let observable_state (r : Runtime.run_result) =
+  ( r.Runtime.results,
     List.map
       (fun (b : Sbt_attest.Log.batch) ->
         (b.Sbt_attest.Log.seq, b.Sbt_attest.Log.payload, b.Sbt_attest.Log.tag))
-      r.Control.audit,
-    r.Control.tee_metrics,
-    Metrics.encode_snapshot r.Control.registry,
-    ((Control.Loss.gaps_declared r.Control.loss), (Control.Loss.batches_dropped r.Control.loss), (Control.Loss.events_dropped r.Control.loss)) )
+      r.Runtime.audit,
+    r.Runtime.tee_metrics,
+    Metrics.encode_snapshot r.Runtime.registry,
+    ((Runtime.Loss.gaps_declared r.Runtime.loss), (Runtime.Loss.batches_dropped r.Runtime.loss), (Runtime.Loss.events_dropped r.Runtime.loss)) )
 
 let obs_effect_free =
   QCheck.Test.make ~name:"tracing on vs off: byte-identical sealed results and audit"
@@ -467,9 +467,9 @@ let obs_effect_free =
 let test_prim_spans_within_des_tasks () =
   let tr = Tracer.create () in
   let bench = B.join ~windows:2 ~events_per_window:20000 ~batch_events:10000 () in
-  let cfg = Control.Config.make ~version:D.Clear_ingress ~cores:4 ~tracer:tr () in
-  let r = Control.run cfg bench.B.pipeline (B.frames bench) in
-  Alcotest.(check int) "both windows sealed" 2 (List.length r.Control.results);
+  let cfg = Runtime.Config.make ~version:D.Clear_ingress ~cores:4 ~tracer:tr () in
+  let r = Runtime.run cfg bench.B.pipeline (B.frames bench) in
+  Alcotest.(check int) "both windows sealed" 2 (List.length r.Runtime.results);
   let checked = ref 0 and seals = ref 0 in
   let pending = ref [] in
   List.iter
@@ -495,7 +495,7 @@ let test_prim_spans_within_des_tasks () =
 let test_golden_span_tree () =
   let tr = Tracer.create () in
   let _, r = det_run ~tracer:tr ~windows:2 ~events_per_window:2000 ~batch_events:500 () in
-  Alcotest.(check int) "both windows sealed" 2 (List.length r.Control.results);
+  Alcotest.(check int) "both windows sealed" 2 (List.length r.Runtime.results);
   let events = Tracer.events tr in
   (* (name, cat, ts_ns, pid) of every Complete event. *)
   let completes =
@@ -530,7 +530,7 @@ let test_golden_span_tree () =
   let prims = List.filter (fun (_, cat, _, _) -> cat = "prim") completes in
   let seals = List.filter (fun c -> name_of c = "seal") prims in
   Alcotest.(check bool) "primitive spans recorded" true (List.length prims > List.length seals);
-  Alcotest.(check int) "one seal per result" (List.length r.Control.results) (List.length seals);
+  Alcotest.(check int) "one seal per result" (List.length r.Runtime.results) (List.length seals);
   Alcotest.(check bool) "prim spans live on the secure-world track" true
     (List.for_all (fun (_, _, _, pid) -> pid = 1) prims);
   (* Each seal runs inside its window-close task, so it inherits that
@@ -545,7 +545,7 @@ let test_golden_span_tree () =
   Alcotest.(check bool) "ingest precedes close" true (min_ts ingests <= min_ts closes);
   (* SMC accounting: exactly one "smc" span per charged switch pair. *)
   let smc = List.filter (fun (_, cat, _, _) -> cat = "smc") completes in
-  Alcotest.(check int) "smc span per switch pair" r.Control.dp_stats.D.switch_pairs
+  Alcotest.(check int) "smc span per switch pair" r.Runtime.dp_stats.D.switch_pairs
     (List.length smc);
   Alcotest.(check int) "no span left open" 0 (Tracer.open_depth tr ~pid:1 ~tid:0);
   (* And the whole trace exports as valid Chrome JSON. *)
@@ -574,32 +574,32 @@ let test_resilience_metrics_match () =
   let frames, link = Lossy.apply plan (Datagen.frames spec) in
   Alcotest.(check bool) "the link actually lost frames" true (link.Lossy.dropped > 0);
   let _, r = det_run ~fault_plan:plan ~windows ~events_per_window ~batch_events ~frames () in
-  let reg = r.Control.registry in
+  let reg = r.Runtime.registry in
   (* The registry double-books the control plane's loss accounting. *)
-  Alcotest.(check bool) "faults actually declared gaps" true ((Control.Loss.gaps_declared r.Control.loss) > 0);
-  Alcotest.(check int) "gaps" (Control.Loss.gaps_declared r.Control.loss) (Metrics.find_counter reg "control.gaps_declared");
-  Alcotest.(check int) "batches dropped" (Control.Loss.batches_dropped r.Control.loss)
+  Alcotest.(check bool) "faults actually declared gaps" true ((Runtime.Loss.gaps_declared r.Runtime.loss) > 0);
+  Alcotest.(check int) "gaps" (Runtime.Loss.gaps_declared r.Runtime.loss) (Metrics.find_counter reg "control.gaps_declared");
+  Alcotest.(check int) "batches dropped" (Runtime.Loss.batches_dropped r.Runtime.loss)
     (Metrics.find_counter reg "control.batches_dropped");
-  Alcotest.(check int) "events dropped" (Control.Loss.events_dropped r.Control.loss)
+  Alcotest.(check int) "events dropped" (Runtime.Loss.events_dropped r.Runtime.loss)
     (Metrics.find_counter reg "control.events_dropped");
-  Alcotest.(check int) "sheds observed = dataplane sheds" r.Control.dp_stats.D.sheds
+  Alcotest.(check int) "sheds observed = dataplane sheds" r.Runtime.dp_stats.D.sheds
     (Metrics.find_counter reg "control.sheds_observed");
-  Alcotest.(check int) "busy observed = smc rejections" r.Control.dp_stats.D.smc_busy_rejections
+  Alcotest.(check int) "busy observed = smc rejections" r.Runtime.dp_stats.D.smc_busy_rejections
     (Metrics.find_counter reg "control.smc_busy");
   Alcotest.(check int) "every data frame counted" (List.length (List.filter (function Sbt_net.Frame.Events _ -> true | _ -> false) frames))
     (Metrics.find_counter reg "control.frames");
   (* The TEE snapshot arrives only through the quote path; verify it the
      way the cloud would before trusting its numbers. *)
-  let expected = Sbt_crypto.Sha256.digest r.Control.tee_metrics in
+  let expected = Sbt_crypto.Sha256.digest r.Runtime.tee_metrics in
   Alcotest.(check bool) "tee quote verifies" true
     (Sbt_attest.Quote.verify ~device_key:egress_key ~expected
-       ~nonce:(Bytes.of_string "sbt-run-final") r.Control.tee_quote);
+       ~nonce:(Bytes.of_string "sbt-run-final") r.Runtime.tee_quote);
   Alcotest.(check bool) "tampered snapshot rejected" true
     (not
        (Sbt_attest.Quote.verify ~device_key:egress_key
-          ~expected:(Sbt_crypto.Sha256.digest (Bytes.cat r.Control.tee_metrics (Bytes.of_string "x")))
-          ~nonce:(Bytes.of_string "sbt-run-final") r.Control.tee_quote));
-  let tee = Metrics.decode_snapshot r.Control.tee_metrics in
+          ~expected:(Sbt_crypto.Sha256.digest (Bytes.cat r.Runtime.tee_metrics (Bytes.of_string "x")))
+          ~nonce:(Bytes.of_string "sbt-run-final") r.Runtime.tee_quote));
+  let tee = Metrics.decode_snapshot r.Runtime.tee_metrics in
   let tee_counter name =
     List.find_map
       (function
@@ -607,11 +607,11 @@ let test_resilience_metrics_match () =
       tee
     |> Option.get
   in
-  Alcotest.(check int) "tee.sheds" r.Control.dp_stats.D.sheds (tee_counter "tee.sheds");
-  Alcotest.(check int) "tee.events_ingested" r.Control.dp_stats.D.events_ingested
+  Alcotest.(check int) "tee.sheds" r.Runtime.dp_stats.D.sheds (tee_counter "tee.sheds");
+  Alcotest.(check int) "tee.events_ingested" r.Runtime.dp_stats.D.events_ingested
     (tee_counter "tee.events_ingested");
-  Alcotest.(check int) "tee.gaps_declared" (Control.Loss.gaps_declared r.Control.loss) (tee_counter "tee.gaps_declared");
-  Alcotest.(check int) "tee.invocations" r.Control.dp_stats.D.invocations
+  Alcotest.(check int) "tee.gaps_declared" (Runtime.Loss.gaps_declared r.Runtime.loss) (tee_counter "tee.gaps_declared");
+  Alcotest.(check int) "tee.invocations" r.Runtime.dp_stats.D.invocations
     (tee_counter "tee.invocations")
 
 (* --- fusion counters (PR 7) --------------------------------------------------- *)
@@ -624,20 +624,20 @@ let fusion_run ~fuse =
   let bench = B.fps ~windows:2 ~events_per_window:2_000 ~batch_events:250 () in
   let cost = { Sbt_tz.Cost_model.default with Sbt_tz.Cost_model.host_scale = 0.0 } in
   let platform = Sbt_tz.Platform.create ~cores:8 ~cost () in
-  let cfg = Control.Config.make ~cores:4 ~platform ~fuse () in
-  Control.run cfg bench.B.pipeline (B.frames bench)
+  let cfg = Runtime.Config.make ~cores:4 ~platform ~fuse () in
+  Runtime.run cfg bench.B.pipeline (B.frames bench)
 
 let test_fusion_counter_semantics () =
   List.iter
     (fun fuse ->
       let r = fusion_run ~fuse in
-      let reg = r.Control.registry in
-      Alcotest.(check int) "smc.switches = dp switch pairs" r.Control.dp_stats.D.switch_pairs
+      let reg = r.Runtime.registry in
+      Alcotest.(check int) "smc.switches = dp switch pairs" r.Runtime.dp_stats.D.switch_pairs
         (Metrics.find_counter reg "smc.switches");
       Alcotest.(check int) "audit.bytes = uploaded payload bytes"
         (List.fold_left
            (fun acc (b : Sbt_attest.Log.batch) -> acc + Bytes.length b.Sbt_attest.Log.payload)
-           0 r.Control.audit)
+           0 r.Runtime.audit)
         (Metrics.find_counter reg "audit.bytes"))
     [ false; true ]
 
@@ -645,21 +645,21 @@ let test_fusion_counters_shrink () =
   (* On the 5-stage FPS chain, fusion must reduce both counters while the
      sealed results stay byte-identical. *)
   let off = fusion_run ~fuse:false and on = fusion_run ~fuse:true in
-  let c r name = Metrics.find_counter r.Control.registry name in
+  let c r name = Metrics.find_counter r.Runtime.registry name in
   Alcotest.(check bool) "fewer switches" true (c on "smc.switches" < c off "smc.switches");
   Alcotest.(check bool) "less audit volume" true (c on "audit.bytes" < c off "audit.bytes");
-  Alcotest.(check bool) "results identical" true (off.Control.results = on.Control.results)
+  Alcotest.(check bool) "results identical" true (off.Runtime.results = on.Runtime.results)
 
 (* --- clean-run metrics -------------------------------------------------------- *)
 
 let test_clean_run_counters () =
   let _, r = det_run () in
-  let reg = r.Control.registry in
+  let reg = r.Runtime.registry in
   Alcotest.(check int) "no gaps" 0 (Metrics.find_counter reg "control.gaps_declared");
   Alcotest.(check int) "no drops" 0 (Metrics.find_counter reg "control.batches_dropped");
   Alcotest.(check int) "8 frames" 8 (Metrics.find_counter reg "control.frames");
   Alcotest.(check int) "2 closes" 2 (Metrics.find_counter reg "control.windows_closed");
-  let tee = Metrics.decode_snapshot r.Control.tee_metrics in
+  let tee = Metrics.decode_snapshot r.Runtime.tee_metrics in
   let events =
     List.find_map
       (function
@@ -667,7 +667,7 @@ let test_clean_run_counters () =
       tee
     |> Option.get
   in
-  Alcotest.(check int) "tee counted every event" r.Control.total_events events;
+  Alcotest.(check int) "tee counted every event" r.Runtime.total_events events;
   (* The batch-size histogram saw one observation per ingested frame. *)
   let batch_count =
     List.find_map
@@ -684,8 +684,7 @@ let test_clean_run_counters () =
 let test_tenant_scoped_registries () =
   let module Multi = Sbt_core.Multi in
   let module Runtime = Sbt_core.Runtime in
-  let cost = { Sbt_tz.Cost_model.default with Sbt_tz.Cost_model.host_scale = 0.0 } in
-  let cfg = Runtime.Config.make ~cores:4 ~cost () in
+  let cfg = Runtime.Config.make ~cores:4 ~deterministic:true () in
   let tenant id =
     let b = B.win_sum ~windows:2 ~events_per_window:2_000 ~batch_events:500 () in
     { Multi.id; pipeline = b.B.pipeline; source = B.frames b; quota_pages = None }

@@ -4,7 +4,7 @@
 
 module D = Sbt_core.Dataplane
 module Pipeline = Sbt_core.Pipeline
-module Control = Sbt_core.Control
+module Runtime = Sbt_core.Runtime
 module Datagen = Sbt_workloads.Datagen
 module Frame = Sbt_net.Frame
 module V = Sbt_attest.Verifier
@@ -12,11 +12,11 @@ module V = Sbt_attest.Verifier
 let egress_key = Bytes.of_string "sbt-egress-key16"
 
 let run_pipeline pipe frames =
-  let cfg = Control.default_config () in
-  Control.run cfg pipe frames
+  let cfg = Runtime.Config.make () in
+  Runtime.run cfg pipe frames
 
-let result_rows (r : Control.run_result) w =
-  match List.assoc_opt w r.Control.results with
+let result_rows (r : Runtime.run_result) w =
+  match List.assoc_opt w r.Runtime.results with
   | Some sealed ->
       D.open_result ~egress_key sealed
       |> Array.to_list
@@ -73,10 +73,10 @@ let check_keyed_pipeline name pipe expected_of_group () =
         (result_rows r w))
     windows;
   let records =
-    List.concat_map (fun b -> Sbt_attest.Log.open_batch ~key:egress_key b) r.Control.audit
+    List.concat_map (fun b -> Sbt_attest.Log.open_batch ~key:egress_key b) r.Runtime.audit
   in
   Alcotest.(check bool) (name ^ " verifies") true
-    (V.ok (V.verify r.Control.verifier_spec records))
+    (V.ok (V.verify r.Runtime.verifier_spec records))
 
 let test_sum_per_key =
   check_keyed_pipeline "sum_per_key" (Pipeline.sum_per_key ()) (fun vs -> List.fold_left ( + ) 0 vs)
@@ -134,7 +134,7 @@ let test_sliding_win_sum () =
   let r = run_pipeline pipe frames in
   let events = events_of_frames frames in
   (* 4 slide periods, so complete windows are 0..2. *)
-  Alcotest.(check int) "three complete windows" 3 (List.length r.Control.results);
+  Alcotest.(check int) "three complete windows" 3 (List.length r.Runtime.results);
   List.iter
     (fun w ->
       let expected =
@@ -145,7 +145,7 @@ let test_sliding_win_sum () =
             else acc)
           0L events
       in
-      match List.assoc_opt w r.Control.results with
+      match List.assoc_opt w r.Runtime.results with
       | None -> Alcotest.failf "missing window %d" w
       | Some sealed ->
           let rows = D.open_result ~egress_key sealed in
@@ -158,9 +158,9 @@ let test_sliding_win_sum () =
     [ 0; 1; 2 ];
   (* The audit stream of a sliding pipeline still verifies. *)
   let records =
-    List.concat_map (fun b -> Sbt_attest.Log.open_batch ~key:egress_key b) r.Control.audit
+    List.concat_map (fun b -> Sbt_attest.Log.open_batch ~key:egress_key b) r.Runtime.audit
   in
-  Alcotest.(check bool) "verifies" true (V.ok (V.verify r.Control.verifier_spec records))
+  Alcotest.(check bool) "verifies" true (V.ok (V.verify r.Runtime.verifier_spec records))
 
 let test_windows_of_ranges () =
   let check ts expected =
@@ -183,7 +183,7 @@ let test_load_predict_matches_reference () =
   let frames = Sbt_workloads.Benchmarks.frames bench in
   let pipe = Pipeline.load_predict ~alpha_percent:50 () in
   let r = run_pipeline pipe frames in
-  Alcotest.(check int) "four windows" 4 (List.length r.Control.results);
+  Alcotest.(check int) "four windows" 4 (List.length r.Runtime.results);
   (* Reference: per window, avg per plug -> per house avg of plug-averages
      (truncating integer division, matching the primitives), then EWMA
      with alpha = 50%. *)
@@ -241,9 +241,9 @@ let test_load_predict_matches_reference () =
   done;
   (* The stateful run still verifies: state flows forward across windows. *)
   let records =
-    List.concat_map (fun b -> Sbt_attest.Log.open_batch ~key:egress_key b) r.Control.audit
+    List.concat_map (fun b -> Sbt_attest.Log.open_batch ~key:egress_key b) r.Runtime.audit
   in
-  let report = V.verify r.Control.verifier_spec records in
+  let report = V.verify r.Runtime.verifier_spec records in
   if not (V.ok report) then
     Alcotest.failf "stateful run rejected: %s" (Format.asprintf "%a" V.pp_report report)
 
@@ -279,9 +279,9 @@ let test_late_data_detected () =
   in
   let r = run_pipeline (Pipeline.win_sum ()) frames in
   let records =
-    List.concat_map (fun b -> Sbt_attest.Log.open_batch ~key:egress_key b) r.Control.audit
+    List.concat_map (fun b -> Sbt_attest.Log.open_batch ~key:egress_key b) r.Runtime.audit
   in
-  let report = V.verify r.Control.verifier_spec records in
+  let report = V.verify r.Runtime.verifier_spec records in
   Alcotest.(check bool) "late data flagged" false (V.ok report);
   Alcotest.(check bool) "as unprocessed window data" true
     (List.exists
@@ -308,11 +308,11 @@ let prop_random_workloads_verify =
       let frames = Datagen.frames spec in
       let r = run_pipeline (Pipeline.sum_per_key ()) frames in
       let records =
-        List.concat_map (fun b -> Sbt_attest.Log.open_batch ~key:egress_key b) r.Control.audit
+        List.concat_map (fun b -> Sbt_attest.Log.open_batch ~key:egress_key b) r.Runtime.audit
       in
-      List.length r.Control.results = windows
-      && V.ok (V.verify r.Control.verifier_spec records)
-      && r.Control.live_refs_after = 0)
+      List.length r.Runtime.results = windows
+      && V.ok (V.verify r.Runtime.verifier_spec records)
+      && r.Runtime.live_refs_after = 0)
 
 (* Property: hints on vs off never change results, only memory. *)
 let prop_hints_do_not_change_results =
@@ -322,9 +322,9 @@ let prop_hints_do_not_change_results =
       let spec = small_spec ~seed:(Int64.of_int (1000 + salt)) () in
       let frames = Datagen.frames spec in
       let run hints_enabled alloc_mode =
-        let cfg = Control.Config.make ~cores:8 ~alloc_mode ~hints_enabled () in
-        let r = Control.run cfg (Pipeline.distinct ()) frames in
-        List.map (fun (w, s) -> (w, D.open_result ~egress_key s)) r.Control.results
+        let cfg = Runtime.Config.make ~cores:8 ~alloc_mode ~hints_enabled () in
+        let r = Runtime.run cfg (Pipeline.distinct ()) frames in
+        List.map (fun (w, s) -> (w, D.open_result ~egress_key s)) r.Runtime.results
         |> List.sort compare
       in
       run true Sbt_umem.Allocator.Hint_guided = run false Sbt_umem.Allocator.Producer_grouping)

@@ -100,8 +100,7 @@ let test_dataplane_restore_rejects () =
 (* --- supervised runs -------------------------------------------------------- *)
 
 let det_cfg ?(fault_plan = Fault.none) () =
-  let cost = { Sbt_tz.Cost_model.default with Sbt_tz.Cost_model.host_scale = 0.0 } in
-  Runtime.Config.make ~cores:4 ~cost ~fault_plan ()
+  Runtime.Config.make ~cores:4 ~deterministic:true ~fault_plan ()
 
 let supervised_observables (s : Runtime.supervised) =
   ( s.Runtime.sv_results,
@@ -195,6 +194,34 @@ let test_restart_budget_exhausted () =
   | exception Runtime.Crashed { site; _ } ->
       Alcotest.(check string) "crash site" "crash-control" (Fault.site_name site)
 
+(* A checkpoint carries no late-data bookkeeping and no session-window
+   table, so both checkpointed entry points refuse a non-silent late
+   policy and a session-gap pipeline up front instead of recording a run
+   whose resumed boots could not reproduce them. *)
+let test_checkpoint_rejects_uncarried_state () =
+  let bench = B.vitals ~windows:2 ~events_per_window:1_000 ~batch_events:250 ~encrypted:false () in
+  let frames = B.frames bench in
+  let rejected =
+    Invalid_argument
+      "Runtime: checkpointed runs need the silent late policy and fixed windows (a checkpoint \
+       carries no late-data or session-window state)"
+  in
+  let sessions = Sbt_core.Pipeline.with_session_gap bench.B.pipeline ~gap_ticks:400 in
+  List.iter
+    (fun (what, late_policy, pipeline) ->
+      let cfg = Runtime.Config.make ~cores:4 ~deterministic:true ~late_policy () in
+      Alcotest.check_raises ("run_supervised: " ^ what) rejected (fun () ->
+          ignore (Runtime.run_supervised ~ckpt_every:1 cfg pipeline frames));
+      Alcotest.check_raises ("Fleet.run: " ^ what) rejected (fun () ->
+          ignore
+            (Sbt_fleet.Fleet.run ~scenario:(Fault.fleet_none ~suspect_after:2) ~nodes:2
+               ~batch_events:250 cfg pipeline frames)))
+    [
+      ("drop-declare", D.Drop_declare, bench.B.pipeline);
+      ("retract-reemit", D.Retract_reemit, bench.B.pipeline);
+      ("session gap", D.Silent, sessions);
+    ]
+
 (* --- the normal-world checkpoint store -------------------------------------- *)
 
 let test_store_latest_and_rollback () =
@@ -259,6 +286,8 @@ let () =
           Alcotest.test_case "control crash recovers" `Quick test_crash_recovers_deterministic;
           Alcotest.test_case "reboot crash recovers" `Quick test_reboot_after_checkpoint_recovers;
           Alcotest.test_case "restart budget" `Quick test_restart_budget_exhausted;
+          Alcotest.test_case "checkpoint rejects uncarried state" `Quick
+            test_checkpoint_rejects_uncarried_state;
         ] );
       ( "store",
         [

@@ -4,7 +4,7 @@
    isolation (an over-budget tenant degrades alone), in-TEE rejection of
    cross-tenant opaque refs, per-tenant verifier independence (one bad
    tenant cannot poison the others' verdicts), and the 1-tenant Session
-   special case collapsing to the historical Runtime.run. *)
+   special case collapsing to Runtime.run. *)
 
 module D = Sbt_core.Dataplane
 module Runtime = Sbt_core.Runtime
@@ -20,8 +20,7 @@ module Frame = Sbt_net.Frame
 (* Deterministic cost model (host_scale = 0) so recordings are
    byte-reproducible and structural equality is meaningful. *)
 let det_cfg ?(cores = 4) () =
-  let cost = { Sbt_tz.Cost_model.default with Sbt_tz.Cost_model.host_scale = 0.0 } in
-  Runtime.Config.make ~cores ~cost ()
+  Runtime.Config.make ~cores ~deterministic:true ()
 
 let mk_tenant ?quota_pages ?(windows = 2) ?(events_per_window = 2_000) ?(batch = 500) ~id off =
   let b =

@@ -5,7 +5,7 @@ module D = Sbt_core.Dataplane
 module Udf = Sbt_core.Udf
 module Quote = Sbt_attest.Quote
 module Pipeline = Sbt_core.Pipeline
-module Control = Sbt_core.Control
+module Runtime = Sbt_core.Runtime
 
 let egress_key = Bytes.of_string "sbt-egress-key16"
 
@@ -29,7 +29,7 @@ let test_fingerprint_distinguishes () =
     (fp double.Udf.body = fp evens.Udf.body);
   Alcotest.(check bool) "same body stable" true (fp double.Udf.body = fp double.Udf.body)
 
-let mk_dp () = D.create (D.default_config ~version:D.Clear_ingress ~secure_mb:64 ())
+let mk_dp () = D.create (D.Config.make ~version:D.Clear_ingress ~secure_mb:64 ())
 
 let ingest dp rows =
   let payload =
@@ -136,19 +136,19 @@ let test_union_pipeline () =
     }
   in
   let frames = Sbt_workloads.Datagen.frames spec in
-  let cfg = Control.default_config () in
-  let r = Control.run cfg (Pipeline.union_count ()) frames in
-  Alcotest.(check int) "two windows" 2 (List.length r.Control.results);
+  let cfg = Runtime.Config.make () in
+  let r = Runtime.run cfg (Pipeline.union_count ()) frames in
+  Alcotest.(check int) "two windows" 2 (List.length r.Runtime.results);
   List.iter
     (fun (_, sealed) ->
       let rows = D.open_result ~egress_key sealed in
       Alcotest.(check int32) "union counts both streams" 2000l rows.(0).(0))
-    r.Control.results;
+    r.Runtime.results;
   let records =
-    List.concat_map (fun b -> Sbt_attest.Log.open_batch ~key:egress_key b) r.Control.audit
+    List.concat_map (fun b -> Sbt_attest.Log.open_batch ~key:egress_key b) r.Runtime.audit
   in
   Alcotest.(check bool) "verifies" true
-    (Sbt_attest.Verifier.ok (Sbt_attest.Verifier.verify r.Control.verifier_spec records))
+    (Sbt_attest.Verifier.ok (Sbt_attest.Verifier.verify r.Runtime.verifier_spec records))
 
 (* --- TEE identity quotes ---------------------------------------------------- *)
 
