@@ -33,24 +33,35 @@ let sbox =
       let b = gf_inv i in
       b lxor rotl8 b 1 lxor rotl8 b 2 lxor rotl8 b 3 lxor rotl8 b 4 lxor 0x63)
 
-let inv_sbox =
-  let t = Array.make 256 0 in
-  Array.iteri (fun i s -> t.(s) <- i) sbox;
-  t
+(* T-tables, derived from the S-box the same way.  A state column is one
+   big-endian 32-bit word; te0.(x) is MixColumns applied to the column
+   (S(x), 0, 0, 0), i.e. the bytes (2·S(x), S(x), S(x), 3·S(x)), and te1,
+   te2, te3 are its rotations for input rows 1-3.  One round of SubBytes,
+   ShiftRows and MixColumns is then four lookups and three XORs per
+   column. *)
+
+let ror8 x = ((x lsr 8) lor (x lsl 24)) land 0xFFFFFFFF
+
+let te0 =
+  Array.map
+    (fun s -> (xtime s lsl 24) lor (s lsl 16) lor (s lsl 8) lor (xtime s lxor s))
+    sbox
+
+let te1 = Array.map ror8 te0
+let te2 = Array.map ror8 te1
+let te3 = Array.map ror8 te2
 
 let rcon = [| 0x01; 0x02; 0x04; 0x08; 0x10; 0x20; 0x40; 0x80; 0x1B; 0x36 |]
 
 type key = { rk : int array (* 44 words, big-endian per FIPS-197 *) }
 
+let get32 b off = Int32.to_int (Bytes.get_int32_be b off) land 0xFFFFFFFF
+
 let expand_key raw =
   if Bytes.length raw <> 16 then invalid_arg "Aes.expand_key: key must be 16 bytes";
   let w = Array.make 44 0 in
   for i = 0 to 3 do
-    w.(i) <-
-      (Char.code (Bytes.get raw (4 * i)) lsl 24)
-      lor (Char.code (Bytes.get raw ((4 * i) + 1)) lsl 16)
-      lor (Char.code (Bytes.get raw ((4 * i) + 2)) lsl 8)
-      lor Char.code (Bytes.get raw ((4 * i) + 3))
+    w.(i) <- get32 raw (4 * i)
   done;
   let sub_word x =
     (sbox.((x lsr 24) land 0xFF) lsl 24)
@@ -66,89 +77,34 @@ let expand_key raw =
   done;
   { rk = w }
 
-(* State is kept as 16 ints in column-major order (s.(4*c+r)). *)
+(* Every lookup index is masked to one byte, so the unchecked reads stay
+   inside the 256-entry tables. *)
+let t (tbl : int array) x = Array.unsafe_get tbl (x land 0xFF)
 
-let add_round_key st rk round =
-  for c = 0 to 3 do
-    let w = rk.((4 * round) + c) in
-    st.(4 * c) <- st.(4 * c) lxor ((w lsr 24) land 0xFF);
-    st.((4 * c) + 1) <- st.((4 * c) + 1) lxor ((w lsr 16) land 0xFF);
-    st.((4 * c) + 2) <- st.((4 * c) + 2) lxor ((w lsr 8) land 0xFF);
-    st.((4 * c) + 3) <- st.((4 * c) + 3) lxor (w land 0xFF)
-  done
+(* Round-key indices are constants below 44, the length of every schedule
+   [expand_key] builds. *)
+let rk_word (rk : int array) i = Array.unsafe_get rk i
 
-let sub_bytes st = for i = 0 to 15 do st.(i) <- sbox.(st.(i)) done
-let inv_sub_bytes st = for i = 0 to 15 do st.(i) <- inv_sbox.(st.(i)) done
-
-let shift_rows st =
-  (* Row r rotates left by r; indices are 4*c+r. *)
-  let t = st.(1) in
-  st.(1) <- st.(5); st.(5) <- st.(9); st.(9) <- st.(13); st.(13) <- t;
-  let a = st.(2) and b = st.(6) in
-  st.(2) <- st.(10); st.(6) <- st.(14); st.(10) <- a; st.(14) <- b;
-  let t = st.(15) in
-  st.(15) <- st.(11); st.(11) <- st.(7); st.(7) <- st.(3); st.(3) <- t
-
-let inv_shift_rows st =
-  let t = st.(13) in
-  st.(13) <- st.(9); st.(9) <- st.(5); st.(5) <- st.(1); st.(1) <- t;
-  let a = st.(2) and b = st.(6) in
-  st.(2) <- st.(10); st.(6) <- st.(14); st.(10) <- a; st.(14) <- b;
-  let t = st.(3) in
-  st.(3) <- st.(7); st.(7) <- st.(11); st.(11) <- st.(15); st.(15) <- t
-
-let mix_columns st =
-  for c = 0 to 3 do
-    let i = 4 * c in
-    let a0 = st.(i) and a1 = st.(i + 1) and a2 = st.(i + 2) and a3 = st.(i + 3) in
-    st.(i) <- xtime a0 lxor (xtime a1 lxor a1) lxor a2 lxor a3;
-    st.(i + 1) <- a0 lxor xtime a1 lxor (xtime a2 lxor a2) lxor a3;
-    st.(i + 2) <- a0 lxor a1 lxor xtime a2 lxor (xtime a3 lxor a3);
-    st.(i + 3) <- (xtime a0 lxor a0) lxor a1 lxor a2 lxor xtime a3
-  done
-
-let inv_mix_columns st =
-  for c = 0 to 3 do
-    let i = 4 * c in
-    let a0 = st.(i) and a1 = st.(i + 1) and a2 = st.(i + 2) and a3 = st.(i + 3) in
-    st.(i) <- gf_mul a0 0x0E lxor gf_mul a1 0x0B lxor gf_mul a2 0x0D lxor gf_mul a3 0x09;
-    st.(i + 1) <- gf_mul a0 0x09 lxor gf_mul a1 0x0E lxor gf_mul a2 0x0B lxor gf_mul a3 0x0D;
-    st.(i + 2) <- gf_mul a0 0x0D lxor gf_mul a1 0x09 lxor gf_mul a2 0x0E lxor gf_mul a3 0x0B;
-    st.(i + 3) <- gf_mul a0 0x0B lxor gf_mul a1 0x0D lxor gf_mul a2 0x09 lxor gf_mul a3 0x0E
-  done
-
-let load st src soff =
-  for i = 0 to 15 do st.(i) <- Char.code (Bytes.get src (soff + i)) done
-
-let store st dst doff =
-  for i = 0 to 15 do Bytes.set dst (doff + i) (Char.unsafe_chr st.(i)) done
+(* Last round: SubBytes and ShiftRows only, no MixColumns. *)
+let last_round rk k a b c d =
+  (t sbox (a lsr 24) lsl 24) lor (t sbox (b lsr 16) lsl 16) lor (t sbox (c lsr 8) lsl 8) lor t sbox d
+  lxor rk_word rk k
 
 let encrypt_block key src soff dst doff =
-  let st = Array.make 16 0 in
-  load st src soff;
-  add_round_key st key.rk 0;
+  let rk = key.rk in
+  let s0 = ref (get32 src soff lxor rk_word rk 0) in
+  let s1 = ref (get32 src (soff + 4) lxor rk_word rk 1) in
+  let s2 = ref (get32 src (soff + 8) lxor rk_word rk 2) in
+  let s3 = ref (get32 src (soff + 12) lxor rk_word rk 3) in
   for round = 1 to 9 do
-    sub_bytes st;
-    shift_rows st;
-    mix_columns st;
-    add_round_key st key.rk round
+    let a = !s0 and b = !s1 and c = !s2 and d = !s3 and k = 4 * round in
+    s0 := t te0 (a lsr 24) lxor t te1 (b lsr 16) lxor t te2 (c lsr 8) lxor t te3 d lxor rk_word rk k;
+    s1 := t te0 (b lsr 24) lxor t te1 (c lsr 16) lxor t te2 (d lsr 8) lxor t te3 a lxor rk_word rk (k + 1);
+    s2 := t te0 (c lsr 24) lxor t te1 (d lsr 16) lxor t te2 (a lsr 8) lxor t te3 b lxor rk_word rk (k + 2);
+    s3 := t te0 (d lsr 24) lxor t te1 (a lsr 16) lxor t te2 (b lsr 8) lxor t te3 c lxor rk_word rk (k + 3)
   done;
-  sub_bytes st;
-  shift_rows st;
-  add_round_key st key.rk 10;
-  store st dst doff
-
-let decrypt_block key src soff dst doff =
-  let st = Array.make 16 0 in
-  load st src soff;
-  add_round_key st key.rk 10;
-  for round = 9 downto 1 do
-    inv_shift_rows st;
-    inv_sub_bytes st;
-    add_round_key st key.rk round;
-    inv_mix_columns st
-  done;
-  inv_shift_rows st;
-  inv_sub_bytes st;
-  add_round_key st key.rk 0;
-  store st dst doff
+  let a = !s0 and b = !s1 and c = !s2 and d = !s3 in
+  Bytes.set_int32_be dst doff (Int32.of_int (last_round rk 40 a b c d));
+  Bytes.set_int32_be dst (doff + 4) (Int32.of_int (last_round rk 41 b c d a));
+  Bytes.set_int32_be dst (doff + 8) (Int32.of_int (last_round rk 42 c d a b));
+  Bytes.set_int32_be dst (doff + 12) (Int32.of_int (last_round rk 43 d a b c))

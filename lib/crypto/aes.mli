@@ -1,9 +1,12 @@
-(** AES-128 block cipher (FIPS-197), from scratch.
+(** AES-128 block cipher (FIPS-197), from scratch, encryption only.
 
-    Used by the engine for ingress decryption and egress encryption (in CTR
-    mode, see {!Ctr}).  The implementation is table-based: one S-box lookup
-    table plus on-the-fly MixColumns, which keeps the code small — the paper
-    counts crypto inside the data-plane TCB, so we keep it lean too. *)
+    Used by the engine for ingress decryption and egress encryption in CTR
+    mode (see {!Ctr}), which only ever runs the forward cipher.  The state
+    is four big-endian 32-bit column words; each of the nine full rounds is
+    sixteen lookups into four 1 KB T-tables derived from the S-box at
+    module initialization, and the last round uses the S-box alone.  The
+    paper counts crypto inside the data-plane TCB, so the tables are
+    derived rather than embedded and there is no inverse cipher. *)
 
 type key
 (** Expanded 128-bit key schedule (11 round keys). *)
@@ -15,9 +18,6 @@ val expand_key : bytes -> key
 val encrypt_block : key -> bytes -> int -> bytes -> int -> unit
 (** [encrypt_block k src soff dst doff] encrypts the 16-byte block at
     [src+soff] into [dst+doff].  [src] and [dst] may be the same buffer. *)
-
-val decrypt_block : key -> bytes -> int -> bytes -> int -> unit
-(** Inverse cipher of {!encrypt_block}. *)
 
 val block_size : int
 (** 16. *)

@@ -15,7 +15,9 @@ val create : key:bytes -> nonce:int64 -> t
 val xcrypt : t -> pos:int64 -> bytes -> int -> int -> unit
 (** [xcrypt t ~pos buf off len] en/decrypts [len] bytes of [buf] in place,
     treating [pos] as the absolute byte offset within the stream (so
-    batches can be processed independently and out of order). *)
+    batches can be processed independently and out of order).  Byte
+    [pos] of the stream lies in counter block [pos asr 4].  Raises
+    [Invalid_argument] if the range is outside [buf]. *)
 
 val xcrypt_bytes : key:bytes -> nonce:int64 -> bytes -> bytes
 (** One-shot convenience: fresh stream, position 0, returns a copy. *)

@@ -4,7 +4,8 @@
     checks on uploaded audit-record batches. *)
 
 type ctx
-(** Incremental hashing context. *)
+(** Incremental hashing context.  A context owns all of its scratch state,
+    so distinct contexts may be used from different domains at once. *)
 
 val init : unit -> ctx
 val update : ctx -> bytes -> int -> int -> unit

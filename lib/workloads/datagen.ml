@@ -61,16 +61,20 @@ let frames spec =
   if spec.windows <= 0 || spec.events_per_window <= 0 then invalid_arg "Datagen.frames";
   let rng = Rng.create ~seed:spec.seed in
   let n = total_events spec in
+  (* Event times advance uniformly within the window. *)
+  let ts_of idx =
+    let w = idx / spec.events_per_window and i = idx mod spec.events_per_window in
+    (w * spec.window_ticks) + (i * spec.window_ticks / spec.events_per_window)
+  in
+  let stream_of idx = if spec.streams = 1 then 0 else idx mod spec.events_per_window mod spec.streams in
   (* Pass 1: source order.  Records consume the RNG in generation order,
      so a disorder plan only permutes delivery — every record's bytes are
      identical to the in-order run's. *)
-  let evs =
+  let delayed = ref false in
+  let arrival = Array.make n 0 in
+  let records =
     Array.init n (fun idx ->
-        let w = idx / spec.events_per_window in
-        let i = idx mod spec.events_per_window in
-        (* Event times advance uniformly within the window. *)
-        let ts = (w * spec.window_ticks) + (i * spec.window_ticks / spec.events_per_window) in
-        let stream = if spec.streams = 1 then 0 else i mod spec.streams in
+        let ts = ts_of idx and stream = stream_of idx in
         let record = spec.gen_record rng ~ts:(Int32.of_int ts) in
         let lateness =
           if Fault.delays_event spec.disorder ~stream ~seq:idx then
@@ -78,18 +82,20 @@ let frames spec =
               ~max:spec.max_lateness_ticks
           else 0
         in
-        (ts + lateness, idx, ts, stream, record))
+        if lateness > 0 then delayed := true;
+        arrival.(idx) <- ts + lateness;
+        record)
   in
-  (* Arrival order; ties break on generation index, so zero disorder is
-     the identity permutation. *)
-  Array.sort
-    (fun (a, ia, _, _, _) (b, ib, _, _, _) -> compare (a, ia) (b, ib))
-    evs;
+  (* Delivery order: by arrival tick, ties in generation order (the sort
+     is stable).  Event times never decrease with the generation index,
+     so with nothing delayed the order is the identity and the sort is
+     skipped. *)
+  let order = Array.init n Fun.id in
+  if !delayed then Array.stable_sort (fun a b -> Int.compare arrival.(a) arrival.(b)) order;
   (* Punctuation needs "smallest event time still undelivered". *)
   let suffix_min = Array.make (n + 1) max_int in
   for pos = n - 1 downto 0 do
-    let _, _, ts, _, _ = evs.(pos) in
-    suffix_min.(pos) <- min ts suffix_min.(pos + 1)
+    suffix_min.(pos) <- min (ts_of order.(pos)) suffix_min.(pos + 1)
   done;
   let out = ref [] in
   let states = Array.init spec.streams (fun _ -> { buffer = []; buffered = 0; windows_touched = []; seq = 0 }) in
@@ -98,8 +104,8 @@ let frames spec =
   let max_ts_seen = ref (-1) in
   let flush stream st =
     if st.buffered > 0 then begin
-      let records = Array.of_list (List.rev st.buffer) in
-      let payload = Frame.pack_events ~width:spec.schema.Sbt_core.Event.width records in
+      let batch = Array.of_list (List.rev st.buffer) in
+      let payload = Frame.pack_events ~width:spec.schema.Sbt_core.Event.width batch in
       let frame =
         Frame.Events
           {
@@ -135,17 +141,18 @@ let frames spec =
     last_wm := Some value
   in
   Array.iteri
-    (fun pos (_, _, ts, stream, record) ->
+    (fun pos idx ->
+      let ts = ts_of idx in
       if ts > !max_ts_seen then max_ts_seen := ts;
-      let st = states.(stream) in
-      st.buffer <- record :: st.buffer;
+      let st = states.(stream_of idx) in
+      st.buffer <- records.(idx) :: st.buffer;
       st.buffered <- st.buffered + 1;
       let size = Option.value ~default:spec.window_ticks spec.window_span_ticks in
       let lo, hi = Sbt_prim.Segment.windows_of ~ts ~size ~slide:spec.window_ticks in
       for wi = lo to hi do
         if not (List.mem wi st.windows_touched) then st.windows_touched <- wi :: st.windows_touched
       done;
-      if st.buffered >= spec.batch_events then flush stream st;
+      if st.buffered >= spec.batch_events then flush (stream_of idx) st;
       (* One watermark per window's worth of deliveries — the in-order
          cadence, whatever the permutation did. *)
       if (pos + 1) mod spec.events_per_window = 0 then begin
@@ -161,7 +168,7 @@ let frames spec =
                lateness exceeds [bound]. *)
             emit_watermark (max 0 (!max_ts_seen - bound))
       end)
-    evs;
+    order;
   (* The source closing the stream is itself punctuation: everything has
      been delivered, so the final watermark is exact under either
      strategy. *)

@@ -1,6 +1,7 @@
 (* Tests for the from-scratch crypto substrate: AES-128 against FIPS-197
-   vectors, SHA-256 against FIPS 180-4 vectors, HMAC against RFC 4231,
-   CTR-mode algebraic properties, and PRNG behaviour. *)
+   vectors and a byte-wise reference cipher ([Aes_reference]), SHA-256
+   against FIPS 180-4 vectors, HMAC against RFC 4231, CTR-mode algebraic
+   properties, and PRNG behaviour. *)
 
 module Aes = Sbt_crypto.Aes
 module Ctr = Sbt_crypto.Ctr
@@ -27,7 +28,7 @@ let test_aes_fips_vector () =
   Aes.encrypt_block key pt 0 ct 0;
   check_hex "ciphertext" "69c4e0d86a7b0430d8cdb78070b4c55a" (hex_of ct);
   let back = Bytes.create 16 in
-  Aes.decrypt_block key ct 0 back 0;
+  Aes_reference.decrypt_block (bytes_of_hex "000102030405060708090a0b0c0d0e0f") ct 0 back 0;
   check_hex "decrypted" (hex_of pt) (hex_of back)
 
 let test_aes_appendix_b () =
@@ -38,30 +39,47 @@ let test_aes_appendix_b () =
   Aes.encrypt_block key pt 0 ct 0;
   check_hex "ciphertext" "3925841d02dc09fbdc118597196a0b32" (hex_of ct)
 
+(* The library has no inverse cipher; the reference's inverts its output. *)
 let test_aes_offset_io () =
-  let key = Aes.expand_key (Bytes.make 16 'k') in
+  let raw = Bytes.make 16 'k' in
   let buf = Bytes.make 48 '\000' in
   Bytes.blit (Bytes.of_string "0123456789abcdef") 0 buf 16 16;
-  Aes.encrypt_block key buf 16 buf 16;
+  Aes.encrypt_block (Aes.expand_key raw) buf 16 buf 16;
   let out = Bytes.create 16 in
-  Aes.decrypt_block key buf 16 out 0;
+  Aes_reference.decrypt_block raw buf 16 out 0;
   Alcotest.(check string) "in-place at offset" "0123456789abcdef" (Bytes.to_string out)
 
 let test_aes_bad_key () =
   Alcotest.check_raises "short key" (Invalid_argument "Aes.expand_key: key must be 16 bytes")
     (fun () -> ignore (Aes.expand_key (Bytes.create 8)))
 
+let block16 = QCheck.string_of_size (QCheck.Gen.return 16)
+
 let prop_aes_roundtrip =
-  QCheck.Test.make ~name:"aes encrypt/decrypt roundtrip" ~count:200
-    (QCheck.pair (QCheck.string_of_size (QCheck.Gen.return 16))
-       (QCheck.string_of_size (QCheck.Gen.return 16)))
+  QCheck.Test.make ~name:"aes encrypt/decrypt roundtrip" ~count:200 (QCheck.pair block16 block16)
     (fun (k, p) ->
-      let key = Aes.expand_key (Bytes.of_string k) in
+      let raw = Bytes.of_string k in
       let ct = Bytes.create 16 in
-      Aes.encrypt_block key (Bytes.of_string p) 0 ct 0;
+      Aes.encrypt_block (Aes.expand_key raw) (Bytes.of_string p) 0 ct 0;
       let back = Bytes.create 16 in
-      Aes.decrypt_block key ct 0 back 0;
+      Aes_reference.decrypt_block raw ct 0 back 0;
       Bytes.to_string back = p)
+
+(* In place at an offset inside a larger buffer, against the reference
+   computed out of place. *)
+let prop_aes_matches_reference =
+  QCheck.Test.make ~name:"t-table equals byte-wise reference" ~count:500
+    (QCheck.triple block16 block16 (QCheck.int_bound 16))
+    (fun (k, p, off) ->
+      let key = Bytes.of_string k in
+      let expected = Bytes.create 16 in
+      Aes_reference.encrypt_block key (Bytes.of_string p) 0 expected 0;
+      let buf = Bytes.make 48 '\xa5' in
+      Bytes.blit_string p 0 buf off 16;
+      Aes.encrypt_block (Aes.expand_key key) buf off buf off;
+      Bytes.equal (Bytes.sub buf off 16) expected
+      && Bytes.for_all (( = ) '\xa5') (Bytes.sub buf 0 off)
+      && Bytes.for_all (( = ) '\xa5') (Bytes.sub buf (off + 16) (32 - off)))
 
 (* --- CTR -------------------------------------------------------------- *)
 
@@ -100,6 +118,21 @@ let prop_ctr_roundtrip =
       let ct = Ctr.xcrypt_bytes ~key ~nonce:99L (Bytes.of_string s) in
       Bytes.to_string (Ctr.xcrypt_bytes ~key ~nonce:99L ct) = s)
 
+(* A random stream position (0-100) and length, at a random buffer
+   offset, so partial head and tail blocks and unaligned words are all
+   covered; bytes outside the range must stay untouched. *)
+let prop_ctr_matches_reference =
+  QCheck.Test.make ~name:"ctr equals byte-wise reference" ~count:300
+    QCheck.(quad block16 int64 (pair (int_bound 100) (int_bound 7)) (string_of_size Gen.(0 -- 300)))
+    (fun (k, nonce, (pos, off), msg) ->
+      let key = Bytes.of_string k and len = String.length msg in
+      let buf = Bytes.make (off + len + 8) '\x5a' in
+      Bytes.blit_string msg 0 buf off len;
+      let expected = Bytes.copy buf in
+      Aes_reference.ctr_xcrypt ~key ~nonce ~pos expected off len;
+      Ctr.xcrypt (Ctr.create ~key ~nonce) ~pos:(Int64.of_int pos) buf off len;
+      Bytes.equal buf expected)
+
 (* --- SHA-256 ----------------------------------------------------------- *)
 
 let test_sha256_vectors () =
@@ -127,6 +160,21 @@ let test_sha256_incremental_equals_oneshot () =
   Sha256.update ctx data 100 1;
   Sha256.update ctx data 101 199;
   check_hex "incremental" (Sha256.digest_hex data) (hex_of (Sha256.finalize ctx))
+
+(* Contexts hashed at the same time on two domains must not share
+   scratch state: each domain hashes 1 MB ten times and every digest must
+   match the sequential one. *)
+let test_sha256_concurrent_contexts () =
+  let data = Bytes.init 1_000_000 (fun i -> Char.chr ((i * 31) land 0xFF)) in
+  let expected = Sha256.digest data in
+  let hash_ten () =
+    List.init 10 (fun _ -> Sha256.digest data)
+    |> List.filter (fun d -> not (Bytes.equal d expected))
+    |> List.length
+  in
+  let other = Domain.spawn hash_ten in
+  let here = hash_ten () in
+  Alcotest.(check int) "wrong digests" 0 (here + Domain.join other)
 
 let prop_sha256_length_invariance =
   QCheck.Test.make ~name:"sha256 split invariance" ~count:100
@@ -230,6 +278,7 @@ let () =
           Alcotest.test_case "offset io" `Quick test_aes_offset_io;
           Alcotest.test_case "bad key rejected" `Quick test_aes_bad_key;
           q prop_aes_roundtrip;
+          q prop_aes_matches_reference;
         ] );
       ( "ctr",
         [
@@ -237,12 +286,14 @@ let () =
           Alcotest.test_case "position independence" `Quick test_ctr_position_independence;
           Alcotest.test_case "nonce separation" `Quick test_ctr_different_nonce_differs;
           q prop_ctr_roundtrip;
+          q prop_ctr_matches_reference;
         ] );
       ( "sha256",
         [
           Alcotest.test_case "fips vectors" `Quick test_sha256_vectors;
           Alcotest.test_case "million a" `Slow test_sha256_million_a;
           Alcotest.test_case "incremental" `Quick test_sha256_incremental_equals_oneshot;
+          Alcotest.test_case "concurrent contexts" `Quick test_sha256_concurrent_contexts;
           q prop_sha256_length_invariance;
         ] );
       ( "hmac",

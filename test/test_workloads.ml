@@ -126,6 +126,72 @@ let test_two_streams () =
   in
   Alcotest.(check (list int)) "both streams present" [ 0; 1 ] streams
 
+(* --- golden frame bytes ------------------------------------------------------ *)
+
+(* A stdlib MD5 over every frame's header fields, payload and MAC.  The
+   expected digests were taken before the word-wise AES-CTR, the native-int
+   SHA-256 and the datagen sort skip, so these cases pin the cipher, the
+   HMAC and the source's event order together. *)
+let frames_digest frames =
+  let b = Buffer.create 65536 in
+  let int n = Buffer.add_string b (string_of_int n); Buffer.add_char b ';' in
+  let blob x = int (Bytes.length x); Buffer.add_bytes b x in
+  List.iter
+    (function
+      | Frame.Events { seq; stream; events; windows; payload; encrypted; mac } ->
+          Buffer.add_char b (if encrypted then 'E' else 'e');
+          List.iter int (seq :: stream :: events :: windows);
+          blob payload;
+          blob mac
+      | Frame.Watermark { seq; value } ->
+          Buffer.add_char b 'W';
+          int seq;
+          int value)
+    frames;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let sealed (b : B.t) = Datagen.frames { b.B.spec with Datagen.seed = 1L; authenticated = true }
+
+let golden_cases =
+  [
+    (* edgebench's taxi-enc source: encrypt-then-MAC, 5,000-event frames *)
+    ( "taxi-enc distinct",
+      "ba1355d0aac8bd90faea0141b1ce17e0",
+      fun () -> sealed (B.distinct ~windows:16 ~events_per_window:10_000 ~batch_events:5_000 ~encrypted:true ()) );
+    (* 777 x 12 bytes: every full frame ends in a partial AES block *)
+    ( "distinct 777-event frames",
+      "5e57a970b3f788e1de49ebd37ad372ee",
+      fun () -> sealed (B.distinct ~windows:4 ~events_per_window:10_000 ~batch_events:777 ~encrypted:true ()) );
+    ( "power",
+      "aba85052d65a9a00d3400d37713c145e",
+      fun () -> B.frames (B.power ~windows:4 ~events_per_window:20_000 ~batch_events:5_000 ()) );
+    (* two streams, so two CTR nonces *)
+    ( "join",
+      "51bbac5708675dacb2f135379804fde1",
+      fun () -> sealed (B.join ~windows:2 ~events_per_window:20_000 ~batch_events:5_000 ~encrypted:true ()) );
+    ( "fps 64-event batches",
+      "33eb512275c5d94615525c7511433256",
+      fun () -> B.frames (B.fps ~windows:2 ~events_per_window:8_000 ~batch_events:64 ()) );
+    ( "20% disorder",
+      "1ed3126bc451433ddf2d22574ae70be6",
+      fun () ->
+        let b = B.vitals ~windows:4 ~events_per_window:5_000 ~batch_events:1_000 ~encrypted:true () in
+        Datagen.frames
+          {
+            b.B.spec with
+            Datagen.disorder = Sbt_fault.Fault.disorder_plan ~seed:42L ~rate:0.2 ();
+            watermark = Datagen.Heuristic 0;
+            authenticated = true;
+          } );
+  ]
+
+let golden_tests =
+  List.map
+    (fun (name, expected, frames) ->
+      Alcotest.test_case name `Quick (fun () ->
+          Alcotest.(check string) "frame digest" expected (frames_digest (frames ()))))
+    golden_cases
+
 (* --- benchmarks ----------------------------------------------------------------- *)
 
 let test_six_benchmarks () =
@@ -197,6 +263,7 @@ let () =
           Alcotest.test_case "encrypted stream" `Quick test_encrypted_stream;
           Alcotest.test_case "two streams" `Quick test_two_streams;
         ] );
+      ("golden", golden_tests);
       ( "benchmarks",
         [
           Alcotest.test_case "six benchmarks" `Quick test_six_benchmarks;
