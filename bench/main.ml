@@ -449,10 +449,9 @@ let fig9_one_batch events =
       D.call dp
         (D.R_invoke
            {
-             op = P.Segment;
+             chain = [ (P.Segment, [ D.P_window_size 1; D.P_ts_field 2 ]) ];
              inputs = [ batch_ref ];
              trigger = None;
-             params = [ D.P_window_size 1; D.P_ts_field 2 ];
              hints = [];
              retire_inputs = true;
            })
@@ -467,10 +466,9 @@ let fig9_one_batch events =
           D.call dp
             (D.R_invoke
                {
-                 op = P.Sort;
+                 chain = [ (P.Sort, [ D.P_key_field 0 ]) ];
                  inputs = [ r ];
                  trigger = None;
-                 params = [ D.P_key_field 0 ];
                  hints = [];
                  retire_inputs = true;
                })
@@ -484,10 +482,9 @@ let fig9_one_batch events =
       D.call dp
         (D.R_invoke
            {
-             op = P.Kway_merge;
+             chain = [ (P.Kway_merge, [ D.P_key_field 0 ]) ];
              inputs = sorted;
              trigger = None;
-             params = [ D.P_key_field 0 ];
              hints = [];
              retire_inputs = true;
            })
@@ -499,10 +496,9 @@ let fig9_one_batch events =
      D.call dp
        (D.R_invoke
           {
-            op = P.Sum_per_key;
+            chain = [ (P.Sum_per_key, [ D.P_key_field 0; D.P_value_field 1 ]) ];
             inputs = [ merged ];
             trigger = None;
-            params = [ D.P_key_field 0; D.P_value_field 1 ];
             hints = [];
             retire_inputs = true;
           })
@@ -1103,64 +1099,43 @@ let fleet_bench () =
   Printf.printf "  wrote %s\n" (Bench_json.path ~section:"fleet" ())
 
 (* ------------------------------------------------------------------ *)
-(* Operator fusion: world switches and audit volume, off vs on (PR 7)    *)
+(* Operator fusion: world switches and audit volume per window        *)
 
 let fusion () =
   section "[fusion] in-TEE operator fusion: SMC switches and audit volume (PR 7)";
   Printf.printf
-    "  FpsChain (5 adjacent per-record stages), fusion collapses the chain to one\n";
+    "  FpsChain (5 adjacent per-record stages) runs as one fused chain: one trusted\n";
   Printf.printf
-    "  trusted entry + one composite audit record per segment; small batches are\n";
-  Printf.printf "  where the switch rate dominates:\n";
-  Printf.printf "  %6s %6s %10s %12s %10s %14s %6s\n" "batch" "fuse" "switches"
-    "switch/win" "audit B" "audit B/win" "same";
+    "  entry + one composite audit record per segment; small batches are where the\n";
+  Printf.printf "  switch rate dominates:\n";
+  Printf.printf "  %6s %10s %12s %10s %14s %9s\n" "batch" "switches" "switch/win" "audit B"
+    "audit B/win" "verified";
   let epw_f = if smoke then 1_000 else 4_000 in
-  let run_one ~batch_events ~fuse =
-    let bench = B.fps ~windows ~events_per_window:epw_f ~batch_events () in
-    let o =
-      Runner.run ~cores_list:[ 8 ] ~target_delay_ms:bench.B.target_delay_ms
-        (Runtime.Config.make ~version:D.Clear_ingress ~deterministic:true ~fuse ())
-        bench.B.pipeline (B.frames bench)
-    in
-    let switches = Sbt_obs.Metrics.find_counter o.Runner.registry "smc.switches" in
-    let audit_bytes = Sbt_obs.Metrics.find_counter o.Runner.registry "audit.bytes" in
-    (o, switches, audit_bytes)
-  in
   List.iter
     (fun batch_events ->
-      let off, off_sw, off_ab = run_one ~batch_events ~fuse:false in
-      let on, on_sw, on_ab = run_one ~batch_events ~fuse:true in
-      let identical = off.Runner.results = on.Runner.results in
-      let emit fuse (o : Runner.outcome) sw ab =
-        Printf.printf "  %6d %6s %10d %12.1f %10d %14.1f %6b\n" batch_events
-          (if fuse then "on" else "off")
-          sw
-          (float_of_int sw /. float_of_int windows)
-          ab
-          (float_of_int ab /. float_of_int windows)
-          identical;
-        ignore
-          (Bench_json.append ~section:"fusion"
-             [
-               ("batch", J.num_of_int batch_events);
-               ("fuse", J.Bool fuse);
-               ("switches", J.num_of_int sw);
-               ("switches_per_window", J.Num (float_of_int sw /. float_of_int windows));
-               ("audit_bytes", J.num_of_int ab);
-               ( "audit_bytes_per_window",
-                 J.Num (float_of_int ab /. float_of_int windows) );
-               ("audit_records", J.num_of_int o.Runner.audit_records);
-               ("verified", J.Bool o.Runner.verified);
-               ("identical_to_unfused", J.Bool identical);
-             ])
+      let bench = B.fps ~windows ~events_per_window:epw_f ~batch_events () in
+      let o =
+        Runner.run ~cores_list:[ 8 ] ~target_delay_ms:bench.B.target_delay_ms
+          (Runtime.Config.make ~version:D.Clear_ingress ~deterministic:true ())
+          bench.B.pipeline (B.frames bench)
       in
-      emit false off off_sw off_ab;
-      emit true on on_sw on_ab;
-      Printf.printf "  %6s switch reduction %.2fx, audit-bytes reduction %.2fx\n" ""
-        (float_of_int off_sw /. float_of_int (max 1 on_sw))
-        (float_of_int off_ab /. float_of_int (max 1 on_ab)))
+      let sw = Sbt_obs.Metrics.find_counter o.Runner.registry "smc.switches" in
+      let ab = Sbt_obs.Metrics.find_counter o.Runner.registry "audit.bytes" in
+      let per_win n = float_of_int n /. float_of_int windows in
+      Printf.printf "  %6d %10d %12.1f %10d %14.1f %9b\n" batch_events sw (per_win sw) ab
+        (per_win ab) o.Runner.verified;
+      ignore
+        (Bench_json.append ~section:"fusion"
+           [
+             ("batch", J.num_of_int batch_events);
+             ("switches", J.num_of_int sw);
+             ("switches_per_window", J.Num (per_win sw));
+             ("audit_bytes", J.num_of_int ab);
+             ("audit_bytes_per_window", J.Num (per_win ab));
+             ("audit_records", J.num_of_int o.Runner.audit_records);
+             ("verified", J.Bool o.Runner.verified);
+           ]))
     [ 16; 64; 256 ];
-  Printf.printf "  (same = sealed per-window results byte-identical, fused vs unfused)\n";
   Printf.printf "  wrote %s\n" (Bench_json.path ~section:"fusion" ())
 
 (* ------------------------------------------------------------------ *)

@@ -13,7 +13,7 @@ module Lossy = Sbt_net.Lossy
 (* --- options ----------------------------------------------------------------
 
    One record holds the whole command line: the flags every mode honours
-   (benchmark, version, sizes, --deterministic, --fuse, --hints), the
+   (benchmark, version, sizes, --deterministic, --hints), the
    flags several modes read, and one group per mode.  Every flag that
    not all modes read is an option, a bool flag or a repeatable list, so
    [validate] can tell a given flag from an absent one. *)
@@ -62,7 +62,6 @@ type opts = {
   epw : int;
   batch : int;
   deterministic : bool;
-  fuse : bool;
   hints : bool;
   verbose : bool;
   audit_out : string option;
@@ -211,7 +210,7 @@ let source o (b : B.t) =
 let config ?fault_plan ?tracer o =
   Runtime.Config.make ~version:o.version
     ?cores:(Option.map (List.fold_left max 1) o.run.cores)
-    ~deterministic:o.deterministic ~hints_enabled:o.hints ~fuse:o.fuse
+    ~deterministic:o.deterministic ~hints_enabled:o.hints
     ?late_policy:o.late_policy ?fault_plan ?tracer ()
 
 let exec_domains o = match o.exec with Some (`Domains n) -> Some n | Some `Des | None -> None
@@ -805,17 +804,6 @@ let opts =
     flag [ "deterministic" ]
       "Zero the cost model's host_scale so recorded costs carry no measured host time: \
        results, audit bytes and verdicts become byte-reproducible across runs and processes"
-  and+ fuse =
-    Arg.(
-      value
-      & opt (enum [ ("on", true); ("off", false) ]) false
-      & info [ "fuse" ]
-          ~doc:
-            "Operator fusion: $(b,on) runs each maximal chain of adjacent per-record batch \
-             stages (Filter/Project/Select/ShiftKey) as one fused super-kernel — one world \
-             switch and one composite audit record per chain instead of one per stage.  \
-             Sealed results, verifier verdicts and loss are byte-identical to $(b,off); \
-             compare switch counts with --verbose")
   and+ hints = Arg.(value & opt bool true & info [ "hints" ] ~doc:"Enable consumption hints")
   and+ verbose = flag [ "verbose" ] "Print data-plane statistics"
   and+ audit_out =
@@ -871,7 +859,7 @@ let opts =
   and+ fleet = fleet_opts
   and+ resilience = resilience_opts
   and+ tenants = tenants_opts in
-  { name; version; windows; epw; batch; deterministic; fuse; hints; verbose; audit_out;
+  { name; version; windows; epw; batch; deterministic; hints; verbose; audit_out;
     results_out; exec; exec_mode; exec_time_scale; disorder; late_policy; session_gap;
     fault_seed; ckpt_every; run; recovery; fleet; resilience; tenants }
 

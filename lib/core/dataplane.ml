@@ -2,6 +2,7 @@ module U = Sbt_umem.Uarray
 module Alloc = Sbt_umem.Allocator
 module Pool = Sbt_umem.Page_pool
 module P = Sbt_prim.Primitive
+module F = Sbt_prim.Fused
 module Tz = Sbt_tz
 
 type version = Full | Clear_ingress | Io_via_os | Insecure
@@ -132,15 +133,7 @@ type request =
       reason : Sbt_attest.Record.gap_reason;
     }
   | R_invoke of {
-      op : P.t;
-      inputs : int64 list;
-      trigger : int option;
-      params : param list;
-      hints : hint list;
-      retire_inputs : bool;
-    }
-  | R_invoke_fused of {
-      steps : Sbt_prim.Fused.step list;
+      chain : (P.t * param list) list;
       inputs : int64 list;
       trigger : int option;
       hints : hint list;
@@ -196,7 +189,7 @@ type capture = {
   cap_op : P.t;
   cap_params : param list;
   cap_inputs : (int * int * U.buf) list; (* width, records, host snapshot *)
-  cap_steps : Sbt_prim.Fused.step list; (* non-empty iff a fused super-kernel *)
+  cap_steps : F.step list; (* non-empty iff a chain of >= 2 steps *)
 }
 
 type t = {
@@ -534,24 +527,51 @@ let snapshot_input ua =
     Bigarray.Array1.blit (Bigarray.Array1.sub (U.raw ua) 0 (n * w)) copy;
   (w, n, copy)
 
-let do_invoke (t : t) ~op ~inputs ~trigger ~params ~hints ~retire_inputs =
+(* How the TEE reads a per-record op's parameters, with the defaults a
+   plain invoke applies.  Each step of a chain is read the same way, so a
+   chain step and a length-1 invoke of the same (op, params) compute the
+   same rows.  No other op may join a chain. *)
+let per_record_step op params =
+  let find f default = Option.value ~default (find_param params f) in
+  let lo = find (function P_lo v -> Some v | _ -> None) in
+  match op with
+  | P.Filter_band ->
+      let hi = find (function P_hi v -> Some v | _ -> None) Int32.max_int in
+      F.F_filter_band { field = value_field params 1; lo = lo Int32.min_int; hi }
+  | P.Select -> F.F_select { field = value_field params 0; value = lo 0l }
+  | P.Project -> (
+      match find_param params (function P_fields f -> Some f | _ -> None) with
+      | Some fields -> F.F_project { fields }
+      | None -> raise (Rejected "project: missing fields"))
+  | P.Shift_key ->
+      let shift = find (function P_shift s -> Some s | _ -> None) 8 in
+      F.F_shift_key { field = key_field params 0; shift }
+  | op -> raise (Rejected (Printf.sprintf "invoke: %s cannot join a chain" (P.name op)))
+
+(* One trusted entry runs a chain of (op, params) steps.  A length-1
+   chain is a plain invoke of any primitive and emits one Execution record
+   (Windowing records for Segment).  A longer chain must be all
+   per-record ops over one input: it runs as one single-pass kernel and
+   emits one composite Fused record.  The chain hash is computed here,
+   in-TEE, so the normal world cannot later present a different
+   composition as the one that ran. *)
+let do_invoke (t : t) ~chain ~inputs ~trigger ~hints ~retire_inputs =
   t.invocations <- t.invocations + 1;
   Sbt_obs.Metrics.incr t.m_invocations;
   List.iter (guard_ref t) inputs;
   let uas = List.map (Opaque.resolve t.refs) inputs in
-  (match t.capture with
-  | Some sink when capture_worthy op ->
-      sink { cap_op = op; cap_params = params; cap_inputs = List.map snapshot_input uas; cap_steps = [] }
-  | _ -> ());
-  let producer = P.to_id op in
+  let producer =
+    match chain with (op, _) :: _ -> P.to_id op | [] -> raise (Rejected "invoke: empty chain")
+  in
   let hint_for i =
     match hints with [] -> None | [ h ] -> Some h | l -> List.nth_opt l i
   in
-  let mk ?(i = 0) ?scope ~width ~capacity () =
-    alloc_out t ?hint:(hint_for i) ?scope ~producer ~width ~capacity ()
+  let mk ?(i = 0) ~width ~capacity () =
+    alloc_out t ?hint:(hint_for i) ~producer ~width ~capacity ()
   in
-  let outputs : (int * U.t) list =
-    (* (window, array) pairs; window -1 when not window-scoped *)
+  (* One primitive: (window, array) pairs, window -1 when not
+     window-scoped. *)
+  let run_op op params : (int * U.t) list =
     match op with
     | P.Sort ->
         let src = as_one uas in
@@ -713,30 +733,6 @@ let do_invoke (t : t) ~op ~inputs ~trigger ~params ~hints ~retire_inputs =
         let dst = mk ~width:2 ~capacity:groups () in
         timed t `Compute (fun () -> Sbt_prim.Keyed.distinct_keys ~src ~dst ~key_field:kf);
         [ (-1, dst) ]
-    | P.Filter_band ->
-        let src, threshold =
-          match uas with
-          | [ s ] -> (s, None)
-          | [ s; th ] when U.width th = 1 || U.width th = 2 -> (s, Some th)
-          | _ -> raise (Rejected "filter: expects data [+ threshold] inputs")
-        in
-        let f = value_field params 1 in
-        let lo, hi =
-          match threshold with
-          | Some th ->
-              (* Runtime threshold (e.g. the window's global average):
-                 strictly-above-threshold band. *)
-              (Int32.add (U.get_field th 0 0) 1l, Int32.max_int)
-          | None ->
-              ( Option.value ~default:Int32.min_int
-                  (find_param params (function P_lo v -> Some v | _ -> None)),
-                Option.value ~default:Int32.max_int
-                  (find_param params (function P_hi v -> Some v | _ -> None)) )
-        in
-        let n = timed t `Compute (fun () -> Sbt_prim.Filter.count_in_band ~src ~field:f ~lo ~hi) in
-        let dst = mk ~width:(U.width src) ~capacity:n () in
-        timed t `Compute (fun () -> Sbt_prim.Filter.filter_band ~src ~dst ~field:f ~lo ~hi);
-        [ (-1, dst) ]
     | P.Median ->
         let src = as_one uas in
         let vf = value_field params 1 in
@@ -790,147 +786,133 @@ let do_invoke (t : t) ~op ~inputs ~trigger ~params ~hints ~retire_inputs =
         timed t `Compute (fun () ->
             Sbt_prim.Keyed.topk_per_key ~src ~dst ~key_field:kf ~value_field:vf ~k);
         [ (-1, dst) ]
-    | P.Select ->
-        let src = as_one uas in
-        let f = value_field params 0 in
-        let v =
-          Option.value ~default:0l (find_param params (function P_lo v -> Some v | _ -> None))
+    | P.Filter_band | P.Select | P.Project | P.Shift_key ->
+        let src, step =
+          match (uas, per_record_step op params) with
+          | [ src ], step -> (src, step)
+          | [ src; th ], F.F_filter_band { field; _ } when U.width th = 1 || U.width th = 2 ->
+              (* Runtime threshold (e.g. the window's global average):
+                 strictly-above-threshold band. *)
+              let lo = Int32.add (U.get_field th 0 0) 1l in
+              (src, F.F_filter_band { field; lo; hi = Int32.max_int })
+          | _, F.F_filter_band _ -> raise (Rejected "filter: expects data [+ threshold] inputs")
+          | _ -> raise (Rejected "primitive expects one input")
         in
-        let n = timed t `Compute (fun () -> Sbt_prim.Filter.count_in_band ~src ~field:f ~lo:v ~hi:v) in
-        let dst = mk ~width:(U.width src) ~capacity:n () in
-        timed t `Compute (fun () -> Sbt_prim.Filter.select_eq ~src ~dst ~field:f ~value:v);
-        [ (-1, dst) ]
-    | P.Project ->
-        let src = as_one uas in
-        let fields =
-          match find_param params (function P_fields f -> Some f | _ -> None) with
-          | Some f -> f
-          | None -> raise (Rejected "project: missing fields")
+        let dst =
+          match step with
+          | F.F_filter_band { field; lo; hi } ->
+              let n =
+                timed t `Compute (fun () -> Sbt_prim.Filter.count_in_band ~src ~field ~lo ~hi)
+              in
+              let dst = mk ~width:(U.width src) ~capacity:n () in
+              timed t `Compute (fun () -> Sbt_prim.Filter.filter_band ~src ~dst ~field ~lo ~hi);
+              dst
+          | F.F_select { field; value } ->
+              let n =
+                timed t `Compute (fun () ->
+                    Sbt_prim.Filter.count_in_band ~src ~field ~lo:value ~hi:value)
+              in
+              let dst = mk ~width:(U.width src) ~capacity:n () in
+              timed t `Compute (fun () -> Sbt_prim.Filter.select_eq ~src ~dst ~field ~value);
+              dst
+          | F.F_project { fields } ->
+              let dst = mk ~width:(Array.length fields) ~capacity:(U.length src) () in
+              timed t `Compute (fun () -> Sbt_prim.Misc.project ~src ~dst ~fields);
+              dst
+          | F.F_shift_key { field; shift } ->
+              let dst = mk ~width:(U.width src) ~capacity:(U.length src) () in
+              timed t `Compute (fun () -> Sbt_prim.Misc.shift_key ~src ~dst ~field ~shift);
+              dst
         in
-        let dst = mk ~width:(Array.length fields) ~capacity:(U.length src) () in
-        timed t `Compute (fun () -> Sbt_prim.Misc.project ~src ~dst ~fields);
-        [ (-1, dst) ]
-    | P.Shift_key ->
-        let src = as_one uas in
-        let f = key_field params 0 in
-        let shift =
-          Option.value ~default:8 (find_param params (function P_shift s -> Some s | _ -> None))
-        in
-        let dst = mk ~width:(U.width src) ~capacity:(U.length src) () in
-        timed t `Compute (fun () -> Sbt_prim.Misc.shift_key ~src ~dst ~field:f ~shift);
         [ (-1, dst) ]
   in
+  (* A chain in one pass over its input.  The kernel allocates the output
+     once, after its count pass; [mk] times that as Mem from inside the
+     Compute span, so it is taken back out of Compute to count once. *)
+  let run_chain steps =
+    let src = as_one uas in
+    let w = U.width src in
+    let dw =
+      match F.width_after w steps with
+      | Some dw -> dw
+      | None -> raise (Rejected "invoke: chain invalid for input width")
+    in
+    (match t.capture with
+    | Some sink ->
+        sink
+          {
+            cap_op = F.step_op (List.hd steps);
+            cap_params = [];
+            cap_inputs = [ snapshot_input src ];
+            cap_steps = steps;
+          }
+    | None -> ());
+    let dst = ref None in
+    let mem_before = t.mem_ns in
+    timed t `Compute (fun () ->
+        Sbt_prim.Par_kernel.fused_raw ~w ~steps
+          ~src:(Sbt_prim.Par_kernel.slice_of_uarray src)
+          ~alloc:(fun n ->
+            let d = mk ~width:dw ~capacity:n () in
+            dst := Some d;
+            let off = U.reserve d n in
+            (U.raw d, off))
+          ());
+    t.compute_ns <- t.compute_ns -. (t.mem_ns -. mem_before);
+    [ (-1, Option.get !dst) ]
+  in
+  let kind, outputs =
+    match chain with
+    | [ (op, params) ] ->
+        (match t.capture with
+        | Some sink when capture_worthy op ->
+            let cap_inputs = List.map snapshot_input uas in
+            sink { cap_op = op; cap_params = params; cap_inputs; cap_steps = [] }
+        | _ -> ());
+        (`Op op, run_op op params)
+    | _ ->
+        let steps = List.map (fun (op, params) -> per_record_step op params) chain in
+        (`Chain steps, run_chain steps)
+  in
   List.iter (fun (_, ua) -> produce t ua) outputs;
-  (* Audit before retiring: Segment gets Windowing records, everything else
-     one Execution record. *)
+  (* Audit before retiring. *)
+  let ts = now_us t in
   let in_ids = List.map U.id uas @ Option.to_list trigger in
-  (match op with
-  | P.Segment ->
+  let out_ids = List.map (fun (_, ua) -> U.id ua) outputs in
+  let audit_hints =
+    List.concat
+      (List.mapi
+         (fun i (_, ua) ->
+           match hint_for i with
+           | Some h -> [ encode_hint_for_audit t h (U.id ua) ]
+           | None -> [])
+         outputs)
+  in
+  (match kind with
+  | `Op P.Segment ->
       let batch_id = U.id (List.hd uas) in
       List.iter
         (fun (win, ua) ->
           append_record t
             (Sbt_attest.Record.Windowing
-               { ts = now_us t; data_in = batch_id; win_no = win; data_out = U.id ua }))
+               { ts; data_in = batch_id; win_no = win; data_out = U.id ua }))
         outputs
-  | _ ->
-      let audit_hints =
-        List.concat
-          (List.mapi
-             (fun i (_, ua) ->
-               match hint_for i with
-               | Some h -> [ encode_hint_for_audit t h (U.id ua) ]
-               | None -> [])
-             outputs)
-      in
+  | `Op op ->
       append_record t
         (Sbt_attest.Record.Execution
-           {
-             ts = now_us t;
-             op = P.to_id op;
-             inputs = in_ids;
-             outputs = List.map (fun (_, ua) -> U.id ua) outputs;
-             hints = audit_hints;
-           }));
+           { ts; op = P.to_id op; inputs = in_ids; outputs = out_ids; hints = audit_hints })
+  | `Chain steps ->
+      let ops = List.map (fun s -> P.to_id (F.step_op s)) steps in
+      let params = F.encode_steps steps in
+      let chain = timed t `Crypto (fun () -> Sbt_attest.Record.chain_hash ~ops ~params) in
+      append_record t
+        (Sbt_attest.Record.Fused
+           { ts; ops; params; chain; inputs = in_ids; outputs = out_ids; hints = audit_hints }));
   let out_refs =
     List.map (fun (win, ua) -> { win; ref_ = mint_ref t ua; events = U.length ua }) outputs
   in
   if retire_inputs then List.iter (retire_ref t) inputs;
   Rs_outputs out_refs
-
-(* Fused super-kernel: a whole chain of per-record primitives runs in one
-   invoke — one world-switch pair, one pass over the data, one composite
-   audit record.  The chain hash is computed here, in-TEE, so
-   the normal world cannot later present a different composition as the
-   one that ran. *)
-let do_invoke_fused (t : t) ~steps ~inputs ~trigger ~hints ~retire_inputs =
-  t.invocations <- t.invocations + 1;
-  Sbt_obs.Metrics.incr t.m_invocations;
-  (match steps with
-  | [] | [ _ ] -> raise (Rejected "fused: chain needs at least two steps")
-  | _ -> ());
-  List.iter (guard_ref t) inputs;
-  let uas = List.map (Opaque.resolve t.refs) inputs in
-  let src = as_one uas in
-  let w = U.width src in
-  let dw =
-    match Sbt_prim.Fused.width_after w steps with
-    | Some dw -> dw
-    | None -> raise (Rejected "fused: chain invalid for input width")
-  in
-  (match t.capture with
-  | Some sink ->
-      sink
-        {
-          cap_op = Sbt_prim.Fused.step_op (List.hd steps);
-          cap_params = [];
-          cap_inputs = [ snapshot_input src ];
-          cap_steps = steps;
-        }
-  | None -> ());
-  let producer = P.to_id (Sbt_prim.Fused.step_op (List.hd steps)) in
-  let hint = match hints with h :: _ -> Some h | [] -> None in
-  let dst_ref = ref None in
-  timed t `Compute (fun () ->
-      Sbt_prim.Par_kernel.fused_raw ~w ~steps
-        ~src:(Sbt_prim.Par_kernel.slice_of_uarray src)
-        ~alloc:(fun n ->
-          (* The single alloc happens mid-kernel (after the count pass),
-             so its host time lands in the `Compute bucket — a stats
-             nuance only; no result or audit byte depends on it. *)
-          let dst =
-            Alloc.alloc t.alloc ~hint:(safe_hint t hint) ~scope:U.Streaming ~producer ~width:dw
-              ~capacity:n ()
-          in
-          dst_ref := Some dst;
-          let off = U.reserve dst n in
-          (U.raw dst, off))
-        ());
-  let dst = match !dst_ref with Some d -> d | None -> assert false in
-  produce t dst;
-  let ops = List.map (fun s -> P.to_id (Sbt_prim.Fused.step_op s)) steps in
-  let params = Sbt_prim.Fused.encode_steps steps in
-  let chain =
-    timed t `Crypto (fun () -> Sbt_attest.Record.chain_hash ~ops ~params)
-  in
-  let in_ids = List.map U.id uas @ Option.to_list trigger in
-  let audit_hints =
-    match hint with Some h -> [ encode_hint_for_audit t h (U.id dst) ] | None -> []
-  in
-  append_record t
-    (Sbt_attest.Record.Fused
-       {
-         ts = now_us t;
-         ops;
-         params;
-         chain;
-         inputs = in_ids;
-         outputs = [ U.id dst ];
-         hints = audit_hints;
-       });
-  let out = { win = -1; ref_ = mint_ref t dst; events = U.length dst } in
-  if retire_inputs then List.iter (retire_ref t) inputs;
-  Rs_outputs [ out ]
 
 let egress_nonce window = Int64.logor 0x4547000000000000L (Int64.of_int window)
 
@@ -1231,12 +1213,9 @@ let dispatch t = function
   | R_ingest_watermark { value } -> do_ingest_watermark t ~value
   | R_declare_gap { stream; seq; events; windows; reason } ->
       do_declare_gap t ~stream ~seq ~events ~windows ~reason
-  | R_invoke { op; inputs; trigger; params; hints; retire_inputs } ->
-      traced_prim t (P.name op) (fun () ->
-          do_invoke t ~op ~inputs ~trigger ~params ~hints ~retire_inputs)
-  | R_invoke_fused { steps; inputs; trigger; hints; retire_inputs } ->
-      traced_prim t "fused" (fun () ->
-          do_invoke_fused t ~steps ~inputs ~trigger ~hints ~retire_inputs)
+  | R_invoke { chain; inputs; trigger; hints; retire_inputs } ->
+      let name = match chain with [ (op, _) ] -> P.name op | _ -> "fused" in
+      traced_prim t name (fun () -> do_invoke t ~chain ~inputs ~trigger ~hints ~retire_inputs)
   | R_egress { input; window } -> traced_prim t "seal" (fun () -> do_egress t ~input ~window)
   | R_late_drop { input; window } -> do_late_drop t ~input ~window
   | R_egress_correction { input; window; gen } ->

@@ -4,9 +4,8 @@
     trusted primitives as the only computations allowed on that data, and
     (iii) the minimum runtime: the specialized memory allocator and the
     audit log.  The untrusted control plane reaches it exclusively through
-    {!Sbt_tz.Smc} with the paper's four-entry interface (plus the PR 7
-    fused-super-kernel entry), passing opaque references (paper §3.2,
-    §4.2).
+    {!Sbt_tz.Smc} with the paper's four-entry interface, passing opaque
+    references (paper §3.2, §4.2).
 
     Engine versions (paper Table 5) differ only in their ingestion path
     and cost model; they are selected by {!version}. *)
@@ -177,28 +176,27 @@ type request =
           the cloud verifier reports degradation instead of flagging the
           missing dataflow as tampering. *)
   | R_invoke of {
-      op : Sbt_prim.Primitive.t;
+      chain : (Sbt_prim.Primitive.t * param list) list;
       inputs : int64 list;
       trigger : int option;  (** audit id of the triggering watermark *)
-      params : param list;
       hints : hint list;
       retire_inputs : bool;
     }
-  | R_invoke_fused of {
-      steps : Sbt_prim.Fused.step list;
-      inputs : int64 list;
-      trigger : int option;
-      hints : hint list;
-      retire_inputs : bool;
-    }
-      (** Run a fused super-kernel: the whole chain of per-record steps
-          executes in a single call of the shared invoke entry over one
-          input uArray — one world-switch pair instead of one per
-          primitive — and emits a single composite
-          {!Sbt_attest.Record.Fused} audit record carrying the ordered op
-          ids, the encoded parameters, and an in-TEE chain hash.
-          {!Rejected} if the chain has fewer than two steps or is invalid
-          for the input width ({!Sbt_prim.Fused.width_after}). *)
+      (** Run a chain of one or more (primitive, params) steps in one call
+          of the shared invoke entry: one world-switch pair and one audit
+          record, however long the chain.
+          - A length-1 chain is a plain invoke of any primitive.  It emits
+            one {!Sbt_attest.Record.Execution} record ({!Sbt_attest.Record.Windowing}
+            records for [Segment]).
+          - A chain of two or more steps must be all per-record ops
+            ({!Sbt_prim.Primitive.fusable}) over one input uArray.  It runs
+            as one single-pass kernel and emits one composite
+            {!Sbt_attest.Record.Fused} record carrying the ordered op ids,
+            the encoded parameters and an in-TEE chain hash.  Each step's
+            parameters mean what they mean in a length-1 invoke.
+          {!Rejected} for an empty chain, a non-fusable op inside a longer
+          chain, or a chain invalid for the input width
+          ({!Sbt_prim.Fused.width_after}). *)
   | R_egress of { input : int64; window : int }
   | R_late_drop of { input : int64; window : int }
       (** Drop+declare a late batch: the input dies in-TEE, but a signed
@@ -369,10 +367,9 @@ type capture = {
   cap_inputs : (int * int * Sbt_umem.Uarray.buf) list;
       (** per input: (width, records, host-heap snapshot of the raw data) *)
   cap_steps : Sbt_prim.Fused.step list;
-      (** non-empty iff the invocation was a fused super-kernel
-          ([R_invoke_fused]); the replay then runs
-          {!Sbt_prim.Par_kernel.fused_raw} instead of dispatching on
-          [cap_op] *)
+      (** non-empty iff the invocation was a chain of two or more steps;
+          the replay then runs {!Sbt_prim.Par_kernel.fused_raw} instead of
+          dispatching on [cap_op] *)
 }
 (** Snapshot of one heavy primitive invocation, taken on entry to
     [R_invoke] — before outputs are allocated or inputs retired.  The

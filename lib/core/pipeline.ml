@@ -116,8 +116,8 @@ let filter ?(window_size_ticks = default_window) ?(lo = 0l) ?(hi = 42949672l) ()
 let fps_chain ?(window_size_ticks = default_window) () =
   (* Filter-Project-Select chain (PR 7): five adjacent per-record batch
      stages, every one fusable, so the fusion pass collapses the whole
-     run into a single super-kernel.  Unfused, each segment costs five
-     world switches for its batch stages; fused, one.  Keys are
+     run into a single chain.  One stage at a time, each segment would
+     cost five world switches for its batch stages; as a chain, one.  Keys are
      plug-style ids ([house*256 + plug] shape), so shifting by 8 then
      selecting one house id keeps a deterministic ~1/40 slice of the
      positive-value half. *)

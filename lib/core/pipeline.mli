@@ -110,10 +110,10 @@ val filter : ?window_size_ticks:int -> ?lo:int32 -> ?hi:int32 -> unit -> t
 val fps_chain : ?window_size_ticks:int -> unit -> t
 (** Five adjacent fusable per-record batch stages
     (Filter∘Project∘ShiftKey∘Select∘Filter) — the PR 7 fusion showcase.
-    With [--fuse on] the whole chain runs as one fused super-kernel per
+    The whole chain runs as one {!Dataplane.request.R_invoke} chain per
     segment (one world switch, one composite audit record) instead of
-    five separate trusted entries; results are byte-identical either
-    way. *)
+    five length-1 invokes; the sealed results are the ones the five
+    stages give one at a time. *)
 
 val group_topk : ?window_size_ticks:int -> ?k:int -> unit -> t
 (** Top-K values per key per window. *)

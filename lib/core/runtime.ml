@@ -9,7 +9,6 @@ type config = {
   dp_config : D.config;
   cores : int;
   hints_enabled : bool;
-  fuse : bool;
 }
 
 module Config = struct
@@ -18,7 +17,7 @@ module Config = struct
   let make ?version ?(cores = 8) ?secure_mb ?cost ?deterministic ?platform ?alloc_mode
       ?sort_algorithm ?ingress_key ?egress_key ?audit_flush_every ?audit_enabled
       ?backpressure_threshold ?adaptive_backpressure ?seed ?fault_plan ?late_policy
-      ?tracer ?(hints_enabled = true) ?(fuse = false) ?dp_config () =
+      ?tracer ?(hints_enabled = true) ?dp_config () =
     let dp_config =
       match dp_config with
       | Some c -> c
@@ -28,7 +27,7 @@ module Config = struct
             ?audit_enabled ?backpressure_threshold ?adaptive_backpressure ?seed
             ?fault_plan ?late_policy ?tracer ()
     in
-    { dp_config; cores; hints_enabled; fuse }
+    { dp_config; cores; hints_enabled }
 end
 
 module Loss = struct
@@ -517,52 +516,29 @@ let record ~recording_cores ?(capture = false) ?ckpt_every ?on_checkpoint ?resum
   let set_last_ready ws stream r =
     ws.last_ready <- (stream, r) :: List.remove_assoc stream ws.last_ready
   in
-  (* The batch-stage plan: lowered once per run, fused when the control
-     plane asked for it.  With fusion off the plan is exactly the declared
-     op list (plus the window barrier, which executes nothing), so the
-     default path is byte-identical to the unfused runtime. *)
-  let batch_plan =
-    let lowered = Ir.lower pipe in
-    if cfg.fuse then Ir.fuse lowered else lowered
+  (* The batch-stage plan, lowered and fused once per run: each node is
+     one trusted invoke, a single stage or a chain of adjacent per-record
+     stages. *)
+  let batch_plan = Ir.fuse (Ir.lower pipe) in
+  let segment_params =
+    [
+      D.P_window_size pipe.Pipeline.window_size_ticks;
+      D.P_slide pipe.Pipeline.window_slide_ticks;
+      D.P_ts_field pipe.Pipeline.schema.Event.ts_field;
+    ]
+    @ match Pipeline.session_gap pipe with Some g -> [ D.P_session_gap g ] | None -> []
   in
   let run_batch_stages w stream seg_ref =
     let ws = win w in
     let r = ref seg_ref in
     List.iter
-      (fun node ->
-        match node with
+      (function
         | Ir.N_window -> ()
-        | Ir.N_fused steps -> (
+        | Ir.N_invoke chain -> (
             let hints = hint_for ws stream in
             match
               D.call dp
-                (D.R_invoke_fused
-                   { steps; inputs = [ !r ]; trigger = None; hints; retire_inputs = true })
-            with
-            | D.Rs_outputs [ out ] -> r := out.D.ref_
-            | _ -> failwith "control: unexpected fused batch-stage response")
-        | Ir.N_op bop -> (
-            let hints = hint_for ws stream in
-            let params, op =
-              match bop with
-              | Pipeline.B_sort { key_field; secondary_value } ->
-                  let p = [ D.P_key_field key_field ] in
-                  let p =
-                    match secondary_value with Some v -> D.P_value_field v :: p | None -> p
-                  in
-                  (p, P.Sort)
-              | Pipeline.B_filter_band { field; lo; hi } ->
-                  ([ D.P_value_field field; D.P_lo lo; D.P_hi hi ], P.Filter_band)
-              | Pipeline.B_project fields -> ([ D.P_fields fields ], P.Project)
-              | Pipeline.B_select { field; value } ->
-                  ([ D.P_value_field field; D.P_lo value ], P.Select)
-              | Pipeline.B_shift_key { field; shift } ->
-                  ([ D.P_key_field field; D.P_shift shift ], P.Shift_key)
-            in
-            match
-              D.call dp
-                (D.R_invoke
-                   { op; inputs = [ !r ]; trigger = None; params; hints; retire_inputs = true })
+                (D.R_invoke { chain; inputs = [ !r ]; trigger = None; hints; retire_inputs = true })
             with
             | D.Rs_outputs [ out ] -> r := out.D.ref_
             | D.Rs_outputs _ | D.Rs_watermark _ | D.Rs_egress _ | D.Rs_ingested _
@@ -680,7 +656,13 @@ let record ~recording_cores ?(capture = false) ?ckpt_every ?on_checkpoint ?resum
       match
         D.call dp
           (D.R_invoke
-             { op; inputs; trigger; params; hints; retire_inputs = retire && not protect })
+             {
+               chain = [ (op, params) ];
+               inputs;
+               trigger;
+               hints;
+               retire_inputs = retire && not protect;
+             })
       with
       | D.Rs_outputs outs ->
           let refs = List.map (fun (o : D.output) -> o.D.ref_) outs in
@@ -890,19 +872,9 @@ let record ~recording_cores ?(capture = false) ?ckpt_every ?on_checkpoint ?resum
                    D.call dp
                      (D.R_invoke
                         {
-                          op = P.Segment;
+                          chain = [ (P.Segment, segment_params) ];
                           inputs = [ !batch_ref ];
                           trigger = None;
-                          params =
-                            ([
-                               D.P_window_size pipe.Pipeline.window_size_ticks;
-                               D.P_slide pipe.Pipeline.window_slide_ticks;
-                               D.P_ts_field pipe.Pipeline.schema.Event.ts_field;
-                             ]
-                            @
-                            match Pipeline.session_gap pipe with
-                            | Some g -> [ D.P_session_gap g ]
-                            | None -> []);
                           hints = (if cfg.hints_enabled then [ D.H_parallel ] else []);
                           retire_inputs = true;
                         })

@@ -27,12 +27,12 @@ type config = {
   dp_config : Dataplane.config;
   cores : int;  (** virtual cores for the recording run *)
   hints_enabled : bool;
-  fuse : bool;
-      (** run the {!Ir.fuse} pass over the lowered batch stages, executing
-          each maximal fusable run as one fused super-kernel (one world
-          switch, one composite audit record).  Off by default; sealed
-          results, verdicts and loss are byte-identical either way. *)
 }
+(** Batch stages always run as [Ir.fuse (Ir.lower pipe)]: each maximal
+    run of adjacent per-record stages is one chain in one
+    {!Dataplane.request.R_invoke} (one world switch, one composite audit
+    record), and every other stage is a length-1 chain.  There is no
+    unfused mode; tests reach the unfused lowering through {!Ir.lower}. *)
 
 (** Labelled construction for {!config}.  [make]'s data-plane labels are
     forwarded to {!Dataplane.Config.make}; passing [?dp_config] overrides
@@ -60,11 +60,10 @@ module Config : sig
     ?late_policy:Dataplane.late_policy ->
     ?tracer:Sbt_obs.Tracer.t ->
     ?hints_enabled:bool ->
-    ?fuse:bool ->
     ?dp_config:Dataplane.config ->
     unit ->
     t
-  (** Defaults: 8 cores, hints on, fusion off, and
+  (** Defaults: 8 cores, hints on, and
       {!Dataplane.Config.make}'s defaults for the data plane.  [cores]
       sizes both the recording DES and the data-plane platform.
       [deterministic] zeroes the cost model's [host_scale] (see

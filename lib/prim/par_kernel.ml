@@ -518,8 +518,9 @@ let filter_band_raw ?(runner = serial) ?pieces ~w ~field ~lo ~hi ~src ~alloc () 
 (* Fused chain: one pass per record through the whole step list, via the
    same per-piece count -> serial prefix -> parallel scatter shape as the
    band filter, so fused kernels run under the `Work executor unchanged.
-   The chain is evaluated fully in BOTH passes (a projection or key shift
-   can change what a later filter sees), on a per-chunk scratch row. *)
+   The count pass evaluates the whole chain (a projection or key shift can
+   change what a later filter sees) on a per-chunk scratch row and marks
+   the survivors; the scatter pass re-evaluates only those. *)
 
 let fused_eval steps ~w ~(src : U.buf) ~r ~(row : int32 array) ~(tmp : int32 array) =
   for f = 0 to w - 1 do
@@ -557,17 +558,22 @@ let fused_raw ?(runner = serial) ?pieces ~w ~steps ~src ~alloc () =
     let pieces = pieces_for runner pieces src.len in
     let rs = ranges ~n:src.len ~pieces in
     let mcounts = Array.make pieces 0 in
+    let survived = Array.map (fun (_, len) -> Bytes.make len '\000') rs in
     let count_chunks =
       Array.mapi
         (fun i (s, len) ->
           {
-            scratch_bytes = bytes_for_records mw 2;
+            scratch_bytes = bytes_for_records mw 2 + len;
             run =
               (fun () ->
                 let row = Array.make mw 0l and tmp = Array.make mw 0l in
                 let c = ref 0 in
-                for r = src.off + s to src.off + s + len - 1 do
-                  if fused_eval steps ~w ~src:src.buf ~r ~row ~tmp <> None then incr c
+                for k = 0 to len - 1 do
+                  if fused_eval steps ~w ~src:src.buf ~r:(src.off + s + k) ~row ~tmp <> None
+                  then begin
+                    Bytes.unsafe_set survived.(i) k '\001';
+                    incr c
+                  end
                 done;
                 mcounts.(i) <- !c);
           })
@@ -588,15 +594,15 @@ let fused_raw ?(runner = serial) ?pieces ~w ~steps ~src ~alloc () =
               (fun () ->
                 let row = Array.make mw 0l and tmp = Array.make mw 0l in
                 let o = ref (dst_off + offs.(i)) in
-                for r = src.off + s to src.off + s + len - 1 do
-                  match fused_eval steps ~w ~src:src.buf ~r ~row ~tmp with
-                  | Some _ ->
-                      let b = !o * dw in
-                      for f = 0 to dw - 1 do
-                        set dst_buf (b + f) row.(f)
-                      done;
-                      incr o
-                  | None -> ()
+                for k = 0 to len - 1 do
+                  if Bytes.unsafe_get survived.(i) k = '\001' then begin
+                    ignore (fused_eval steps ~w ~src:src.buf ~r:(src.off + s + k) ~row ~tmp);
+                    let b = !o * dw in
+                    for f = 0 to dw - 1 do
+                      set dst_buf (b + f) row.(f)
+                    done;
+                    incr o
+                  end
                 done);
           })
         rs

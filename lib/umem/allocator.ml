@@ -8,7 +8,7 @@ type t = {
   vspace : Vspace.t;
   group_of : (int, Ugroup.t) Hashtbl.t; (* uarray id -> group *)
   producer_group : (int, Ugroup.t) Hashtbl.t; (* producer id -> its current group *)
-  mutable groups : Ugroup.t list;
+  groups : (int, Ugroup.t) Hashtbl.t; (* group id -> live group *)
   mutable next_uarray_id : int;
   mutable next_group_id : int;
   mutable live_arrays : int;
@@ -25,7 +25,7 @@ let create ?(mode = Hint_guided) ~pool ?vspace_stride () =
     vspace = Vspace.create ~stride_bytes:stride ();
     group_of = Hashtbl.create 64;
     producer_group = Hashtbl.create 16;
-    groups = [];
+    groups = Hashtbl.create 64;
     next_uarray_id = 0;
     next_group_id = 0;
     live_arrays = 0;
@@ -46,13 +46,13 @@ let sample_pool t =
           [
             ("committed_bytes", float_of_int (Page_pool.committed_bytes t.pool));
             ("live_uarrays", float_of_int t.live_arrays);
-            ("live_groups", float_of_int (List.length t.groups));
+            ("live_groups", float_of_int (Hashtbl.length t.groups));
           ]
 
 let fresh_group t =
   let g = Ugroup.create ~id:t.next_group_id ~vbase:(Vspace.reserve t.vspace) in
   t.next_group_id <- t.next_group_id + 1;
-  t.groups <- g :: t.groups;
+  Hashtbl.replace t.groups (Ugroup.id g) g;
   g
 
 (* A group can accept a new member only if its tail is not open. *)
@@ -146,7 +146,7 @@ let reclaim_group t g =
   t.live_arrays <- t.live_arrays - released;
   if Ugroup.is_exhausted g then begin
     Vspace.release t.vspace (Ugroup.vbase g);
-    t.groups <- List.filter (fun g' -> Ugroup.id g' <> Ugroup.id g) t.groups
+    Hashtbl.remove t.groups (Ugroup.id g)
   end;
   if released > 0 then begin
     (match t.observer with
@@ -173,11 +173,11 @@ let produce t ua =
   | None -> invalid_arg "Allocator.produce: unknown uArray"
   | Some g -> reclaim_group t g
 
-let live_groups t = List.length t.groups
+let live_groups t = Hashtbl.length t.groups
 let live_uarrays t = t.live_arrays
 let committed_bytes t = Page_pool.committed_bytes t.pool
 
-let pinned_bytes t = List.fold_left (fun acc g -> acc + Ugroup.pinned_bytes g) 0 t.groups
+let pinned_bytes t = Hashtbl.fold (fun _ g acc -> acc + Ugroup.pinned_bytes g) t.groups 0
 
 let vspace_utilization t = Vspace.utilization t.vspace
 let next_uarray_id t = t.next_uarray_id

@@ -84,10 +84,9 @@ let win_sum ?windows ?events_per_window ?batch_events ?encrypted () =
         ~schema:Sbt_core.Event.default ~streams:1 ~seed:31L ~gen ();
   }
 
-(* The fusion showcase: five adjacent per-record batch stages.  With
-   --fuse on the whole chain runs as one fused super-kernel per segment;
-   the bench's fusion section measures the world-switch and audit-volume
-   savings on exactly this workload. *)
+(* The fusion showcase: five adjacent per-record batch stages, which run
+   as one fused chain per segment; the bench's fusion section reports the
+   world switches and audit volume on exactly this workload. *)
 let fps ?windows ?events_per_window ?batch_events ?encrypted () =
   {
     name = "FpsChain";

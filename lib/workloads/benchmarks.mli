@@ -21,8 +21,9 @@ val win_sum : ?windows:int -> ?events_per_window:int -> ?batch_events:int -> ?en
 
 val fps : ?windows:int -> ?events_per_window:int -> ?batch_events:int -> ?encrypted:bool -> unit -> t
 (** The fusion showcase ({!Sbt_core.Pipeline.fps_chain}): five adjacent
-    fusable per-record batch stages, run with [--fuse on|off] to measure
-    world-switch and audit-volume savings. *)
+    fusable per-record batch stages, which run as one fused chain per
+    segment — one world switch and one composite audit record where the
+    stages alone would cost five. *)
 
 val filter : ?windows:int -> ?events_per_window:int -> ?batch_events:int -> ?encrypted:bool -> unit -> t
 val power : ?windows:int -> ?events_per_window:int -> ?batch_events:int -> ?encrypted:bool -> unit -> t

@@ -77,10 +77,9 @@ let test_dataplane_ingest_and_sort () =
     D.call dp
       (D.R_invoke
          {
-           op = P.Sort;
+           chain = [ (P.Sort, [ D.P_key_field 0 ]) ];
            inputs = [ r ];
            trigger = None;
-           params = [ D.P_key_field 0 ];
            hints = [];
            retire_inputs = true;
          })
@@ -104,10 +103,9 @@ let test_dataplane_rejects_fabricated_ref () =
       (D.call dp
          (D.R_invoke
             {
-              op = P.Count;
+              chain = [ (P.Count, []) ];
               inputs = [ 0x1234L ];
               trigger = None;
-              params = [];
               hints = [];
               retire_inputs = true;
             }));
@@ -121,7 +119,7 @@ let test_dataplane_rejects_wrong_arity () =
     ignore
       (D.call dp
          (D.R_invoke
-            { op = P.Join; inputs = [ a ]; trigger = None; params = []; hints = []; retire_inputs = false }));
+            { chain = [ (P.Join, []) ]; inputs = [ a ]; trigger = None; hints = []; retire_inputs = false }));
     Alcotest.fail "join with one input accepted"
   with D.Rejected _ -> ()
 
@@ -132,7 +130,7 @@ let test_dataplane_retire_semantics () =
   (match
      D.call dp
        (D.R_invoke
-          { op = P.Count; inputs = [ a ]; trigger = None; params = []; hints = []; retire_inputs = true })
+          { chain = [ (P.Count, []) ]; inputs = [ a ]; trigger = None; hints = []; retire_inputs = true })
    with
   | D.Rs_outputs [ _ ] -> ()
   | _ -> Alcotest.fail "unexpected response");
@@ -140,7 +138,7 @@ let test_dataplane_retire_semantics () =
     ignore
       (D.call dp
          (D.R_invoke
-            { op = P.Count; inputs = [ a ]; trigger = None; params = []; hints = []; retire_inputs = true }));
+            { chain = [ (P.Count, []) ]; inputs = [ a ]; trigger = None; hints = []; retire_inputs = true }));
     Alcotest.fail "stale reference accepted"
   with Opaque.Invalid_reference _ -> ()
 

@@ -26,7 +26,9 @@ let ingest dp ~width rows =
 
 let invoke dp ?(params = []) ?(retire = true) op inputs =
   match
-    D.call dp (D.R_invoke { op; inputs; trigger = None; params; hints = []; retire_inputs = retire })
+    D.call dp
+      (D.R_invoke
+         { chain = [ (op, params) ]; inputs; trigger = None; hints = []; retire_inputs = retire })
   with
   | D.Rs_outputs outs -> outs
   | _ -> Alcotest.fail "unexpected invoke response"

@@ -5,7 +5,7 @@
    retraction without reemit), and the headline convergence property —
    under retract-and-reemit a disorder-permuted input converges to final
    corrected sealed results byte-identical to the in-order run, across
-   both work engines, fused and unfused. *)
+   both work engines. *)
 
 module D = Sbt_core.Dataplane
 module Runtime = Sbt_core.Runtime
@@ -20,13 +20,13 @@ module Record = Sbt_attest.Record
 module Log = Sbt_attest.Log
 module Frame = Sbt_net.Frame
 
-let det_cfg ?(fuse = false) ?(late = D.Silent) () =
-  Runtime.Config.make ~cores:4 ~deterministic:true ~fuse ~late_policy:late ()
+let det_cfg ?(late = D.Silent) () =
+  Runtime.Config.make ~cores:4 ~deterministic:true ~late_policy:late ()
 
 let egress_key = (det_cfg ()).Runtime.dp_config.D.egress_key
 
-let run ?(engine = `Des 4) ?fuse ?late pipe frames =
-  Session.create ~engine ~verify:false (det_cfg ?fuse ?late ())
+let run ?(engine = `Des 4) ?late pipe frames =
+  Session.create ~engine ~verify:false (det_cfg ?late ())
   |> Session.add_tenant ~pipeline:pipe ~source:frames
   |> Session.run_single
 
@@ -305,14 +305,14 @@ let test_retraction_without_reemit_flagged () =
 
 let prop_retract_converges_to_in_order =
   QCheck.Test.make
-    ~name:"retract-and-reemit converges to the in-order bytes (both engines, fuse on/off)"
+    ~name:"retract-and-reemit converges to the in-order bytes (both engines)"
     ~count:4
-    QCheck.(pair (int_range 0 1_000) (pair bool bool))
-    (fun (seed, (dom, fuse)) ->
+    QCheck.(pair (int_range 0 1_000) bool)
+    (fun (seed, dom) ->
       let engine = if dom then `Domains 2 else `Des 4 in
-      let in_order = run ~engine ~fuse ~late:D.Silent (P.vitals ()) (vitals_frames ()) in
+      let in_order = run ~engine ~late:D.Silent (P.vitals ()) (vitals_frames ()) in
       let disordered =
-        run ~engine ~fuse ~late:D.Retract_reemit (P.vitals ())
+        run ~engine ~late:D.Retract_reemit (P.vitals ())
           (vitals_frames
              ~disorder:(Fault.disorder_plan ~seed:(Int64.of_int (seed + 1)) ~rate:0.25 ())
              ~watermark:(Datagen.Heuristic 0) ())

@@ -185,6 +185,33 @@ let test_reboot_after_checkpoint_recovers () =
     (supervised_observables clean = supervised_observables crashed);
   Alcotest.(check bool) "verifier accepts" true (V.ok crashed.Runtime.sv_report)
 
+(* Batch stages run fused on every boot: a crashed and recovered fps run
+   is byte-identical to the uninterrupted one, and the epoch that
+   completes the run after the restart still emits composite records. *)
+let test_fused_crash_recovers () =
+  let bench = B.fps ~windows:4 ~events_per_window:2_000 ~batch_events:250 () in
+  let frames = B.frames bench in
+  let clean = Runtime.run_supervised ~ckpt_every:1 (det_cfg ()) bench.B.pipeline frames in
+  let plan = Fault.with_crash Fault.none ~site:Fault.Crash_control ~after_tasks:20 in
+  let crashed =
+    Runtime.run_supervised ~ckpt_every:1 (det_cfg ~fault_plan:plan ()) bench.B.pipeline frames
+  in
+  Alcotest.(check int) "two epochs" 2 crashed.Runtime.sv_epoch_count;
+  Alcotest.(check bool) "observables identical" true
+    (supervised_observables clean = supervised_observables crashed);
+  Alcotest.(check bool) "verifier accepts" true (V.ok crashed.Runtime.sv_report);
+  let key = (det_cfg ()).Runtime.dp_config.D.egress_key in
+  let fused batches =
+    List.length
+      (List.filter
+         (function Sbt_attest.Record.Fused _ -> true | _ -> false)
+         (List.concat_map (Log.open_batch ~key) batches))
+  in
+  match List.rev crashed.Runtime.sv_epochs with
+  | (_, last) :: _ :: _ ->
+      Alcotest.(check bool) "recovered epoch holds Fused records" true (fused last > 0)
+  | _ -> Alcotest.fail "expected two epochs"
+
 let test_restart_budget_exhausted () =
   let bench = B.win_sum ~windows:2 ~events_per_window:300 ~batch_events:150 () in
   let plan = Fault.with_crash Fault.none ~site:Fault.Crash_control ~after_tasks:3 in
@@ -285,6 +312,7 @@ let () =
           qt prop_crash_equivalence;
           Alcotest.test_case "control crash recovers" `Quick test_crash_recovers_deterministic;
           Alcotest.test_case "reboot crash recovers" `Quick test_reboot_after_checkpoint_recovers;
+          Alcotest.test_case "fused crash recovers" `Quick test_fused_crash_recovers;
           Alcotest.test_case "restart budget" `Quick test_restart_budget_exhausted;
           Alcotest.test_case "checkpoint rejects uncarried state" `Quick
             test_checkpoint_rejects_uncarried_state;

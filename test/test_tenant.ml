@@ -144,10 +144,9 @@ let test_cross_tenant_ref_rejected_in_tee () =
      D.call dp0
        (D.R_invoke
           {
-            op = P.Sort;
+            chain = [ (P.Sort, []) ];
             inputs = [ r0 ];
             trigger = None;
-            params = [];
             hints = [];
             retire_inputs = false;
           })
@@ -161,10 +160,9 @@ let test_cross_tenant_ref_rejected_in_tee () =
       (D.call dp1
          (D.R_invoke
             {
-              op = P.Sort;
+              chain = [ (P.Sort, []) ];
               inputs = [ r0 ];
               trigger = None;
-              params = [];
               hints = [];
               retire_inputs = false;
             }));

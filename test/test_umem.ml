@@ -336,6 +336,126 @@ let prop_allocator_conservation =
       List.iter (fun ua -> A.retire a ua) !live;
       Pool.committed_pages p = 0 && A.live_uarrays a = 0)
 
+(* A list-based reference model of the allocator's group bookkeeping.
+   Groups are member lists in placement order, kept in a plain list and
+   placed by the allocator's documented rules: parallel and unhinted
+   arrays open a group, a consumed-after array walks its predecessor's
+   group tail, and the producer-grouping ablation reuses a producer's
+   group while its tail is sealed.  A group leaves the live list once
+   reclamation has released every member. *)
+type mgroup = { mutable members : U.t list; mutable front : int }
+
+type model = {
+  mutable live : mgroup list;
+  mutable group_of : (int * mgroup) list; (* uarray id -> group, until retired *)
+  mutable by_producer : (int * mgroup) list;
+}
+
+let m_last g = match List.rev g.members with [] -> None | ua :: _ -> Some ua
+let m_tail_accepts g = match m_last g with None -> true | Some ua -> not (U.is_open ua)
+
+let m_fresh m =
+  let g = { members = []; front = 0 } in
+  m.live <- g :: m.live;
+  g
+
+let rec m_place_after m pred =
+  match List.assoc_opt (U.id pred) m.group_of with
+  | None -> m_fresh m
+  | Some g -> (
+      match m_last g with
+      | Some last when U.id last = U.id pred && U.state pred = U.Produced -> g
+      | Some last when U.id last <> U.id pred && m_tail_accepts g -> g
+      | Some last when U.id last <> U.id pred -> m_place_after m last
+      | Some _ | None -> m_fresh m)
+
+let m_alloc m ~mode ~hint ~producer ua =
+  let g =
+    match (mode, hint) with
+    | A.Producer_grouping, _ -> (
+        match List.assoc_opt producer m.by_producer with
+        | Some g when m_tail_accepts g -> g
+        | Some _ | None ->
+            let g = m_fresh m in
+            m.by_producer <- (producer, g) :: List.remove_assoc producer m.by_producer;
+            g)
+    | A.Hint_guided, A.Consumed_after pred -> m_place_after m pred
+    | A.Hint_guided, (A.No_hint | A.Consumed_in_parallel) -> m_fresh m
+  in
+  g.members <- g.members @ [ ua ];
+  m.group_of <- (U.id ua, g) :: m.group_of
+
+let m_reclaim m ua =
+  match List.assoc_opt (U.id ua) m.group_of with
+  | None -> ()
+  | Some g ->
+      if U.state ua = U.Retired then m.group_of <- List.remove_assoc (U.id ua) m.group_of;
+      let n = List.length g.members in
+      while g.front < n && U.state (List.nth g.members g.front) = U.Retired do
+        g.front <- g.front + 1
+      done;
+      if n > 0 && g.front = n then m.live <- List.filter (fun g' -> g' != g) m.live
+
+let m_pinned m =
+  List.fold_left
+    (fun acc g ->
+      let _, pinned =
+        List.fold_left
+          (fun (seen_live, acc) ua ->
+            match U.state ua with
+            | U.Open | U.Produced -> (true, acc)
+            | U.Retired -> (seen_live, if seen_live then acc + U.committed_bytes ua else acc))
+          (false, 0)
+          (List.filteri (fun i _ -> i >= g.front) g.members)
+      in
+      acc + pinned)
+    0 m.live
+
+(* Property: over random alloc/produce/retire sequences with random
+   (often misleading) hints, in both modes, the allocator's live-group
+   count and pinned bytes equal the list model's after every step. *)
+let prop_allocator_matches_list_model =
+  QCheck.Test.make ~name:"allocator groups match a list model" ~count:200
+    QCheck.(
+      pair bool
+        (list_of_size Gen.(int_range 0 80) (triple (int_bound 3) (int_bound 7) (int_bound 2))))
+    (fun (producer_mode, ops) ->
+      let mode = if producer_mode then A.Producer_grouping else A.Hint_guided in
+      let p = Pool.create ~budget_bytes:(64 * mb) in
+      let a = A.create ~mode ~pool:p () in
+      let m = { live = []; group_of = []; by_producer = [] } in
+      let all = ref [] in
+      let pick pred k =
+        match List.filter pred !all with [] -> None | l -> Some (List.nth l (k mod List.length l))
+      in
+      List.for_all
+        (fun (kind, k, producer) ->
+          (match kind with
+          | 0 | 1 ->
+              let hint =
+                match (kind, pick (fun _ -> true) k) with
+                | 1, Some pred -> A.Consumed_after pred
+                | _ -> if k mod 2 = 0 then A.Consumed_in_parallel else A.No_hint
+              in
+              let ua = A.alloc a ~hint ~producer ~width:1 ~capacity:(1024 * (k + 1)) () in
+              ignore (U.reserve ua (512 * (k + 1)));
+              m_alloc m ~mode ~hint ~producer ua;
+              all := !all @ [ ua ]
+          | 2 ->
+              Option.iter
+                (fun ua ->
+                  A.produce a ua;
+                  m_reclaim m ua)
+                (pick U.is_open k)
+          | _ ->
+              Option.iter
+                (fun ua ->
+                  A.retire a ua;
+                  m_reclaim m ua)
+                (pick (fun ua -> U.state ua <> U.Retired) k));
+          A.live_groups a = List.length m.live && A.pinned_bytes a = m_pinned m)
+        ops)
+
 (* --- adaptive shard refill ----------------------------------------------------- *)
 
 let test_shard_adaptive_refill () =
@@ -418,6 +538,7 @@ let () =
             test_allocator_producer_grouping_mode;
           Alcotest.test_case "monotonic ids" `Quick test_allocator_ids_monotonic;
           q prop_allocator_conservation;
+          q prop_allocator_matches_list_model;
         ] );
       ( "shard-adaptive-refill",
         [
