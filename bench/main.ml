@@ -199,186 +199,6 @@ let fig7 () =
   Printf.printf "  wrote %s\n" (Bench_json.path ~section:"fig7" ())
 
 (* ------------------------------------------------------------------ *)
-(* Figure 7, wall-clock column: the recorded WinSum task graph on real
-   OCaml domains via the work-stealing executor.  Virtual-time replay
-   answers "what would N cores do"; this answers "what does the executor
-   actually deliver" — scheduling, steals and dependency stalls included
-   (tasks are paced to their recorded costs, so the measurement holds on
-   a single-core host too; see lib/exec). *)
-
-let fig7_wall () =
-  section "[fig7_wall] real-parallel wall clock, domains executor (Fig 7 companion)";
-  let module E = Sbt_exec.Executor in
-  let bench = B.win_sum ~windows ~events_per_window:epw ~batch_events:batch () in
-  let cfg = Runtime.Config.make ~cores:8 () in
-  let r = Runtime.run ~engine:(`Des 8) cfg bench.B.pipeline (B.frames bench) in
-  let total_cost = Sbt_sim.Trace.total_cost_ns r.Runtime.trace in
-  (* Scale the recording so the whole paced sweep fits in ~a second of
-     busy time per domain count, whatever the workload size. *)
-  let time_scale = Float.min 1.0 (1.2e9 /. Float.max 1.0 total_cost) in
-  Printf.printf "  WinSum, %d tasks, total cost %.1f ms, time_scale %.3f; min/median of 3 runs\n"
-    r.Runtime.tasks_executed (total_cost /. 1e6) time_scale;
-  Printf.printf "  %8s %12s %12s %10s %8s %8s\n" "domains" "wall ms(min)" "wall ms(med)"
-    "speedup" "steals" "parks";
-  let wall_1 = ref 0.0 in
-  List.iter
-    (fun domains ->
-      let runs =
-        List.init 3 (fun _ -> Runtime.exec_trace ~time_scale ~domains cfg r)
-      in
-      let walls = List.sort compare (List.map (fun (e : E.report) -> e.E.wall_ns) runs) in
-      let wall_min = List.nth walls 0 and wall_med = List.nth walls 1 in
-      if domains = 1 then wall_1 := wall_med;
-      let speedup = if !wall_1 > 0.0 then !wall_1 /. wall_med else 1.0 in
-      let last = List.nth runs 2 in
-      ignore
-        (Bench_json.append ~section:"fig7_wall"
-           [
-             ("bench", J.Str bench.B.name);
-             ("kernel", J.Str "paced");
-             ("domains", J.num_of_int domains);
-             ("tasks", J.num_of_int last.E.tasks_executed);
-             ("time_scale", J.Num time_scale);
-             ("wall_ms_min", J.Num (wall_min /. 1e6));
-             ("wall_ms_median", J.Num (wall_med /. 1e6));
-             ("speedup_vs_1", J.Num speedup);
-             ("steals", J.num_of_int (E.total_steals last));
-             ("parks", J.num_of_int (E.total_parks last));
-             ("scratch_high_water_bytes", J.num_of_int last.E.scratch_high_water_bytes);
-           ]);
-      Printf.printf "  %8d %12.1f %12.1f %9.2fx %8d %8d\n" domains (wall_min /. 1e6)
-        (wall_med /. 1e6) speedup (E.total_steals last) (E.total_parks last))
-    [ 1; 2; 4 ];
-  Printf.printf "  (paced executor: overlap is real concurrency, not host core count)\n";
-  (* Real-work rows: pacing and spinning disabled — every task re-executes
-     the heavy kernels its recording captured, through the data-parallel
-     Par_kernel paths, into throwaway buffers.  Wall time here is honest
-     CPU work, so scaling reflects the host's actual cores: near-linear on
-     a >= 4-core box, ~1x on a single-core container (which is exactly why
-     the paced rows above exist).  TopK is the sort-heavy pipeline: every
-     batch is radix-sorted and every close k-way merges the window. *)
-  let bench_w = B.topk ~windows ~events_per_window:epw ~batch_events:batch () in
-  let rw =
-    Runtime.run ~engine:(`Des 8) ~capture:true cfg bench_w.B.pipeline (B.frames bench_w)
-  in
-  Printf.printf "  real work (`Work), %s: %d tasks, sort-heavy; min/median of 3 runs\n"
-    bench_w.B.name rw.Runtime.tasks_executed;
-  Printf.printf "  %8s %12s %12s %10s %8s %8s\n" "domains" "wall ms(min)" "wall ms(med)"
-    "speedup" "chunks" "steals";
-  let wall_w1 = ref 0.0 in
-  List.iter
-    (fun domains ->
-      let runs = List.init 3 (fun _ -> Runtime.exec_trace ~mode:`Work ~domains cfg rw) in
-      let walls = List.sort compare (List.map (fun (e : E.report) -> e.E.wall_ns) runs) in
-      let wall_min = List.nth walls 0 and wall_med = List.nth walls 1 in
-      if domains = 1 then wall_w1 := wall_med;
-      let speedup = if !wall_w1 > 0.0 then !wall_w1 /. wall_med else 1.0 in
-      let last = List.nth runs 2 in
-      ignore
-        (Bench_json.append ~section:"fig7_wall"
-           [
-             ("bench", J.Str bench_w.B.name);
-             ("kernel", J.Str "work");
-             ("domains", J.num_of_int domains);
-             ("tasks", J.num_of_int last.E.tasks_executed);
-             ("chunks", J.num_of_int last.E.chunks_executed);
-             ("wall_ms_min", J.Num (wall_min /. 1e6));
-             ("wall_ms_median", J.Num (wall_med /. 1e6));
-             ("speedup_vs_1", J.Num speedup);
-             ("steals", J.num_of_int (E.total_steals last));
-             ("parks", J.num_of_int (E.total_parks last));
-             ("scratch_high_water_bytes", J.num_of_int last.E.scratch_high_water_bytes);
-           ]);
-      Printf.printf "  %8d %12.1f %12.1f %9.2fx %8d %8d\n" domains (wall_min /. 1e6)
-        (wall_med /. 1e6) speedup last.E.chunks_executed (E.total_steals last))
-    [ 1; 2; 4 ];
-  Printf.printf "  (real kernels: speedup here is bounded by the host's physical cores)\n";
-  Printf.printf "  wrote %s\n" (Bench_json.path ~section:"fig7_wall" ())
-
-(* ------------------------------------------------------------------ *)
-(* Kernels: per-primitive rows/s, serial vs real domains.  Raw kernels
-   over preallocated buffers, so the numbers are the kernels alone —
-   no allocator, audit or SMC costs mixed in.  Serial here is the same
-   chunked code path on the calling domain (PK.serial degenerates to the
-   plain serial kernel), so the parallel columns show scheduling +
-   partitioning overhead honestly.                                       *)
-
-let kernels () =
-  section "[kernels] parallel primitive kernels, serial vs domains:{2,4} (PR4)";
-  let module PK = Sbt_prim.Par_kernel in
-  let module Pool = Sbt_umem.Page_pool in
-  let n = epw in
-  let w = 3 in
-  let p = Pool.create ~budget_bytes:(768 * 1024 * 1024) in
-  let rng = Sbt_crypto.Rng.create ~seed:11L in
-  (* fig7-scale synthetic batch: (key, value, ts) — 4096 distinct keys so
-     per-key aggregation sees real runs, ts ascending so Segment spreads
-     records over ~64 windows. *)
-  let win_ticks = max 1 (n / 64) in
-  let src = U.create ~id:1 ~pool:p ~width:w ~capacity:(max 1 n) () in
-  for i = 0 to n - 1 do
-    U.append src
-      [|
-        Int32.of_int (Sbt_crypto.Rng.int_below rng 4096);
-        Int32.of_int (Sbt_crypto.Rng.int_below rng 10_000);
-        Int32.of_int i;
-      |]
-  done;
-  U.produce src;
-  let by_key = U.create ~id:2 ~pool:p ~width:w ~capacity:(max 1 n) () in
-  Sbt_prim.Sort.sort Sbt_prim.Sort.Radix ~src ~dst:by_key ~key_field:0;
-  let src_sl = PK.slice_of_uarray src in
-  let by_key_sl = PK.slice_of_uarray by_key in
-  let scratch cells = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (max 1 cells) in
-  let dst = scratch (n * w) in
-  let time f =
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let t0 = Clock.now_ns () in
-      f ();
-      let dt = Clock.elapsed_ns ~since:t0 in
-      if dt < !best then best := dt
-    done;
-    Float.max 1.0 !best
-  in
-  let variants = [ ("serial", PK.serial); ("domains:2", PK.domains ~n:2); ("domains:4", PK.domains ~n:4) ] in
-  let measure prim kernel =
-    Printf.printf "  %-12s" prim;
-    List.iter
-      (fun (vname, runner) ->
-        let ns = time (fun () -> kernel runner) in
-        let rows_s = float_of_int n /. (ns /. 1e9) in
-        ignore
-          (Bench_json.append ~section:"kernels"
-             [
-               ("primitive", J.Str prim);
-               ("variant", J.Str vname);
-               ("rows", J.num_of_int n);
-               ("ns", J.Num ns);
-               ("rows_per_sec", J.Num rows_s);
-             ]);
-        Printf.printf "  %s=%6.1f Mrows/s" vname (rows_s /. 1e6))
-      variants;
-    print_newline ()
-  in
-  measure "Sort" (fun runner ->
-      PK.sort_raw ~runner ~w ~key_field:0 ~src:src_sl ~dst_buf:dst ~dst_off:0 ());
-  measure "Segment" (fun runner ->
-      PK.segment_raw ~runner ~w ~ts_field:2 ~window_size:win_ticks ~src:src_sl
-        ~alloc:(fun _win count -> (scratch (count * w), 0))
-        ());
-  measure "Sum_per_key" (fun runner ->
-      PK.per_key_raw ~runner ~w ~key_field:0 ~value_field:1 ~agg:PK.Agg_sum ~src:by_key_sl
-        ~alloc:(fun groups -> (scratch (groups * 2), 0))
-        ());
-  measure "Filter_band" (fun runner ->
-      PK.filter_band_raw ~runner ~w ~field:1 ~lo:0l ~hi:4_999l ~src:src_sl
-        ~alloc:(fun m -> (scratch (m * w), 0))
-        ());
-  Printf.printf "  (parallel rows bounded by the host's physical cores)\n";
-  Printf.printf "  wrote %s\n" (Bench_json.path ~section:"kernels" ())
-
-(* ------------------------------------------------------------------ *)
 (* Figure 8: vs commodity insecure engines on WinSum                     *)
 
 let fig8 () =
@@ -962,11 +782,11 @@ let recovery_bench () =
         s.Runtime.sv_audit )
   in
   (* Baseline: the same frames, no supervisor, no checkpoints. *)
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now_ns () in
   let plain =
     Runtime.run (Runtime.Config.make ~cores:4 ~deterministic:true ()) bench.B.pipeline frames
   in
-  let plain_wall = Unix.gettimeofday () -. t0 in
+  let plain_wall = Clock.elapsed_ns ~since:t0 /. 1e9 in
   let crash_after = max 1 (plain.Runtime.tasks_executed / 2) in
   Printf.printf "  baseline: %d tasks, %d frames; crash injected after %d tasks\n"
     plain.Runtime.tasks_executed (List.length frames) crash_after;
@@ -975,14 +795,14 @@ let recovery_bench () =
   List.iter
     (fun every ->
       let clean_cfg = Runtime.Config.make ~cores:4 ~deterministic:true () in
-      let t1 = Unix.gettimeofday () in
+      let t1 = Clock.now_ns () in
       let clean = Runtime.run_supervised ~ckpt_every:every clean_cfg bench.B.pipeline frames in
-      let clean_wall = Unix.gettimeofday () -. t1 in
+      let clean_wall = Clock.elapsed_ns ~since:t1 /. 1e9 in
       let plan = Fault.with_crash Fault.none ~site:Fault.Crash_control ~after_tasks:crash_after in
       let crash_cfg = Runtime.Config.make ~cores:4 ~deterministic:true ~fault_plan:plan () in
-      let t2 = Unix.gettimeofday () in
+      let t2 = Clock.now_ns () in
       let crashed = Runtime.run_supervised ~ckpt_every:every crash_cfg bench.B.pipeline frames in
-      let crash_wall = Unix.gettimeofday () -. t2 in
+      let crash_wall = Clock.elapsed_ns ~since:t2 /. 1e9 in
       let identical = observables clean = observables crashed in
       let verified =
         Sbt_attest.Verifier.ok clean.Runtime.sv_report
@@ -1051,9 +871,9 @@ let fleet_bench () =
           [ Fault.Kill { node = 1; at_beat = 1; permanent = true } ]
       else Fault.fleet_none ~suspect_after:2
     in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now_ns () in
     let s = Fleet.run ~scenario ~nodes:m ~batch_events:batch_f cfg bench.B.pipeline frames in
-    let wall = Unix.gettimeofday () -. t0 in
+    let wall = Clock.elapsed_ns ~since:t0 /. 1e9 in
     (s, wall)
   in
   Printf.printf "  %-3s %-6s %-10s %-12s %-9s %-7s %-8s %-9s %s\n" "M" "churn" "events/s"
@@ -1173,9 +993,9 @@ let tenants_bench () =
           (Session.create cfg)
           (List.init n (fun i -> i))
       in
-      let t0 = Unix.gettimeofday () in
+      let t0 = Clock.now_ns () in
       let res = Session.run session in
-      let wall = Unix.gettimeofday () -. t0 in
+      let wall = Clock.elapsed_ns ~since:t0 /. 1e9 in
       let clean, degraded, violating =
         match res.Multi.report with
         | Some r -> (r.V.tenants_clean, r.V.tenants_degraded, r.V.tenants_violating)
@@ -1278,8 +1098,6 @@ let sections =
     ("table4", table4);
     ("crypto", crypto);
     ("fig7", fig7);
-    ("fig7_wall", fig7_wall);
-    ("kernels", kernels);
     ("fig8", fig8);
     ("fig9", fig9);
     ("fig10", fig10);

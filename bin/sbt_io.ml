@@ -91,7 +91,8 @@ let read_frames path =
 (* --- sealed results --------------------------------------------------------
 
    Canonical dump of a run's sealed per-window results, used to compare
-   engines byte-for-byte (CI diffs the files two `--exec` modes write). *)
+   runs byte-for-byte (CI pins their digests and diffs crashed against
+   clean runs). *)
 
 let results_magic = "SBTR1"
 

@@ -66,9 +66,6 @@ type opts = {
   verbose : bool;
   audit_out : string option;
   results_out : string option;
-  exec : [ `Des | `Domains of int ] option;
-  exec_mode : Sbt_exec.Executor.mode option;
-  exec_time_scale : float option;
   disorder : float option;
   late_policy : D.late_policy option;
   session_gap : int option;
@@ -130,9 +127,6 @@ let validate o =
       ("--results-out", given o.results_out, reporting);
       ("--late-policy", given o.late_policy, Crash :: reporting);
       ("--session-gap", given o.session_gap, Crash :: reporting);
-      ("--exec", given o.exec, [ Run; Tenants ]);
-      ("--exec-mode", given o.exec_mode, [ Run; Tenants ]);
-      ("--exec-time-scale", given o.exec_time_scale, [ Run; Tenants ]);
       ("--disorder", given o.disorder, [ Run; Tenants ]);
       ("--fault-seed", given o.fault_seed, [ Run; Resilience; Tenants ]);
       ("--ckpt-every", given o.ckpt_every, [ Recover; Fleet ]);
@@ -213,8 +207,6 @@ let config ?fault_plan ?tracer o =
     ~deterministic:o.deterministic ~hints_enabled:o.hints
     ?late_policy:o.late_policy ?fault_plan ?tracer ()
 
-let exec_domains o = match o.exec with Some (`Domains n) -> Some n | Some `Des | None -> None
-
 let write_to path what f =
   Option.iter
     (fun p ->
@@ -235,7 +227,6 @@ let run o =
   let outcome =
     Runner.run ?cores_list:o.run.cores
       ~target_delay_ms:(Option.value o.run.target_ms ~default:bench.B.target_delay_ms)
-      ?exec_domains:(exec_domains o) ?exec_mode:o.exec_mode ?exec_time_scale:o.exec_time_scale
       cfg pipeline frames
   in
   (* --undeclared-late presents the log under a quote claiming the
@@ -267,19 +258,6 @@ let run o =
       (List.length r.V.corrected_windows)
   end;
   Format.printf "%a" Runner.pp_outcome outcome;
-  Option.iter
-    (fun (e : Sbt_exec.Executor.report) ->
-      let module E = Sbt_exec.Executor in
-      let busy =
-        Array.fold_left (fun a (d : E.domain_stats) -> a +. d.E.busy_ns) 0.0 e.E.per_domain
-      in
-      Printf.printf
-        "exec: %d domains | wall %.1f ms | %d tasks | %d chunks | %d steals | %d parks | busy/wall %.2f | scratch hw %d B\n"
-        e.E.domains (e.E.wall_ns /. 1e6) e.E.tasks_executed e.E.chunks_executed
-        (E.total_steals e) (E.total_parks e)
-        (busy /. Float.max 1.0 e.E.wall_ns)
-        e.E.scratch_high_water_bytes)
-    outcome.Runner.exec;
   if o.verbose then begin
     let s = outcome.Runner.dp_stats in
     Format.printf
@@ -537,14 +515,13 @@ let tenants o =
     | Some i when i >= 0 && i < n -> [ i ]
     | Some i -> fail "--solo-tenant %d outside 0..%d" i (n - 1)
   in
-  let engine = Option.map (fun d -> `Domains d) (exec_domains o) in
   let session =
     List.fold_left
       (fun s i ->
         let b = workload ~tenant:i o in
         Session.add_tenant ~id:i ?quota_pages:(quota_for i) ~pipeline:(pipeline o b)
           ~source:(source o b) s)
-      (Session.create ?engine ?exec_mode:o.exec_mode ?exec_time_scale:o.exec_time_scale (config o))
+      (Session.create (config o))
       ids
   in
   let res = Session.run session in
@@ -577,13 +554,6 @@ let tenants o =
   write_to o.audit_out "audit sub-streams (one file per tenant, suffix .t<ID>)" (fun p ->
       per_tenant p (fun path r -> Sbt_io.write_audit path r.Runtime.verifier_spec r.Runtime.audit));
   Option.iter
-    (fun (e : Sbt_exec.Executor.report) ->
-      Printf.printf "exec: %d domains | wall %.1f ms | %d tasks (merged fair schedule)\n"
-        e.Sbt_exec.Executor.domains
-        (e.Sbt_exec.Executor.wall_ns /. 1e6)
-        e.Sbt_exec.Executor.tasks_executed)
-    res.Multi.exec;
-  Option.iter
     (fun report ->
       Format.printf "%a" V.pp_tenants_report report;
       if not (V.tenants_ok report) || report.V.tenants_degraded > 0 then exit 2)
@@ -613,15 +583,6 @@ let shaped ~docv parse print =
       Error (`Msg (Printf.sprintf "bad value %S (expected %s)" s docv))
   in
   Arg.conv (parse, print) ~docv
-
-let exec_conv =
-  shaped ~docv:"des|domains:N"
-    (function
-      | "des" -> `Des
-      | s -> Scanf.sscanf s "domains:%d%!" (fun n -> if n > 0 then `Domains n else failwith s))
-    (fun fmt -> function
-      | `Des -> Format.pp_print_string fmt "des"
-      | `Domains n -> Format.fprintf fmt "domains:%d" n)
 
 let kill_conv =
   shaped ~docv:"NODE@BEAT[:permanent]"
@@ -810,24 +771,7 @@ let opts =
     opt_maybe Arg.string [ "audit-out" ] "Write the signed audit log to a file for sbt_verify"
   and+ results_out =
     opt_maybe Arg.string [ "results-out" ]
-      "Write the sealed per-window results to a file (byte-comparable across engines with cmp)"
-  and+ exec =
-    opt_some exec_conv `Des [ "exec" ]
-      "Execution engine: $(b,des) (discrete-event) or $(b,domains:N) (record under the DES, \
-       then measure the recorded task graph on N real domains with the work-stealing \
-       executor; observable outputs are byte-identical to des)"
-  and+ exec_mode =
-    opt_maybe
-      (Arg.enum [ ("paced", `Paced); ("spin", `Spin); ("work", `Work) ])
-      [ "exec-mode" ]
-      "Kernel mode for the domains:N measurement phase: $(b,paced) (default; tasks occupy wall \
-       time equal to their recorded cost), $(b,spin) (calibrated busy work), or $(b,work) \
-       (tasks re-execute the recorded real primitive kernels data-parallel via Par_kernel — \
-       the recording captures kernel inputs, and observable outputs stay byte-identical)"
-  and+ exec_time_scale =
-    opt_maybe Arg.float [ "exec-time-scale" ]
-      "Multiply recorded task costs by this factor in the domains:N measurement phase \
-       (shrinks long recordings to a quick wall run)"
+      "Write the sealed per-window results to a file (byte-comparable across runs with cmp)"
   and+ disorder =
     opt_some ~docv:"P" Arg.float 0.0 [ "disorder" ]
       "Delay each source event with probability $(docv) (seeded by --fault-seed; same seed, \
@@ -860,7 +804,7 @@ let opts =
   and+ resilience = resilience_opts
   and+ tenants = tenants_opts in
   { name; version; windows; epw; batch; deterministic; hints; verbose; audit_out;
-    results_out; exec; exec_mode; exec_time_scale; disorder; late_policy; session_gap;
+    results_out; disorder; late_policy; session_gap;
     fault_seed; ckpt_every; run; recovery; fleet; resilience; tenants }
 
 let cmd =

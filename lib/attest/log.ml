@@ -75,41 +75,3 @@ let restore_cursor t ~seq ~records_produced ~raw_bytes ~compressed_bytes =
   t.records_produced <- records_produced;
   t.raw_bytes <- raw_bytes;
   t.compressed_bytes <- compressed_bytes
-
-(* --- per-domain shards ---------------------------------------------------
-
-   A shard is a lock-free, domain-local staging buffer: appends touch only
-   the shard's own fields, so concurrent domains never contend (each
-   domain owns exactly one shard).  Records carry a caller-assigned
-   sequence key — the task's schedule index — and [merge_shards] replays
-   all staged records through the ordinary append/flush path in ascending
-   key order.  Because batches, MACs and batch sequence numbers are all
-   produced by that single serial replay, the merged audit bytes are
-   byte-identical to a serial run that appended the same records in key
-   order, regardless of how execution interleaved across domains. *)
-
-type shard = {
-  mutable staged : (int * Record.t) list; (* newest first *)
-  mutable staged_count : int;
-}
-
-let shard () = { staged = []; staged_count = 0 }
-
-let shard_append s ~seq r =
-  s.staged <- (seq, r) :: s.staged;
-  s.staged_count <- s.staged_count + 1
-
-let shard_count s = s.staged_count
-
-let merge_shards t shards =
-  let all =
-    Array.to_list shards
-    |> List.concat_map (fun s -> List.rev s.staged)
-    |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
-  in
-  Array.iter
-    (fun s ->
-      s.staged <- [];
-      s.staged_count <- 0)
-    shards;
-  List.filter_map (fun (_, r) -> append t r) all

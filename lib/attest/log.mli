@@ -41,29 +41,3 @@ val restore_cursor :
     data plane continues the batch sequence exactly where the
     checkpointed one left off.  Only legal on a log with no pending
     records (checkpoints are taken right after a flush). *)
-
-(** {2 Domain-safe sharded appends}
-
-    For the real-parallel executor: each domain stages records into its
-    own shard (lock-free — a shard must only ever be touched by its
-    owning domain), tagging every record with a deterministic sequence
-    key (its task's schedule index).  {!merge_shards} then replays all
-    staged records through the serial append/flush path in ascending key
-    order, so the resulting batches — payloads, MACs, batch sequence
-    numbers — are byte-identical to a serial run, however execution
-    interleaved across domains. *)
-
-type shard
-
-val shard : unit -> shard
-
-val shard_append : shard -> seq:int -> Record.t -> unit
-(** Stage a record under sequence key [seq].  No lock, no flush, no MAC:
-    nothing observable happens until {!merge_shards}. *)
-
-val shard_count : shard -> int
-
-val merge_shards : t -> shard array -> batch list
-(** Drain every shard into [t] in ascending [seq] order (ties break by
-    shard index) and return the batches flushed along the way, oldest
-    first. *)

@@ -181,17 +181,6 @@ exception Cross_tenant_ref of { ref_ : int64; owner : int; tenant : int }
 type rpc = Rpc_init | Rpc_finalize | Rpc_debug | Rpc_op of request
 type rpc_resp = Rr_unit | Rr_debug of string | Rr_op of response
 
-(* Snapshot of a heavy primitive invocation, taken before inputs retire.
-   The executor's [`Work] mode replays these through Par_kernel into
-   throwaway buffers so measured wall time reflects the real kernels
-   without touching the recorded pass's observables (DESIGN.md §9). *)
-type capture = {
-  cap_op : P.t;
-  cap_params : param list;
-  cap_inputs : (int * int * U.buf) list; (* width, records, host snapshot *)
-  cap_steps : F.step list; (* non-empty iff a chain of >= 2 steps *)
-}
-
 type t = {
   cfg : config;
   pool : Pool.t;
@@ -214,7 +203,6 @@ type t = {
   mutable uploaded : Sbt_attest.Log.batch list; (* newest first *)
   mutable next_ckpt_seq : int;
   mutable ingest_width : int; (* set per stream schema via first ingest params *)
-  mutable capture : (capture -> unit) option; (* heavy-kernel snapshot sink *)
   (* Session-window state (only touched when a Segment invocation carries
      P_session_gap).  Assignment is global and in-order over the event
      stream: a new session opens after [sess_gap] ticks of event-time
@@ -506,27 +494,6 @@ let scalar_i64 v =
   let hi = Int64.to_int32 (Int64.shift_right_logical v 32) in
   [| lo; hi |]
 
-(* Ops whose cost is dominated by a data-parallel kernel worth replaying
-   on real domains.  Scalar folds (Sum, Count, ...) are not worth a
-   snapshot: their replay cost would be dwarfed by the copy. *)
-let capture_worthy = function
-  | P.Sort | P.Merge | P.Kway_merge | P.Segment | P.Sum_per_key | P.Count_per_key
-  | P.Avg_per_key | P.Filter_band | P.Select | P.Project | P.Concat ->
-      true
-  | _ -> false
-
-let set_capture t sink = t.capture <- sink
-
-(* Snapshots live on the host heap, not in the secure pool: captures are
-   a measurement aid for the normal-world executor and must not perturb
-   the recorded pass's pool accounting. *)
-let snapshot_input ua =
-  let w = U.width ua and n = U.length ua in
-  let copy = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (n * w) in
-  if n * w > 0 then
-    Bigarray.Array1.blit (Bigarray.Array1.sub (U.raw ua) 0 (n * w)) copy;
-  (w, n, copy)
-
 (* How the TEE reads a per-record op's parameters, with the defaults a
    plain invoke applies.  Each step of a chain is read the same way, so a
    chain step and a length-1 invoke of the same (op, params) compute the
@@ -551,7 +518,7 @@ let per_record_step op params =
 (* One trusted entry runs a chain of (op, params) steps.  A length-1
    chain is a plain invoke of any primitive and emits one Execution record
    (Windowing records for Segment).  A longer chain must be all
-   per-record ops over one input: it runs as one single-pass kernel and
+   per-record ops over one input: it runs as one kernel ({!F.run}) and
    emits one composite Fused record.  The chain hash is computed here,
    in-TEE, so the normal world cannot later present a different
    composition as the one that ran. *)
@@ -826,9 +793,9 @@ let do_invoke (t : t) ~chain ~inputs ~trigger ~hints ~retire_inputs =
         in
         [ (-1, dst) ]
   in
-  (* A chain in one pass over its input.  The kernel allocates the output
-     once, after its count pass; [mk] times that as Mem from inside the
-     Compute span, so it is taken back out of Compute to count once. *)
+  (* A chain runs as one {!F.run} kernel.  It allocates the output once,
+     after its count pass; [mk] times that as Mem from inside the Compute
+     span, so it is taken back out of Compute to count once. *)
   let run_chain steps =
     let src = as_one uas in
     let w = U.width src in
@@ -837,39 +804,17 @@ let do_invoke (t : t) ~chain ~inputs ~trigger ~hints ~retire_inputs =
       | Some dw -> dw
       | None -> raise (Rejected "invoke: chain invalid for input width")
     in
-    (match t.capture with
-    | Some sink ->
-        sink
-          {
-            cap_op = F.step_op (List.hd steps);
-            cap_params = [];
-            cap_inputs = [ snapshot_input src ];
-            cap_steps = steps;
-          }
-    | None -> ());
-    let dst = ref None in
     let mem_before = t.mem_ns in
-    timed t `Compute (fun () ->
-        Sbt_prim.Par_kernel.fused_raw ~w ~steps
-          ~src:(Sbt_prim.Par_kernel.slice_of_uarray src)
-          ~alloc:(fun n ->
-            let d = mk ~width:dw ~capacity:n () in
-            dst := Some d;
-            let off = U.reserve d n in
-            (U.raw d, off))
-          ());
+    let dst =
+      timed t `Compute (fun () ->
+          F.run ~steps ~src ~alloc:(fun n -> mk ~width:dw ~capacity:n ()))
+    in
     t.compute_ns <- t.compute_ns -. (t.mem_ns -. mem_before);
-    [ (-1, Option.get !dst) ]
+    [ (-1, dst) ]
   in
   let kind, outputs =
     match chain with
-    | [ (op, params) ] ->
-        (match t.capture with
-        | Some sink when capture_worthy op ->
-            let cap_inputs = List.map snapshot_input uas in
-            sink { cap_op = op; cap_params = params; cap_inputs; cap_steps = [] }
-        | _ -> ());
-        (`Op op, run_op op params)
+    | [ (op, params) ] -> (`Op op, run_op op params)
     | _ ->
         let steps = List.map (fun (op, params) -> per_record_step op params) chain in
         (`Chain steps, run_chain steps)
@@ -1263,7 +1208,6 @@ let create cfg =
       uploaded = [];
       next_ckpt_seq = 0;
       ingest_width = 3;
-      capture = None;
       sess_gap = 0;
       sess_last_ts = 0;
       sess_next_id = 0;

@@ -190,7 +190,7 @@ type request =
             records for [Segment]).
           - A chain of two or more steps must be all per-record ops
             ({!Sbt_prim.Primitive.fusable}) over one input uArray.  It runs
-            as one single-pass kernel and emits one composite
+            as one kernel ({!Sbt_prim.Fused.run}) and emits one composite
             {!Sbt_attest.Record.Fused} record carrying the ordered op ids,
             the encoded parameters and an in-TEE chain hash.  Each step's
             parameters mean what they mean in a length-1 invoke.
@@ -360,30 +360,6 @@ val metrics_quote : t -> nonce:bytes -> bytes * Sbt_attest.Quote.quote
 val set_ingest_width : t -> int -> unit
 (** Record width (32-bit fields per event) of ingested payloads —
     installed with the pipeline, part of the certified configuration. *)
-
-type capture = {
-  cap_op : Sbt_prim.Primitive.t;
-  cap_params : param list;
-  cap_inputs : (int * int * Sbt_umem.Uarray.buf) list;
-      (** per input: (width, records, host-heap snapshot of the raw data) *)
-  cap_steps : Sbt_prim.Fused.step list;
-      (** non-empty iff the invocation was a chain of two or more steps;
-          the replay then runs {!Sbt_prim.Par_kernel.fused_raw} instead of
-          dispatching on [cap_op] *)
-}
-(** Snapshot of one heavy primitive invocation, taken on entry to
-    [R_invoke] — before outputs are allocated or inputs retired.  The
-    executor's [`Work] mode replays captures through
-    {!Sbt_prim.Par_kernel} into throwaway buffers, so measured wall time
-    reflects the real kernels while the recorded pass's observables stay
-    untouched (DESIGN.md §9). *)
-
-val set_capture : t -> (capture -> unit) option -> unit
-(** Install (or clear) the capture sink.  Only data-parallel-worthy ops
-    (sort, merges, segment, per-key aggregation, filter/select, project,
-    concat) are captured; scalar folds are skipped because copying their
-    input would cost more than replaying it.  Snapshots are host-heap
-    copies and never touch the secure pool's accounting. *)
 
 val audit_log_stats : t -> int * int * int
 (** (records produced, raw bytes, compressed bytes). *)

@@ -51,7 +51,6 @@ type result = {
   agg_events_per_sec : float;
   p99_delay_ns : float;
   max_delay_ns : float;
-  exec : Sbt_exec.Executor.report option;
   registry : Sbt_obs.Metrics.t;
 }
 
@@ -81,8 +80,7 @@ let tenant_config (cfg : Runtime.config) ~owners t =
 (* Deficit round-robin merge: repeatedly hand the next task to the
    unfinished tenant with the least accumulated scheduled cost (ties to
    the lower slot), keeping each tenant's nodes in recording order so
-   intra-tenant deps stay backward.  Returns the merged trace and, per
-   merged index, its (slot, original index) provenance. *)
+   intra-tenant deps stay backward. *)
 let merge_traces traces =
   let n = Array.length traces in
   let nodes = Array.map Sbt_sim.Trace.nodes traces in
@@ -90,7 +88,6 @@ let merge_traces traces =
   let pos = Array.make n 0 in
   let credit = Array.make n 0.0 in
   let remap = Array.map (fun ns -> Array.make (Array.length ns) (-1)) nodes in
-  let provenance = Array.make total (0, 0) in
   let out = ref [] in
   for merged_idx = 0 to total - 1 do
     let best = ref (-1) in
@@ -111,11 +108,10 @@ let merge_traces traces =
     let label = Printf.sprintf "t%d:%s" i node.Sbt_sim.Trace.label in
     out := { node with Sbt_sim.Trace.deps; role; label } :: !out;
     remap.(i).(pos.(i)) <- merged_idx;
-    provenance.(merged_idx) <- (i, pos.(i));
     pos.(i) <- pos.(i) + 1;
     credit.(i) <- credit.(i) +. node.Sbt_sim.Trace.cost_ns
   done;
-  (Sbt_sim.Trace.of_nodes (Array.of_list (List.rev !out)), provenance)
+  Sbt_sim.Trace.of_nodes (Array.of_list (List.rev !out))
 
 let percentile p values =
   match values with
@@ -141,14 +137,9 @@ let validate tenants =
       | _ -> ())
     tenants
 
-let run ?engine ?exec_time_scale ?exec_mode ?capture ?registry ?(verify = true)
-    (cfg : Runtime.config) tenants =
+let run ?registry ?(verify = true) (cfg : Runtime.config) tenants =
   validate tenants;
   let tenants = List.sort (fun a b -> compare a.id b.id) tenants in
-  let engine = match engine with Some e -> e | None -> `Des cfg.Runtime.cores in
-  let capture =
-    match capture with Some c -> c | None -> exec_mode = Some `Work
-  in
   let root = match registry with Some r -> r | None -> Sbt_obs.Metrics.create () in
   (* The enclave-level ref-ownership map every tenant's plane shares. *)
   let owners : (int64, int) Hashtbl.t = Hashtbl.create 256 in
@@ -160,16 +151,12 @@ let run ?engine ?exec_time_scale ?exec_mode ?capture ?registry ?(verify = true)
       (fun t ->
         let tcfg = tenant_config cfg ~owners t in
         let treg = Sbt_obs.Metrics.scoped root (Printf.sprintf "tenant%d" t.id) in
-        let r =
-          Runtime.run ~engine:(`Des cfg.Runtime.cores) ~capture ~registry:treg tcfg
-            t.pipeline t.source
-        in
-        (t, r))
+        (t, Runtime.run ~registry:treg tcfg t.pipeline t.source))
       tenants
   in
   (* Fair interleaving of the recorded task graphs. *)
   let slots = Array.of_list (List.map snd runs) in
-  let merged, provenance = merge_traces (Array.map (fun r -> r.Runtime.trace) slots) in
+  let merged = merge_traces (Array.map (fun r -> r.Runtime.trace) slots) in
   let replay =
     Sbt_sim.Trace.replay merged ~cores:cfg.Runtime.cores ~rate_eps:Float.infinity
   in
@@ -230,35 +217,6 @@ let run ?engine ?exec_time_scale ?exec_mode ?capture ?registry ?(verify = true)
                 })
               runs))
   in
-  (* Real-parallel measurement: the merged DRR schedule runs once through
-     the work-stealing executor, all tenants sharing the domains. *)
-  let exec =
-    match engine with
-    | `Des _ -> None
-    | `Domains domains ->
-        let pool =
-          Sbt_umem.Page_pool.create
-            ~budget_bytes:
-              (Sbt_tz.Platform.secure_bytes cfg.Runtime.dp_config.D.platform)
-        in
-        let work =
-          if Array.exists (fun r -> r.Runtime.work <> None) slots then
-            Some
-              (fun merged_idx ->
-                if merged_idx < 0 || merged_idx >= Array.length provenance then None
-                else
-                  let slot, orig = provenance.(merged_idx) in
-                  match slots.(slot).Runtime.work with
-                  | Some f -> f orig
-                  | None -> None)
-          else None
-        in
-        Some
-          (Sbt_exec.Executor.run
-             ?tracer:cfg.Runtime.dp_config.D.tracer
-             ~registry:root ~pool ?time_scale:exec_time_scale ?mode:exec_mode ?work
-             ~domains merged)
-  in
   let agg_events = List.fold_left (fun acc (_, r) -> acc + r.Runtime.total_events) 0 runs in
   let makespan_ns = replay.Sbt_sim.Trace.makespan_ns in
   let all_delays = List.concat_map (fun tr -> List.map snd tr.tr_delays) tenant_results in
@@ -272,6 +230,5 @@ let run ?engine ?exec_time_scale ?exec_mode ?capture ?registry ?(verify = true)
       (if makespan_ns > 0.0 then float_of_int agg_events /. (makespan_ns /. 1e9) else 0.0);
     p99_delay_ns = percentile 99.0 all_delays;
     max_delay_ns = List.fold_left max 0.0 all_delays;
-    exec;
     registry = root;
   }

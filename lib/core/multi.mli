@@ -13,9 +13,7 @@
       ({!Dataplane.Cross_tenant_ref});
     - {b fair scheduling} — the recorded task graphs interleave by
       deficit round-robin, so one heavy tenant cannot starve the p99
-      output delay of the rest, and the [`Domains] engine runs the
-      merged schedule through {!Sbt_exec.Executor} once, all tenants
-      sharing the domains;
+      output delay of the rest;
     - {b tenant-scoped attestation} — each tenant's audit sub-stream is
       MAC'd under its own derived key
       ({!Sbt_attest.Verifier.tenant_key}) and judged independently
@@ -54,9 +52,6 @@ type result = {
   agg_events_per_sec : float;  (** aggregate enclave throughput *)
   p99_delay_ns : float;  (** p99 of per-window output delay across all tenants *)
   max_delay_ns : float;
-  exec : Sbt_exec.Executor.report option;
-      (** the merged schedule's real-parallel run — [Some] iff the
-          engine was [`Domains _] *)
   registry : Sbt_obs.Metrics.t;
       (** root registry: each tenant's counters live under
           [tenant<id>.*] and enclave totals under [tenants.*]
@@ -75,22 +70,12 @@ val tenant_config : Runtime.config -> owners:(int64, int) Hashtbl.t -> tenant ->
     [owners].  Tenant 0 with no quota yields a config observably
     identical to the input — the 1-tenant special case. *)
 
-val run :
-  ?engine:Runtime.engine ->
-  ?exec_time_scale:float ->
-  ?exec_mode:Sbt_exec.Executor.mode ->
-  ?capture:bool ->
-  ?registry:Sbt_obs.Metrics.t ->
-  ?verify:bool ->
-  Runtime.config ->
-  tenant list ->
-  result
+val run : ?registry:Sbt_obs.Metrics.t -> ?verify:bool -> Runtime.config -> tenant list -> result
 (** Admit the tenants into one enclave and run them all.  Each tenant
     records under its own data plane (derived egress key, quota-capped
     pool, shared ref namespace, [tenant<id>.*] metrics scope); the
-    merged DRR schedule is then replayed for fairness numbers and, under
-    [`Domains n], executed for real.  [engine] defaults to
-    [`Des cfg.cores]; [verify] (default true) runs
+    merged DRR schedule is then replayed on [cfg.cores] virtual cores
+    for fairness numbers.  [verify] (default true) runs
     {!Sbt_attest.Verifier.verify_tenants}.  Raises [Invalid_argument]
     on an empty tenant list, duplicate or negative ids, or a
     non-positive quota. *)

@@ -30,7 +30,6 @@ type outcome = {
   registry : Sbt_obs.Metrics.t;
   tee_metrics : bytes;
   tee_quote : Sbt_attest.Quote.quote;
-  exec : Sbt_exec.Executor.report option;
 }
 
 let mean = function
@@ -68,8 +67,8 @@ let merge_corrections ~egress_key results corrections =
   in
   List.sort (fun (a, _) (b, _) -> compare a b) (merged @ extra)
 
-let run ?(cores_list = [ 2; 4; 8 ]) ?(target_delay_ms = 500.0) ?(repeats = 1) ?exec_domains
-    ?exec_time_scale ?exec_mode (cfg : Runtime.config) (pipe : Pipeline.t) frames =
+let run ?(cores_list = [ 2; 4; 8 ]) ?(target_delay_ms = 500.0) ?(repeats = 1)
+    (cfg : Runtime.config) (pipe : Pipeline.t) frames =
   let version = cfg.Runtime.dp_config.D.version in
   let tracer = cfg.Runtime.dp_config.D.tracer in
   let record () =
@@ -78,10 +77,7 @@ let run ?(cores_list = [ 2; 4; 8 ]) ?(target_delay_ms = 500.0) ?(repeats = 1) ?e
        repeats = 1, where latest = kept). *)
     Option.iter Sbt_obs.Tracer.reset tracer;
     Gc.full_major ();
-    (* Capture heavy-kernel inputs only when a [`Work] measurement will
-       replay them; snapshot copies are pure overhead otherwise. *)
-    let capture = exec_domains <> None && exec_mode = Some `Work in
-    Runtime.run ~capture cfg pipe frames
+    Runtime.run cfg pipe frames
   in
   (* Host noise shows up as inflated task costs; repeated recordings keep
      the least-noisy (cheapest) trace. *)
@@ -94,14 +90,6 @@ let run ?(cores_list = [ 2; 4; 8 ]) ?(target_delay_ms = 500.0) ?(repeats = 1) ?e
     then r := r'
   done;
   let r = !r in
-  (* Real-parallel phase: once, on the kept recording, so the wall-clock
-     report always corresponds to the trace the outcome carries. *)
-  let exec_report =
-    Option.map
-      (fun domains ->
-        Runtime.exec_trace ?time_scale:exec_time_scale ?mode:exec_mode ~domains cfg r)
-      exec_domains
-  in
   let egress_key = cfg.Runtime.dp_config.D.egress_key in
   let bytes_per_event = Event.bytes_per_event pipe.Pipeline.schema in
   let points =
@@ -164,7 +152,6 @@ let run ?(cores_list = [ 2; 4; 8 ]) ?(target_delay_ms = 500.0) ?(repeats = 1) ?e
     registry = r.Runtime.registry;
     tee_metrics = r.Runtime.tee_metrics;
     tee_quote = r.Runtime.tee_quote;
-    exec = exec_report;
   }
 
 let pp_outcome fmt o =

@@ -42,9 +42,6 @@ type outcome = {
   registry : Sbt_obs.Metrics.t;  (** control-plane metrics for the kept recording *)
   tee_metrics : bytes;  (** attested TEE registry snapshot *)
   tee_quote : Sbt_attest.Quote.quote;
-  exec : Sbt_exec.Executor.report option;
-      (** real-parallel wall-clock report for the kept recording —
-          [Some] iff [exec_domains] was passed *)
 }
 
 val merge_corrections :
@@ -62,25 +59,18 @@ val run :
   ?cores_list:int list ->
   ?target_delay_ms:float ->
   ?repeats:int ->
-  ?exec_domains:int ->
-  ?exec_time_scale:float ->
-  ?exec_mode:Sbt_exec.Executor.mode ->
   Runtime.config ->
   Pipeline.t ->
   Sbt_net.Frame.t list ->
   outcome
-(** Record the pipeline once under [`Des cfg.cores] — the recording
-    cores fix the schedule and so every audit timestamp — then search
+(** Record the pipeline once on [cfg.cores] virtual cores — the
+    recording cores fix the schedule and so every audit timestamp — then search
     the maximum sustainable rate at each of [cores_list] (default
     [\[2;4;8\]]) under a [target_delay_ms] output-delay target (default
     500 ms).  [repeats > 1] records several times and keeps the cheapest
     trace, suppressing host measurement noise; pointless under a
     deterministic config, where every recording is identical.  A tracer
     in [cfg] records the kept run's virtual-time spans (use
-    [repeats = 1]: the buffer is reset before each repeat).
-
-    [exec_domains] runs the real-parallel executor
-    ({!Runtime.exec_trace}) once over the kept recording;
-    [exec_time_scale]/[exec_mode] tune that phase. *)
+    [repeats = 1]: the buffer is reset before each repeat). *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -3,8 +3,6 @@ module P = Sbt_prim.Primitive
 module Trace = Sbt_sim.Trace
 module Des = Sbt_sim.Des
 
-type engine = [ `Des of int | `Domains of int ]
-
 type config = {
   dp_config : D.config;
   cores : int;
@@ -67,126 +65,6 @@ exception
     vt_ns : float;
   }
 
-(* --- real-work replay ------------------------------------------------------
-
-   Maps captured invocations ({!Dataplane.capture}) back onto the
-   data-parallel kernels.  Replays write into throwaway host buffers: the
-   recorded pass's outputs, audit bytes and pool accounting are already
-   fixed, so the only thing a replay produces is honest wall-clock work
-   for the executor's [`Work] mode to measure (DESIGN.md §9). *)
-
-module PK = Sbt_prim.Par_kernel
-
-let host_buf cells = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (max 1 cells)
-let cap_find params f = List.find_map f params
-
-let cap_key_field params d =
-  Option.value ~default:d (cap_find params (function D.P_key_field k -> Some k | _ -> None))
-
-let cap_value_field params d =
-  Option.value ~default:d (cap_find params (function D.P_value_field v -> Some v | _ -> None))
-
-let cap_slice (_, n, buf) = { PK.buf; off = 0; len = n }
-
-let replay_capture runner (c : D.capture) =
-  let params = c.D.cap_params in
-  (* Fused super-kernels carry their whole step chain in [cap_steps];
-     [cap_op] is only the head of the chain, so dispatch on the chain
-     first. *)
-  match (c.D.cap_steps, c.D.cap_inputs) with
-  | (_ :: _ as steps), [ ((w, _, _) as inp) ] -> (
-      match Sbt_prim.Fused.width_after w steps with
-      | Some dw ->
-          PK.fused_raw ~runner ~w ~steps ~src:(cap_slice inp)
-            ~alloc:(fun n -> (host_buf (n * max 1 dw), 0))
-            ()
-      | None -> ())
-  | _ -> (
-  match (c.D.cap_op, c.D.cap_inputs) with
-  | P.Sort, [ ((w, n, _) as inp) ] ->
-      let kf = cap_key_field params 0 in
-      let dst = host_buf (n * w) in
-      (match cap_find params (function D.P_value_field v -> Some v | _ -> None) with
-      | Some vf ->
-          (* Secondary order, as recorded: stable by value, then by key. *)
-          PK.sort_raw ~runner ~w ~key_field:vf ~src:(cap_slice inp) ~dst_buf:dst ~dst_off:0 ();
-          PK.sort_raw ~runner ~w ~key_field:kf
-            ~src:{ PK.buf = dst; off = 0; len = n }
-            ~dst_buf:dst ~dst_off:0 ()
-      | None ->
-          PK.sort_raw ~runner ~w ~key_field:kf ~src:(cap_slice inp) ~dst_buf:dst ~dst_off:0 ())
-  | (P.Merge | P.Kway_merge), ((w, _, _) :: _ as inputs) ->
-      let kf = cap_key_field params 0 in
-      let total = List.fold_left (fun acc (_, n, _) -> acc + n) 0 inputs in
-      let dst = host_buf (total * w) in
-      PK.merge_raw ~runner ~w ~key_field:kf
-        ~runs:(Array.of_list (List.map cap_slice inputs))
-        ~dst_buf:dst ~dst_off:0 ()
-  | P.Segment, [ ((w, _, _) as inp) ] ->
-      let ws =
-        match cap_find params (function D.P_window_size v -> Some v | _ -> None) with
-        | Some v -> v
-        | None -> 1
-      in
-      let tf =
-        Option.value ~default:2 (cap_find params (function D.P_ts_field f -> Some f | _ -> None))
-      in
-      let slide =
-        Option.value ~default:ws (cap_find params (function D.P_slide v -> Some v | _ -> None))
-      in
-      PK.segment_raw ~runner ~w ~ts_field:tf ~window_size:ws ~slide ~src:(cap_slice inp)
-        ~alloc:(fun _win count -> (host_buf (count * w), 0))
-        ()
-  | (P.Sum_per_key | P.Count_per_key | P.Avg_per_key), [ ((w, _, _) as inp) ] ->
-      let kf = cap_key_field params 0 in
-      let vf = cap_value_field params 1 in
-      let agg =
-        match c.D.cap_op with
-        | P.Sum_per_key -> PK.Agg_sum
-        | P.Count_per_key -> PK.Agg_count
-        | _ -> PK.Agg_avg
-      in
-      PK.per_key_raw ~runner ~w ~key_field:kf ~value_field:vf ~agg ~src:(cap_slice inp)
-        ~alloc:(fun groups -> (host_buf (groups * 2), 0))
-        ()
-  | P.Filter_band, ((w, _, _) as inp) :: rest ->
-      let f = cap_value_field params 1 in
-      let lo, hi =
-        match rest with
-        | [ (tw, tn, tbuf) ] when tn > 0 && (tw = 1 || tw = 2) ->
-            (* Runtime threshold input, as recorded: strictly above. *)
-            (Int32.add tbuf.{0} 1l, Int32.max_int)
-        | _ ->
-            ( Option.value ~default:Int32.min_int
-                (cap_find params (function D.P_lo v -> Some v | _ -> None)),
-              Option.value ~default:Int32.max_int
-                (cap_find params (function D.P_hi v -> Some v | _ -> None)) )
-      in
-      PK.filter_band_raw ~runner ~w ~field:f ~lo ~hi ~src:(cap_slice inp)
-        ~alloc:(fun n -> (host_buf (n * w), 0))
-        ()
-  | P.Select, [ ((w, _, _) as inp) ] ->
-      let f = cap_value_field params 0 in
-      let v =
-        Option.value ~default:0l (cap_find params (function D.P_lo v -> Some v | _ -> None))
-      in
-      PK.filter_band_raw ~runner ~w ~field:f ~lo:v ~hi:v ~src:(cap_slice inp)
-        ~alloc:(fun n -> (host_buf (n * w), 0))
-        ()
-  | P.Project, [ ((w, n, _) as inp) ] -> (
-      match cap_find params (function D.P_fields f -> Some f | _ -> None) with
-      | Some fields ->
-          let dst = host_buf (n * Array.length fields) in
-          PK.project_raw ~runner ~w ~fields ~src:(cap_slice inp) ~dst_buf:dst ~dst_off:0 ()
-      | None -> ())
-  | P.Concat, ((w, _, _) :: _ as inputs) ->
-      let total = List.fold_left (fun acc (_, n, _) -> acc + n) 0 inputs in
-      let dst = host_buf (total * w) in
-      PK.concat_raw ~runner ~w
-        ~inputs:(Array.of_list (List.map cap_slice inputs))
-        ~dst_buf:dst ~dst_off:0 ()
-  | _ -> () (* shape the replayer doesn't model: contributes no work *))
-
 type run_result = {
   results : (int * D.sealed_result) list;
   corrections : (int * int * D.sealed_result) list;
@@ -206,8 +84,6 @@ type run_result = {
   registry : Sbt_obs.Metrics.t;
   tee_metrics : bytes;
   tee_quote : Sbt_attest.Quote.quote;
-  exec : Sbt_exec.Executor.report option;
-  work : (int -> Sbt_exec.Executor.work_fn option) option;
 }
 
 (* Per-window control state. *)
@@ -338,14 +214,13 @@ let decode_control blob =
 
 (* --- the recording loop ----------------------------------------------------
 
-   Identical under both engines: the observable outputs (sealed results,
-   audit bytes, verifier verdicts) come from this serial, DES-driven pass.
-   [`Domains n] adds a real-parallel measurement phase afterwards but never
-   feeds anything back into the observables — that separation is what makes
-   them byte-identical across engines and domain counts. *)
+   The one engine: the control plane runs for real and every data-plane
+   effect happens once, serially, while the DES schedules the task graph
+   on [cfg.cores] virtual cores.  Sealed results, audit bytes and
+   verdicts all come from this pass. *)
 
-let record ~recording_cores ?(capture = false) ?ckpt_every ?on_checkpoint ?resume
-    ?(frame_offset = 0) ?registry ?halt_after_window cfg (pipe : Pipeline.t) frames =
+let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
+    ?halt_after_window cfg (pipe : Pipeline.t) frames =
   let dp, resume_ctl =
     match resume with
     | None -> (D.create cfg.dp_config, None)
@@ -375,8 +250,7 @@ let record ~recording_cores ?(capture = false) ?ckpt_every ?on_checkpoint ?resum
      the whole schedule — and every audit timestamp derived from it — is
      free of host noise (what the observer-effect tests rely on). *)
   let fresh_des () =
-    Des.create ?tracer ~host_scale:cost.Sbt_tz.Cost_model.host_scale
-      ~cores:recording_cores ()
+    Des.create ?tracer ~host_scale:cost.Sbt_tz.Cost_model.host_scale ~cores:cfg.cores ()
   in
   (* With checkpointing, the run is split into segments at checkpoint
      boundaries: each segment drains its own DES, and the next segment's
@@ -418,18 +292,6 @@ let record ~recording_cores ?(capture = false) ?ckpt_every ?on_checkpoint ?resum
     ref []
   in
   let node_count = ref 0 in
-  (* Heavy-kernel captures, in invocation order; [node_caps] maps a node's
-     schedule index to its [c0, c1) slice of that sequence so the executor
-     can replay exactly the kernels each task ran. *)
-  let captures = ref [] in
-  let ncap = ref 0 in
-  let node_caps : (int, int * int) Hashtbl.t = Hashtbl.create 64 in
-  if capture then
-    D.set_capture dp
-      (Some
-         (fun c ->
-           captures := c :: !captures;
-           incr ncap));
   let windows : (int, win_state) Hashtbl.t = Hashtbl.create 64 in
   (* Open windows from the checkpoint: same ready/last-ready/pending
      structure (references re-bound by the restored data plane), empty
@@ -481,12 +343,10 @@ let record ~recording_cores ?(capture = false) ?ckpt_every ?on_checkpoint ?resum
           raise (Sbt_fault.Fault.Crash Sbt_fault.Fault.Crash_control)
       | _ -> ());
       D.set_now_ns dp start_ns;
-      let c0 = !ncap in
       let s0 = dp |> D.stats in
       let r = body () in
       let s1 = dp |> D.stats in
       incr executed_tasks;
-      if !ncap > c0 then Hashtbl.replace node_caps idx (c0, !ncap);
       let switch_delta = s1.D.modeled_switch_ns -. s0.D.modeled_switch_ns in
       let copy_delta = s1.D.modeled_copy_ns -. s0.D.modeled_copy_ns in
       let crypto_delta = s1.D.crypto_ns -. s0.D.crypto_ns in
@@ -1112,22 +972,6 @@ let record ~recording_cores ?(capture = false) ?ckpt_every ?on_checkpoint ?resum
          nodes_in_order)
   in
   let trace = Trace.of_nodes trace_nodes in
-  let work =
-    if not capture then None
-    else begin
-      let caps = Array.of_list (List.rev !captures) in
-      Some
-        (fun i ->
-          match Hashtbl.find_opt node_caps i with
-          | None -> None
-          | Some (c0, c1) ->
-              Some
-                (fun runner ->
-                  for j = c0 to c1 - 1 do
-                    replay_capture runner caps.(j)
-                  done))
-    end
-  in
   let dp_stats = D.stats dp in
   (* PR 7 observability: world-switch pairs the run cost, and the audit
      volume it shipped (compressed, authenticated batch payloads).  Both
@@ -1165,41 +1009,9 @@ let record ~recording_cores ?(capture = false) ?ckpt_every ?on_checkpoint ?resum
     registry = reg;
     tee_metrics;
     tee_quote;
-    exec = None;
-    work;
   }
 
-let exec_trace ?time_scale ?mode ?scratch_pages ~domains cfg (r : run_result) =
-  (* The executor's scratch shards draw from a pool with the same budget
-     as the platform's secure DRAM, so real-parallel scratch pressure is
-     bounded by the same number Figure 7 reports against. *)
-  let pool =
-    Sbt_umem.Page_pool.create
-      ~budget_bytes:(Sbt_tz.Platform.secure_bytes cfg.dp_config.D.platform)
-  in
-  Sbt_exec.Executor.run
-    ?tracer:cfg.dp_config.D.tracer
-    ~registry:r.registry ~pool ?time_scale ?mode ?scratch_pages ?work:r.work ~domains
-    r.trace
-
-let run ?engine ?exec_time_scale ?exec_mode ?capture ?registry cfg pipe frames =
-  let engine = match engine with Some e -> e | None -> `Des cfg.cores in
-  (* [`Work] measurement needs kernel captures from the recording pass;
-     capture them by default exactly when that mode is requested. *)
-  let capture =
-    match capture with Some c -> c | None -> exec_mode = Some `Work
-  in
-  match engine with
-  | `Des cores -> record ~recording_cores:cores ~capture ?registry cfg pipe frames
-  | `Domains domains ->
-      (* Record with cfg.cores untouched — [domains] sizes only the real
-         executor — so a [`Domains n] run's observables match [`Des
-         cfg.cores] byte for byte. *)
-      let r = record ~recording_cores:cfg.cores ~capture ?registry cfg pipe frames in
-      let report =
-        exec_trace ?time_scale:exec_time_scale ?mode:exec_mode ~domains cfg r
-      in
-      { r with exec = Some report }
+let run ?registry cfg pipe frames = record ?registry cfg pipe frames
 
 (* --- supervised restart ----------------------------------------------------
 
@@ -1244,8 +1056,7 @@ let run_supervised ?(max_restarts = 3) ?(ckpt_every = 1) cfg pipe frames =
   let rec boot ~epoch ~resume ~frame_offset ~resumed_from ~resume_batch_seq cfgb suffix =
     let manifest = { Sbt_attest.Epoch.epoch; resumed_from; resume_batch_seq } in
     match
-      record ~recording_cores:cfgb.cores ~ckpt_every ~on_checkpoint ?resume ~frame_offset
-        cfgb pipe suffix
+      record ~ckpt_every ~on_checkpoint ?resume ~frame_offset cfgb pipe suffix
     with
     | r ->
         epochs := (manifest, r.audit) :: !epochs;
@@ -1445,8 +1256,8 @@ module Node = struct
         Sbt_net.Replay.ack t.n_replay ~upto:frame_idx
       in
       match
-        record ~recording_cores:t.n_cfg.cores ~ckpt_every:t.n_ckpt_every ~on_checkpoint
-          ?resume ~frame_offset ?registry ?halt_after_window t.n_cfg t.n_pipe suffix
+        record ~ckpt_every:t.n_ckpt_every ~on_checkpoint ?resume ~frame_offset ?registry
+          ?halt_after_window t.n_cfg t.n_pipe suffix
       with
       | r ->
           t.n_epochs <- (manifest, r.audit) :: t.n_epochs;

@@ -1,31 +1,20 @@
-(** The unified run API: one entry point, two execution engines.
+(** The run API: one entry point, one engine.
 
-    [run ~engine] executes a pipeline over a frame stream and returns the
-    same {!run_result} whichever engine drives it:
+    {!run} executes a pipeline over a frame stream once, for real: the
+    control plane runs and every data-plane effect happens once,
+    serially, while the discrete-event simulator ({!Sbt_sim.Des})
+    schedules the run's task graph on [cfg.cores] {e virtual} cores and
+    accounts virtual time.  The paper's multicore figures come from task
+    parallelism (many primitive invocations in flight, Fig 7); the DES
+    models that from the measured serial task costs, and every figure is
+    derived from this recording.  There is no real-domain engine.
 
-    - [`Des cores] — the discrete-event engine: the control plane runs for
-      real (every data-plane effect happens once, serially) while the DES
-      schedules its task graph on [cores] {e virtual} cores and accounts
-      virtual time.  This is the recording engine behind every figure.
-    - [`Domains n] — the real-parallel engine: records exactly as
-      [`Des cfg.cores] does, then replays the recorded task graph on [n]
-      OCaml 5 domains with the work-stealing executor
-      ({!Sbt_exec.Executor}) and reports wall-clock scaling in
-      {!run_result.exec}.
-
-    {b Invariant} (tested by the engine-equivalence property): sealed
-    results, audit bytes and verifier verdicts are byte-identical across
-    [`Des cores], [`Domains 1] and [`Domains n].  The observables come
-    from the single serial recording pass; the parallel phase only
-    measures.  Determinism across {e processes} additionally needs a
-    noise-free cost model ([host_scale = 0]); see
-    {!Sbt_tz.Cost_model.free}. *)
-
-type engine = [ `Des of int  (** virtual cores *) | `Domains of int  (** real domains *) ]
+    Determinism across {e processes} needs a noise-free cost model
+    ([host_scale = 0]); see {!Sbt_tz.Cost_model.free}. *)
 
 type config = {
   dp_config : Dataplane.config;
-  cores : int;  (** virtual cores for the recording run *)
+  cores : int;  (** virtual cores the DES schedules the recording on *)
   hints_enabled : bool;
 }
 (** Batch stages always run as [Ir.fuse (Ir.lower pipe)]: each maximal
@@ -117,36 +106,19 @@ type run_result = {
       (** the normal-world metrics registry for this run (always
           populated; counting is deterministic and costs no virtual
           time).  Control-plane counters here double-book the loss
-          accounting above so tests can cross-check them; a [`Domains]
-          run adds the executor's [exec.*] counters. *)
+          accounting above so tests can cross-check them. *)
   tee_metrics : bytes;
       (** TEE-side registry snapshot ({!Sbt_obs.Metrics.encode_snapshot}),
           exported through the quote path — never read directly *)
   tee_quote : Sbt_attest.Quote.quote;
       (** quote over [Sha256 (tee_metrics)] under the device key, nonce
           ["sbt-run-final"] *)
-  exec : Sbt_exec.Executor.report option;
-      (** real-parallel measurement — [Some] iff the engine was [`Domains _] *)
-  work : (int -> Sbt_exec.Executor.work_fn option) option;
-      (** [Some] iff the run captured heavy kernels: maps a trace node's
-          schedule index to a replay of the real primitive kernels that
-          task ran, through {!Sbt_prim.Par_kernel} into throwaway
-          buffers — what the executor's [`Work] mode executes *)
 }
 
 val run :
-  ?engine:engine ->
-  ?exec_time_scale:float ->
-  ?exec_mode:Sbt_exec.Executor.mode ->
-  ?capture:bool ->
-  ?registry:Sbt_obs.Metrics.t ->
-  config ->
-  Pipeline.t ->
-  Sbt_net.Frame.t list ->
-  run_result
-(** Execute the pipeline over the frame stream.  [engine] defaults to
-    [`Des cfg.cores].  [exec_time_scale] and [exec_mode] apply only to
-    the [`Domains _] measurement phase (see {!Sbt_exec.Executor.run}).
+  ?registry:Sbt_obs.Metrics.t -> config -> Pipeline.t -> Sbt_net.Frame.t list -> run_result
+(** Execute the pipeline over the frame stream, scheduled by the DES on
+    [cfg.cores] virtual cores.
 
     This is the single-pipeline run; {!Session} admits several tenant
     pipelines into one enclave, and a 1-tenant [Session.run_single] is
@@ -157,12 +129,6 @@ val run :
     by default a fresh registry is created.  Metrics are measurement
     only — no observable depends on which registry absorbs them.
 
-    [capture] records heavy-kernel input snapshots during the serial pass
-    and populates {!run_result.work}; it defaults to [true] exactly when
-    [exec_mode] is [`Work] (the mode that replays them).  Capturing never
-    affects observables — snapshots live on the host heap and the secure
-    pool's accounting ignores them.
-
     Frames must arrive in source order (watermarks after the data they
     cover); the last frame should be a watermark closing every window.
 
@@ -171,22 +137,6 @@ val run :
     unauthenticated frames, pool sheds, and link sequence holes each drop
     the affected batch and emit a signed Gap audit record, so the cloud
     verifier reports the loss as degradation instead of tampering. *)
-
-val exec_trace :
-  ?time_scale:float ->
-  ?mode:Sbt_exec.Executor.mode ->
-  ?scratch_pages:int ->
-  domains:int ->
-  config ->
-  run_result ->
-  Sbt_exec.Executor.report
-(** Run the real-parallel measurement phase once more over an existing
-    recording — benches use this to sweep domain counts without
-    re-recording.  The executor's scratch pool gets the platform's
-    secure-DRAM budget; spans/counters go to the run's tracer and
-    registry.  Under [~mode:`Work] the recording must have captured
-    kernels ([run ~capture:true] or [~exec_mode:`Work]); otherwise every
-    task replays as a no-op and the measurement is vacuous. *)
 
 exception
   Crashed of {

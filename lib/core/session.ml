@@ -5,17 +5,12 @@
 
 type t = {
   cfg : Runtime.config;
-  engine : Runtime.engine option;
-  exec_time_scale : float option;
-  exec_mode : Sbt_exec.Executor.mode option;
-  capture : bool option;
   registry : Sbt_obs.Metrics.t option;
   verify : bool;
   tenants : Multi.tenant list; (* newest first *)
 }
 
-let create ?engine ?exec_time_scale ?exec_mode ?capture ?registry ?(verify = true) cfg =
-  { cfg; engine; exec_time_scale; exec_mode; capture; registry; verify; tenants = [] }
+let create ?registry ?(verify = true) cfg = { cfg; registry; verify; tenants = [] }
 
 let next_id tenants =
   List.fold_left (fun acc t -> max acc (t.Multi.id + 1)) 0 tenants
@@ -27,8 +22,7 @@ let add_tenant ?id ?quota_pages ~pipeline ~source t =
 let tenants t = List.sort (fun a b -> compare a.Multi.id b.Multi.id) t.tenants
 
 let run t =
-  Multi.run ?engine:t.engine ?exec_time_scale:t.exec_time_scale ?exec_mode:t.exec_mode
-    ?capture:t.capture ?registry:t.registry ~verify:t.verify t.cfg (tenants t)
+  Multi.run ?registry:t.registry ~verify:t.verify t.cfg (tenants t)
 
 let the_tenant t =
   match t.tenants with
@@ -47,5 +41,4 @@ let run_single t =
     | Some root -> Some (Sbt_obs.Metrics.scoped root (Printf.sprintf "tenant%d" tn.Multi.id))
     | None -> None
   in
-  Runtime.run ?engine:t.engine ?exec_time_scale:t.exec_time_scale ?exec_mode:t.exec_mode
-    ?capture:t.capture ?registry tcfg tn.Multi.pipeline tn.Multi.source
+  Runtime.run ?registry tcfg tn.Multi.pipeline tn.Multi.source

@@ -19,17 +19,8 @@
 
 type t
 
-val create :
-  ?engine:Runtime.engine ->
-  ?exec_time_scale:float ->
-  ?exec_mode:Sbt_exec.Executor.mode ->
-  ?capture:bool ->
-  ?registry:Sbt_obs.Metrics.t ->
-  ?verify:bool ->
-  Runtime.config ->
-  t
-(** A session with no tenants yet.  [engine] defaults to
-    [`Des cfg.cores]; [registry] supplies the shared root registry
+val create : ?registry:Sbt_obs.Metrics.t -> ?verify:bool -> Runtime.config -> t
+(** A session with no tenants yet.  [registry] supplies the shared root registry
     (tenants scope themselves under [tenant<id>.*]); [verify] (default
     true) controls whether {!run} judges the tenants'
     audit sub-streams ({!Sbt_attest.Verifier.verify_tenants}). *)

@@ -27,7 +27,7 @@ val scoped : t -> string -> t
 (** [scoped t "edge3"] is a view onto [t]'s underlying store that
     prefixes every metric name with ["edge3."] — M fleet nodes share one
     registry without colliding, and existing unscoped call sites keep
-    their bare ["control.*"]/["exec.*"] names via the default root
+    their bare ["control.*"] names via the default root
     scope.  Scopes nest ([scoped (scoped t "edge3") "boot1"] prefixes
     ["edge3.boot1."]); {!snapshot} and friends always cover the whole
     shared store, in global registration order.  The scope name obeys

@@ -1,5 +1,5 @@
 (* Fused super-kernel descriptors: an ordered chain of per-record
-   primitives executed in a single pass (and a single trusted entry).
+   primitives executed by one kernel (and one trusted entry).
    Only stateless 1-in/1-out per-record operators are fusable; anything
    that reorders, splits or aggregates records (Sort, Segment, per-key
    aggregation) breaks a chain. *)
@@ -36,7 +36,7 @@ let width_after w steps =
   go w steps
 
 (* Widest row any step of the chain sees — scratch sizing for the
-   single-pass kernels (a projection may widen by duplicating fields). *)
+   kernel (a projection may widen by duplicating fields). *)
 let max_width w steps =
   let rec go cw acc = function
     | [] -> acc
@@ -46,6 +46,75 @@ let max_width w steps =
     | _ :: rest -> go cw acc rest
   in
   go w w steps
+
+(* --- the chain kernel -----------------------------------------------------
+
+   Two passes over the input.  The first runs the whole chain on a
+   scratch row (a projection or key shift can change what a later filter
+   sees) and marks the survivors; the output is then allocated once, at
+   its exact size, and the second pass re-evaluates only the survivors
+   and writes them. *)
+
+module U = Sbt_umem.Uarray
+
+(* Load record [r] into [row] and run the chain over it; [true] iff the
+   record survives every filter, with its output fields left in [row]. *)
+let eval steps ~w ~(src : U.buf) ~r ~(row : int32 array) ~(tmp : int32 array) =
+  for f = 0 to w - 1 do
+    row.(f) <- Bigarray.Array1.unsafe_get src ((r * w) + f)
+  done;
+  let rec go = function
+    | [] -> true
+    | F_filter_band { field; lo; hi } :: rest ->
+        let v = Int32.to_int row.(field) in
+        v >= Int32.to_int lo && v <= Int32.to_int hi && go rest
+    | F_select { field; value } :: rest -> row.(field) = value && go rest
+    | F_project { fields } :: rest ->
+        let dw = Array.length fields in
+        for i = 0 to dw - 1 do
+          tmp.(i) <- row.(fields.(i))
+        done;
+        Array.blit tmp 0 row 0 dw;
+        go rest
+    | F_shift_key { field; shift } :: rest ->
+        row.(field) <- Int32.shift_right row.(field) shift;
+        go rest
+  in
+  go steps
+
+let run ~steps ~src ~alloc =
+  let w = U.width src in
+  let dw =
+    match width_after w steps with
+    | Some d -> d
+    | None -> invalid_arg "Fused.run: step chain invalid for input width"
+  in
+  let mw = max 1 (max_width w steps) in
+  let row = Array.make mw 0l and tmp = Array.make mw 0l in
+  let n = U.length src and buf = U.raw src in
+  let survived = Bytes.make n '\000' in
+  let kept = ref 0 in
+  for r = 0 to n - 1 do
+    if eval steps ~w ~src:buf ~r ~row ~tmp then begin
+      Bytes.unsafe_set survived r '\001';
+      incr kept
+    end
+  done;
+  let dst = alloc !kept in
+  if U.width dst <> dw then invalid_arg "Fused.run: output width mismatch";
+  let out = U.raw dst in
+  let o = ref (U.reserve dst !kept) in
+  for r = 0 to n - 1 do
+    if Bytes.unsafe_get survived r = '\001' then begin
+      ignore (eval steps ~w ~src:buf ~r ~row ~tmp);
+      let b = !o * dw in
+      for f = 0 to dw - 1 do
+        Bigarray.Array1.unsafe_set out (b + f) row.(f)
+      done;
+      incr o
+    end
+  done;
+  dst
 
 (* --- wire codec -----------------------------------------------------------
 

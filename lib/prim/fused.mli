@@ -1,8 +1,8 @@
 (** Fused super-kernel descriptors.
 
     A fused chain is an ordered list of stateless per-record primitives
-    (band filter, equality select, projection, key shift) executed in one
-    single-pass kernel behind one call of the shared invoke entry, instead
+    (band filter, equality select, projection, key shift) executed by one
+    kernel ({!run}) behind one call of the shared invoke entry, instead
     of one SMC round trip per primitive.  The chain descriptor is the
     argument of that call and — encoded with {!encode_steps} — the
     parameter blob of the composite audit record the execution emits.
@@ -35,9 +35,19 @@ val width_after : int -> step list -> int option
     the width it would actually see (or an invalid shift) — the validity
     check a fused plan must pass before it executes. *)
 
-val max_width : int -> step list -> int
-(** Widest row any step of the chain sees; scratch sizing for the
-    single-pass kernels. *)
+val run :
+  steps:step list ->
+  src:Sbt_umem.Uarray.t ->
+  alloc:(int -> Sbt_umem.Uarray.t) ->
+  Sbt_umem.Uarray.t
+(** [run ~steps ~src ~alloc] executes the chain over [src] and returns
+    the output array.  A first pass runs the chain on every record and
+    marks the survivors; [alloc kept] is then called once with the exact
+    survivor count and must return an open array of the chain's output
+    width; a second pass appends the survivors' output rows to it, in
+    input order.  Raises [Invalid_argument] if the chain does not fit
+    [src]'s width ({!width_after}) or the allocated array's width is
+    wrong. *)
 
 val encode_steps : step list -> bytes
 (** Canonical byte encoding of a chain (at most 255 steps).  Injective:

@@ -26,6 +26,7 @@ let copy_record ~(src : U.buf) ~src_r ~(dst : U.buf) ~dst_r w =
 
 let radix_passes = 4
 
+(* radix_passes is even, so the sorted data ends up back in [buf]. *)
 let radix_sort (buf : U.buf) (scratch : U.buf) w kf n =
   let hist = Array.make 256 0 in
   let src = ref buf and dst = ref scratch in
@@ -54,9 +55,6 @@ let radix_sort (buf : U.buf) (scratch : U.buf) w kf n =
     src := !dst;
     dst := t
   done
-(* radix_passes is even, so the sorted data ends up back in [buf]. *)
-
-let radix_sort_range buf ~scratch ~w ~key_field ~n = radix_sort buf scratch w key_field n
 
 (* ------------------------------------------------------------------ *)
 (* Comparison sorts: one specialized version with the key comparison

@@ -32,11 +32,3 @@ val sort_in_place : algorithm -> Sbt_umem.Uarray.t -> key_field:int -> unit
 val is_sorted : Sbt_umem.Uarray.t -> key_field:int -> bool
 (** [true] iff records are ascending by [key_field]; stops scanning at the
     first inversion. *)
-
-(**/**)
-
-val radix_sort_range :
-  Sbt_umem.Uarray.buf -> scratch:Sbt_umem.Uarray.buf -> w:int -> key_field:int -> n:int -> unit
-(** Stable LSD radix sort of the first [n] records of a raw buffer; the
-    sorted result is left in the buffer.  [scratch] must hold at least
-    [n * w] elements.  Exposed for {!Par_kernel}'s per-chunk run sorts. *)

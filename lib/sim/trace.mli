@@ -30,8 +30,7 @@ val of_nodes : node array -> t
 val node_count : t -> int
 
 val nodes : t -> node array
-(** A copy of the recorded nodes in schedule order — the edge list the
-    real-parallel executor ({!Sbt_exec.Executor}) walks. *)
+(** A copy of the recorded nodes in schedule order. *)
 
 val total_cost_ns : t -> float
 

@@ -4,8 +4,7 @@
    cases (undeclared late handling, tampered correction generations,
    retraction without reemit), and the headline convergence property —
    under retract-and-reemit a disorder-permuted input converges to final
-   corrected sealed results byte-identical to the in-order run, across
-   both work engines. *)
+   corrected sealed results byte-identical to the in-order run. *)
 
 module D = Sbt_core.Dataplane
 module Runtime = Sbt_core.Runtime
@@ -25,8 +24,8 @@ let det_cfg ?(late = D.Silent) () =
 
 let egress_key = (det_cfg ()).Runtime.dp_config.D.egress_key
 
-let run ?(engine = `Des 4) ?late pipe frames =
-  Session.create ~engine ~verify:false (det_cfg ?late ())
+let run ?late pipe frames =
+  Session.create ~verify:false (det_cfg ?late ())
   |> Session.add_tenant ~pipeline:pipe ~source:frames
   |> Session.run_single
 
@@ -305,14 +304,13 @@ let test_retraction_without_reemit_flagged () =
 
 let prop_retract_converges_to_in_order =
   QCheck.Test.make
-    ~name:"retract-and-reemit converges to the in-order bytes (both engines)"
+    ~name:"retract-and-reemit converges to the in-order bytes"
     ~count:4
-    QCheck.(pair (int_range 0 1_000) bool)
-    (fun (seed, dom) ->
-      let engine = if dom then `Domains 2 else `Des 4 in
-      let in_order = run ~engine ~late:D.Silent (P.vitals ()) (vitals_frames ()) in
+    QCheck.(int_range 0 1_000)
+    (fun seed ->
+      let in_order = run ~late:D.Silent (P.vitals ()) (vitals_frames ()) in
       let disordered =
-        run ~engine ~late:D.Retract_reemit (P.vitals ())
+        run ~late:D.Retract_reemit (P.vitals ())
           (vitals_frames
              ~disorder:(Fault.disorder_plan ~seed:(Int64.of_int (seed + 1)) ~rate:0.25 ())
              ~watermark:(Datagen.Heuristic 0) ())

@@ -210,7 +210,7 @@ let prop_chains_equal_steps =
       && one_each costs_f (Ir.switch_count fused)
       && List.length composites = List.length chains)
 
-(* --- the fused plan on both engines ------------------------------------------ *)
+(* --- the fused plan end to end ---------------------------------------------- *)
 
 let det_cfg () = Runtime.Config.make ~cores:4 ~deterministic:true ()
 
@@ -225,27 +225,25 @@ let verdict (r : Runtime.run_result) =
 
 let essentials (r : Runtime.run_result) = (r.Runtime.results, verdict r, r.Runtime.loss)
 
-let prop_engines_agree =
+let prop_fused_rerun_agrees =
   QCheck.Test.make
-    ~name:"fused plan on both engines: sealed results, verdicts, loss identical"
+    ~name:"fused plan verifies and reruns to identical results, verdict and loss"
     ~count:8
     (QCheck.make ~print:pp_chain chain_gen)
     (fun ops ->
       let pipe = pipeline_of_chain ops in
       let frames = frames_for ~windows:2 ~events_per_window:800 ~batch_events:200 in
-      let run engine ?exec_mode () =
-        Runtime.run ~engine ?exec_mode ~exec_time_scale:0.0 (det_cfg ()) pipe frames
-      in
-      let des = essentials (run (`Des 4) ()) in
-      let verified = match des with _, (ok, _, _), _ -> ok in
-      verified && des = essentials (run (`Domains 2) ~exec_mode:`Work ()))
+      let run () = essentials (Runtime.run (det_cfg ()) pipe frames) in
+      let first = run () in
+      let verified = match first with _, (ok, _, _), _ -> ok in
+      verified && first = run ())
 
 (* The audit stream of a default run actually contains composite records:
    one per segment, each standing for all five stages. *)
 let test_fused_records_present () =
   let pipe = Pipeline.fps_chain () in
   let frames = frames_for ~windows:2 ~events_per_window:1_000 ~batch_events:250 in
-  let r = Runtime.run ~engine:(`Des 4) (det_cfg ()) pipe frames in
+  let r = Runtime.run (det_cfg ()) pipe frames in
   let records = List.concat_map (Log.open_batch ~key:egress_key) r.Runtime.audit in
   let count p = List.length (List.filter p records) in
   let segments = count (function Record.Windowing _ -> true | _ -> false) in
@@ -305,7 +303,7 @@ let () =
       ( "fused-equals-unfused",
         [
           QCheck_alcotest.to_alcotest prop_chains_equal_steps;
-          QCheck_alcotest.to_alcotest prop_engines_agree;
+          QCheck_alcotest.to_alcotest prop_fused_rerun_agrees;
           Alcotest.test_case "fused runs emit composite records" `Quick
             test_fused_records_present;
         ] );

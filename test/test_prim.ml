@@ -318,7 +318,6 @@ let test_shift_key () =
 (* --- fused super-kernel (PR 7) ----------------------------------------------------- *)
 
 module F = Sbt_prim.Fused
-module PK = Sbt_prim.Par_kernel
 
 let fused_chain =
   [
@@ -329,8 +328,8 @@ let fused_chain =
   ]
 
 let test_fused_equals_unfused_sequence () =
-  (* The single-pass fused kernel must be byte-identical to running the
-     four primitives one after another. *)
+  (* The fused chain kernel must be byte-identical to running the four
+     primitives one after another. *)
   let p = pool () in
   let rows = random_rows ~width:3 ~n:2_000 77 in
   let src = ua_of_list p ~width:3 rows in
@@ -347,15 +346,10 @@ let test_fused_equals_unfused_sequence () =
   let s4 = fresh p ~width:2 ~capacity:(U.length s3) in
   Filter.select_eq ~src:s3 ~dst:s4 ~field:1 ~value:12l;
   U.produce s4;
-  (* Fused, serial and chunked. *)
-  List.iter
-    (fun pieces ->
-      let dst = U.create ~id:7 ~pool:p ~width:2 ~capacity:2_000 () in
-      PK.fused ~pieces ~src ~dst ~steps:fused_chain ();
-      Alcotest.(check (list (list int)))
-        (Printf.sprintf "identical to unfused (pieces=%d)" pieces)
-        (rows_of_ua s4) (rows_of_ua dst))
-    [ 1; 4 ]
+  let dst =
+    F.run ~steps:fused_chain ~src ~alloc:(fun n -> U.create ~id:7 ~pool:p ~width:2 ~capacity:n ())
+  in
+  Alcotest.(check (list (list int))) "identical to unfused" (rows_of_ua s4) (rows_of_ua dst)
 
 let test_fused_steps_codec () =
   (match F.decode_steps (F.encode_steps fused_chain) with

@@ -39,14 +39,13 @@ let tenant_observables (tr : Multi.tenant_result) =
 
 let prop_joint_matches_solo =
   QCheck.Test.make ~name:"N tenants jointly = each solo (results, audit, verdict)" ~count:6
-    QCheck.(triple (int_range 2 4) (int_range 0 6) bool)
-    (fun (n, off, dom) ->
-      let engine = if dom then `Domains 2 else `Des 4 in
+    QCheck.(pair (int_range 2 4) (int_range 0 6))
+    (fun (n, off) ->
       let tenants = List.init n (fun i -> mk_tenant ~id:i off) in
-      let joint = Multi.run ~engine (det_cfg ()) tenants in
+      let joint = Multi.run (det_cfg ()) tenants in
       List.for_all
         (fun t ->
-          let solo = Multi.run ~engine (det_cfg ()) [ t ] in
+          let solo = Multi.run (det_cfg ()) [ t ] in
           let jt = List.find (fun r -> r.Multi.tr_id = t.Multi.id) joint.Multi.tenants in
           let st = List.hd solo.Multi.tenants in
           let verdict (res : Multi.result) id =

@@ -1,7 +1,6 @@
-(* Tests for the TEE memory manager: the secure page pool and its
-   per-domain shards, the virtual address space, uArray lifecycle, uGroup
-   prefix reclamation, and the hint-guided allocator and its ablation
-   mode. *)
+(* Tests for the TEE memory manager: the secure page pool, the virtual
+   address space, uArray lifecycle, uGroup prefix reclamation, and the
+   hint-guided allocator and its ablation mode. *)
 
 module Pool = Sbt_umem.Page_pool
 module Vspace = Sbt_umem.Vspace
@@ -456,42 +455,6 @@ let prop_allocator_matches_list_model =
           A.live_groups a = List.length m.live && A.pinned_bytes a = m_pinned m)
         ops)
 
-(* --- adaptive shard refill ----------------------------------------------------- *)
-
-let test_shard_adaptive_refill () =
-  let p = Pool.create ~budget_bytes:(16 * mb) in
-  let s = (Pool.shards ~refill_pages:4 p ~n:1).(0) in
-  Alcotest.(check int) "starts at base" 4 (Pool.shard_refill_pages s);
-  Pool.shard_commit s ~pages:1;
-  (* First dry run granted a 4-page chunk and doubled the next one. *)
-  Alcotest.(check int) "doubles after dry run" 8 (Pool.shard_refill_pages s);
-  Alcotest.(check int) "one refill trip" 1 (Pool.shard_refills s);
-  Alcotest.(check int) "chunk counted in parent" 4 (Pool.committed_pages p);
-  Pool.shard_commit s ~pages:4;
-  (* quota was 3: second dry run wants the new 8-page chunk. *)
-  Alcotest.(check int) "doubles again" 16 (Pool.shard_refill_pages s);
-  Pool.shard_commit s ~pages:32;
-  Pool.shard_commit s ~pages:64;
-  Alcotest.(check int) "capped at 8x base" 32 (Pool.shard_refill_pages s);
-  let committed = Pool.shard_committed_bytes s / Pool.page_size in
-  Pool.shard_release s ~pages:committed;
-  Pool.merge_shard s;
-  Alcotest.(check int) "decays to base at window close" 4 (Pool.shard_refill_pages s);
-  Alcotest.(check int) "all quota returned" 0 (Pool.committed_pages p);
-  Alcotest.(check bool) "drain trips counted" true (Pool.shard_drains s > 0)
-
-let test_shard_eager_slack_return () =
-  let p = Pool.create ~budget_bytes:(16 * mb) in
-  let s = (Pool.shards ~refill_pages:4 p ~n:1).(0) in
-  Pool.shard_commit s ~pages:40;
-  let before = Pool.committed_pages p in
-  Pool.shard_release s ~pages:40;
-  (* Releasing everything leaves quota way over 2x the chunk: the spare
-     goes straight back to the parent without waiting for merge. *)
-  Alcotest.(check bool) "slack returned eagerly" true (Pool.committed_pages p < before);
-  Alcotest.(check bool) "at most one chunk retained" true
-    (Pool.committed_pages p <= Pool.shard_refill_pages s)
-
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "umem"
@@ -539,11 +502,5 @@ let () =
           Alcotest.test_case "monotonic ids" `Quick test_allocator_ids_monotonic;
           q prop_allocator_conservation;
           q prop_allocator_matches_list_model;
-        ] );
-      ( "shard-adaptive-refill",
-        [
-          Alcotest.test_case "grow under dry runs, decay at merge" `Quick
-            test_shard_adaptive_refill;
-          Alcotest.test_case "eager slack return" `Quick test_shard_eager_slack_return;
         ] );
     ]
