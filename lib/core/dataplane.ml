@@ -644,7 +644,7 @@ let do_invoke (t : t) ~chain ~inputs ~trigger ~hints ~retire_inputs =
                 Sbt_prim.Segment.segment ~src ~ts_field:tf ~window_size:ws ~slide
                   ~dst_for_window:(fun w -> List.assoc w dsts)
                   ());
-            List.map (fun (w, d) -> (w, d)) dsts)
+            dsts)
     | P.Sum_cnt ->
         let src = as_one uas in
         let vf = value_field params 1 in

@@ -20,41 +20,52 @@ let copy_record ~(src : U.buf) ~src_r ~(dst : U.buf) ~dst_r w =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Radix sort: LSD over four 8-bit digits.  The top digit is biased to
-   order signed keys correctly.  This is the model of the hand-vectorized
-   NEON sort: no comparisons, sequential passes over contiguous memory. *)
+(* Radix sort: LSD over four 8-bit digits of the key biased by 2^31, which
+   orders signed keys as unsigned ones.  This is the model of the
+   hand-vectorized NEON sort: no comparisons, sequential passes over
+   contiguous memory.  One pass builds all four digit histograms; a digit
+   on which every key agrees is skipped, since a stable pass over it is
+   the identity.  After an odd number of passes the rows are copied back
+   from [scratch]. *)
 
-let radix_passes = 4
+let digit k p = ((k + 0x8000_0000) lsr (8 * p)) land 0xFF
 
-(* radix_passes is even, so the sorted data ends up back in [buf]. *)
-let radix_sort (buf : U.buf) (scratch : U.buf) w kf n =
-  let hist = Array.make 256 0 in
-  let src = ref buf and dst = ref scratch in
-  for pass = 0 to radix_passes - 1 do
-    let shift = 8 * pass in
-    let bias = if pass = radix_passes - 1 then 0x80 else 0 in
-    Array.fill hist 0 256 0;
-    let s = !src in
-    for r = 0 to n - 1 do
-      let d = ((key s w kf r lsr shift) land 0xFF) lxor bias in
-      hist.(d) <- hist.(d) + 1
-    done;
-    let acc = ref 0 in
-    for d = 0 to 255 do
-      let c = hist.(d) in
-      hist.(d) <- !acc;
-      acc := !acc + c
-    done;
-    let dstb = !dst in
-    for r = 0 to n - 1 do
-      let d = ((key s w kf r lsr shift) land 0xFF) lxor bias in
-      copy_record ~src:s ~src_r:r ~dst:dstb ~dst_r:hist.(d) w;
-      hist.(d) <- hist.(d) + 1
-    done;
-    let t = !src in
-    src := !dst;
-    dst := t
-  done
+let radix_sort (buf : U.buf) w kf n =
+  let scratch = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (n * w) in
+  let hist = Array.make 1024 0 in
+  for r = 0 to n - 1 do
+    (* [digit k p] for p = 0..3, unrolled: a loop here costs 16%. *)
+    let u = key buf w kf r + 0x8000_0000 in
+    let d0 = u land 0xFF and d1 = 256 + ((u lsr 8) land 0xFF) in
+    let d2 = 512 + ((u lsr 16) land 0xFF) and d3 = 768 + ((u lsr 24) land 0xFF) in
+    hist.(d0) <- hist.(d0) + 1;
+    hist.(d1) <- hist.(d1) + 1;
+    hist.(d2) <- hist.(d2) + 1;
+    hist.(d3) <- hist.(d3) + 1
+  done;
+  let k0 = if n > 0 then key buf w kf 0 else 0 in
+  let src = ref buf and dst = ref scratch and passes = ref 0 in
+  for p = 0 to 3 do
+    let h = p * 256 in
+    if hist.(h + digit k0 p) < n then begin
+      let acc = ref 0 in
+      for d = h to h + 255 do
+        let c = hist.(d) in
+        hist.(d) <- !acc;
+        acc := !acc + c
+      done;
+      let s = !src and t = !dst in
+      for r = 0 to n - 1 do
+        let d = h + digit (key s w kf r) p in
+        copy_record ~src:s ~src_r:r ~dst:t ~dst_r:hist.(d) w;
+        hist.(d) <- hist.(d) + 1
+      done;
+      src := t;
+      dst := s;
+      incr passes
+    end
+  done;
+  if !passes land 1 = 1 then Bigarray.Array1.blit scratch buf
 
 (* ------------------------------------------------------------------ *)
 (* Comparison sorts: one specialized version with the key comparison
@@ -142,9 +153,10 @@ let qsort_with_comparator (buf : U.buf) w n ~cmp =
    [lo] directly; because the Hoare scan never swaps index [lo] until the
    final pivot placement, this is sound. *)
 
-let sort_open_buffer algorithm buf scratch w kf n =
+(* [buf] holds exactly the [n] records to sort. *)
+let sort_slice algorithm buf w kf n =
   match algorithm with
-  | Radix -> radix_sort buf scratch w kf n
+  | Radix -> radix_sort buf w kf n
   | Std -> std_sort buf w kf n
   | Qsort ->
       (* A closure invoked per comparison, comparing through the generic
@@ -163,29 +175,17 @@ let sort algorithm ~src ~dst ~key_field =
   if key_field < 0 || key_field >= w then invalid_arg "Sort.sort: bad key field";
   let n = U.length src in
   let first = U.reserve dst n in
-  let dbuf = U.raw dst in
-  Bigarray.Array1.blit
-    (Bigarray.Array1.sub (U.raw src) 0 (n * w))
-    (Bigarray.Array1.sub dbuf (first * w) (n * w));
-  (* All algorithms work on the slice starting at [first], so sorting
-     composes with pre-filled destinations. *)
-  let slice = Bigarray.Array1.sub dbuf (first * w) (n * w) in
-  match algorithm with
-  | Radix ->
-      let scratch = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (n * w) in
-      radix_sort slice scratch w key_field n
-  | Std | Qsort -> sort_open_buffer algorithm slice slice w key_field n
+  (* Sorting the slice starting at [first] composes with pre-filled
+     destinations. *)
+  let slice = Bigarray.Array1.sub (U.raw dst) (first * w) (n * w) in
+  Bigarray.Array1.blit (Bigarray.Array1.sub (U.raw src) 0 (n * w)) slice;
+  sort_slice algorithm slice w key_field n
 
 let sort_in_place algorithm ua ~key_field =
   if not (U.is_open ua) then raise (U.Sealed { id = U.id ua });
   let w = U.width ua and n = U.length ua in
   if key_field < 0 || key_field >= w then invalid_arg "Sort.sort_in_place: bad key field";
-  let buf = Bigarray.Array1.sub (U.raw ua) 0 (n * w) in
-  match algorithm with
-  | Radix ->
-      let scratch = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (n * w) in
-      radix_sort buf scratch w key_field n
-  | Std | Qsort -> sort_open_buffer algorithm buf buf w key_field n
+  sort_slice algorithm (Bigarray.Array1.sub (U.raw ua) 0 (n * w)) w key_field n
 
 let is_sorted ua ~key_field =
   let w = U.width ua and n = U.length ua in

@@ -7,15 +7,19 @@
 
     - {!Radix}: LSD radix sort, branch-free sequential passes — the model
       of the vectorized implementation (data-parallel inner loops, no
-      comparisons).
+      comparisons).  One pass counts all four byte digits; a digit on
+      which every key agrees gets no pass, since a stable pass over it
+      is the identity.  Keys below 65,536 thus cost two scatter passes.
     - {!Std}: comparison sort with the comparator inlined at the call site
       (the [std::sort] template-instantiation model).
     - {!Qsort}: the same comparison sort but calling the comparator through
       a closure, reproducing C [qsort]'s function-pointer indirection.
 
     All three sort whole records by one field, ascending in signed 32-bit
-    order, and are stable only in the {!Radix} case (as in the paper's
-    engine, nothing relies on stability). *)
+    order.  Only {!Radix} is stable, and the data plane relies on that:
+    a Sort invoked with a value field (the secondary order) sorts by
+    value and then by key, both with {!Radix}, whatever sort the data
+    plane is configured with. *)
 
 type algorithm = Radix | Std | Qsort
 

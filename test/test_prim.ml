@@ -73,20 +73,97 @@ let test_sort_in_place () =
   Sort.sort_in_place Sort.Std ua ~key_field:1;
   Alcotest.(check bool) "sorted by field 1" true (Sort.is_sorted ua ~key_field:1)
 
+(* Keys that leave 0-4 live digits (bytes on which some keys differ), so
+   radix sort runs every number of scatter passes, odd ones included. *)
+let gen_keys st n =
+  let any () = Int32.to_int (Random.State.bits32 st) in
+  let top_only low = Int32.to_int (Int32.of_int ((Random.State.int st 256 lsl 24) lor low)) in
+  match Random.State.int st 6 with
+  | 0 ->
+      let k = any () in
+      List.init n (fun _ -> k)
+  | 1 -> List.init n (fun _ -> Random.State.int st 256)
+  | 2 -> List.init n (fun _ -> Random.State.int st 65_536)
+  | 3 -> List.init n (fun _ -> -1 - Random.State.int st 100_000)
+  | 4 ->
+      let low = Random.State.int st (1 lsl 24) in
+      List.init n (fun _ -> top_only low)
+  | _ -> List.init n (fun _ -> any ())
+
 let prop_sort_algorithms_agree =
-  QCheck.Test.make ~name:"three sorts agree" ~count:60
-    QCheck.(list_of_size (QCheck.Gen.int_bound 200) (QCheck.int_range (-10_000) 10_000))
-    (fun keys ->
+  QCheck.Test.make ~name:"three sorts agree" ~count:300 QCheck.(int_bound 1_000_000) (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let width = 1 + Random.State.int st 4 and n = Random.State.int st 400 in
+      let kf = Random.State.int st width in
+      (* Every other field is a payload: the row's input position. *)
+      let rows =
+        List.mapi (fun i k -> List.init width (fun f -> if f = kf then k else i)) (gen_keys st n)
+      in
       let p = pool () in
-      let rows = List.map (fun k -> [ k ]) keys in
-      let src = ua_of_list p ~width:1 rows in
+      let src = ua_of_list p ~width rows in
+      let prefix = List.init (Random.State.int st 3) (fun i -> List.init width (fun _ -> -i)) in
       let out algo =
-        let dst = fresh p ~width:1 ~capacity:(List.length rows) in
-        Sort.sort algo ~src ~dst ~key_field:0;
+        let dst = fresh p ~width ~capacity:(List.length prefix + n) in
+        List.iter (fun r -> U.append dst (Array.of_list (List.map Int32.of_int r))) prefix;
+        Sort.sort algo ~src ~dst ~key_field:kf;
         rows_of_ua dst
       in
-      let expected = List.map (fun k -> [ k ]) (List.sort compare keys) in
-      out Sort.Radix = expected && out Sort.Std = expected && out Sort.Qsort = expected)
+      let in_place algo =
+        let ua = fresh p ~width ~capacity:(max 1 n) in
+        List.iter (fun r -> U.append ua (Array.of_list (List.map Int32.of_int r))) rows;
+        Sort.sort_in_place algo ua ~key_field:kf;
+        rows_of_ua ua
+      in
+      let stable = List.stable_sort (fun a b -> compare (List.nth a kf) (List.nth b kf)) rows in
+      let keys l = List.map (fun r -> List.nth r kf) l in
+      (* Radix is stable; the comparison sorts agree on keys and rows. *)
+      out Sort.Radix = prefix @ stable
+      && in_place Sort.Radix = stable
+      && List.for_all
+           (fun algo ->
+             let o = out algo in
+             keys o = keys (prefix @ stable)
+             && List.sort compare o = List.sort compare (prefix @ rows)
+             && keys (in_place algo) = keys stable)
+           [ Sort.Std; Sort.Qsort ])
+
+(* The secondary order through the invoke surface: Sort with a value field
+   must be the stable (key, value) sort, whatever sort the data plane is
+   configured with. *)
+let prop_sort_secondary_order =
+  let module D = Sbt_core.Dataplane in
+  QCheck.Test.make ~name:"secondary order is a stable sort" ~count:100 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let n = 1 + Random.State.int st 400 in
+      let keys = gen_keys st n and values = gen_keys st n in
+      let rows = List.mapi (fun i (k, v) -> [ k; v; i ]) (List.combine keys values) in
+      let sort_algorithm = List.nth [ Sort.Radix; Sort.Std; Sort.Qsort ] (Random.State.int st 3) in
+      let cfg = D.Config.make ~version:D.Clear_ingress ~secure_mb:16 ~sort_algorithm () in
+      let dp = D.create cfg in
+      let events = Array.of_list (List.map (fun r -> Array.of_list (List.map Int32.of_int r)) rows) in
+      let payload = Sbt_net.Frame.pack_events ~width:3 events in
+      let ingest = D.R_ingest_events { payload; encrypted = false; stream = 0; seq = 0; mac = Bytes.empty } in
+      let input =
+        match D.call dp ingest with
+        | D.Rs_ingested { out; _ } -> out.D.ref_
+        | _ -> assert false
+      in
+      let chain = [ (P.Sort, [ D.P_key_field 0; D.P_value_field 1 ]) ] in
+      let invoke = D.R_invoke { chain; inputs = [ input ]; trigger = None; hints = []; retire_inputs = true } in
+      let out =
+        match D.call dp invoke with
+        | D.Rs_outputs [ o ] -> o.D.ref_
+        | _ -> assert false
+      in
+      let got =
+        match D.call dp (D.R_egress { input = out; window = 0 }) with
+        | D.Rs_egress sealed -> D.open_result ~egress_key:cfg.D.egress_key sealed
+        | _ -> assert false
+      in
+      let key_value r = (List.nth r 0, List.nth r 1) in
+      let expected = List.stable_sort (fun a b -> compare (key_value a) (key_value b)) rows in
+      List.map (fun r -> Array.to_list (Array.map Int32.to_int r)) (Array.to_list got) = expected)
 
 (* --- Merge --------------------------------------------------------------- *)
 
@@ -138,6 +215,129 @@ let test_segment_counts_and_routing () =
   Alcotest.(check int) "window 0" 2 (U.length (Hashtbl.find dsts 0));
   Alcotest.(check int) "window 2" 3 (U.length (Hashtbl.find dsts 2));
   Alcotest.(check int32) "routing keeps fields" 4l (U.get_field (Hashtbl.find dsts 2) 0 0)
+
+let test_segment_negative_timestamps () =
+  (* ts in (-slide, 0) lands in window 0 alone; ts <= -slide in none. *)
+  let p = pool () in
+  let src = ua_of_list p ~width:1 [ [ -1 ]; [ -49 ]; [ -50 ]; [ -99 ]; [ -100 ]; [ -250 ]; [ 10 ] ] in
+  Alcotest.(check (list (pair int int))) "tumbling" [ (0, 5) ]
+    (Segment.count_per_window ~src ~ts_field:0 ~window_size:100 ());
+  Alcotest.(check (list (pair int int))) "sliding" [ (0, 3) ]
+    (Segment.count_per_window ~src ~ts_field:0 ~window_size:100 ~slide:50 ())
+
+(* Per-record reference: the window range of each record, with one
+   division pair per record and no runs. *)
+let ref_windows ~ts ~size ~slide =
+  let d = ts - size in
+  ((if d < 0 then 0 else (d / slide) + 1), ts / slide)
+
+(* (window, rows in input order), windows in order of first use. *)
+let ref_segment rows ~tf ~size ~slide =
+  let tbl = Hashtbl.create 8 and order = ref [] in
+  List.iter
+    (fun row ->
+      let lo, hi = ref_windows ~ts:(List.nth row tf) ~size ~slide in
+      for win = lo to hi do
+        match Hashtbl.find_opt tbl win with
+        | Some l -> Hashtbl.replace tbl win (row :: l)
+        | None ->
+            order := win :: !order;
+            Hashtbl.replace tbl win [ row ]
+      done)
+    rows;
+  List.rev_map (fun win -> (win, List.rev (Hashtbl.find tbl win))) !order
+
+(* Timestamps in order, shuffled, disordered, spread over many windows,
+   mostly negative, or anywhere in int32. *)
+let gen_timestamps st ~n ~size =
+  let size = min size 0x8000_0000 in
+  let clamp t = max (-0x8000_0000) (min 0x7FFF_FFFF t) in
+  let int_in lo hi = lo + Random.State.full_int st (max 1 (hi - lo + 1)) in
+  let step = List.nth [ 0; 1; size / 10; size; 3 * size ] (Random.State.int st 5) in
+  let in_order () =
+    let t = ref (int_in (-2 * size) (5 * size)) in
+    List.init n (fun _ ->
+        t := !t + int_in 0 step;
+        clamp !t)
+  in
+  let shuffle l =
+    let a = Array.of_list l in
+    for i = Array.length a - 1 downto 1 do
+      let j = Random.State.int st (i + 1) in
+      let x = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- x
+    done;
+    Array.to_list a
+  in
+  match Random.State.int st 6 with
+  | 0 -> in_order ()
+  | 1 -> shuffle (in_order ())
+  | 2 ->
+      let a = Array.of_list (in_order ()) in
+      for _ = 1 to n / 10 do
+        let i = Random.State.int st n and j = Random.State.int st n in
+        let x = a.(i) in
+        a.(i) <- a.(j);
+        a.(j) <- x
+      done;
+      Array.to_list a
+  | 3 -> List.init n (fun _ -> clamp (int_in (-2 * size) (200 * size)))
+  | 4 -> List.init n (fun _ -> clamp (int_in (-3 * size) (size / 2)))
+  | _ -> List.init n (fun _ -> Int32.to_int (Random.State.bits32 st))
+
+let prop_segment_equals_per_record =
+  QCheck.Test.make ~name:"equals the per-record reference" ~count:300 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let width = 1 + Random.State.int st 5 and n = Random.State.int st 3_001 in
+      let tf = Random.State.int st width in
+      (* Mostly small windows; now and then sizes past 32 bits, or so
+         large that [ts - size] wraps for negative timestamps. *)
+      let size =
+        match Random.State.int st 20 with
+        | 0 -> (1 lsl 33) + Random.State.int st 1_000
+        | 1 -> max_int - Random.State.full_int st 0x8000_0000
+        | _ -> 1 + Random.State.int st 300
+      in
+      let slide =
+        match Random.State.int st 4 with
+        | 0 | 1 -> size
+        | 2 -> max 1 (size / 6) + Random.State.full_int st (size - max 1 (size / 6) + 1)
+        | _ -> if size > 1 lsl 40 then size else size + 1 + Random.State.full_int st size
+      in
+      let rows =
+        List.map
+          (fun ts -> List.init width (fun f -> if f = tf then ts else Random.State.int st 1_000))
+          (gen_timestamps st ~n ~size)
+      in
+      let p = pool () in
+      let src = ua_of_list p ~width rows in
+      let expected = ref_segment rows ~tf ~size ~slide in
+      let counts = Segment.count_per_window ~src ~ts_field:tf ~window_size:size ~slide () in
+      let ref_counts = List.sort compare (List.map (fun (w, l) -> (w, List.length l)) expected) in
+      let count = Hashtbl.create 8 in
+      List.iter (fun (w, l) -> Hashtbl.replace count w (List.length l)) expected;
+      (* Route into exact destinations, or shrink one by a record. *)
+      let route ~short =
+        let calls = ref [] in
+        Segment.segment ~src ~ts_field:tf ~window_size:size ~slide
+          ~dst_for_window:(fun w ->
+            let cap = Hashtbl.find count w - if w = short then 1 else 0 in
+            let d = fresh p ~width ~capacity:cap in
+            calls := (w, d) :: !calls;
+            d)
+          ();
+        List.rev_map (fun (w, d) -> (w, rows_of_ua d)) !calls
+      in
+      let undersized_raises =
+        match expected with
+        | [] -> true
+        | _ -> (
+            let short = fst (List.nth expected (Random.State.int st (List.length expected))) in
+            match route ~short with _ -> false | exception U.Full _ -> true)
+      in
+      counts = ref_counts && route ~short:min_int = expected && undersized_raises)
 
 (* --- Aggregations ------------------------------------------------------------ *)
 
@@ -406,6 +606,7 @@ let () =
           Alcotest.test_case "radix stability" `Quick test_sort_stability_radix;
           Alcotest.test_case "in place" `Quick test_sort_in_place;
           q prop_sort_algorithms_agree;
+          q prop_sort_secondary_order;
         ] );
       ( "merge",
         [
@@ -413,7 +614,12 @@ let () =
           Alcotest.test_case "kway" `Quick test_kway_merge;
           Alcotest.test_case "kway single" `Quick test_kway_single_input;
         ] );
-      ("segment", [ Alcotest.test_case "counts and routing" `Quick test_segment_counts_and_routing ]);
+      ( "segment",
+        [
+          Alcotest.test_case "counts and routing" `Quick test_segment_counts_and_routing;
+          Alcotest.test_case "negative timestamps" `Quick test_segment_negative_timestamps;
+          q prop_segment_equals_per_record;
+        ] );
       ( "agg",
         [
           Alcotest.test_case "whole array" `Quick test_agg_whole_array;
