@@ -345,6 +345,23 @@ let key_field params default =
 let value_field params default =
   Option.value ~default (find_param params (function P_value_field v -> Some v | _ -> None))
 
+(* The kernels read records unchecked, so the TEE checks every field
+   parameter against the width of each input it indexes before any
+   output is allocated. *)
+let in_width uas f =
+  if f < 0 || List.exists (fun ua -> f >= U.width ua) uas then
+    raise (Rejected (Printf.sprintf "invoke: field %d outside the input records" f));
+  f
+
+(* Merges and Concat copy whole records into one output: their inputs
+   must share one width. *)
+let one_width what = function
+  | [] -> raise (Rejected (what ^ ": no inputs"))
+  | ua :: rest ->
+      if List.exists (fun r -> U.width r <> U.width ua) rest then
+        raise (Rejected (what ^ ": inputs of different widths"));
+      U.width ua
+
 (* --- ingestion -------------------------------------------------------- *)
 
 let unpack_payload t ~producer payload width =
@@ -539,13 +556,16 @@ let do_invoke (t : t) ~chain ~inputs ~trigger ~hints ~retire_inputs =
   (* One primitive: (window, array) pairs, window -1 when not
      window-scoped. *)
   let run_op op params : (int * U.t) list =
+    let key ins = in_width ins (key_field params 0) in
+    let value ins = in_width ins (value_field params 1) in
     match op with
     | P.Sort ->
         let src = as_one uas in
-        let kf = key_field params 0 in
+        let kf = key uas in
+        let vf = find_param params (function P_value_field v -> Some (in_width uas v) | _ -> None) in
         let dst = mk ~width:(U.width src) ~capacity:(U.length src) () in
         timed t `Compute (fun () ->
-            match find_param params (function P_value_field v -> Some v | _ -> None) with
+            match vf with
             | Some vf ->
                 (* Secondary order: stable radix by value, then by key. *)
                 Sbt_prim.Sort.sort Sbt_prim.Sort.Radix ~src ~dst ~key_field:vf;
@@ -554,22 +574,21 @@ let do_invoke (t : t) ~chain ~inputs ~trigger ~hints ~retire_inputs =
         [ (-1, dst) ]
     | P.Merge ->
         let a, b = as_two uas in
-        let kf = key_field params 0 in
-        let dst = mk ~width:(U.width a) ~capacity:(U.length a + U.length b) () in
+        let kf = key uas and width = one_width "merge" uas in
+        let dst = mk ~width ~capacity:(U.length a + U.length b) () in
         timed t `Compute (fun () -> Sbt_prim.Merge.merge2 ~a ~b ~dst ~key_field:kf);
         [ (-1, dst) ]
     | P.Kway_merge ->
-        let kf = key_field params 0 in
+        if List.length uas > Sbt_prim.Merge.max_inputs then raise (Rejected "kway: too many inputs");
+        let kf = key uas and width = one_width "kway" uas in
         let total = List.fold_left (fun acc ua -> acc + U.length ua) 0 uas in
-        let width = match uas with [] -> raise (Rejected "kway: no inputs") | ua :: _ -> U.width ua in
         let dst = mk ~width ~capacity:total () in
         timed t `Compute (fun () -> Sbt_prim.Merge.kway ~inputs:uas ~dst ~key_field:kf);
         [ (-1, dst) ]
     | P.Segment -> (
         let src = as_one uas in
-        let tf =
-          Option.value ~default:2 (find_param params (function P_ts_field f -> Some f | _ -> None))
-        in
+        let tf = find_param params (function P_ts_field f -> Some f | _ -> None) in
+        let tf = in_width uas (Option.value ~default:2 tf) in
         match find_param params (function P_session_gap g -> Some g | _ -> None) with
         | Some gap ->
             (* Gap-based session windowing.  Assignment is global, stateful
@@ -647,14 +666,14 @@ let do_invoke (t : t) ~chain ~inputs ~trigger ~hints ~retire_inputs =
             dsts)
     | P.Sum_cnt ->
         let src = as_one uas in
-        let vf = value_field params 1 in
+        let vf = value uas in
         let s, n = timed t `Compute (fun () -> Sbt_prim.Agg.sum_count src ~field:vf) in
         let dst = mk ~width:2 ~capacity:1 () in
         U.append dst [| Int64.to_int32 s; Int32.of_int n |];
         [ (-1, dst) ]
     | P.Top_k ->
         let src = as_one uas in
-        let vf = value_field params 1 in
+        let vf = value uas in
         let k =
           Option.value ~default:10 (find_param params (function P_k k -> Some k | _ -> None))
         in
@@ -662,21 +681,17 @@ let do_invoke (t : t) ~chain ~inputs ~trigger ~hints ~retire_inputs =
         timed t `Compute (fun () -> Sbt_prim.Misc.top_k_records ~src ~dst ~field:vf ~k);
         [ (-1, dst) ]
     | P.Concat ->
+        let width = one_width "concat" uas in
         let total = List.fold_left (fun acc ua -> acc + U.length ua) 0 uas in
-        let width = match uas with [] -> raise (Rejected "concat: no inputs") | ua :: _ -> U.width ua in
         let dst = mk ~width ~capacity:total () in
         timed t `Compute (fun () -> Sbt_prim.Misc.concat ~inputs:uas ~dst);
         [ (-1, dst) ]
     | P.Join ->
         let left, right = as_two uas in
-        let kf = key_field params 0 in
-        let vf = value_field params 1 in
-        let matches =
-          timed t `Compute (fun () -> Sbt_prim.Join.count_matches ~left ~right ~key_field:kf)
-        in
-        let dst = mk ~width:3 ~capacity:matches () in
-        timed t `Compute (fun () ->
-            Sbt_prim.Join.join ~left ~right ~dst ~key_field:kf ~value_field:vf);
+        let kf = key uas and vf = value uas in
+        let runs = timed t `Compute (fun () -> Sbt_prim.Join.runs ~left ~right ~key_field:kf) in
+        let dst = mk ~width:3 ~capacity:(Sbt_prim.Join.size runs) () in
+        timed t `Compute (fun () -> Sbt_prim.Join.fill runs ~dst ~value_field:vf);
         [ (-1, dst) ]
     | P.Count ->
         let src = as_one uas in
@@ -685,7 +700,7 @@ let do_invoke (t : t) ~chain ~inputs ~trigger ~hints ~retire_inputs =
         [ (-1, dst) ]
     | P.Sum ->
         (* WinSum consumes all of a window's segments directly. *)
-        let vf = value_field params 1 in
+        let vf = value uas in
         let total =
           timed t `Compute (fun () ->
               List.fold_left (fun acc ua -> Int64.add acc (Sbt_prim.Agg.sum ua ~field:vf)) 0L uas)
@@ -695,21 +710,21 @@ let do_invoke (t : t) ~chain ~inputs ~trigger ~hints ~retire_inputs =
         [ (-1, dst) ]
     | P.Unique ->
         let src = as_one uas in
-        let kf = key_field params 0 in
+        let kf = key uas in
         let groups = timed t `Compute (fun () -> Sbt_prim.Keyed.group_count ~src ~key_field:kf) in
         let dst = mk ~width:2 ~capacity:groups () in
         timed t `Compute (fun () -> Sbt_prim.Keyed.distinct_keys ~src ~dst ~key_field:kf);
         [ (-1, dst) ]
     | P.Median ->
         let src = as_one uas in
-        let vf = value_field params 1 in
+        let vf = value uas in
         let m = timed t `Compute (fun () -> Sbt_prim.Agg.median src ~field:vf) in
         let dst = mk ~width:1 ~capacity:1 () in
         U.append dst [| Option.value ~default:0l m |];
         [ (-1, dst) ]
     | P.Min_max ->
         let src = as_one uas in
-        let vf = value_field params 1 in
+        let vf = value uas in
         let mm = timed t `Compute (fun () -> Sbt_prim.Agg.min_max src ~field:vf) in
         let dst = mk ~width:2 ~capacity:1 () in
         let lo, hi = Option.value ~default:(0l, 0l) mm in
@@ -717,7 +732,7 @@ let do_invoke (t : t) ~chain ~inputs ~trigger ~hints ~retire_inputs =
         [ (-1, dst) ]
     | P.Average ->
         let src = as_one uas in
-        let vf = value_field params 1 in
+        let vf = value uas in
         let avg =
           timed t `Compute (fun () ->
               let s, n = Sbt_prim.Agg.sum_count src ~field:vf in
@@ -728,8 +743,9 @@ let do_invoke (t : t) ~chain ~inputs ~trigger ~hints ~retire_inputs =
         [ (-1, dst) ]
     | P.Sum_per_key | P.Count_per_key | P.Avg_per_key | P.Median_per_key ->
         let src = as_one uas in
-        let kf = key_field params 0 in
-        let vf = value_field params 1 in
+        let kf = key uas in
+        (* Count_per_key reads no value field. *)
+        let vf = if op = P.Count_per_key then 0 else value uas in
         let groups = timed t `Compute (fun () -> Sbt_prim.Keyed.group_count ~src ~key_field:kf) in
         let dst = mk ~width:2 ~capacity:groups () in
         timed t `Compute (fun () ->
@@ -743,8 +759,7 @@ let do_invoke (t : t) ~chain ~inputs ~trigger ~hints ~retire_inputs =
         [ (-1, dst) ]
     | P.Top_k_per_key ->
         let src = as_one uas in
-        let kf = key_field params 0 in
-        let vf = value_field params 1 in
+        let kf = key uas and vf = value uas in
         let k =
           Option.value ~default:10 (find_param params (function P_k k -> Some k | _ -> None))
         in
@@ -765,6 +780,7 @@ let do_invoke (t : t) ~chain ~inputs ~trigger ~hints ~retire_inputs =
           | _, F.F_filter_band _ -> raise (Rejected "filter: expects data [+ threshold] inputs")
           | _ -> raise (Rejected "primitive expects one input")
         in
+        if F.width_after (U.width src) [ step ] = None then raise (Rejected "invoke: bad step");
         let dst =
           match step with
           | F.F_filter_band { field; lo; hi } ->

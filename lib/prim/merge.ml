@@ -50,41 +50,56 @@ let merge2 ~a ~b ~dst ~key_field =
   let first = U.reserve dst (na + nb) in
   merge_buffers (U.raw a) na (U.raw b) nb (U.raw dst) first w key_field
 
+(* A head is packed as [(key lsl 20) lor input]: int order on heads is
+   key order, ties going to the earlier input. *)
+let input_bits = 20
+let max_inputs = 1 lsl input_bits
+let head (b : U.buf) p kf i =
+  (Int32.to_int (Bigarray.Array1.unsafe_get b (p + kf)) lsl input_bits) lor i
+
+(* Place [v] at hole [i] of the heap [h] of [size] heads, moving the
+   smaller child up while it sorts before [v]. *)
+let rec sift_down (h : int array) size i v =
+  let c = (2 * i) + 1 in
+  let c = if c + 1 < size && h.(c + 1) < h.(c) then c + 1 else c in
+  if c < size && h.(c) < v then (h.(i) <- h.(c); sift_down h size c v) else h.(i) <- v
+
 let kway ~inputs ~dst ~key_field =
-  match inputs with
-  | [] -> ()
-  | [ only ] -> U.append_blit dst ~src:only ~src_pos:0 ~len:(U.length only)
-  | _ :: _ :: _ ->
-      let w = U.width (List.hd inputs) in
-      List.iter
-        (fun ua -> if U.width ua <> w then invalid_arg "Merge.kway: width mismatch")
-        inputs;
-      (* Tournament of binary merges over plain host buffers; only the
-         final round writes into [dst]. *)
-      let bufs =
-        List.map
-          (fun ua ->
-            let n = U.length ua in
-            (Bigarray.Array1.sub (U.raw ua) 0 (n * w), n))
-          inputs
-      in
-      let rec rounds = function
-        | [] -> invalid_arg "Merge.kway: empty round"
-        | [ (buf, n) ] ->
-            let first = U.reserve dst n in
-            let draw = U.raw dst in
-            Bigarray.Array1.blit buf (Bigarray.Array1.sub draw (first * w) (n * w))
-        | pairs ->
-            let rec merge_pairs acc = function
-              | [] -> List.rev acc
-              | [ last ] -> List.rev (last :: acc)
-              | (a, na) :: (b, nb) :: rest ->
-                  let out =
-                    Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout ((na + nb) * w)
-                  in
-                  merge_buffers a na b nb out 0 w key_field;
-                  merge_pairs ((out, na + nb) :: acc) rest
-            in
-            rounds (merge_pairs [] pairs)
-      in
-      rounds bufs
+  let w = U.width dst and srcs = Array.of_list inputs in
+  if Array.length srcs > max_inputs then invalid_arg "Merge.kway: too many inputs";
+  Array.iter (fun ua -> if U.width ua <> w then invalid_arg "Merge.kway: width mismatch") srcs;
+  let bufs = Array.map U.raw srcs and ends = Array.map (fun ua -> U.length ua * w) srcs in
+  let pos = Array.make (Array.length srcs) 0 and out = U.raw dst in
+  let o = ref (w * U.reserve dst (Array.fold_left (fun n ua -> n + U.length ua) 0 srcs)) in
+  let live = List.filter (fun i -> ends.(i) > 0) (List.init (Array.length srcs) Fun.id) in
+  (* The non-empty inputs' heads, ascending: a sorted array is a heap. *)
+  let heap = Array.of_list (List.map (fun i -> head bufs.(i) 0 key_field i) live) in
+  Array.sort Int.compare heap;
+  let size = ref (Array.length heap) in
+  while !size > 1 do
+    (* Copy the root input [r]'s records while they sort before the
+       runner-up, the smaller child [c] with head [next]: while their
+       keys are below [lim], [next]'s key plus one if [r] is the earlier
+       input.  Then [next] moves up to the root and [r]'s new head sifts
+       down from [c]'s slot. *)
+    let r = heap.(0) land (max_inputs - 1) in
+    let c = if !size > 2 && heap.(2) < heap.(1) then 2 else 1 in
+    let next = heap.(c) in
+    let lim = (next asr input_bits) + if r < next land (max_inputs - 1) then 1 else 0 in
+    let b = bufs.(r) and e = ends.(r) and p = ref pos.(r) in
+    while !p < e && Int32.to_int (Bigarray.Array1.unsafe_get b (!p + key_field)) < lim do
+      for f = 0 to w - 1 do
+        Bigarray.Array1.unsafe_set out (!o + f) (Bigarray.Array1.unsafe_get b (!p + f))
+      done;
+      o := !o + w;
+      p := !p + w
+    done;
+    pos.(r) <- !p;
+    if !p < e then (heap.(0) <- next; sift_down heap !size c (head b !p key_field r))
+    else (decr size; sift_down heap !size 0 heap.(!size))
+  done;
+  (* The last input left goes in one blit. *)
+  if !size = 1 then
+    let r = heap.(0) land (max_inputs - 1) in
+    let n = ends.(r) - pos.(r) in
+    Bigarray.Array1.blit (Bigarray.Array1.sub bufs.(r) pos.(r) n) (Bigarray.Array1.sub out !o n)

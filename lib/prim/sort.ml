@@ -25,17 +25,18 @@ let copy_record ~(src : U.buf) ~src_r ~(dst : U.buf) ~dst_r w =
    hand-vectorized NEON sort: no comparisons, sequential passes over
    contiguous memory.  One pass builds all four digit histograms; a digit
    on which every key agrees is skipped, since a stable pass over it is
-   the identity.  After an odd number of passes the rows are copied back
-   from [scratch]. *)
+   the identity. *)
 
 let digit k p = ((k + 0x8000_0000) lsr (8 * p)) land 0xFF
 
-let radix_sort (buf : U.buf) w kf n =
-  let scratch = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (n * w) in
+(* Sort the [n] records of [src] into [dst]; [src == dst] sorts in place.
+   The passes alternate between [dst] and one scratch buffer, starting so
+   that the last pass writes [dst]. *)
+let radix_sort (src : U.buf) (dst : U.buf) w kf n =
   let hist = Array.make 1024 0 in
   for r = 0 to n - 1 do
     (* [digit k p] for p = 0..3, unrolled: a loop here costs 16%. *)
-    let u = key buf w kf r + 0x8000_0000 in
+    let u = key src w kf r + 0x8000_0000 in
     let d0 = u land 0xFF and d1 = 256 + ((u lsr 8) land 0xFF) in
     let d2 = 512 + ((u lsr 16) land 0xFF) and d3 = 768 + ((u lsr 24) land 0xFF) in
     hist.(d0) <- hist.(d0) + 1;
@@ -43,29 +44,33 @@ let radix_sort (buf : U.buf) w kf n =
     hist.(d2) <- hist.(d2) + 1;
     hist.(d3) <- hist.(d3) + 1
   done;
-  let k0 = if n > 0 then key buf w kf 0 else 0 in
-  let src = ref buf and dst = ref scratch and passes = ref 0 in
-  for p = 0 to 3 do
-    let h = p * 256 in
-    if hist.(h + digit k0 p) < n then begin
+  let k0 = if n > 0 then key src w kf 0 else 0 in
+  let live = List.filter (fun p -> hist.((p * 256) + digit k0 p) < n) [ 0; 1; 2; 3 ] in
+  let passes = List.length live in
+  let scratch = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (n * w) in
+  (* The rows start where the first pass may read them: in [dst] when
+     there is no pass, in scratch when an in-place sort's first pass
+     writes [dst]. *)
+  let odd_in_place = src == dst && passes land 1 = 1 in
+  let from = ref (if passes = 0 then dst else if odd_in_place then scratch else src) in
+  if !from != src then Bigarray.Array1.blit src !from;
+  List.iteri
+    (fun i p ->
+      let h = p * 256 and s = !from in
+      let t = if (passes - i) land 1 = 1 then dst else scratch in
       let acc = ref 0 in
       for d = h to h + 255 do
         let c = hist.(d) in
         hist.(d) <- !acc;
         acc := !acc + c
       done;
-      let s = !src and t = !dst in
       for r = 0 to n - 1 do
         let d = h + digit (key s w kf r) p in
         copy_record ~src:s ~src_r:r ~dst:t ~dst_r:hist.(d) w;
         hist.(d) <- hist.(d) + 1
       done;
-      src := t;
-      dst := s;
-      incr passes
-    end
-  done;
-  if !passes land 1 = 1 then Bigarray.Array1.blit scratch buf
+      from := t)
+    live
 
 (* ------------------------------------------------------------------ *)
 (* Comparison sorts: one specialized version with the key comparison
@@ -156,7 +161,7 @@ let qsort_with_comparator (buf : U.buf) w n ~cmp =
 (* [buf] holds exactly the [n] records to sort. *)
 let sort_slice algorithm buf w kf n =
   match algorithm with
-  | Radix -> radix_sort buf w kf n
+  | Radix -> radix_sort buf buf w kf n
   | Std -> std_sort buf w kf n
   | Qsort ->
       (* A closure invoked per comparison, comparing through the generic
@@ -178,18 +183,15 @@ let sort algorithm ~src ~dst ~key_field =
   (* Sorting the slice starting at [first] composes with pre-filled
      destinations. *)
   let slice = Bigarray.Array1.sub (U.raw dst) (first * w) (n * w) in
-  Bigarray.Array1.blit (Bigarray.Array1.sub (U.raw src) 0 (n * w)) slice;
-  sort_slice algorithm slice w key_field n
+  let rows = Bigarray.Array1.sub (U.raw src) 0 (n * w) in
+  match algorithm with
+  | Radix -> radix_sort rows slice w key_field n
+  | Std | Qsort ->
+      Bigarray.Array1.blit rows slice;
+      sort_slice algorithm slice w key_field n
 
 let sort_in_place algorithm ua ~key_field =
   if not (U.is_open ua) then raise (U.Sealed { id = U.id ua });
   let w = U.width ua and n = U.length ua in
   if key_field < 0 || key_field >= w then invalid_arg "Sort.sort_in_place: bad key field";
   sort_slice algorithm (Bigarray.Array1.sub (U.raw ua) 0 (n * w)) w key_field n
-
-let is_sorted ua ~key_field =
-  let w = U.width ua and n = U.length ua in
-  let buf = U.raw ua in
-  let r = ref 1 in
-  while !r < n && key buf w key_field (!r - 1) <= key buf w key_field !r do incr r done;
-  !r >= n

@@ -10,6 +10,11 @@
       comparisons).  One pass counts all four byte digits; a digit on
       which every key agrees gets no pass, since a stable pass over it
       is the identity.  Keys below 65,536 thus cost two scatter passes.
+      The passes alternate between the destination and one scratch
+      buffer, ordered so that the last pass writes the destination, so
+      rows are neither copied in first nor copied back after.  Only an
+      in-place sort with an odd pass count moves its rows to scratch
+      first.
     - {!Std}: comparison sort with the comparator inlined at the call site
       (the [std::sort] template-instantiation model).
     - {!Qsort}: the same comparison sort but calling the comparator through
@@ -32,7 +37,3 @@ val sort :
 val sort_in_place : algorithm -> Sbt_umem.Uarray.t -> key_field:int -> unit
 (** Sort an {e open} uArray's records in place (used on temporary
     uArrays inside other primitives). *)
-
-val is_sorted : Sbt_umem.Uarray.t -> key_field:int -> bool
-(** [true] iff records are ascending by [key_field]; stops scanning at the
-    first inversion. *)

@@ -173,6 +173,69 @@ let test_audit_covers_all_ops () =
   in
   Alcotest.(check (list int)) "one exec with Count id" [ P.to_id P.Count ] execs
 
+(* Field parameters come from the normal world.  Each is checked in-TEE
+   against the width of the input it indexes: an out-of-width field is
+   Rejected before any output is allocated or any record written, and
+   the data plane serves the next valid call.  Each case is (op, input
+   count, params with the field under test set to [f]). *)
+let field_cases =
+  [
+    (P.Kway_merge, 2, fun f -> [ D.P_key_field f ]);
+    (P.Merge, 2, fun f -> [ D.P_key_field f ]);
+    (P.Join, 2, fun f -> [ D.P_key_field 0; D.P_value_field f ]);
+    (P.Segment, 1, fun f -> [ D.P_window_size 100; D.P_ts_field f ]);
+    (P.Avg_per_key, 1, fun f -> [ D.P_key_field 0; D.P_value_field f ]);
+    (P.Unique, 1, fun f -> [ D.P_key_field f ]);
+    (P.Filter_band, 1, fun f -> [ D.P_value_field f; D.P_lo 0l; D.P_hi 10l ]);
+    (P.Sort, 1, fun f -> [ D.P_key_field f ]);
+    (P.Sum_cnt, 1, fun f -> [ D.P_value_field f ]);
+    (P.Top_k, 1, fun f -> [ D.P_value_field f; D.P_k 2 ]);
+    (P.Shift_key, 1, fun f -> [ D.P_key_field f; D.P_shift 1 ]);
+    (P.Project, 1, fun f -> [ D.P_fields [| 0; f |] ]);
+  ]
+
+let test_field_out_of_width () =
+  List.iter
+    (fun (op, arity, params) ->
+      List.iter
+        (fun bad ->
+          let dp = mk_dp () in
+          let rows = il [ [ 1; 5; 100 ]; [ 2; 6; 150 ] ] in
+          let inputs = List.init arity (fun _ -> ingest dp ~width:3 rows) in
+          let committed = D.pool_committed_bytes dp in
+          let name = Printf.sprintf "%s field %d" (P.name op) bad in
+          (match invoke dp ~params:(params bad) op inputs with
+          | _ -> Alcotest.failf "%s: accepted" name
+          | exception D.Rejected _ -> ());
+          Alcotest.(check int) (name ^ ": pool unchanged") committed (D.pool_committed_bytes dp);
+          Alcotest.(check bool) (name ^ ": next call served") true
+            (invoke dp ~params:(params 1) op inputs <> []))
+        [ -1; 3; 1_000_000 ])
+    field_cases
+
+(* Merge, KwayMerge and Concat copy whole records into one output, so
+   inputs of different widths are Rejected in-TEE, before any output is
+   allocated, and the next valid call is served. *)
+let test_mixed_widths_rejected () =
+  List.iter
+    (fun op ->
+      let dp = mk_dp () in
+      let a = ingest dp ~width:3 (il [ [ 1; 5; 100 ]; [ 2; 6; 150 ] ]) in
+      let c = ingest dp ~width:3 (il [ [ 2; 7; 120 ] ]) in
+      let b = ingest dp ~width:2 (il [ [ 1; 5 ]; [ 3; 7 ] ]) in
+      let committed = D.pool_committed_bytes dp in
+      let name = P.name op in
+      List.iter
+        (fun inputs ->
+          match invoke dp op inputs with
+          | _ -> Alcotest.failf "%s: accepted" name
+          | exception D.Rejected _ -> ())
+        [ [ a; b ]; [ b; a ] ];
+      Alcotest.(check int) (name ^ ": pool unchanged") committed (D.pool_committed_bytes dp);
+      Alcotest.(check int) (name ^ ": next call served") 3
+        (List.length (rows_of dp (one (invoke dp op [ a; c ])))))
+    [ P.Merge; P.Kway_merge; P.Concat ]
+
 let () =
   Alcotest.run "dataplane-ops"
     [
@@ -192,5 +255,8 @@ let () =
           Alcotest.test_case "runtime threshold" `Quick test_filter_runtime_threshold;
           Alcotest.test_case "project + shift" `Quick test_project_shift;
           Alcotest.test_case "audit covers ops" `Quick test_audit_covers_all_ops;
+          Alcotest.test_case "field outside the input rejected" `Quick test_field_out_of_width;
+          Alcotest.test_case "inputs of different widths rejected" `Quick
+            test_mixed_widths_rejected;
         ] );
     ]

@@ -31,6 +31,11 @@ let random_rows ?(lo = -1000) ?(hi = 1000) ~width ~n seed =
   let rng = Sbt_crypto.Rng.create ~seed:(Int64.of_int seed) in
   List.init n (fun _ -> List.init width (fun _ -> lo + Sbt_crypto.Rng.int_below rng (hi - lo)))
 
+(* [true] iff records are ascending by [key_field]. *)
+let is_sorted ua ~key_field =
+  let keys = List.map (fun r -> r.(key_field)) (U.to_list ua) in
+  List.sort compare keys = keys
+
 (* --- Sort ---------------------------------------------------------------- *)
 
 let check_sorted_algo algo () =
@@ -39,7 +44,7 @@ let check_sorted_algo algo () =
   let src = ua_of_list p ~width:3 rows in
   let dst = fresh p ~width:3 ~capacity:5_000 in
   Sort.sort algo ~src ~dst ~key_field:0;
-  Alcotest.(check bool) "sorted" true (Sort.is_sorted dst ~key_field:0);
+  Alcotest.(check bool) "sorted" true (is_sorted dst ~key_field:0);
   (* Same multiset of records. *)
   let norm l = List.sort compare l in
   Alcotest.(check bool) "permutation" true (norm (rows_of_ua dst) = norm rows)
@@ -71,7 +76,7 @@ let test_sort_in_place () =
   let rows = random_rows ~width:2 ~n:100 3 in
   List.iter (fun r -> U.append ua (Array.of_list (List.map Int32.of_int r))) rows;
   Sort.sort_in_place Sort.Std ua ~key_field:1;
-  Alcotest.(check bool) "sorted by field 1" true (Sort.is_sorted ua ~key_field:1)
+  Alcotest.(check bool) "sorted by field 1" true (is_sorted ua ~key_field:1)
 
 (* Keys that leave 0-4 live digits (bytes on which some keys differ), so
    radix sort runs every number of scatter passes, odd ones included. *)
@@ -188,7 +193,71 @@ let test_kway_merge () =
   let dst = fresh p ~width:1 ~capacity:total in
   Merge.kway ~inputs ~dst ~key_field:0;
   Alcotest.(check int) "total" total (U.length dst);
-  Alcotest.(check bool) "sorted" true (Sort.is_sorted dst ~key_field:0)
+  Alcotest.(check bool) "sorted" true (is_sorted dst ~key_field:0)
+
+(* Keys per input: long runs, singletons, all equal, negative, or the
+   int32 extremes. *)
+let gen_kway_keys st n =
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  let any () = Int32.to_int (Random.State.bits32 st) in
+  match Random.State.int st 6 with
+  | 0 -> List.init n (fun _ -> Random.State.int st 3)
+  | 1 -> List.init n (fun _ -> any ())
+  | 2 -> List.init n (fun _ -> 7)
+  | 3 -> List.init n (fun _ -> -1 - Random.State.int st 50)
+  | 4 ->
+      let ext = [ Int32.to_int Int32.min_int; Int32.to_int Int32.max_int; -1; 0 ] in
+      List.init n (fun _ -> pick ext)
+  | _ -> List.init n (fun _ -> pick [ any (); Random.State.int st 5 ])
+
+(* Kway against the stable sort of the inputs' concatenation: every row
+   exactly once, ties in input order. *)
+let prop_kway_reference =
+  QCheck.Test.make ~name:"kway equals the stable sort of its inputs" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let width = 1 + Random.State.int st 4 and k = Random.State.int st 41 in
+      let kf = Random.State.int st width in
+      let key r = List.nth r kf in
+      (* Non-key fields carry (input, position), the first as one id. *)
+      let row i pos kv =
+        let other = [ (i * 1000) + pos; i; pos ] in
+        List.init width (fun f -> if f = kf then kv else List.nth other (f - Bool.to_int (f > kf)))
+      in
+      let inputs =
+        List.init k (fun i ->
+            let n = if Random.State.int st 4 = 0 then 0 else Random.State.int st 60 in
+            let keys = List.sort compare (gen_kway_keys st n) in
+            List.mapi (fun pos kv -> row i pos kv) keys)
+      in
+      let p = pool () in
+      let uas = List.map (ua_of_list p ~width) inputs in
+      let total = List.length (List.concat inputs) in
+      let prefix = List.init (Random.State.int st 3) (fun i -> List.init width (fun _ -> -i)) in
+      let dst ~width ~capacity ~prefix =
+        let d = fresh p ~width ~capacity in
+        List.iter (fun r -> U.append d (Array.of_list (List.map Int32.of_int r))) prefix;
+        d
+      in
+      let merged ?(prefix = prefix) ~width capacity =
+        let d = dst ~width ~capacity ~prefix in
+        match Merge.kway ~inputs:uas ~dst:d ~key_field:kf with
+        | () -> Ok (rows_of_ua d)
+        | exception e -> Error (e, rows_of_ua d)
+      in
+      let expected = List.stable_sort (fun a b -> compare (key a) (key b)) (List.concat inputs) in
+      let n = List.length prefix + total in
+      merged ~width n = Ok (prefix @ expected)
+      (* One record short: Full, with nothing written. *)
+      && (total = 0
+         || match merged ~width (n - 1) with Error (U.Full _, rows) -> rows = prefix | _ -> false)
+      (* Another width: rejected, whatever the input count. *)
+      && (k = 0
+         ||
+         match merged ~prefix:[] ~width:(width + 1) total with
+         | Error (Invalid_argument _, []) -> true
+         | _ -> false))
 
 let test_kway_single_input () =
   let p = pool () in
@@ -432,34 +501,71 @@ let test_topk_per_key () =
 
 (* --- Join ---------------------------------------------------------------------- *)
 
-let reference_join left right =
+(* Nested loops over the key-sorted inputs: rows come out ordered by key,
+   then left position, then right position. *)
+let reference_join ~kf ~vf left right =
   List.concat_map
     (fun l ->
       List.filter_map
         (fun r ->
-          match (l, r) with
-          | [ kl; vl ], [ kr; vr ] when kl = kr -> Some [ kl; vl; vr ]
-          | _ -> None)
+          if List.nth l kf = List.nth r kf then Some [ List.nth l kf; List.nth l vf; List.nth r vf ]
+          else None)
         right)
     left
 
+let join_rows p ~kf ~vf left right =
+  let runs = Join.runs ~left ~right ~key_field:kf in
+  let dst = fresh p ~width:3 ~capacity:(Join.size runs) in
+  Join.fill runs ~dst ~value_field:vf;
+  (Join.size runs, rows_of_ua dst)
+
 let test_join_against_reference () =
   let p = pool () in
-  let lrows = random_rows ~lo:0 ~hi:15 ~width:2 ~n:60 7 in
-  let rrows = random_rows ~lo:0 ~hi:15 ~width:2 ~n:50 8 in
-  let left = sorted_kv p lrows and right = sorted_kv p rrows in
-  let expected = List.sort compare (reference_join lrows rrows) in
-  let n = Join.count_matches ~left ~right ~key_field:0 in
-  Alcotest.(check int) "count_matches" (List.length expected) n;
-  let dst = fresh p ~width:3 ~capacity:n in
-  Join.join ~left ~right ~dst ~key_field:0 ~value_field:1;
-  Alcotest.(check (list (list int))) "join rows" expected (List.sort compare (rows_of_ua dst))
+  let lrows = List.sort compare (random_rows ~lo:0 ~hi:15 ~width:2 ~n:60 7) in
+  let rrows = List.sort compare (random_rows ~lo:0 ~hi:15 ~width:2 ~n:50 8) in
+  let expected = reference_join ~kf:0 ~vf:1 lrows rrows in
+  let n, rows = join_rows p ~kf:0 ~vf:1 (ua_of_list p ~width:2 lrows) (ua_of_list p ~width:2 rrows) in
+  Alcotest.(check int) "size" (List.length expected) n;
+  Alcotest.(check (list (list int))) "join rows" expected rows
 
 let test_join_disjoint () =
   let p = pool () in
   let left = sorted_kv p [ [ 1; 1 ]; [ 2; 2 ] ] in
   let right = sorted_kv p [ [ 3; 3 ]; [ 4; 4 ] ] in
-  Alcotest.(check int) "no matches" 0 (Join.count_matches ~left ~right ~key_field:0)
+  Alcotest.(check int) "no matches" 0 (Join.size (Join.runs ~left ~right ~key_field:0))
+
+(* The emission order, unsorted, against the nested-loop reference, over
+   duplicate-heavy, disjoint, one-sided and random keys and unequal
+   input widths. *)
+let prop_join_emission_order =
+  QCheck.Test.make ~name:"join emits in key, left, right order" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let wl = 2 + Random.State.int st 3 and wr = 2 + Random.State.int st 3 in
+      let kf = Random.State.int st 2 in
+      let vf = 1 - kf in
+      let mode = Random.State.int st 4 in
+      let side ~width ~parity =
+        let n = if mode = 2 && parity = 1 then 0 else Random.State.int st 80 in
+        let key () =
+          match mode with
+          | 0 -> Random.State.int st 3
+          | 1 -> (2 * Random.State.int st 20) + parity
+          | _ -> Int32.to_int (Random.State.bits32 st) asr (Random.State.int st 32)
+        in
+        let rows =
+          List.init n (fun pos ->
+              let k = key () in
+              List.init width (fun f -> if f = kf then k else (pos * 10) + f))
+        in
+        List.stable_sort (fun a b -> compare (List.nth a kf) (List.nth b kf)) rows
+      in
+      let lrows = side ~width:wl ~parity:0 and rrows = side ~width:wr ~parity:1 in
+      let p = pool () in
+      let expected = reference_join ~kf ~vf lrows rrows in
+      let left = ua_of_list p ~width:wl lrows and right = ua_of_list p ~width:wr rrows in
+      join_rows p ~kf ~vf left right = (List.length expected, expected))
 
 (* --- Filter / Select / Misc ------------------------------------------------------ *)
 
@@ -613,6 +719,7 @@ let () =
           Alcotest.test_case "merge2" `Quick test_merge2;
           Alcotest.test_case "kway" `Quick test_kway_merge;
           Alcotest.test_case "kway single" `Quick test_kway_single_input;
+          q prop_kway_reference;
         ] );
       ( "segment",
         [
@@ -635,6 +742,7 @@ let () =
         [
           Alcotest.test_case "against reference" `Quick test_join_against_reference;
           Alcotest.test_case "disjoint keys" `Quick test_join_disjoint;
+          q prop_join_emission_order;
         ] );
       ( "filter-misc",
         [
