@@ -257,9 +257,9 @@ let fig9_one_batch events =
     match
       D.call dp
         (D.R_ingest_events
-           { payload; encrypted = false; stream = 0; seq = 0; mac = Bytes.empty })
+           { payload; encrypted = false; stream = 0; seq = 0; mac = Bytes.empty; windowing = None })
     with
-    | D.Rs_ingested { out; _ } -> out.D.ref_
+    | D.Rs_ingested { outs = [ out ]; _ } -> out.D.ref_
     | _ -> failwith "ingest"
   in
   (* The paper profiles the GroupBy *operator*: exclude ingestion. *)
@@ -924,10 +924,12 @@ let fleet_bench () =
 let fusion () =
   section "[fusion] in-TEE operator fusion: SMC switches and audit volume (PR 7)";
   Printf.printf
-    "  FpsChain (5 adjacent per-record stages) runs as one fused chain: one trusted\n";
+    "  FpsChain (5 adjacent per-record stages) runs as one fused chain, in the same\n";
   Printf.printf
-    "  entry + one composite audit record per segment; small batches are where the\n";
-  Printf.printf "  switch rate dominates:\n";
+    "  trusted call as the batch's ingest and Segment: one world switch per batch and\n";
+  Printf.printf
+    "  one composite audit record per segment; small batches are where the switch\n";
+  Printf.printf "  rate dominates:\n";
   Printf.printf "  %6s %10s %12s %10s %14s %9s\n" "batch" "switches" "switch/win" "audit B"
     "audit B/win" "verified";
   let epw_f = if smoke then 1_000 else 4_000 in

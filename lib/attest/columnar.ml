@@ -14,7 +14,7 @@ type columns = {
   hints : Buffer.t; (* (pred, succ) id pairs, delta varints *)
   streams : Buffer.t; (* ingress/gap stream ids - delta varint *)
   seqs : Buffer.t; (* ingress/gap frame seqs (near-monotonic) - delta varint *)
-  blobs : Buffer.t; (* length-prefixed opaque bytes (fused params + chain hashes) *)
+  blobs : Buffer.t; (* length-prefixed opaque bytes (fused params) *)
 }
 
 let split records =
@@ -70,18 +70,18 @@ let split records =
   (* List lengths below 128 take one byte; a window close over hundreds
      of segments takes two. *)
   let put_count l = Varint.write_unsigned c.counts (Int64.of_int (List.length l)) in
-  (* Fused params and chain hashes repeat verbatim across segments of the
-     same pipeline (the chain is a function of ops+params alone), so the
-     blob column back-references per field: 0 = "same as this field's
-     previous blob", n > 0 = a literal of n-1 bytes.  This is what keeps
-     composite audit records cheaper than the per-op rows they replace. *)
-  let prev_params_blob = ref Bytes.empty and prev_chain_blob = ref Bytes.empty in
-  let put_blob prev b =
-    if Bytes.equal b !prev then Varint.write_unsigned c.blobs 0L
+  (* Fused params repeat verbatim across segments of the same pipeline,
+     so the blob column back-references: 0 = "same as the previous blob",
+     n > 0 = a literal of n-1 bytes.  The chain hash is not sent at all:
+     it is [Record.chain_hash ops params], and the batch MAC already
+     covers both, so the decoder derives it. *)
+  let prev_blob = ref Bytes.empty in
+  let put_blob b =
+    if Bytes.equal b !prev_blob then Varint.write_unsigned c.blobs 0L
     else begin
       Varint.write_unsigned c.blobs (Int64.of_int (Bytes.length b + 1));
       Buffer.add_bytes c.blobs b;
-      prev := b
+      prev_blob := b
     end
   in
   let prev_stream = ref 0 and prev_seq = ref 0 in
@@ -142,13 +142,12 @@ let split records =
           put_ts ts;
           put_seq seq;
           put_val watermark
-      | Record.Fused { ts; ops; params; chain; inputs; outputs; hints } ->
+      | Record.Fused { ts; ops; params; chain = _; inputs; outputs; hints } ->
           Buffer.add_char c.tags '\007';
           put_ts ts;
           put_count ops;
           List.iter (fun op -> Buffer.add_char c.ops (Char.unsafe_chr (op land 0xFF))) ops;
-          put_blob prev_params_blob params;
-          put_blob prev_chain_blob chain;
+          put_blob params;
           put_count inputs;
           put_count outputs;
           put_count hints;
@@ -222,21 +221,28 @@ let decompress data =
   let hint_pos = ref 0 and op_pos = ref 0 and cnt_pos = ref 0 in
   let stream_pos = ref 0 and seq_pos = ref 0 in
   let blob_pos = ref 0 in
-  let prev_params_blob = ref Bytes.empty and prev_chain_blob = ref Bytes.empty in
-  let get_blob prev =
-    (* 0 is a back-reference to this field's previous blob; n > 0 is a
-       literal of n-1 bytes (see [split]). *)
+  let prev_blob = ref Bytes.empty in
+  let get_blob () =
+    (* 0 is a back-reference to the previous blob; n > 0 is a literal of
+       n-1 bytes (see [split]). *)
     let tag = Int64.to_int (Varint.read_unsigned blobs_col blob_pos) in
-    if tag = 0 then !prev
+    if tag = 0 then !prev_blob
     else begin
       let len = tag - 1 in
       if !blob_pos + len > Bytes.length blobs_col then
         invalid_arg "Columnar.decompress: truncated blob";
       let b = Bytes.sub blobs_col !blob_pos len in
       blob_pos := !blob_pos + len;
-      prev := b;
+      prev_blob := b;
       b
     end
+  in
+  (* Chain hashes derived once per distinct (ops, params) in the batch. *)
+  let chains = Hashtbl.create 4 in
+  let chain_of ops params =
+    if not (Hashtbl.mem chains (ops, params)) then
+      Hashtbl.add chains (ops, params) (Record.chain_hash ~ops ~params);
+    Hashtbl.find chains (ops, params)
   in
   let prev_ts = ref 0 and prev_id = ref 0 and prev_win = ref 0 and prev_val = ref 0 in
   let prev_hint = ref 0 and prev_stream = ref 0 and prev_seq = ref 0 in
@@ -334,8 +340,8 @@ let decompress data =
           let ts = get_ts () in
           let n_ops = get_count () in
           let ops = List.init n_ops (fun _ -> get_byte ops op_pos) in
-          let params = get_blob prev_params_blob in
-          let chain = get_blob prev_chain_blob in
+          let params = get_blob () in
+          let chain = chain_of ops params in
           let n_in = get_count () in
           let n_out = get_count () in
           let n_h = get_count () in

@@ -7,8 +7,6 @@ type t = {
   mutable pending_count : int;
   mutable seq : int;
   mutable records_produced : int;
-  mutable raw_bytes : int;
-  mutable compressed_bytes : int;
 }
 
 let create ~key ~flush_every =
@@ -20,8 +18,6 @@ let create ~key ~flush_every =
     pending_count = 0;
     seq = 0;
     records_produced = 0;
-    raw_bytes = 0;
-    compressed_bytes = 0;
   }
 
 let flush t =
@@ -41,15 +37,12 @@ let flush t =
       let tag = Sbt_crypto.Hmac.mac ~key:t.key payload in
       let b = { payload; tag; seq = t.seq } in
       t.seq <- t.seq + 1;
-      t.compressed_bytes <- t.compressed_bytes + Bytes.length payload;
       Some b
 
 let append t r =
   t.pending <- r :: t.pending;
   t.pending_count <- t.pending_count + 1;
   t.records_produced <- t.records_produced + 1;
-  t.raw_bytes <- t.raw_bytes + Bytes.length (Record.encode_all [ r ]) - 1;
-  (* -1: don't count the per-batch record-count varint for single records *)
   if t.pending_count >= t.flush_every then flush t else None
 
 let open_batch ~key b =
@@ -63,15 +56,10 @@ let open_batch ~key b =
   Columnar.decompress (Bytes.sub b.payload 4 (Bytes.length b.payload - 4))
 
 let records_produced t = t.records_produced
-let raw_bytes t = t.raw_bytes
-let compressed_bytes t = t.compressed_bytes
 let seq t = t.seq
 
-let restore_cursor t ~seq ~records_produced ~raw_bytes ~compressed_bytes =
+let restore_cursor t ~seq ~records_produced =
   if t.pending_count > 0 then invalid_arg "Log.restore_cursor: pending records";
-  if seq < 0 || records_produced < 0 || raw_bytes < 0 || compressed_bytes < 0 then
-    invalid_arg "Log.restore_cursor: negative cursor";
+  if seq < 0 || records_produced < 0 then invalid_arg "Log.restore_cursor: negative cursor";
   t.seq <- seq;
-  t.records_produced <- records_produced;
-  t.raw_bytes <- raw_bytes;
-  t.compressed_bytes <- compressed_bytes
+  t.records_produced <- records_produced

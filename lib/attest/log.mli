@@ -26,17 +26,11 @@ val open_batch : key:bytes -> batch -> Record.t list
     [Invalid_argument] on a bad tag (tampered or forged batch). *)
 
 val records_produced : t -> int
-val raw_bytes : t -> int
-(** Total row-encoded size of everything appended so far. *)
-
-val compressed_bytes : t -> int
-(** Total size of all flushed payloads. *)
 
 val seq : t -> int
 (** The next batch sequence number (= batches flushed so far). *)
 
-val restore_cursor :
-  t -> seq:int -> records_produced:int -> raw_bytes:int -> compressed_bytes:int -> unit
+val restore_cursor : t -> seq:int -> records_produced:int -> unit
 (** Restore the log's cursor from a sealed checkpoint, so a recovered
     data plane continues the batch sequence exactly where the
     checkpointed one left off.  Only legal on a log with no pending

@@ -122,8 +122,18 @@ type param =
   | P_fields of int array
   | P_session_gap of int
 
+type windowing = {
+  segment : param list;
+  first_open : int;
+  plan : (P.t * param list) list list;
+  stage_hints : (int * hint list) list;
+}
+
 type request =
-  | R_ingest_events of { payload : bytes; encrypted : bool; stream : int; seq : int; mac : bytes }
+  | R_ingest_events of {
+      payload : bytes; encrypted : bool; stream : int; seq : int; mac : bytes;
+      windowing : windowing option;
+    }
   | R_ingest_watermark of { value : int }
   | R_declare_gap of {
       stream : int;
@@ -163,7 +173,7 @@ type response =
   | Rs_outputs of output list
   | Rs_watermark of { audit_id : int; value : int }
   | Rs_egress of sealed_result
-  | Rs_ingested of { out : output; stalled_ns : float }
+  | Rs_ingested of { outs : output list; stalled_ns : float }
   | Rs_checkpoint of { blob : bytes; seq : int }
 
 exception Rejected of string
@@ -214,6 +224,7 @@ type t = {
   sess_ends : (int, int) Hashtbl.t;
   mutable last_wm : int; (* highest ingested watermark (-1 before any) *)
   udfs : (string * int, Udf.t) Hashtbl.t; (* certified-and-installed UDFs *)
+  mutable last_chain : int list * bytes * bytes; (* (ops, params, chain hash) last hashed *)
   (* TEE-side metrics registry: never read across the boundary directly;
      exported only as an attested snapshot via [metrics_quote]. *)
   reg : Sbt_obs.Metrics.t;
@@ -269,6 +280,27 @@ let timed (t : t) category f =
   | `Crypto -> t.crypto_ns <- t.crypto_ns +. dt
   | `Ingest -> t.ingest_ns <- t.ingest_ns +. dt);
   r
+
+let measured_total (t : t) = t.compute_ns +. t.mem_ns +. t.crypto_ns +. t.ingest_ns
+
+(* One "prim" span per primitive/udf/seal execution, at the TEE's virtual
+   clock.  The duration is the measured-time delta with crypto charged at
+   the cost model's crypto_scale, all scaled by host_scale — the same
+   virtual quantity the DES charges — so at host_scale 0 even the trace
+   bytes are deterministic. *)
+let traced_prim t name f =
+  match t.cfg.tracer with
+  | None -> f ()
+  | Some tr ->
+      let ts = t.now_ns and before = measured_total t and crypto_before = t.crypto_ns in
+      let r = f () in
+      let cost = t.cfg.platform.Tz.Platform.cost in
+      let crypto_adjust =
+        (t.crypto_ns -. crypto_before) *. (cost.Tz.Cost_model.crypto_scale -. 1.0)
+      in
+      let dur = (measured_total t -. before +. crypto_adjust) *. cost.Tz.Cost_model.host_scale in
+      Sbt_obs.Tracer.complete tr ~pid:1 ~tid:0 ~cat:"prim" ~name ~ts_ns:ts ~dur_ns:dur ();
+      r
 
 let hint_of t = function
   | Some (H_after r) -> Alloc.Consumed_after (Opaque.resolve t.refs r)
@@ -481,8 +513,7 @@ let do_ingest_events t ~payload ~encrypted ~stream ~seq ~mac =
   Sbt_obs.Metrics.observe t.m_batch_events (float_of_int events);
   Sbt_obs.Metrics.set_gauge t.m_pool (float_of_int (Pool.committed_bytes t.pool));
   append_record t (Sbt_attest.Record.Ingress { ts = now_us t; uarray = U.id ua; stream; seq });
-  let r = mint_ref t ua in
-  Rs_ingested { out = { win = -1; ref_ = r; events }; stalled_ns }
+  ({ win = -1; ref_ = mint_ref t ua; events }, stalled_ns)
 
 (* The edge vouches, from inside the TEE, that a frame was lost to a
    benign fault: the signed Gap record is what lets the verifier tell
@@ -865,7 +896,11 @@ let do_invoke (t : t) ~chain ~inputs ~trigger ~hints ~retire_inputs =
   | `Chain steps ->
       let ops = List.map (fun s -> P.to_id (F.step_op s)) steps in
       let params = F.encode_steps steps in
-      let chain = timed t `Crypto (fun () -> Sbt_attest.Record.chain_hash ~ops ~params) in
+      let last_ops, last_params, _ = t.last_chain in
+      if (last_ops, last_params) <> (ops, params) then
+        t.last_chain <-
+          (ops, params, timed t `Crypto (fun () -> Sbt_attest.Record.chain_hash ~ops ~params));
+      let _, _, chain = t.last_chain in
       append_record t
         (Sbt_attest.Record.Fused
            { ts; ops; params; chain; inputs = in_ids; outputs = out_ids; hints = audit_hints }));
@@ -873,7 +908,30 @@ let do_invoke (t : t) ~chain ~inputs ~trigger ~hints ~retire_inputs =
     List.map (fun (win, ua) -> { win; ref_ = mint_ref t ua; events = U.length ua }) outputs
   in
   if retire_inputs then List.iter (retire_ref t) inputs;
-  Rs_outputs out_refs
+  out_refs
+
+let chain_name = function [ (op, _) ] -> P.name op | _ -> "fused"
+
+(* One world switch per batch: ingest the frame and, given a windowing
+   step, run Segment on it and then the batch plan on every segment whose
+   window is still open.  The records are the ones the three separate
+   calls would append, in per-batch order: Ingress, the Windowing
+   records, then one record per plan step per open segment.  Segments of
+   windows below [first_open] come back unstaged, for the late policy. *)
+let do_ingest_batch t ~payload ~encrypted ~stream ~seq ~mac ~windowing =
+  let batch, stalled_ns = do_ingest_events t ~payload ~encrypted ~stream ~seq ~mac in
+  let step hints (o : output) chain =
+    traced_prim t (chain_name chain) (fun () ->
+        do_invoke t ~chain ~inputs:[ o.ref_ ] ~trigger:None ~hints ~retire_inputs:true)
+  in
+  let stage w (o : output) chain =
+    match step (Option.value ~default:[] (List.assoc_opt o.win w.stage_hints)) o chain with
+    | [ out ] -> { out with win = o.win }
+    | _ -> raise (Rejected "windowing: a batch stage must have one output")
+  in
+  let staged w o = if o.win < w.first_open then o else List.fold_left (stage w) o w.plan in
+  let segments w = List.map (staged w) (step [] batch [ (P.Segment, w.segment) ]) in
+  Rs_ingested { outs = Option.fold ~none:[ batch ] ~some:segments windowing; stalled_ns }
 
 let egress_nonce window = Int64.logor 0x4547000000000000L (Int64.of_int window)
 
@@ -1081,7 +1139,7 @@ let do_retire t ~input =
 
 module C = Sbt_recovery.Codec
 
-let state_version = 1
+let state_version = 2
 
 let scope_tag = function U.Streaming -> 0 | U.State -> 1 | U.Temporary -> 2
 
@@ -1102,8 +1160,6 @@ let serialize_state t ~control =
   C.int_ w t.next_ckpt_seq;
   C.int_ w (Sbt_attest.Log.seq t.log);
   C.int_ w (Sbt_attest.Log.records_produced t.log);
-  C.int_ w (Sbt_attest.Log.raw_bytes t.log);
-  C.int_ w (Sbt_attest.Log.compressed_bytes t.log);
   C.int_ w t.ingest_width;
   C.int_ w t.invocations;
   C.int_ w t.events_ingested;
@@ -1147,36 +1203,15 @@ let do_checkpoint t ~control ~watermark =
   in
   Rs_checkpoint { blob; seq }
 
-let measured_total (t : t) = t.compute_ns +. t.mem_ns +. t.crypto_ns +. t.ingest_ns
-
-(* One "prim" span per primitive/udf/seal execution, at the TEE's virtual
-   clock.  The duration is the measured-time delta with crypto charged at
-   the cost model's crypto_scale, all scaled by host_scale — the same
-   virtual quantity the DES charges — so at host_scale 0 even the trace
-   bytes are deterministic. *)
-let traced_prim t name f =
-  match t.cfg.tracer with
-  | None -> f ()
-  | Some tr ->
-      let ts = t.now_ns and before = measured_total t and crypto_before = t.crypto_ns in
-      let r = f () in
-      let cost = t.cfg.platform.Tz.Platform.cost in
-      let crypto_adjust =
-        (t.crypto_ns -. crypto_before) *. (cost.Tz.Cost_model.crypto_scale -. 1.0)
-      in
-      let dur = (measured_total t -. before +. crypto_adjust) *. cost.Tz.Cost_model.host_scale in
-      Sbt_obs.Tracer.complete tr ~pid:1 ~tid:0 ~cat:"prim" ~name ~ts_ns:ts ~dur_ns:dur ();
-      r
-
 let dispatch t = function
-  | R_ingest_events { payload; encrypted; stream; seq; mac } ->
-      do_ingest_events t ~payload ~encrypted ~stream ~seq ~mac
+  | R_ingest_events { payload; encrypted; stream; seq; mac; windowing } ->
+      do_ingest_batch t ~payload ~encrypted ~stream ~seq ~mac ~windowing
   | R_ingest_watermark { value } -> do_ingest_watermark t ~value
   | R_declare_gap { stream; seq; events; windows; reason } ->
       do_declare_gap t ~stream ~seq ~events ~windows ~reason
   | R_invoke { chain; inputs; trigger; hints; retire_inputs } ->
-      let name = match chain with [ (op, _) ] -> P.name op | _ -> "fused" in
-      traced_prim t name (fun () -> do_invoke t ~chain ~inputs ~trigger ~hints ~retire_inputs)
+      traced_prim t (chain_name chain) (fun () ->
+          Rs_outputs (do_invoke t ~chain ~inputs ~trigger ~hints ~retire_inputs))
   | R_egress { input; window } -> traced_prim t "seal" (fun () -> do_egress t ~input ~window)
   | R_late_drop { input; window } -> do_late_drop t ~input ~window
   | R_egress_correction { input; window; gen } ->
@@ -1230,6 +1265,7 @@ let create cfg =
       sess_ends = Hashtbl.create 16;
       last_wm = -1;
       udfs = Hashtbl.create 8;
+      last_chain = ([], Bytes.empty, Bytes.empty);
       reg;
       m_events = Sbt_obs.Metrics.counter reg "tee.events_ingested";
       m_bytes = Sbt_obs.Metrics.counter reg "tee.bytes_ingested";
@@ -1319,11 +1355,7 @@ let restore cfg ~expect_seq blob =
   Sbt_crypto.Rng.set_state t.rng (s0, s1, s2, s3);
   t.next_ckpt_seq <- C.get_int r;
   let log_seq = C.get_int r in
-  let records_produced = C.get_int r in
-  let raw_bytes = C.get_int r in
-  let compressed_bytes = C.get_int r in
-  Sbt_attest.Log.restore_cursor t.log ~seq:log_seq ~records_produced ~raw_bytes
-    ~compressed_bytes;
+  Sbt_attest.Log.restore_cursor t.log ~seq:log_seq ~records_produced:(C.get_int r);
   t.ingest_width <- C.get_int r;
   t.invocations <- C.get_int r;
   t.events_ingested <- C.get_int r;
@@ -1473,7 +1505,4 @@ let set_ingest_width t w =
   if w <= 0 then invalid_arg "Dataplane.set_ingest_width: width must be positive";
   t.ingest_width <- w
 
-let audit_log_stats t =
-  ( Sbt_attest.Log.records_produced t.log,
-    Sbt_attest.Log.raw_bytes t.log,
-    Sbt_attest.Log.compressed_bytes t.log )
+let audit_records_produced t = Sbt_attest.Log.records_produced t.log

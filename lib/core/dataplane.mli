@@ -153,6 +153,22 @@ type param =
           session id, and egress refuses to seal a session until the
           watermark clears its last event time plus the gap. *)
 
+(** The windowing step an ingest may carry (see {!R_ingest_events}):
+    - [segment]: Segment's parameters.  Segment's outputs take no hint:
+      each starts a fresh group, which is what [H_parallel] asks for.
+    - [first_open]: the first window not yet closed.  Segments of earlier
+      windows come back unstaged, for the late policy.
+    - [plan]: the batch-stage chains, run in order on each open segment.
+      Each chain means what it means in {!R_invoke} and must have one
+      output.
+    - [stage_hints]: per window, the hints for its stage outputs. *)
+type windowing = {
+  segment : param list;
+  first_open : int;
+  plan : (Sbt_prim.Primitive.t * param list) list list;
+  stage_hints : (int * hint list) list;
+}
+
 type request =
   | R_ingest_events of {
       payload : bytes;
@@ -162,7 +178,17 @@ type request =
       mac : bytes;
           (** frame HMAC from an authenticated link; [Bytes.empty] skips
               verification (the pre-fault-model behaviour) *)
-    }
+      windowing : windowing option;
+    }  (** Ingest one frame.  Without [windowing] the reply holds the batch
+          itself ([win = -1]).  With it, the same call runs Segment on the
+          batch and the plan on every segment whose window is open, and
+          replies with one output per window: the plan's result, or the
+          unstaged segment of a closed window.  The audit gets the
+          Ingress record, the Windowing records, then one record per plan
+          step per open segment.  A refusal (a bad MAC, {!Overloaded}, an
+          SMC busy) comes before the frame is in and before any
+          invocation is counted ({!stats}); a rejection by Segment or a
+          stage comes after both. *)
   | R_ingest_watermark of { value : int }
   | R_declare_gap of {
       stream : int;
@@ -243,7 +269,7 @@ type response =
   | Rs_outputs of output list
   | Rs_watermark of { audit_id : int; value : int }
   | Rs_egress of sealed_result
-  | Rs_ingested of { out : output; stalled_ns : float }
+  | Rs_ingested of { outs : output list; stalled_ns : float }
       (** [stalled_ns > 0] models backpressure: secure-memory usage was
           above the threshold, so the source was slowed by that long
           before this batch could enter (paper §4.2) *)
@@ -361,5 +387,5 @@ val set_ingest_width : t -> int -> unit
 (** Record width (32-bit fields per event) of ingested payloads —
     installed with the pipeline, part of the certified configuration. *)
 
-val audit_log_stats : t -> int * int * int
-(** (records produced, raw bytes, compressed bytes). *)
+val audit_records_produced : t -> int
+(** Audit records appended so far, checkpointed boots included. *)

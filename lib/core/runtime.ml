@@ -1,5 +1,4 @@
 module D = Dataplane
-module P = Sbt_prim.Primitive
 module Trace = Sbt_sim.Trace
 module Des = Sbt_sim.Des
 
@@ -91,20 +90,10 @@ type win_state = {
   mutable ready : (int * int64) list; (* (stream, ref), newest first *)
   mutable dep_tasks : (Des.task * int) list; (* tasks (and trace indices) preceding the close *)
   mutable last_ready : (int * int64) list; (* per-stream chain anchors for consumed-after hints *)
-  mutable pending_segments : (int * int64) Queue.t option; (* (stream, ref) awaiting stages *)
   mutable closed : bool;
 }
 
-let new_win () =
-  { ready = []; dep_tasks = []; last_ready = []; pending_segments = None; closed = false }
-
-let pending_q ws =
-  match ws.pending_segments with
-  | Some q -> q
-  | None ->
-      let q = Queue.create () in
-      ws.pending_segments <- Some q;
-      q
+let new_win () = { ready = []; dep_tasks = []; last_ready = []; closed = false }
 
 (* --- checkpointed control state --------------------------------------------
 
@@ -117,12 +106,7 @@ let pending_q ws =
 
 module C = Sbt_recovery.Codec
 
-type win_ckpt = {
-  wk_win : int;
-  wk_ready : (int * int64) list;
-  wk_last_ready : (int * int64) list;
-  wk_pending : (int * int64) list; (* queue contents, front first *)
-}
+type win_ckpt = { wk_win : int; wk_ready : (int * int64) list; wk_last_ready : (int * int64) list }
 
 type ctl_state = {
   ck_frame_idx : int; (* absolute index of the next frame to ingest *)
@@ -167,8 +151,7 @@ let encode_control st =
     (fun w wk ->
       C.int_ w wk.wk_win;
       C.list_ w put_sref wk.wk_ready;
-      C.list_ w put_sref wk.wk_last_ready;
-      C.list_ w put_sref wk.wk_pending)
+      C.list_ w put_sref wk.wk_last_ready)
     st.ck_windows;
   C.contents w
 
@@ -194,8 +177,7 @@ let decode_control blob =
         let wk_win = C.get_int r in
         let wk_ready = C.get_list r get_sref in
         let wk_last_ready = C.get_list r get_sref in
-        let wk_pending = C.get_list r get_sref in
-        { wk_win; wk_ready; wk_last_ready; wk_pending })
+        { wk_win; wk_ready; wk_last_ready })
   in
   if not (C.at_end r) then invalid_arg "Runtime.decode_control: trailing bytes";
   {
@@ -293,28 +275,14 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
   in
   let node_count = ref 0 in
   let windows : (int, win_state) Hashtbl.t = Hashtbl.create 64 in
-  (* Open windows from the checkpoint: same ready/last-ready/pending
-     structure (references re-bound by the restored data plane), empty
-     dep-task lists — the checkpoint boundary drained its segment, so
-     there is nothing scheduled to depend on. *)
+  (* Open windows from the checkpoint: same ready/last-ready structure
+     (references re-bound by the restored data plane), empty dep-task
+     lists — the checkpoint boundary drained its segment, so there is
+     nothing scheduled to depend on. *)
   List.iter
     (fun wk ->
-      let q =
-        if wk.wk_pending = [] then None
-        else begin
-          let q = Queue.create () in
-          List.iter (fun sr -> Queue.add sr q) wk.wk_pending;
-          Some q
-        end
-      in
       Hashtbl.replace windows wk.wk_win
-        {
-          ready = wk.wk_ready;
-          dep_tasks = [];
-          last_ready = wk.wk_last_ready;
-          pending_segments = q;
-          closed = false;
-        })
+        { ready = wk.wk_ready; dep_tasks = []; last_ready = wk.wk_last_ready; closed = false })
     (ctl_or [] (fun c -> c.ck_windows));
   let win w =
     match Hashtbl.find_opt windows w with
@@ -373,13 +341,18 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
       | Some r -> [ D.H_after r ]
       | None -> [ D.H_parallel ]
   in
-  let set_last_ready ws stream r =
+  let add_ready ws stream r =
+    ws.ready <- (stream, r) :: ws.ready;
     ws.last_ready <- (stream, r) :: List.remove_assoc stream ws.last_ready
   in
-  (* The batch-stage plan, lowered and fused once per run: each node is
-     one trusted invoke, a single stage or a chain of adjacent per-record
-     stages. *)
-  let batch_plan = Ir.fuse (Ir.lower pipe) in
+  (* The batch-stage plan, lowered and fused once per run: each chain is
+     a single stage or a run of adjacent per-record stages, and the batch
+     call runs them in order on every open segment. *)
+  let batch_plan =
+    List.filter_map
+      (function Ir.N_invoke chain -> Some chain | Ir.N_window -> None)
+      (Ir.fuse (Ir.lower pipe))
+  in
   let segment_params =
     [
       D.P_window_size pipe.Pipeline.window_size_ticks;
@@ -388,25 +361,28 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
     ]
     @ match Pipeline.session_gap pipe with Some g -> [ D.P_session_gap g ] | None -> []
   in
-  let run_batch_stages w stream seg_ref =
-    let ws = win w in
-    let r = ref seg_ref in
-    List.iter
-      (function
-        | Ir.N_window -> ()
-        | Ir.N_invoke chain -> (
-            let hints = hint_for ws stream in
-            match
-              D.call dp
-                (D.R_invoke { chain; inputs = [ !r ]; trigger = None; hints; retire_inputs = true })
-            with
-            | D.Rs_outputs [ out ] -> r := out.D.ref_
-            | D.Rs_outputs _ | D.Rs_watermark _ | D.Rs_egress _ | D.Rs_ingested _
-            | D.Rs_checkpoint _ ->
-                failwith "control: unexpected batch-stage response"))
-      batch_plan;
-    ws.ready <- (stream, !r) :: ws.ready;
-    set_last_ready ws stream !r
+  (* A segment of a window that had closed when its batch was scheduled:
+     the late policy decides what becomes of it. *)
+  let late stream (o : D.output) =
+    match cfg.dp_config.D.late_policy with
+    | D.Silent -> (
+        (* reclaim its memory, leave its audit trail unconsumed —
+           precisely because the drop is silent, the cloud verifier flags
+           the incident *)
+        match D.call dp (D.R_retire { input = o.D.ref_ }) with
+        | D.Rs_outputs [] -> ()
+        | _ -> failwith "control: unexpected retire response")
+    | D.Drop_declare -> (
+        (* the drop becomes a signed Late_drop audit fact: declared
+           degradation, not silence *)
+        match D.call dp (D.R_late_drop { input = o.D.ref_; window = o.D.win }) with
+        | D.Rs_outputs [] -> ()
+        | _ -> failwith "control: unexpected late-drop response")
+    | D.Retract_reemit ->
+        (* the late segment joins the closed window's (still live) ready
+           list; the correction task scheduled with the batch re-runs the
+           plan *)
+        add_ready (win o.D.win) stream o.D.ref_
   in
   (* --- frame loop -------------------------------------------------------- *)
   (* Certified UDFs ship with the pipeline install. *)
@@ -451,13 +427,17 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
     Hashtbl.replace expected_seq stream (max (seq + 1) exp);
     if seq > exp then List.init (seq - exp) (fun i -> exp + i) else []
   in
-  (* Ingest with bounded retry against transient SMC refusals.  Returns
-     [Ok (ref, stall)] or [Error (stall, reason)]; every failure path is a
-     declared gap, never an escaped exception. *)
-  let ingest_with_retry ~payload ~encrypted ~stream ~seq ~mac =
+  (* The batch call with bounded retry against transient SMC refusals.
+     Returns [Ok (outputs, stall)] or [Error (stall, reason)]: every
+     refusal of the ingest is a declared gap.  A rejection raised once the
+     frame is in (by Segment or a stage, after the TEE's invocation count
+     has moved) is no refusal, and escapes the run. *)
+  let ingest_with_retry ~payload ~encrypted ~stream ~seq ~mac ~windowing =
+    let invocations () = (D.stats dp).D.invocations in
+    let before = invocations () in
     let rec attempt n stall =
-      match D.call dp (D.R_ingest_events { payload; encrypted; stream; seq; mac }) with
-      | D.Rs_ingested { out; stalled_ns } -> Ok (out, stall +. stalled_ns)
+      match D.call dp (D.R_ingest_events { payload; encrypted; stream; seq; mac; windowing }) with
+      | D.Rs_ingested { outs; stalled_ns } -> Ok (outs, stall +. stalled_ns)
       | D.Rs_outputs _ | D.Rs_watermark _ | D.Rs_egress _ | D.Rs_checkpoint _ ->
           failwith "control: unexpected ingest response"
       | exception Sbt_tz.Smc.Entry_busy _ ->
@@ -466,7 +446,8 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
             let backoff = Sbt_fault.Fault.backoff_ns plan ~stream ~seq ~attempt:(n + 1) in
             attempt (n + 1) (stall +. backoff)
           else Error (stall, Sbt_attest.Record.Smc_unavailable)
-      | exception D.Rejected _ -> Error (stall, Sbt_attest.Record.Corrupt_ingress)
+      | exception D.Rejected _ when invocations () = before ->
+          Error (stall, Sbt_attest.Record.Corrupt_ingress)
       | exception D.Overloaded { stalled_ns } ->
           Sbt_obs.Metrics.incr c_sheds;
           instant "shed"
@@ -631,10 +612,6 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
                   wk_win = w;
                   wk_ready = ws.ready;
                   wk_last_ready = ws.last_ready;
-                  wk_pending =
-                    (match ws.pending_segments with
-                    | None -> []
-                    | Some q -> List.of_seq (Queue.to_seq q));
                 })
               open_windows;
         }
@@ -683,11 +660,16 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
           total_events := !total_events + events;
           Sbt_obs.Metrics.incr c_frames;
           let holes = link_holes ~stream ~seq in
-          let batch_ref = ref 0L in
-          let batch_ok = ref false in
-          let ingest_task, ingest_idx =
+          (* Windows already closed when this batch was scheduled: data for
+             them is late (the source broke the watermark contract).  The
+             batch call hands their segments back unstaged, and the late
+             policy decides what becomes of them. *)
+          let closed_below = !next_window_to_close in
+          (* One task, one world switch: ingest, Segment, and the batch
+             plan on every segment whose window is still open. *)
+          let batch_task, batch_idx =
             add_task ~arrival
-              ~label:(Printf.sprintf "ingest:%d.%d" stream seq)
+              ~label:(Printf.sprintf "batch:%d.%d" stream seq)
               (fun () ->
                 (* Frames the link lost before this one: declared first so
                    the audit log vouches for the hole in stream order. *)
@@ -698,10 +680,22 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
                     declare_gap ~stream ~seq:missing ~events:0 ~windows:[]
                       ~reason:Sbt_attest.Record.Link_loss)
                   holes;
-                match ingest_with_retry ~payload ~encrypted ~stream ~seq ~mac with
-                | Ok (out, stalled_ns) ->
-                    batch_ref := out.D.ref_;
-                    batch_ok := true;
+                let windowing =
+                  Some
+                    {
+                      D.segment = segment_params;
+                      first_open = closed_below;
+                      plan = batch_plan;
+                      stage_hints = List.map (fun w -> (w, hint_for (win w) stream)) frame_windows;
+                    }
+                in
+                match ingest_with_retry ~payload ~encrypted ~stream ~seq ~mac ~windowing with
+                | Ok (outs, stalled_ns) ->
+                    List.iter
+                      (fun (o : D.output) ->
+                        if o.D.win < closed_below then late stream o
+                        else add_ready (win o.D.win) stream o.D.ref_)
+                      outs;
                     Sbt_obs.Metrics.observe h_stall stalled_ns;
                     stalled_ns
                 | Error (stalled_ns, reason) ->
@@ -715,110 +709,24 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
                     Sbt_obs.Metrics.observe h_stall stalled_ns;
                     stalled_ns)
           in
-          (* Windows already closed when this batch was scheduled: data for
-             them is late (the source broke the watermark contract).  The
-             control plane drops it - and precisely because the drop leaves
-             the segment unconsumed in the audit log, the cloud verifier
-             flags the incident. *)
-          let closed_below = !next_window_to_close in
-          let windowing_task, windowing_idx =
-            add_task
-              ~deps:[ (ingest_task, ingest_idx) ]
-              ~label:(Printf.sprintf "windowing:%d.%d" stream seq)
-              (fun () ->
-                if not !batch_ok then 0.0
-                else begin
-                (match
-                   D.call dp
-                     (D.R_invoke
-                        {
-                          chain = [ (P.Segment, segment_params) ];
-                          inputs = [ !batch_ref ];
-                          trigger = None;
-                          hints = (if cfg.hints_enabled then [ D.H_parallel ] else []);
-                          retire_inputs = true;
-                        })
-                 with
-                | D.Rs_outputs outs ->
-                    List.iter
-                      (fun (o : D.output) ->
-                        if o.D.win < closed_below then begin
-                          match cfg.dp_config.D.late_policy with
-                          | D.Silent -> (
-                              (* late segment: reclaim its memory, leave its
-                                 audit trail unconsumed — precisely because
-                                 the drop is silent, the cloud verifier
-                                 flags the incident *)
-                              match D.call dp (D.R_retire { input = o.D.ref_ }) with
-                              | D.Rs_outputs [] -> ()
-                              | _ -> failwith "control: unexpected retire response")
-                          | D.Drop_declare -> (
-                              (* the drop becomes a signed Late_drop audit
-                                 fact: declared degradation, not silence *)
-                              match
-                                D.call dp
-                                  (D.R_late_drop { input = o.D.ref_; window = o.D.win })
-                              with
-                              | D.Rs_outputs [] -> ()
-                              | _ -> failwith "control: unexpected late-drop response")
-                          | D.Retract_reemit ->
-                              (* the late segment joins the closed window's
-                                 (still live) ready list; the correction
-                                 task scheduled below re-runs the plan *)
-                              let ws = win o.D.win in
-                              ws.ready <- (stream, o.D.ref_) :: ws.ready;
-                              set_last_ready ws stream o.D.ref_
-                        end
-                        else begin
-                          let ws = win o.D.win in
-                          if pipe.Pipeline.batch_ops = [] then begin
-                            ws.ready <- (stream, o.D.ref_) :: ws.ready;
-                            set_last_ready ws stream o.D.ref_
-                          end
-                          else Queue.add (stream, o.D.ref_) (pending_q ws)
-                        end)
-                      outs
-                | D.Rs_watermark _ | D.Rs_egress _ | D.Rs_ingested _ | D.Rs_checkpoint _ ->
-                    failwith "control: unexpected windowing response");
-                0.0
-                end)
-          in
           List.iter
             (fun w ->
               let ws = win w in
-              if pipe.Pipeline.batch_ops = [] then
-                (* Segments become ready inside the windowing task. *)
-                ws.dep_tasks <- (windowing_task, windowing_idx) :: ws.dep_tasks
-              else begin
-                let stage_task, stage_idx =
-                  add_task
-                    ~deps:[ (windowing_task, windowing_idx) ]
-                    ~label:(Printf.sprintf "stage:w%d.%d.%d" w stream seq)
-                    (fun () ->
-                      let ws = win w in
-                      (match ws.pending_segments with
-                      | Some q when not (Queue.is_empty q) ->
-                          let stream', seg = Queue.pop q in
-                          run_batch_stages w stream' seg
-                      | Some _ | None -> () (* window predicted but empty in this batch *));
-                      0.0)
-                in
-                ws.dep_tasks <- (stage_task, stage_idx) :: ws.dep_tasks
-              end)
+              ws.dep_tasks <- (batch_task, batch_idx) :: ws.dep_tasks)
             frame_windows;
           (* Retract-and-reemit: windows this frame touches that already
              closed get a correction scheduled right here, at
              graph-construction time, from the frame's own window
-             metadata.  The correction chains behind the windowing task
-             (which routes the late segments into the window's ready
-             list) and the previous close/correction, so generations stay
-             ordered and contiguous. *)
+             metadata.  The correction chains behind the batch task (which
+             routes the late segments into the window's ready list) and
+             the previous close/correction, so generations stay ordered
+             and contiguous. *)
           if protect then
             List.filter (fun w -> w < closed_below) frame_windows
             |> List.sort_uniq compare
             |> List.iter (fun w ->
                    let deps =
-                     (windowing_task, windowing_idx) :: Option.to_list !last_close
+                     (batch_task, batch_idx) :: Option.to_list !last_close
                    in
                    let corr_task, corr_idx =
                      add_task ~deps ~role:(Trace.Egress_of w)

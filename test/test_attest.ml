@@ -668,7 +668,7 @@ module Epoch = Sbt_attest.Epoch
 let batch_at ~from_seq records =
   let log = Log.create ~key ~flush_every:1_000_000 in
   if from_seq > 0 then
-    Log.restore_cursor log ~seq:from_seq ~records_produced:0 ~raw_bytes:0 ~compressed_bytes:0;
+    Log.restore_cursor log ~seq:from_seq ~records_produced:0;
   List.iter (fun r -> ignore (Log.append log r)) records;
   match Log.flush log with Some b -> b | None -> Alcotest.fail "expected a batch"
 

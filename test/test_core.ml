@@ -65,9 +65,10 @@ let ingest dp rows =
   match
     D.call dp
       (D.R_ingest_events
-         { payload = payload_of rows; encrypted = false; stream = 0; seq = 0; mac = Bytes.empty })
+         { payload = payload_of rows; encrypted = false; stream = 0; seq = 0; mac = Bytes.empty;
+           windowing = None })
   with
-  | D.Rs_ingested { out; _ } -> out.D.ref_
+  | D.Rs_ingested { outs = [ out ]; _ } -> out.D.ref_
   | _ -> Alcotest.fail "unexpected ingest response"
 
 let test_dataplane_ingest_and_sort () =
@@ -152,9 +153,10 @@ let test_dataplane_encrypted_ingest () =
   Sbt_crypto.Ctr.xcrypt ctr ~pos:(Int64.shift_left 3L 32) cipher 0 (Bytes.length cipher);
   match
     D.call dp
-      (D.R_ingest_events { payload = cipher; encrypted = true; stream = 0; seq = 3; mac = Bytes.empty })
+      (D.R_ingest_events { payload = cipher; encrypted = true; stream = 0; seq = 3;
+                           mac = Bytes.empty; windowing = None })
   with
-  | D.Rs_ingested { out; _ } -> (
+  | D.Rs_ingested { outs = [ out ]; _ } -> (
       match D.call dp (D.R_egress { input = out.D.ref_; window = 0 }) with
       | D.Rs_egress sealed ->
           let back = D.open_result ~egress_key sealed in
@@ -198,14 +200,16 @@ let test_dataplane_backpressure () =
   (match
      D.call dp
        (D.R_ingest_events
-          { payload = payload_of big_rows; encrypted = false; stream = 0; seq = 0; mac = Bytes.empty })
+          { payload = payload_of big_rows; encrypted = false; stream = 0; seq = 0;
+            mac = Bytes.empty; windowing = None })
    with
   | D.Rs_ingested { stalled_ns; _ } -> Alcotest.(check (float 0.0)) "first batch unstalled" 0.0 stalled_ns
   | _ -> Alcotest.fail "unexpected");
   match
     D.call dp
       (D.R_ingest_events
-         { payload = payload_of big_rows; encrypted = false; stream = 0; seq = 1; mac = Bytes.empty })
+         { payload = payload_of big_rows; encrypted = false; stream = 0; seq = 1; mac = Bytes.empty;
+           windowing = None })
   with
   | D.Rs_ingested { stalled_ns; _ } ->
       Alcotest.(check bool) "second batch stalled" true (stalled_ns > 0.0);
@@ -224,7 +228,8 @@ let test_dataplane_adaptive_backpressure () =
     match
       D.call dp
         (D.R_ingest_events
-           { payload = payload_of rows; encrypted = false; stream = 0; seq; mac = Bytes.empty })
+           { payload = payload_of rows; encrypted = false; stream = 0; seq; mac = Bytes.empty;
+             windowing = None })
     with
     | D.Rs_ingested { stalled_ns; _ } -> stalled_ns
     | _ -> Alcotest.fail "unexpected"
@@ -721,7 +726,8 @@ let test_dataplane_exhaustion_sheds_not_crashes () =
      ignore
        (D.call dp
           (D.R_ingest_events
-             { payload = payload_of rows; encrypted = false; stream = 0; seq = 0; mac = Bytes.empty }));
+             { payload = payload_of rows; encrypted = false; stream = 0; seq = 0; mac = Bytes.empty;
+               windowing = None }));
      Alcotest.fail "expected Overloaded"
    with D.Overloaded { stalled_ns } ->
      Alcotest.(check bool) "stall modeled" true (stalled_ns > 0.0));
@@ -731,7 +737,7 @@ let test_dataplane_exhaustion_sheds_not_crashes () =
     D.call dp
       (D.R_ingest_events
          { payload = payload_of [ [ 1l; 2l; 0l ] ]; encrypted = false; stream = 0; seq = 1;
-           mac = Bytes.empty })
+           mac = Bytes.empty; windowing = None })
   with
   | D.Rs_ingested _ -> ()
   | _ -> Alcotest.fail "pool unusable after shed"
@@ -746,13 +752,122 @@ let test_corrupt_frame_rejected_by_dataplane () =
   Bytes.set bad 0 (Char.chr (Char.code (Bytes.get bad 0) lxor 0x40));
   (try
      ignore
-       (D.call dp (D.R_ingest_events { payload = bad; encrypted = false; stream = 0; seq = 0; mac }));
+       (D.call dp (D.R_ingest_events { payload = bad; encrypted = false; stream = 0; seq = 0; mac;
+                                       windowing = None }));
      Alcotest.fail "expected Rejected"
    with D.Rejected _ -> ());
   (* The genuine payload with the same MAC is accepted. *)
-  match D.call dp (D.R_ingest_events { payload; encrypted = false; stream = 0; seq = 0; mac }) with
+  match D.call dp (D.R_ingest_events { payload; encrypted = false; stream = 0; seq = 0; mac;
+                                       windowing = None }) with
   | D.Rs_ingested _ -> ()
   | _ -> Alcotest.fail "genuine frame refused"
+
+(* --- one world switch per batch ----------------------------------------------- *)
+
+(* Ingest, Segment and the fused batch chain run in one trusted call and
+   one DES task per frame.  Each window adds three switch pairs (its
+   watermark, its plan, its egress) and three tasks (watermark, its
+   arrival marker, the close); init and finalize add two pairs. *)
+let test_batch_call_counts () =
+  let windows = 2 in
+  let bench = B.fps ~windows ~events_per_window:2_000 ~batch_events:250 () in
+  let r, frames = run_pipeline ~version:D.Full bench in
+  let batches = List.length (List.filter (function Frame.Events _ -> true | _ -> false) frames) in
+  Alcotest.(check int) "switch pairs" (batches + (3 * windows) + 2)
+    r.Runtime.dp_stats.D.switch_pairs;
+  Alcotest.(check int) "des tasks" (batches + (3 * windows)) r.Runtime.tasks_executed;
+  let records = Array.of_list (records_of_run r) in
+  let count f = Array.fold_left (fun n x -> if f x then n + 1 else n) 0 records in
+  let windowing = count (function R.Windowing _ -> true | _ -> false) in
+  Alcotest.(check int) "one Ingress per batch" batches
+    (count (function R.Ingress _ -> true | _ -> false));
+  Alcotest.(check bool) "every batch segmented" true (windowing >= batches);
+  Alcotest.(check int) "one Fused per open-window segment" windowing
+    (count (function R.Fused _ -> true | _ -> false));
+  (* Per-batch order: each Ingress is followed by its segment's Windowing
+     record and then by the Fused record that consumed that segment. *)
+  Array.iteri
+    (fun i rc ->
+      match rc with
+      | R.Ingress { uarray; _ } -> (
+          match (records.(i + 1), records.(i + 2)) with
+          | R.Windowing { data_in; data_out; _ }, R.Fused { inputs; _ }
+            when data_in = uarray && inputs = [ data_out ] ->
+              ()
+          | _ -> Alcotest.failf "batch %d: Ingress not followed by its Windowing and Fused" uarray)
+      | _ -> ())
+    records;
+  let report = V.verify r.Runtime.verifier_spec (Array.to_list records) in
+  Alcotest.(check bool) "verifies" true (V.ok report)
+
+(* A refused ingest inside the batch call still becomes a declared gap
+   with its reason, and the run verifies as degradation, as it did when
+   ingest was its own call. *)
+let fps_bench () = B.fps ~windows:3 ~events_per_window:2_000 ~batch_events:250 ()
+
+let refused_run ?(fault_plan = Fault.none) frames =
+  let cfg = Runtime.Config.make ~cores:8 ~fault_plan () in
+  let r = Runtime.run cfg (fps_bench ()).B.pipeline frames in
+  let records = records_of_run r in
+  let report = V.verify r.Runtime.verifier_spec records in
+  if not (V.ok report) then
+    Alcotest.failf "declared loss must verify as degradation: %s"
+      (Format.asprintf "%a" V.pp_report report);
+  let loss = r.Runtime.loss in
+  Alcotest.(check bool) "batches dropped" true (Runtime.Loss.batches_dropped loss > 0);
+  Alcotest.(check int) "every drop declared" (Runtime.Loss.batches_dropped loss)
+    (List.length (gap_tuples records));
+  Alcotest.(check int) "report sees the gaps" (Runtime.Loss.gaps_declared loss)
+    report.V.declared_gaps;
+  Alcotest.(check int) "report sees the lost batches" (Runtime.Loss.batches_dropped loss)
+    report.V.lost_batches;
+  List.map (fun (_, _, _, _, tag) -> R.gap_reason_of_tag tag) (gap_tuples records)
+
+let test_batch_call_corrupt_frame () =
+  let bench = fps_bench () in
+  let spec = { bench.B.spec with Sbt_workloads.Datagen.authenticated = true } in
+  let frames = Sbt_workloads.Datagen.frames spec in
+  (* Flip one payload bit of the third data frame; its MAC stays. *)
+  let n = ref 0 in
+  let frames =
+    List.map
+      (function
+        | Frame.Events ({ payload; _ } as e) when (incr n; !n = 3) ->
+            let p = Bytes.copy payload in
+            Bytes.set p 5 (Char.chr (Char.code (Bytes.get p 5) lxor 0x10));
+            Frame.Events { e with payload = p }
+        | f -> f)
+      frames
+  in
+  let reasons = refused_run frames in
+  Alcotest.(check bool) "one corrupt-ingress gap" true (reasons = [ R.Corrupt_ingress ])
+
+let test_batch_call_shed () =
+  let plan = { Fault.none with Fault.pool = { Fault.quiet with Fault.fail_p = 0.25 } } in
+  let reasons = refused_run ~fault_plan:plan (B.frames (fps_bench ())) in
+  Alcotest.(check bool) "pool-pressure gaps only" true
+    (List.for_all (fun r -> r = R.Pool_pressure) reasons)
+
+let test_batch_call_smc_busy () =
+  let plan =
+    {
+      Fault.none with
+      Fault.retry_budget = 1;
+      smc = { Fault.quiet with Fault.fail_p = 0.4; max_burst = 4 };
+    }
+  in
+  let reasons = refused_run ~fault_plan:plan (B.frames (fps_bench ())) in
+  Alcotest.(check bool) "smc-unavailable gaps only" true
+    (List.for_all (fun r -> r = R.Smc_unavailable) reasons)
+
+(* A stage the TEE rejects once the frame is in is not a refused ingest:
+   it escapes the run instead of turning into a gap. *)
+let test_batch_call_stage_rejection_escapes () =
+  let bench = fps_bench () in
+  let pipe = { bench.B.pipeline with Pipeline.batch_ops = [ Pipeline.B_project [| 0; 7 |] ] } in
+  match Runtime.run (Runtime.Config.make ~cores:8 ()) pipe (B.frames bench) with
+  | exception D.Rejected _ -> ()
+  | _ -> Alcotest.fail "stage rejection became a gap"
 
 let test_control_adaptive_backpressure () =
   (* Satellite: adaptive flow control exercised through the whole control
@@ -834,5 +949,14 @@ let () =
           Alcotest.test_case "corrupt frame rejected" `Quick test_corrupt_frame_rejected_by_dataplane;
           Alcotest.test_case "control adaptive backpressure" `Quick
             test_control_adaptive_backpressure;
+        ] );
+      ( "batch call",
+        [
+          Alcotest.test_case "switches, tasks and audit order" `Quick test_batch_call_counts;
+          Alcotest.test_case "corrupt frame declared" `Quick test_batch_call_corrupt_frame;
+          Alcotest.test_case "shed declared" `Quick test_batch_call_shed;
+          Alcotest.test_case "smc busy declared" `Quick test_batch_call_smc_busy;
+          Alcotest.test_case "stage rejection escapes" `Quick
+            test_batch_call_stage_rejection_escapes;
         ] );
     ]

@@ -19,9 +19,10 @@ let ingest dp ~width rows =
   match
     D.call dp
       (D.R_ingest_events
-         { payload = payload_of ~width rows; encrypted = false; stream = 0; seq = 0; mac = Bytes.empty })
+         { payload = payload_of ~width rows; encrypted = false; stream = 0; seq = 0;
+           mac = Bytes.empty; windowing = None })
   with
-  | D.Rs_ingested { out; _ } -> out.D.ref_
+  | D.Rs_ingested { outs = [ out ]; _ } -> out.D.ref_
   | _ -> Alcotest.fail "unexpected ingest response"
 
 let invoke dp ?(params = []) ?(retire = true) op inputs =

@@ -156,13 +156,13 @@ let run_plan plan records =
     match
       D.call dp
         (D.R_ingest_events
-           { payload; encrypted = false; stream = 0; seq = 0; mac = Bytes.empty })
+           { payload; encrypted = false; stream = 0; seq = 0; mac = Bytes.empty; windowing = None })
     with
-    | D.Rs_ingested { out; _ } -> out.D.ref_
+    | D.Rs_ingested { outs = [ out ]; _ } -> out.D.ref_
     | _ -> Alcotest.fail "ingest"
   in
   let cost () =
-    let records, _, _ = D.audit_log_stats dp in
+    let records = D.audit_records_produced dp in
     ((D.stats dp).D.switch_pairs, records)
   in
   let out, costs =

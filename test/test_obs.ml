@@ -516,13 +516,14 @@ let test_golden_span_tree () =
         && String.sub name 0 (String.length prefix) = prefix)
       completes
   in
-  (* The expected hierarchy of the quickstart pipeline: ingest ->
-     windowing -> window close (with the sealing primitive inside). *)
-  let ingests = des_named "ingest:" in
-  let windowings = des_named "windowing:" in
+  (* The expected hierarchy of the quickstart pipeline: one batch task
+     per frame (ingest and Segment in one world switch) -> window close
+     (with the sealing primitive inside). *)
+  let batches = des_named "batch:" in
   let closes = des_named "close:w" in
-  Alcotest.(check int) "one ingest span per batch" 8 (List.length ingests);
-  Alcotest.(check int) "one windowing span per batch" 8 (List.length windowings);
+  Alcotest.(check int) "one batch span per frame" 8 (List.length batches);
+  Alcotest.(check int) "no separate ingest or windowing span" 0
+    (List.length (des_named "ingest:" @ des_named "windowing:"));
   Alcotest.(check int) "one close span per window" 2 (List.length closes);
   Alcotest.(check bool) "close:w0 and close:w1" true
     (List.exists (fun c -> name_of c = "close:w0") closes
@@ -543,7 +544,7 @@ let test_golden_span_tree () =
     seals;
   (* Causality in virtual time. *)
   let min_ts l = List.fold_left (fun a c -> Float.min a (ts_of c)) infinity l in
-  Alcotest.(check bool) "ingest precedes close" true (min_ts ingests <= min_ts closes);
+  Alcotest.(check bool) "ingest precedes close" true (min_ts batches <= min_ts closes);
   (* SMC accounting: exactly one "smc" span per charged switch pair. *)
   let smc = List.filter (fun (_, cat, _, _) -> cat = "smc") completes in
   Alcotest.(check int) "smc span per switch pair" r.Runtime.dp_stats.D.switch_pairs

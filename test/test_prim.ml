@@ -148,10 +148,11 @@ let prop_sort_secondary_order =
       let dp = D.create cfg in
       let events = Array.of_list (List.map (fun r -> Array.of_list (List.map Int32.of_int r)) rows) in
       let payload = Sbt_net.Frame.pack_events ~width:3 events in
-      let ingest = D.R_ingest_events { payload; encrypted = false; stream = 0; seq = 0; mac = Bytes.empty } in
+      let ingest = D.R_ingest_events { payload; encrypted = false; stream = 0; seq = 0;
+                                       mac = Bytes.empty; windowing = None } in
       let input =
         match D.call dp ingest with
-        | D.Rs_ingested { out; _ } -> out.D.ref_
+        | D.Rs_ingested { outs = [ out ]; _ } -> out.D.ref_
         | _ -> assert false
       in
       let chain = [ (P.Sort, [ D.P_key_field 0; D.P_value_field 1 ]) ] in

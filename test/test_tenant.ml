@@ -133,9 +133,9 @@ let test_cross_tenant_ref_rejected_in_tee () =
     match
       D.call dp0
         (D.R_ingest_events
-           { payload; encrypted = false; stream = 0; seq = 0; mac = Bytes.empty })
+           { payload; encrypted = false; stream = 0; seq = 0; mac = Bytes.empty; windowing = None })
     with
-    | D.Rs_ingested { out; _ } -> out.D.ref_
+    | D.Rs_ingested { outs = [ out ]; _ } -> out.D.ref_
     | _ -> Alcotest.fail "unexpected ingest response"
   in
   (* the minting tenant can use its own ref... *)

@@ -37,9 +37,10 @@ let ingest dp rows =
   in
   match
     D.call dp
-      (D.R_ingest_events { payload; encrypted = false; stream = 0; seq = 0; mac = Bytes.empty })
+      (D.R_ingest_events { payload; encrypted = false; stream = 0; seq = 0; mac = Bytes.empty;
+                           windowing = None })
   with
-  | D.Rs_ingested { out; _ } -> out.D.ref_
+  | D.Rs_ingested { outs = [ out ]; _ } -> out.D.ref_
   | _ -> Alcotest.fail "unexpected ingest response"
 
 let install dp udf =
