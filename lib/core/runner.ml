@@ -76,6 +76,9 @@ let run ?(cores_list = [ 2; 4; 8 ]) ?(target_delay_ms = 500.0) ?(repeats = 1)
        recording; keep only the latest (callers wanting a trace use
        repeats = 1, where latest = kept). *)
     Option.iter Sbt_obs.Tracer.reset tracer;
+    (* The platform's switch and copy tallies would accumulate the same
+       way; each recording's stats count that recording alone. *)
+    Sbt_tz.Platform.reset_accounting cfg.Runtime.dp_config.D.platform;
     Gc.full_major ();
     Runtime.run cfg pipe frames
   in

@@ -7,7 +7,7 @@
     references from a {!t} seeded at TEE initialization. *)
 
 type t
-(** Mutable xoshiro256** state. *)
+(** Mutable xoshiro256** state, kept unboxed: no draw allocates. *)
 
 val create : seed:int64 -> t
 (** [create ~seed] expands [seed] with splitmix64 into a full state. *)
@@ -27,19 +27,10 @@ val float_unit : t -> float
 val int32_any : t -> int32
 (** Uniform 32-bit value. *)
 
-val bytes : t -> int -> bytes
-(** [bytes t n] returns [n] pseudo-random bytes. *)
-
-val shuffle_in_place : t -> 'a array -> unit
-(** Fisher-Yates shuffle driven by [t]. *)
-
 val state : t -> int64 * int64 * int64 * int64
 (** Snapshot of the four xoshiro256** limbs, for sealed checkpoints.  A
     generator restored with {!set_state} continues the exact output
     sequence of the snapshotted one. *)
-
-val of_state : int64 * int64 * int64 * int64 -> t
-(** Rebuild a generator from a {!state} snapshot. *)
 
 val set_state : t -> int64 * int64 * int64 * int64 -> unit
 (** Overwrite [t]'s limbs with a {!state} snapshot in place. *)

@@ -67,10 +67,26 @@ let join ?windows ?events_per_window ?batch_events ?encrypted () =
         ~schema:Sbt_core.Event.default ~streams:2 ~seed:23L ~gen ();
   }
 
+(* Random-walk state that restarts with each stream: [walk ~n ~init]
+   returns a function from the generator to the walk's [n] positions,
+   reset to [init] whenever it is handed a generator other than the last
+   one.  [Datagen.frames] and every replay of [gen_record] each create one
+   generator, so each replay of a spec walks from the same start. *)
+let walk ~n ~init =
+  let pos = Array.make n init and owner = ref None in
+  fun rng ->
+    (match !owner with
+    | Some r when r == rng -> ()
+    | _ ->
+        Array.fill pos 0 n init;
+        owner := Some rng);
+    pos
+
 (* Intel Lab model: 54 motes, temperature random walks (x100 fixed point). *)
 let win_sum ?windows ?events_per_window ?batch_events ?encrypted () =
-  let temps = Array.make 54 2_200 in
+  let walk = walk ~n:54 ~init:2_200 in
   let gen rng ~ts =
+    let temps = walk rng in
     let mote = Rng.int_below rng 54 in
     temps.(mote) <- max 1_000 (min 4_500 (temps.(mote) + Rng.int_below rng 21 - 10));
     [| Int32.of_int mote; Int32.of_int temps.(mote); ts |]
@@ -142,8 +158,9 @@ let power ?windows ?events_per_window ?batch_events ?encrypted () =
 let patients = 200
 
 let vitals ?windows ?events_per_window ?batch_events ?encrypted () =
-  let rates = Array.make patients 750 in
+  let walk = walk ~n:patients ~init:750 in
   let gen rng ~ts =
+    let rates = walk rng in
     let p = Rng.int_below rng patients in
     rates.(p) <- max 400 (min 1_800 (rates.(p) + Rng.int_below rng 31 - 15));
     [| Int32.of_int p; Int32.of_int rates.(p); ts |]

@@ -40,6 +40,10 @@ val all : ?windows:int -> ?events_per_window:int -> ?batch_events:int -> ?encryp
 val by_name : string -> (?windows:int -> ?events_per_window:int -> ?batch_events:int -> ?encrypted:bool -> unit -> t) option
 
 val frames : t -> Sbt_net.Frame.t list
+(** [Datagen.frames t.spec].  The stream is a function of the spec alone:
+    generators that keep state (the WinSum and Vitals random walks)
+    restart it for each new generator, so two calls on one [t] give equal
+    frames. *)
 
 val mix_names : string list
 (** The named multi-tenant workload mixes: ["taxi"] (per-fleet taxi

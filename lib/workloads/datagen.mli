@@ -40,7 +40,10 @@ type spec = {
   seed : int64;
   gen_record : Sbt_crypto.Rng.t -> ts:int32 -> int32 array;
       (** Fill one record given its event time; must return [schema.width]
-          fields with the timestamp at [schema.ts_field]. *)
+          fields with the timestamp at [schema.ts_field] ({!frames} raises
+          [Invalid_argument] otherwise).  Each {!frames} call creates one
+          generator; state kept between calls must restart when a new one
+          arrives, so that the stream depends only on the spec. *)
   disorder : Sbt_fault.Fault.plan;
       (** the reorder/delay plan ({!Sbt_fault.Fault.disorder_plan});
           [Fault.none] keeps the stream byte-identical to the historical

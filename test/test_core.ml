@@ -559,6 +559,21 @@ let test_runner_records_on_config_cores () =
       Alcotest.(check bool) ("audit, cores_list " ^ what) true (o.Runner.audit = plain.Runtime.audit))
     [ [ 4 ]; [ 2; 8 ] ]
 
+(* Every recording on one config shares its platform (the repeats of one
+   call, or successive calls); each reports its own switch and copy
+   counts, not the sum over all recordings so far. *)
+let test_runner_recordings_count_alone () =
+  let bench = B.topk ~windows:2 ~events_per_window:2_000 ~batch_events:500 () in
+  let frames = B.frames bench in
+  let cfg = Runtime.Config.make ~version:D.Clear_ingress ~deterministic:true () in
+  let stats () = (Runner.run ~cores_list:[ 8 ] cfg bench.B.pipeline frames).Runner.dp_stats in
+  let first = stats () in
+  let second = stats () in
+  Alcotest.(check bool) "some switches" true (first.D.switch_pairs > 0);
+  Alcotest.(check int) "switch pairs" first.D.switch_pairs second.D.switch_pairs;
+  Alcotest.(check (float 1e-6)) "modeled switch ns" first.D.modeled_switch_ns
+    second.D.modeled_switch_ns
+
 let test_no_leaked_refs_after_run () =
   let bench = B.distinct ~windows:2 ~events_per_window:3_000 ~batch_events:1_000 () in
   let r, _ = run_pipeline bench in
@@ -934,6 +949,7 @@ let () =
           Alcotest.test_case "scaling and verification" `Slow test_runner_scaling_and_verification;
           Alcotest.test_case "insecure >= clear-ingress" `Slow test_runner_insecure_faster_than_full;
           Alcotest.test_case "records on cfg.cores" `Quick test_runner_records_on_config_cores;
+          Alcotest.test_case "recordings count alone" `Quick test_runner_recordings_count_alone;
           Alcotest.test_case "no leaked refs" `Quick test_no_leaked_refs_after_run;
         ] );
       ( "resilience",

@@ -1,7 +1,7 @@
 (* Tests for the from-scratch crypto substrate: AES-128 against FIPS-197
    vectors and a byte-wise reference cipher ([Aes_reference]), SHA-256
    against FIPS 180-4 vectors, HMAC against RFC 4231, CTR-mode algebraic
-   properties, and PRNG behaviour. *)
+   properties, and the PRNG against a boxed reference ([Rng_reference]). *)
 
 module Aes = Sbt_crypto.Aes
 module Ctr = Sbt_crypto.Ctr
@@ -253,19 +253,64 @@ let test_rng_float_unit () =
     if f < 0.0 || f >= 1.0 then Alcotest.fail "float_unit out of range"
   done
 
-let test_rng_bytes_len () =
-  let rng = Rng.create ~seed:4L in
-  List.iter
-    (fun n -> Alcotest.(check int) "length" n (Bytes.length (Rng.bytes rng n)))
-    [ 0; 1; 7; 8; 9; 100 ]
+(* Every draw kind against the boxed reference ([Rng_reference]), with
+   [int_below] at 1, at small bounds and above 2^61, where up to half of
+   all raw draws are rejected.  After each draw both states must agree,
+   and a generator restored mid-stream from [Rng.state] must continue the
+   same stream (the data plane's sealed checkpoint relies on it). *)
+type draw = Next | Float | Int32 | Below of int
 
-let test_rng_shuffle_permutation () =
-  let rng = Rng.create ~seed:6L in
-  let a = Array.init 50 (fun i -> i) in
-  Rng.shuffle_in_place rng a;
-  let sorted = Array.copy a in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "is a permutation" (Array.init 50 (fun i -> i)) sorted
+let gen_draw =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, return Next);
+        (1, return Float);
+        (1, return Int32);
+        (1, return (Below 1));
+        (2, map (fun n -> Below n) (1 -- 1000));
+        (2, map (fun x -> Below (max_int - 1 - (x land ((1 lsl 61) - 1)))) int);
+      ])
+
+let lib_draw t = function
+  | Next -> Rng.next_int64 t
+  | Float -> Int64.bits_of_float (Rng.float_unit t)
+  | Int32 -> Int64.of_int32 (Rng.int32_any t)
+  | Below n -> Int64.of_int (Rng.int_below t n)
+
+let ref_draw r = function
+  | Next -> Rng_reference.next_int64 r
+  | Float -> Int64.bits_of_float (Rng_reference.float_unit r)
+  | Int32 -> Int64.of_int32 (Rng_reference.int32_any r)
+  | Below n -> Int64.of_int (Rng_reference.int_below r n)
+
+let prop_rng_matches_reference =
+  QCheck.Test.make ~name:"rng draws equal the boxed reference" ~count:300
+    QCheck.(triple int64 (make Gen.(list_size (1 -- 200) gen_draw)) small_nat)
+    (fun (seed, draws, cut) ->
+      let t = Rng.create ~seed and r = Rng_reference.create ~seed in
+      let restored = Rng.create ~seed:0L and cut = cut mod (List.length draws + 1) in
+      let ok = ref true in
+      List.iteri
+        (fun i d ->
+          if i = cut then Rng.set_state restored (Rng.state t);
+          let want = ref_draw r d in
+          ok :=
+            !ok
+            && Int64.equal (lib_draw t d) want
+            && (i < cut || Int64.equal (lib_draw restored d) want)
+            && Rng.state t = Rng_reference.state r)
+        draws;
+      !ok)
+
+let test_rng_rejection_fires () =
+  let n = (1 lsl 61) + 1 in
+  let t = Rng.create ~seed:3L and r = Rng_reference.create ~seed:3L in
+  for _ = 1 to 1_000 do
+    Alcotest.(check int) "same value" (Rng_reference.int_below r n) (Rng.int_below t n)
+  done;
+  Alcotest.(check bool) "some draws rejected" true (r.Rng_reference.draws > 1_100);
+  Alcotest.(check bool) "same state" true (Rng.state t = Rng_reference.state r)
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
@@ -308,7 +353,7 @@ let () =
           Alcotest.test_case "int_below bounds" `Quick test_rng_int_below_bounds;
           Alcotest.test_case "uniformity" `Quick test_rng_uniformity;
           Alcotest.test_case "float_unit range" `Quick test_rng_float_unit;
-          Alcotest.test_case "bytes length" `Quick test_rng_bytes_len;
-          Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
+          Alcotest.test_case "int_below rejection fires" `Quick test_rng_rejection_fires;
+          q prop_rng_matches_reference;
         ] );
     ]

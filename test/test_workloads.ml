@@ -1,6 +1,6 @@
 (* Tests for the workload generators: the zipf sampler, the frame-stream
    generator's structure (watermarks, batching, window manifests), and
-   the six benchmark definitions. *)
+   the benchmark definitions. *)
 
 module Zipf = Sbt_workloads.Zipf
 module Datagen = Sbt_workloads.Datagen
@@ -126,6 +126,29 @@ let test_two_streams () =
   in
   Alcotest.(check (list int)) "both streams present" [ 0; 1 ] streams
 
+(* Words allocated per generated event (minor + major - promoted, so each
+   word counts once whether or not it was promoted), a host-cost proxy for
+   the source.  What remains is the record [gen_record] returns, its boxed
+   timestamp and the frames: about 24 words on the power shape and 18 on
+   the fps shape, so the bound of 30 leaves room for other compilers. *)
+let words_per_event (b : B.t) =
+  Gc.full_major ();
+  let minor0, promoted0, major0 = Gc.counters () in
+  ignore (Sys.opaque_identity (B.frames b));
+  let minor1, promoted1, major1 = Gc.counters () in
+  (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+  /. float_of_int (Datagen.total_events b.B.spec)
+
+let test_allocation_per_event () =
+  List.iter
+    (fun (name, b) ->
+      let w = words_per_event b in
+      if w > 30.0 then Alcotest.failf "%s: %.1f words per event (at most 30)" name w)
+    [
+      ("power", B.power ~windows:2 ~events_per_window:60_000 ~batch_events:20_000 ());
+      ("fps", B.fps ~windows:2 ~events_per_window:8_000 ~batch_events:64 ());
+    ]
+
 (* --- golden frame bytes ------------------------------------------------------ *)
 
 (* A stdlib MD5 over every frame's header fields, payload and MAC.  The
@@ -185,12 +208,34 @@ let golden_cases =
           } );
   ]
 
+(* The four edgebench sources at seed 1, built by [Edgebench.Workload.make]
+   exactly as the benchmark builds them: taxi-enc (encrypt-then-MAC, the
+   same source as "taxi-enc distinct" above), and grid-clear, join-egress
+   and fps-small (clear).  The digests were taken with [frames_digest]
+   before the flat record store and the unboxed generator state, so they
+   pin the benchmark's input across both. *)
+let edgebench_cases =
+  List.map
+    (fun (name, expected) ->
+      ( "edgebench " ^ name,
+        expected,
+        fun () ->
+          match Edgebench.Workload.make name ~seed:1 with
+          | Ok w -> B.frames w.Edgebench.Workload.bench
+          | Error msg -> Alcotest.fail msg ))
+    [
+      ("taxi-enc", "ba1355d0aac8bd90faea0141b1ce17e0");
+      ("grid-clear", "61247de11b2b352b8518e3cbf74fd3b3");
+      ("join-egress", "4ad70e3bf9d0b03682ae3dacb5818202");
+      ("fps-small", "eaeee594dfd76ac92a0771940dd77a2c");
+    ]
+
 let golden_tests =
   List.map
     (fun (name, expected, frames) ->
       Alcotest.test_case name `Quick (fun () ->
           Alcotest.(check string) "frame digest" expected (frames_digest (frames ()))))
-    golden_cases
+    (golden_cases @ edgebench_cases)
 
 (* --- benchmarks ----------------------------------------------------------------- *)
 
@@ -202,11 +247,33 @@ let test_six_benchmarks () =
     [ "TopK"; "Distinct"; "Join"; "WinSum"; "FpsChain"; "Filter"; "Power" ]
     (List.map (fun b -> b.B.name) all)
 
+let ctor_names = [ "topk"; "distinct"; "join"; "winsum"; "fps"; "filter"; "power"; "vitals" ]
+
 let test_by_name () =
-  List.iter
-    (fun n -> Alcotest.(check bool) n true (B.by_name n <> None))
-    [ "topk"; "distinct"; "join"; "winsum"; "fps"; "filter"; "power" ];
+  List.iter (fun n -> Alcotest.(check bool) n true (B.by_name n <> None)) ctor_names;
   Alcotest.(check bool) "unknown" true (B.by_name "nope" = None)
+
+(* A generator's stream is a function of its spec: calling [B.frames]
+   twice on one value, or on a second value from the same constructor,
+   gives the same frames.  Random-walk generators (WinSum, Vitals) restart
+   their walk with each stream to meet this. *)
+
+let prop_frames_depend_only_on_spec =
+  QCheck.Test.make ~name:"frames depend only on the spec" ~count:40
+    QCheck.(
+      make
+        Gen.(
+          tup5 (oneofl ctor_names) (1 -- 3) (1 -- 2_000) (1 -- 700)
+            (pair bool (map Int64.of_int nat))))
+    (fun (name, windows, events_per_window, batch_events, (encrypted, seed)) ->
+      let ctor = Option.get (B.by_name name) in
+      let make () =
+        let b = ctor ~windows ~events_per_window ~batch_events ~encrypted () in
+        { b with B.spec = { b.B.spec with Datagen.seed } }
+      in
+      let b = make () in
+      let first = B.frames b in
+      first = B.frames b && first = B.frames (make ()))
 
 let test_taxi_distinct_cardinality () =
   (* The taxi model must stay within its 11k-id universe. *)
@@ -262,6 +329,7 @@ let () =
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "encrypted stream" `Quick test_encrypted_stream;
           Alcotest.test_case "two streams" `Quick test_two_streams;
+          Alcotest.test_case "allocation per event" `Quick test_allocation_per_event;
         ] );
       ("golden", golden_tests);
       ( "benchmarks",
@@ -271,5 +339,6 @@ let () =
           Alcotest.test_case "taxi cardinality" `Quick test_taxi_distinct_cardinality;
           Alcotest.test_case "power schema" `Quick test_power_schema;
           Alcotest.test_case "join streams" `Quick test_join_two_streams;
+          QCheck_alcotest.to_alcotest prop_frames_depend_only_on_spec;
         ] );
     ]
