@@ -41,35 +41,35 @@ let split records =
        encode each as a delta against a dedicated cursor. *)
     let pred = Int64.to_int (Int64.shift_right_logical h 32) in
     let succ = Int64.to_int (Int64.logand h 0xFFFFFFFFL) in
-    Varint.write_signed c.hints (Int64.of_int (pred - !prev_hint));
+    Varint.write_signed c.hints (pred - !prev_hint);
     prev_hint := pred;
-    Varint.write_signed c.hints (Int64.of_int (succ - !prev_hint));
+    Varint.write_signed c.hints (succ - !prev_hint);
     prev_hint := succ
   in
   let put_ts v =
-    Varint.write_signed c.ts (Int64.of_int (v - !prev_ts));
+    Varint.write_signed c.ts (v - !prev_ts);
     prev_ts := v
   in
   let prev_used = ref 0 in
   let put_new_id v =
-    Varint.write_signed c.new_ids (Int64.of_int (v - !prev_id));
+    Varint.write_signed c.new_ids (v - !prev_id);
     prev_id := v
   in
   let put_used_id v =
-    Varint.write_signed c.used_ids (Int64.of_int (v - !prev_used));
+    Varint.write_signed c.used_ids (v - !prev_used);
     prev_used := v
   in
   let put_win v =
-    Varint.write_signed c.win_nos (Int64.of_int (v - !prev_win));
+    Varint.write_signed c.win_nos (v - !prev_win);
     prev_win := v
   in
   let put_val v =
-    Varint.write_signed c.values (Int64.of_int (v - !prev_val));
+    Varint.write_signed c.values (v - !prev_val);
     prev_val := v
   in
   (* List lengths below 128 take one byte; a window close over hundreds
      of segments takes two. *)
-  let put_count l = Varint.write_unsigned c.counts (Int64.of_int (List.length l)) in
+  let put_count l = Varint.write_unsigned c.counts (List.length l) in
   (* Fused params repeat verbatim across segments of the same pipeline,
      so the blob column back-references: 0 = "same as the previous blob",
      n > 0 = a literal of n-1 bytes.  The chain hash is not sent at all:
@@ -77,20 +77,20 @@ let split records =
      covers both, so the decoder derives it. *)
   let prev_blob = ref Bytes.empty in
   let put_blob b =
-    if Bytes.equal b !prev_blob then Varint.write_unsigned c.blobs 0L
+    if Bytes.equal b !prev_blob then Varint.write_unsigned c.blobs 0
     else begin
-      Varint.write_unsigned c.blobs (Int64.of_int (Bytes.length b + 1));
+      Varint.write_unsigned c.blobs (Bytes.length b + 1);
       Buffer.add_bytes c.blobs b;
       prev_blob := b
     end
   in
   let prev_stream = ref 0 and prev_seq = ref 0 in
   let put_stream v =
-    Varint.write_signed c.streams (Int64.of_int (v - !prev_stream));
+    Varint.write_signed c.streams (v - !prev_stream);
     prev_stream := v
   in
   let put_seq v =
-    Varint.write_signed c.seqs (Int64.of_int (v - !prev_seq));
+    Varint.write_signed c.seqs (v - !prev_seq);
     prev_seq := v
   in
   List.iter
@@ -172,9 +172,9 @@ let split records =
 let compress records =
   let c = split records in
   let out = Buffer.create 1024 in
-  Varint.write_unsigned out (Int64.of_int (List.length records));
+  Varint.write_unsigned out (List.length records);
   let add_block b =
-    Varint.write_unsigned out (Int64.of_int (Bytes.length b));
+    Varint.write_unsigned out (Bytes.length b);
     Buffer.add_bytes out b
   in
   (* Every column gets an entropy stage on top: delta-varint bytes are
@@ -196,9 +196,9 @@ let compress records =
 
 let decompress data =
   let pos = ref 0 in
-  let n = Int64.to_int (Varint.read_unsigned data pos) in
+  let n = Varint.read_unsigned data pos in
   let block () =
-    let len = Int64.to_int (Varint.read_unsigned data pos) in
+    let len = Varint.read_unsigned data pos in
     if !pos + len > Bytes.length data then invalid_arg "Columnar.decompress: truncated";
     let b = Bytes.sub data !pos len in
     pos := !pos + len;
@@ -225,7 +225,7 @@ let decompress data =
   let get_blob () =
     (* 0 is a back-reference to the previous blob; n > 0 is a literal of
        n-1 bytes (see [split]). *)
-    let tag = Int64.to_int (Varint.read_unsigned blobs_col blob_pos) in
+    let tag = Varint.read_unsigned blobs_col blob_pos in
     if tag = 0 then !prev_blob
     else begin
       let len = tag - 1 in
@@ -240,46 +240,49 @@ let decompress data =
   (* Chain hashes derived once per distinct (ops, params) in the batch. *)
   let chains = Hashtbl.create 4 in
   let chain_of ops params =
-    if not (Hashtbl.mem chains (ops, params)) then
-      Hashtbl.add chains (ops, params) (Record.chain_hash ~ops ~params);
-    Hashtbl.find chains (ops, params)
+    match Hashtbl.find_opt chains (ops, params) with
+    | Some chain -> chain
+    | None ->
+        let chain = Record.chain_hash ~ops ~params in
+        Hashtbl.add chains (ops, params) chain;
+        chain
   in
   let prev_ts = ref 0 and prev_id = ref 0 and prev_win = ref 0 and prev_val = ref 0 in
   let prev_hint = ref 0 and prev_stream = ref 0 and prev_seq = ref 0 in
   let get_hint () =
-    prev_hint := !prev_hint + Int64.to_int (Varint.read_signed hints_col hint_pos);
+    prev_hint := !prev_hint + Varint.read_signed hints_col hint_pos;
     let pred = !prev_hint in
-    prev_hint := !prev_hint + Int64.to_int (Varint.read_signed hints_col hint_pos);
+    prev_hint := !prev_hint + Varint.read_signed hints_col hint_pos;
     let succ = !prev_hint in
     Int64.logor (Int64.shift_left (Int64.of_int pred) 32) (Int64.of_int succ)
   in
   let get_ts () =
-    prev_ts := !prev_ts + Int64.to_int (Varint.read_signed ts_col ts_pos);
+    prev_ts := !prev_ts + Varint.read_signed ts_col ts_pos;
     !prev_ts
   in
   let prev_used = ref 0 in
   let get_new_id () =
-    prev_id := !prev_id + Int64.to_int (Varint.read_signed new_ids_col new_id_pos);
+    prev_id := !prev_id + Varint.read_signed new_ids_col new_id_pos;
     !prev_id
   in
   let get_used_id () =
-    prev_used := !prev_used + Int64.to_int (Varint.read_signed used_ids_col used_id_pos);
+    prev_used := !prev_used + Varint.read_signed used_ids_col used_id_pos;
     !prev_used
   in
   let get_win () =
-    prev_win := !prev_win + Int64.to_int (Varint.read_signed wins_col win_pos);
+    prev_win := !prev_win + Varint.read_signed wins_col win_pos;
     !prev_win
   in
   let get_val () =
-    prev_val := !prev_val + Int64.to_int (Varint.read_signed vals_col val_pos);
+    prev_val := !prev_val + Varint.read_signed vals_col val_pos;
     !prev_val
   in
   let get_stream () =
-    prev_stream := !prev_stream + Int64.to_int (Varint.read_signed streams_col stream_pos);
+    prev_stream := !prev_stream + Varint.read_signed streams_col stream_pos;
     !prev_stream
   in
   let get_seq () =
-    prev_seq := !prev_seq + Int64.to_int (Varint.read_signed seqs_col seq_pos);
+    prev_seq := !prev_seq + Varint.read_signed seqs_col seq_pos;
     !prev_seq
   in
   let get_byte buf pos =
@@ -287,7 +290,7 @@ let decompress data =
     incr pos;
     c
   in
-  let get_count () = Int64.to_int (Varint.read_unsigned counts cnt_pos) in
+  let get_count () = Varint.read_unsigned counts cnt_pos in
   List.init n (fun i ->
       match Char.code (Bytes.get tags i) with
       | 0 ->

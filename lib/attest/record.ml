@@ -293,11 +293,11 @@ let decode_row data pos =
 
 let encode_all records =
   let buf = Buffer.create 4096 in
-  Varint.write_unsigned buf (Int64.of_int (List.length records));
+  Varint.write_unsigned buf (List.length records);
   List.iter (encode_row buf) records;
   Buffer.to_bytes buf
 
 let decode_all data =
   let pos = ref 0 in
-  let n = Int64.to_int (Varint.read_unsigned data pos) in
+  let n = Varint.read_unsigned data pos in
   List.init n (fun _ -> decode_row data pos)

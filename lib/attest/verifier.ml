@@ -166,6 +166,24 @@ let verify spec records =
         s
   in
   let batch_op_count = List.length spec.batch_ops in
+  (* A Fused record's claim depends only on its (ops, params): the chain
+     hash they commit to, and whether the params decode to those ops.  A
+     stream repeats a few chains, so each is derived once. *)
+  let fused_claims : (int list * bytes, bytes * bool) Hashtbl.t = Hashtbl.create 8 in
+  let fused_claim ops params =
+    match Hashtbl.find_opt fused_claims (ops, params) with
+    | Some c -> c
+    | None ->
+        let decodes =
+          match Sbt_prim.Fused.decode_steps params with
+          | Some steps ->
+              List.map (fun s -> Sbt_prim.Primitive.to_id (Sbt_prim.Fused.step_op s)) steps = ops
+          | None -> false
+        in
+        let c = (Record.chain_hash ~ops ~params, decodes) in
+        Hashtbl.add fused_claims (ops, params) c;
+        c
+  in
   (* Loss accounting: ingress and declared-gap frame identities, per
      stream.  Holes inside a stream's observed sequence range that no Gap
      record covers are undeclared loss — the tamper-evidence property the
@@ -309,14 +327,10 @@ let verify spec records =
              sequence, and every op must be one the type system allows to
              fuse — then replay it as the equivalent unfused sequence of
              batch stages. *)
-          if not (Bytes.equal chain (Record.chain_hash ~ops ~params)) then
+          let expected_chain, decodes = fused_claim ops params in
+          if not (Bytes.equal chain expected_chain) then
             violate (Fused_chain_mismatch { record_index = idx });
-          (match Sbt_prim.Fused.decode_steps params with
-          | Some steps
-            when List.map (fun s -> Sbt_prim.Primitive.to_id (Sbt_prim.Fused.step_op s)) steps
-                 = ops ->
-              ()
-          | Some _ | None -> violate (Fused_chain_mismatch { record_index = idx }));
+          if not decodes then violate (Fused_chain_mismatch { record_index = idx });
           List.iter
             (fun op ->
               match Sbt_prim.Primitive.of_id op with

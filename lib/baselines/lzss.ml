@@ -10,7 +10,7 @@ let max_match = 18
 let compress input =
   let n = Bytes.length input in
   let out = Buffer.create (n / 2) in
-  Sbt_attest.Varint.write_unsigned out (Int64.of_int n);
+  Sbt_attest.Varint.write_unsigned out n;
   let tokens = Buffer.create n in
   (* Hash chains over 3-byte prefixes for match finding. *)
   let head = Array.make 16384 (-1) in
@@ -89,7 +89,7 @@ let compress input =
 
 let decompress data =
   let pos = ref 0 in
-  let n = Int64.to_int (Sbt_attest.Varint.read_unsigned data pos) in
+  let n = Sbt_attest.Varint.read_unsigned data pos in
   let tokens = Sbt_attest.Huffman.decode (Bytes.sub data !pos (Bytes.length data - !pos)) in
   let out = Buffer.create n in
   let tn = Bytes.length tokens in

@@ -42,9 +42,12 @@ let[@inline] next_int64 t =
 
 let int_below t n =
   assert (n > 0);
-  (* Rejection sampling over the top 62 bits keeps the draw unbiased. *)
+  (* Rejection sampling over the top 62 bits keeps the draw unbiased.  At
+     n = max_int the limit would be -1 and reject every draw; at 0 it
+     accepts r < n, the one unbiased choice there. *)
   let bound = Int64.of_int n in
   let limit = Int64.sub (Int64.sub 0x3FFFFFFFFFFFFFFFL bound) 1L in
+  let limit = if limit < 0L then 0L else limit in
   let r = ref (Int64.shift_right_logical (next_int64 t) 2) in
   let v = ref (Int64.rem !r bound) in
   while Int64.sub !r !v > limit do

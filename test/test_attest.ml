@@ -1,9 +1,9 @@
-(* Tests for the attestation stack: bit IO, varints, Huffman, the audit
-   record codec, columnar compression, the signed log, and — most
-   importantly — the cloud verifier's replay, including every tampering
-   scenario it must catch. *)
+(* Tests for the attestation stack: varints, Huffman, the audit record
+   codec, columnar compression, the signed log, and — most importantly —
+   the cloud verifier's replay, including every tampering scenario it
+   must catch.  The codec's bytes are checked against the plain
+   implementation kept in [Audit_reference]. *)
 
-module Bitio = Sbt_attest.Bitio
 module Varint = Sbt_attest.Varint
 module Huffman = Sbt_attest.Huffman
 module Record = Sbt_attest.Record
@@ -11,64 +11,76 @@ module Columnar = Sbt_attest.Columnar
 module Log = Sbt_attest.Log
 module V = Sbt_attest.Verifier
 module P = Sbt_prim.Primitive
+module Ref = Audit_reference
 
-(* --- bit IO ---------------------------------------------------------------- *)
-
-let test_bitio_roundtrip () =
-  let w = Bitio.Writer.create () in
-  Bitio.Writer.put_bits w ~value:0b101 ~bits:3;
-  Bitio.Writer.put_bits w ~value:0xABCD ~bits:16;
-  Bitio.Writer.put_bit w 1;
-  let r = Bitio.Reader.create (Bitio.Writer.contents w) in
-  Alcotest.(check int) "3 bits" 0b101 (Bitio.Reader.get_bits r 3);
-  Alcotest.(check int) "16 bits" 0xABCD (Bitio.Reader.get_bits r 16);
-  Alcotest.(check int) "1 bit" 1 (Bitio.Reader.get_bit r)
-
-let test_bitio_eof () =
-  let r = Bitio.Reader.create (Bytes.create 1) in
-  ignore (Bitio.Reader.get_bits r 8);
-  Alcotest.check_raises "eof" End_of_file (fun () -> ignore (Bitio.Reader.get_bit r))
-
-let prop_bitio_roundtrip =
-  QCheck.Test.make ~name:"bitio bit sequence roundtrip" ~count:100
-    QCheck.(list (int_bound 1))
-    (fun bits ->
-      let w = Bitio.Writer.create () in
-      List.iter (fun b -> Bitio.Writer.put_bit w b) bits;
-      let r = Bitio.Reader.create (Bitio.Writer.contents w) in
-      List.for_all (fun b -> Bitio.Reader.get_bit r = b) bits)
+let raises_invalid f = match f () with _ -> false | exception Invalid_argument _ -> true
 
 (* --- varint ---------------------------------------------------------------- *)
 
+let signed_bytes v =
+  let b = Buffer.create 10 in
+  Varint.write_signed b v;
+  Buffer.to_bytes b
+
+let unsigned_bytes v =
+  let b = Buffer.create 10 in
+  Varint.write_unsigned b v;
+  Buffer.to_bytes b
+
+let ref_bytes write v =
+  let b = Buffer.create 10 in
+  write b (Int64.of_int v);
+  Buffer.to_bytes b
+
 let test_varint_edges () =
-  let roundtrip v =
-    let b = Buffer.create 16 in
-    Varint.write_signed b v;
-    let pos = ref 0 in
-    Varint.read_signed (Buffer.to_bytes b) pos
-  in
+  let roundtrip v = Varint.read_signed (signed_bytes v) (ref 0) in
   List.iter
-    (fun v -> Alcotest.(check int64) (Int64.to_string v) v (roundtrip v))
-    [ 0L; 1L; -1L; 127L; -128L; 300L; Int64.max_int; Int64.min_int ]
+    (fun v -> Alcotest.(check int) (string_of_int v) v (roundtrip v))
+    [ 0; 1; -1; 127; -128; 300; max_int; min_int ];
+  List.iter
+    (fun v ->
+      Alcotest.(check int) (string_of_int v) v (Varint.read_unsigned (unsigned_bytes v) (ref 0)))
+    [ 0; 1; 127; 128; max_int ]
 
 let test_varint_compactness () =
   (* Small deltas are single bytes — that is the point of delta coding. *)
-  let b = Buffer.create 16 in
-  Varint.write_signed b 3L;
-  Alcotest.(check int) "one byte" 1 (Buffer.length b)
+  Alcotest.(check int) "one byte" 1 (Bytes.length (signed_bytes 3));
+  Alcotest.(check int) "max_int takes 9" 9 (Bytes.length (signed_bytes max_int))
 
 let prop_varint_roundtrip =
-  QCheck.Test.make ~name:"varint signed roundtrip" ~count:500 QCheck.int64 (fun v ->
-      let b = Buffer.create 16 in
-      Varint.write_signed b v;
+  QCheck.Test.make ~name:"varint signed roundtrip" ~count:500 QCheck.int (fun v ->
       let pos = ref 0 in
-      Int64.equal (Varint.read_signed (Buffer.to_bytes b) pos) v)
+      let b = signed_bytes v in
+      Varint.read_signed b pos = v && !pos = Bytes.length b)
 
+(* The signed bytes are the 64-bit zigzag mapping's: 0, -1, 1, -2, ... take
+   0, 1, 2, 3, ... *)
 let test_zigzag () =
-  Alcotest.(check int64) "zigzag 0" 0L (Varint.zigzag 0L);
-  Alcotest.(check int64) "zigzag -1" 1L (Varint.zigzag (-1L));
-  Alcotest.(check int64) "zigzag 1" 2L (Varint.zigzag 1L);
-  Alcotest.(check int64) "unzigzag inverse" (-42L) (Varint.unzigzag (Varint.zigzag (-42L)))
+  List.iter
+    (fun (v, z) -> Alcotest.(check string) (string_of_int v) z (Bytes.to_string (signed_bytes v)))
+    [ (0, "\000"); (-1, "\001"); (1, "\002"); (-2, "\003"); (-64, "\127"); (64, "\128\001") ]
+
+let prop_varint_matches_reference =
+  QCheck.Test.make ~name:"varint bytes equal the Int64 reference" ~count:2000
+    QCheck.(oneof [ int; small_signed_int; oneofl [ min_int; max_int; min_int + 1; max_int - 1 ] ])
+    (fun v ->
+      Bytes.equal (signed_bytes v) (ref_bytes Ref.Varint.write_signed v)
+      && (v < 0 || Bytes.equal (unsigned_bytes v) (ref_bytes Ref.Varint.write_unsigned v)))
+
+let test_varint_malformed () =
+  let read f s = raises_invalid (fun () -> f (Bytes.of_string s) (ref 0)) in
+  let overlong = String.make 11 '\xFF' ^ "\001" in
+  Alcotest.(check bool) "overlong unsigned" true (read Varint.read_unsigned overlong);
+  Alcotest.(check bool) "overlong signed" true (read Varint.read_signed overlong);
+  (* Ten bytes, even when the tenth carries no bits. *)
+  Alcotest.(check bool) "ten bytes" true (read Varint.read_signed (String.make 9 '\x80' ^ "\000"));
+  Alcotest.(check bool) "truncated" true (read Varint.read_unsigned "\x80\x80");
+  (* Nine bytes holding bit 62: fine as a zigzag value, past max_int as a count. *)
+  let top = String.make 8 '\xFF' ^ "\x7F" in
+  Alcotest.(check bool) "past max_int" true (read Varint.read_unsigned top);
+  Alcotest.(check int) "signed min_int" min_int (Varint.read_signed (Bytes.of_string top) (ref 0));
+  Alcotest.(check bool) "negative count" true
+    (raises_invalid (fun () -> Varint.write_unsigned (Buffer.create 1) (-1)))
 
 (* --- huffman ---------------------------------------------------------------- *)
 
@@ -97,6 +109,60 @@ let test_huffman_compresses_skew () =
 let prop_huffman_roundtrip =
   QCheck.Test.make ~name:"huffman roundtrip" ~count:200 QCheck.string (fun s ->
       Bytes.to_string (Huffman.decode (Huffman.encode (Bytes.of_string s))) = s)
+
+(* [len] bytes over [distinct] symbols spread across the byte range; with
+   [skew] each draw keeps halving the range, so low symbols dominate and
+   codes grow long. *)
+let huffman_input ~seed ~distinct ~len ~skew =
+  let rng = Sbt_crypto.Rng.create ~seed:(Int64.of_int seed) in
+  let sym i = Char.chr (i * 256 / distinct) in
+  let draw () =
+    if not skew then Sbt_crypto.Rng.int_below rng distinct
+    else begin
+      let hi = ref distinct in
+      while !hi > 1 && Sbt_crypto.Rng.int_below rng 3 > 0 do
+        hi := (!hi + 1) / 2
+      done;
+      Sbt_crypto.Rng.int_below rng !hi
+    end
+  in
+  (* Every symbol once, then random draws. *)
+  Bytes.init (max len distinct) (fun i -> sym (if i < distinct then i else draw ()))
+
+let huffman_same_bytes b =
+  let e = Huffman.encode b in
+  Bytes.equal e (Ref.Huffman.encode b)
+  && Bytes.equal (Huffman.decode e) b
+  && Bytes.equal (Ref.Huffman.decode e) b
+
+let test_huffman_reference_cases () =
+  List.iter
+    (fun (name, b) -> Alcotest.(check bool) name true (huffman_same_bytes b))
+    ([ ("empty", Bytes.empty); ("one symbol", Bytes.make 300 'q') ]
+    @ List.concat_map
+        (fun distinct ->
+          List.map
+            (fun skew ->
+              ( Printf.sprintf "%d symbols%s" distinct (if skew then ", skewed" else ""),
+                huffman_input ~seed:distinct ~distinct ~len:5000 ~skew ))
+            [ false; true ])
+        [ 2; 127; 128; 256 ])
+
+let prop_huffman_matches_reference =
+  QCheck.Test.make ~name:"huffman bytes equal the reference" ~count:300
+    QCheck.(quad (int_range 1 256) (int_range 0 3000) bool small_nat)
+    (fun (distinct, len, skew, seed) ->
+      huffman_same_bytes (huffman_input ~seed ~distinct ~len ~skew))
+
+let test_huffman_truncated () =
+  let block = Huffman.encode (huffman_input ~seed:5 ~distinct:40 ~len:2000 ~skew:true) in
+  let n = Bytes.length block in
+  Alcotest.(check bool) "cut by 2 bytes" true
+    (raises_invalid (fun () -> Huffman.decode (Bytes.sub block 0 (n - 2))));
+  for k = 0 to n - 1 do
+    if not (raises_invalid (fun () -> Huffman.decode (Bytes.sub block 0 k))) then
+      Alcotest.failf "prefix of %d of %d bytes decoded" k n
+  done
 
 (* --- record codec ------------------------------------------------------------ *)
 
@@ -233,6 +299,80 @@ let prop_columnar_roundtrip_random =
           seeds
       in
       Columnar.decompress (Columnar.compress records) = records)
+
+(* Random record lists of all ten kinds, against the reference coder:
+   fields swing across the whole int range (negative deltas, min_int and
+   max_int watermarks), some lists run past 128 entries (two-byte counts),
+   and Fused params both repeat (back-references) and change. *)
+let gen_records =
+  let open QCheck.Gen in
+  let field =
+    frequency
+      [ (4, small_nat); (2, small_signed_int); (1, int); (1, oneofl [ min_int; max_int; -1 ]) ]
+  in
+  let ids = list_size (frequency [ (6, 0 -- 4); (1, 120 -- 300) ]) field in
+  let hints = list_size (0 -- 3) ui64 in
+  let byte = 0 -- 255 in
+  let pool = [ Bytes.empty; Bytes.of_string "\001\002"; Bytes.make 40 '\007' ] in
+  let params =
+    frequency [ (3, oneofl pool); (1, map Bytes.of_string (string_size (0 -- 60))) ]
+  in
+  let reason =
+    oneofl
+      [ Record.Link_loss; Record.Corrupt_ingress; Record.Smc_unavailable; Record.Pool_pressure ]
+  in
+  let record =
+    0 -- 9 >>= function
+    | 0 ->
+        map (fun (ts, uarray, stream, seq) -> Record.Ingress { ts; uarray; stream; seq })
+          (quad field field field field)
+    | 1 ->
+        map (fun (ts, id, value) -> Record.Ingress_watermark { ts; id; value })
+          (triple field field field)
+    | 2 ->
+        map
+          (fun (ts, data_in, win_no, data_out) ->
+            Record.Windowing { ts; data_in; win_no; data_out })
+          (quad field field field field)
+    | 3 ->
+        map
+          (fun ((ts, op), (inputs, outputs, hints)) ->
+            Record.Execution { ts; op; inputs; outputs; hints })
+          (pair (pair field byte) (triple ids ids hints))
+    | 4 ->
+        map (fun (ts, uarray, win_no) -> Record.Egress { ts; uarray; win_no })
+          (triple field field field)
+    | 5 ->
+        map
+          (fun ((ts, stream, seq), (events, windows, reason)) ->
+            Record.Gap { ts; stream; seq; events; windows; reason })
+          (pair (triple field field field) (triple field ids reason))
+    | 6 ->
+        map (fun (ts, seq, watermark) -> Record.Checkpoint { ts; seq; watermark })
+          (triple field field field)
+    | 7 ->
+        map
+          (fun ((ts, ops, params), (inputs, outputs, hints)) ->
+            let chain = Record.chain_hash ~ops ~params in
+            Record.Fused { ts; ops; params; chain; inputs; outputs; hints })
+          (pair (triple field (list_size (0 -- 6) byte) params) (triple ids ids hints))
+    | 8 ->
+        map
+          (fun (ts, uarray, win_no, events) -> Record.Late_drop { ts; uarray; win_no; events })
+          (quad field field field field)
+    | _ ->
+        map
+          (fun (ts, uarray, win_no, gen) -> Record.Correction { ts; uarray; win_no; gen })
+          (quad field field field field)
+  in
+  list_size (frequency [ (1, return 0); (6, 1 -- 40); (2, 129 -- 300) ]) record
+
+let prop_columnar_matches_reference =
+  QCheck.Test.make ~name:"columnar bytes equal the reference" ~count:300
+    (QCheck.make ~print:(fun l -> Printf.sprintf "<%d records>" (List.length l)) gen_records)
+    (fun records ->
+      let c = Columnar.compress records in
+      Bytes.equal c (Ref.Columnar.compress records) && Columnar.decompress c = records)
 
 (* --- log ------------------------------------------------------------------------ *)
 
@@ -542,6 +682,41 @@ let test_verifier_fused_tampered_chain () =
     (function V.Fused_chain_mismatch _ -> true | _ -> false)
     (fused_run (fused_record ~chain ()))
 
+(* Two segments of one window, each through the same chain.  The claim
+   is derived once per (ops, params); a forged chain on the second record
+   must still be caught, at its own index, and in either order. *)
+let test_verifier_fused_forged_after_honest () =
+  let forged = Record.chain_hash ~ops:fused_ops ~params:fused_params in
+  Bytes.set forged 15 (Char.chr (Char.code (Bytes.get forged 15) lxor 0x80));
+  let run first second =
+    let fused ~chain ~input ~output =
+      Record.Fused
+        { ts = 10; ops = fused_ops; params = Bytes.copy fused_params; chain; inputs = [ input ];
+          outputs = [ output ]; hints = [] }
+    in
+    [
+      Record.Ingress { ts = 1; uarray = 0; stream = 0; seq = 0 };
+      Record.Windowing { ts = 5; data_in = 0; win_no = 0; data_out = 1 };
+      Record.Ingress { ts = 6; uarray = 10; stream = 0; seq = 1 };
+      Record.Windowing { ts = 7; data_in = 10; win_no = 0; data_out = 11 };
+      fused ~chain:first ~input:1 ~output:3;
+      fused ~chain:second ~input:11 ~output:13;
+      Record.Ingress_watermark { ts = 15; id = wm_id; value = 1000 };
+      Record.Execution
+        { ts = 25; op = P.to_id P.Sum; inputs = [ 3; 13; wm_id ]; outputs = [ 5 ]; hints = [] };
+      Record.Egress { ts = 30; uarray = 5; win_no = 0 };
+    ]
+  in
+  let honest = Record.chain_hash ~ops:fused_ops ~params:fused_params in
+  let mismatches records =
+    List.filter_map
+      (function V.Fused_chain_mismatch { record_index } -> Some record_index | _ -> None)
+      (V.verify spec_fused records).V.violations
+  in
+  Alcotest.(check (list int)) "honest twins" [] (mismatches (run honest honest));
+  Alcotest.(check (list int)) "forged second" [ 5 ] (mismatches (run honest forged));
+  Alcotest.(check (list int)) "forged first" [ 4 ] (mismatches (run forged honest))
+
 let test_verifier_fused_non_fusable_op () =
   (* A Sort smuggled into the composite chain, with an honest hash over
      the forged ops: the type gate must flag the op itself. *)
@@ -795,28 +970,74 @@ let test_epochs_tampered_manifest_rejected () =
   in
   Alcotest.(check bool) "tampered manifest rejected" true flagged
 
+(* --- host cost of the audit path ----------------------------------------------- *)
+
+(* Words allocated per audit record (minor + major - promoted) where the
+   engine and the cloud spend them: the TEE compresses each batch, the
+   cloud opens each batch, then replays the stream.  The log is a
+   deterministic fps run shaped like edgebench's fps-small (16 windows of
+   8,000 events in 64-event batches: 6,048 records in 39 batches).  On
+   OCaml 5.1.1 they read about 61, 43 and 50; with Int64 varints, 256-entry
+   code tables, a Hashtbl decoder and a verifier that hashed every Fused
+   chain, 166, 134 and 155.  The bounds leave room for other compilers. *)
+let words_per_record n f =
+  Gc.full_major ();
+  let minor0, promoted0, major0 = Gc.counters () in
+  f ();
+  let minor1, promoted1, major1 = Gc.counters () in
+  (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)) /. float_of_int n
+
+let test_audit_allocation () =
+  let module B = Sbt_workloads.Benchmarks in
+  let module Runtime = Sbt_core.Runtime in
+  let module D = Sbt_core.Dataplane in
+  let b = B.fps ~windows:16 ~events_per_window:8_000 ~batch_events:64 () in
+  let cfg = Runtime.Config.make ~version:D.Clear_ingress ~deterministic:true () in
+  let key = cfg.Runtime.dp_config.D.egress_key in
+  let r = Runtime.run cfg b.B.pipeline (B.frames b) in
+  let per_batch = List.map (Log.open_batch ~key) r.Runtime.audit in
+  let records = List.concat per_batch in
+  let n = List.length records in
+  Alcotest.(check int) "records" 6048 n;
+  List.iter
+    (fun (stage, bound, f) ->
+      let w = words_per_record n f in
+      if w > bound then Alcotest.failf "%s: %.1f words per record (at most %.0f)" stage w bound)
+    [
+      ( "Columnar.compress per batch",
+        75.0,
+        fun () ->
+          List.iter (fun rs -> ignore (Sys.opaque_identity (Columnar.compress rs))) per_batch );
+      ( "Log.open_batch",
+        55.0,
+        fun () -> ignore (Sys.opaque_identity (List.map (Log.open_batch ~key) r.Runtime.audit)) );
+      ( "Verifier.verify",
+        65.0,
+        fun () -> ignore (Sys.opaque_identity (V.verify r.Runtime.verifier_spec records)) );
+    ]
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "attest"
     [
-      ( "bitio",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_bitio_roundtrip;
-          Alcotest.test_case "eof" `Quick test_bitio_eof;
-          q prop_bitio_roundtrip;
-        ] );
       ( "varint",
         [
           Alcotest.test_case "edges" `Quick test_varint_edges;
           Alcotest.test_case "compactness" `Quick test_varint_compactness;
           Alcotest.test_case "zigzag" `Quick test_zigzag;
+          Alcotest.test_case "malformed rejected" `Quick test_varint_malformed;
           q prop_varint_roundtrip;
+          q prop_varint_matches_reference;
         ] );
       ( "huffman",
         [
           Alcotest.test_case "roundtrips" `Quick test_huffman_roundtrips;
           Alcotest.test_case "compresses skew" `Quick test_huffman_compresses_skew;
+          Alcotest.test_case "reference bytes at the header switch" `Quick
+            test_huffman_reference_cases;
+          Alcotest.test_case "truncated rejected" `Quick test_huffman_truncated;
           q prop_huffman_roundtrip;
+          q prop_huffman_matches_reference;
         ] );
       ( "record",
         [
@@ -832,6 +1053,7 @@ let () =
           Alcotest.test_case "empty" `Quick test_columnar_empty;
           Alcotest.test_case "counts past one byte" `Quick test_columnar_wide_counts;
           q prop_columnar_roundtrip_random;
+          q prop_columnar_matches_reference;
         ] );
       ( "log",
         [
@@ -861,6 +1083,8 @@ let () =
         [
           Alcotest.test_case "accepts honest composite" `Quick test_verifier_accepts_fused_run;
           Alcotest.test_case "tampered chain hash" `Quick test_verifier_fused_tampered_chain;
+          Alcotest.test_case "forged chain after an honest twin" `Quick
+            test_verifier_fused_forged_after_honest;
           Alcotest.test_case "non-fusable op smuggled" `Quick test_verifier_fused_non_fusable_op;
           Alcotest.test_case "reordered op chain" `Quick test_verifier_fused_reordered_chain;
           Alcotest.test_case "overlong chain" `Quick test_verifier_fused_overlong_chain;
@@ -884,4 +1108,5 @@ let () =
           Alcotest.test_case "stale checkpoint resume" `Quick test_epochs_stale_checkpoint_rollback;
           Alcotest.test_case "tampered manifest rejected" `Quick test_epochs_tampered_manifest_rejected;
         ] );
+      ("audit-path", [ Alcotest.test_case "allocation per record" `Quick test_audit_allocation ]);
     ]

@@ -312,6 +312,15 @@ let test_rng_rejection_fires () =
   Alcotest.(check bool) "some draws rejected" true (r.Rng_reference.draws > 1_100);
   Alcotest.(check bool) "same state" true (Rng.state t = Rng_reference.state r)
 
+(* At n = max_int the acceptance limit clamps to 0: a draw r is kept when
+   r < n, which all but one of the 2^62 raw values are. *)
+let test_rng_below_max_int () =
+  let t = Rng.create ~seed:9L in
+  for _ = 1 to 1_000 do
+    let v = Rng.int_below t max_int in
+    if v < 0 || v >= max_int then Alcotest.failf "int_below max_int gave %d" v
+  done
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "crypto"
@@ -354,6 +363,7 @@ let () =
           Alcotest.test_case "uniformity" `Quick test_rng_uniformity;
           Alcotest.test_case "float_unit range" `Quick test_rng_float_unit;
           Alcotest.test_case "int_below rejection fires" `Quick test_rng_rejection_fires;
+          Alcotest.test_case "int_below max_int returns" `Quick test_rng_below_max_int;
           q prop_rng_matches_reference;
         ] );
     ]
