@@ -601,6 +601,123 @@ let sort_ablation () =
   Printf.printf "  (paper: GroupBy drops 7x with qsort, 2x with std::sort vs the vectorized sort)\n"
 
 (* ------------------------------------------------------------------ *)
+(* Record-moving kernels at edgebench's shapes                           *)
+
+(* ns per record for the kernels that move records - the ingest call,
+   Segment, Sort and KwayMerge - on real batches of three edgebench
+   workloads: grid-clear (width 4, 20K-record batches, three merged per
+   window), join-egress (width 3, 15K-record batches, its two streams'
+   merged) and fps-small (width 3, 64-record batches, no sort or merge).
+   Each row keeps the best of [reps] calls, each into fresh destinations
+   made outside the timed region. *)
+let kernels () =
+  section "[kernels] record moves per kernel at edgebench's shapes";
+  let reps = if smoke then 20 else 300 in
+  let pool = Sbt_umem.Page_pool.create ~budget_bytes:(1 lsl 30) in
+  let next_id = ref 0 in
+  let fresh ~width capacity =
+    incr next_id;
+    U.create ~id:!next_id ~pool ~width ~capacity ()
+  in
+  let best ~setup ~free run =
+    let t = ref Float.infinity in
+    for i = 1 to reps do
+      let x = setup i in
+      let t0 = Clock.now_ns () in
+      let y = run x in
+      t := Float.min !t (Clock.elapsed_ns ~since:t0);
+      free x y
+    done;
+    !t
+  in
+  let free_ua ua () = U.retire ua; U.release_pages ua in
+  Printf.printf "  best of %d calls, fresh destinations\n" reps;
+  Printf.printf "  %-12s %-10s %5s %8s %10s\n" "workload" "kernel" "width" "records" "ns/record";
+  let row workload kernel width records ns =
+    let per = ns /. float_of_int records in
+    ignore
+      (Bench_json.append ~section:"kernels"
+         [
+           ("workload", J.Str workload);
+           ("kernel", J.Str kernel);
+           ("width", J.num_of_int width);
+           ("records", J.num_of_int records);
+           ("ns_per_record", J.Num per);
+         ]);
+    Printf.printf "  %-12s %-10s %5d %8d %10.2f\n%!" workload kernel width records per
+  in
+  List.iter
+    (fun (workload, (bench : B.t), merged, sorts) ->
+      let p = bench.B.pipeline in
+      let schema = p.Pipeline.schema in
+      let width = schema.Sbt_core.Event.width and kf = schema.Sbt_core.Event.key_field in
+      let payloads =
+        List.filter_map (function Frame.Events { payload; _ } -> Some payload | _ -> None)
+          (B.frames bench)
+      in
+      let load payload =
+        let rows = Frame.unpack_events ~width payload in
+        let ua = fresh ~width (Array.length rows) in
+        Array.iter (U.append ua) rows;
+        U.produce ua;
+        ua
+      in
+      let batch = load (List.hd payloads) in
+      let n = U.length batch in
+      (* The ingest call unpacks into a pool uArray, retired untimed. *)
+      let dp = D.create (D.Config.make ~version:D.Clear_ingress ()) in
+      D.set_ingest_width dp width;
+      let payload = List.hd payloads in
+      row workload "ingest" width n
+        (best
+           ~setup:(fun seq ->
+             D.R_ingest_events
+               { payload; encrypted = false; stream = 0; seq; mac = Bytes.empty; windowing = None })
+           ~free:(fun _ input -> ignore (D.call dp (D.R_retire { input })))
+           (fun req ->
+             match D.call dp req with
+             | D.Rs_ingested { outs = [ o ]; _ } -> o.D.ref_
+             | _ -> failwith "kernels: ingest"));
+      let size = p.Pipeline.window_size_ticks and slide = p.Pipeline.window_slide_ticks in
+      let ts_field = schema.Sbt_core.Event.ts_field in
+      row workload "Segment" width n
+        (best
+           ~setup:(fun _ ->
+             List.map
+               (fun (win, c) -> (win, fresh ~width c))
+               (Sbt_prim.Segment.count_per_window ~src:batch ~ts_field ~window_size:size ~slide ()))
+           ~free:(fun dsts () -> List.iter (fun (_, d) -> free_ua d ()) dsts)
+           (fun dsts ->
+             Sbt_prim.Segment.segment ~src:batch ~ts_field ~window_size:size ~slide
+               ~dst_for_window:(fun win -> List.assoc win dsts) ()));
+      if sorts then
+        row workload "Sort" width n
+          (best ~setup:(fun _ -> fresh ~width n) ~free:free_ua (fun dst ->
+               Sbt_prim.Sort.sort Sbt_prim.Sort.Radix ~src:batch ~dst ~key_field:kf));
+      if merged > 1 then begin
+        let inputs =
+          List.map
+            (fun payload ->
+              let src = load payload in
+              let dst = fresh ~width (U.length src) in
+              Sbt_prim.Sort.sort Sbt_prim.Sort.Radix ~src ~dst ~key_field:kf;
+              U.produce dst;
+              dst)
+            (List.filteri (fun i _ -> i < merged) payloads)
+        in
+        let total = List.fold_left (fun a ua -> a + U.length ua) 0 inputs in
+        row workload "KwayMerge" width total
+          (best ~setup:(fun _ -> fresh ~width total) ~free:free_ua (fun dst ->
+               Sbt_prim.Merge.kway ~inputs ~dst ~key_field:kf))
+      end)
+    [
+      ("grid-clear", B.power ~windows:1 ~events_per_window:60_000 ~batch_events:20_000 (), 3, true);
+      ("join-egress", B.join ~windows:1 ~events_per_window:30_000 ~batch_events:15_000 (), 2, true);
+      ("fps-small", B.fps ~windows:1 ~events_per_window:64 ~batch_events:64 (), 1, false);
+    ];
+  Printf.printf "  wrote %s\n" (Bench_json.path ~section:"kernels" ())
+
+(* ------------------------------------------------------------------ *)
 (* Ablation: input batch size (paper 8: "a key parameter of SBT")        *)
 
 let batch_sweep () =
@@ -1133,6 +1250,7 @@ let sections =
     ("fig11", fig11);
     ("fig12", fig12);
     ("sort-ablation", sort_ablation);
+    ("kernels", kernels);
     ("batch-sweep", batch_sweep);
     ("switch-sweep", switch_sweep);
     ("fusion", fusion);

@@ -404,10 +404,15 @@ let unpack_payload t ~producer payload width =
   timed t `Ingest (fun () ->
       let first = U.reserve ua events in
       assert (first = 0);
-      let buf = U.raw ua in
-      for i = 0 to (events * width) - 1 do
-        Bigarray.Array1.unsafe_set buf i (Bytes.get_int32_le payload (4 * i))
-      done);
+      let buf = U.raw ua and fields = events * width in
+      (* Two fields per 64-bit read, the low half first; an odd last one alone. *)
+      for j = 0 to (fields / 2) - 1 do
+        let v = Bytes.get_int64_le payload (8 * j) in
+        Bigarray.Array1.unsafe_set buf (2 * j) (Int64.to_int32 v);
+        Bigarray.Array1.unsafe_set buf ((2 * j) + 1) (Int64.to_int32 (Int64.shift_right_logical v 32))
+      done;
+      if fields land 1 = 1 then
+        Bigarray.Array1.unsafe_set buf (fields - 1) (Bytes.get_int32_le payload (4 * (fields - 1))));
   produce t ua;
   (ua, events)
 

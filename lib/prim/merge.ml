@@ -64,10 +64,44 @@ let rec sift_down (h : int array) size i v =
   let c = if c + 1 < size && h.(c + 1) < h.(c) then c + 1 else c in
   if c < size && h.(c) < v then (h.(i) <- h.(c); sift_down h size c v) else h.(i) <- v
 
+(* [run_<w> b p e kf lim out o] copies the records of [b] from field
+   offset [p] (below [e]) while their keys are below [lim], to [out] from
+   offset [o], and returns the offset past the last record copied.  One
+   arm for each width a benchmark merges, unrolled by hand; every other
+   width copies field by field. *)
+let rec run_4 (b : U.buf) p e kf lim (out : U.buf) o =
+  if p < e && Int32.to_int (Bigarray.Array1.unsafe_get b (p + kf)) < lim then begin
+    Bigarray.Array1.unsafe_set out o (Bigarray.Array1.unsafe_get b p);
+    Bigarray.Array1.unsafe_set out (o + 1) (Bigarray.Array1.unsafe_get b (p + 1));
+    Bigarray.Array1.unsafe_set out (o + 2) (Bigarray.Array1.unsafe_get b (p + 2));
+    Bigarray.Array1.unsafe_set out (o + 3) (Bigarray.Array1.unsafe_get b (p + 3));
+    run_4 b (p + 4) e kf lim out (o + 4)
+  end
+  else p
+
+let rec run_3 (b : U.buf) p e kf lim (out : U.buf) o =
+  if p < e && Int32.to_int (Bigarray.Array1.unsafe_get b (p + kf)) < lim then begin
+    Bigarray.Array1.unsafe_set out o (Bigarray.Array1.unsafe_get b p);
+    Bigarray.Array1.unsafe_set out (o + 1) (Bigarray.Array1.unsafe_get b (p + 1));
+    Bigarray.Array1.unsafe_set out (o + 2) (Bigarray.Array1.unsafe_get b (p + 2));
+    run_3 b (p + 3) e kf lim out (o + 3)
+  end
+  else p
+
+let rec run_any w (b : U.buf) p e kf lim (out : U.buf) o =
+  if p < e && Int32.to_int (Bigarray.Array1.unsafe_get b (p + kf)) < lim then begin
+    for f = 0 to w - 1 do
+      Bigarray.Array1.unsafe_set out (o + f) (Bigarray.Array1.unsafe_get b (p + f))
+    done;
+    run_any w b (p + w) e kf lim out (o + w)
+  end
+  else p
+
 let kway ~inputs ~dst ~key_field =
   let w = U.width dst and srcs = Array.of_list inputs in
   if Array.length srcs > max_inputs then invalid_arg "Merge.kway: too many inputs";
   Array.iter (fun ua -> if U.width ua <> w then invalid_arg "Merge.kway: width mismatch") srcs;
+  let run = match w with 4 -> run_4 | 3 -> run_3 | _ -> run_any w in
   let bufs = Array.map U.raw srcs and ends = Array.map (fun ua -> U.length ua * w) srcs in
   let pos = Array.make (Array.length srcs) 0 and out = U.raw dst in
   let o = ref (w * U.reserve dst (Array.fold_left (fun n ua -> n + U.length ua) 0 srcs)) in
@@ -86,16 +120,11 @@ let kway ~inputs ~dst ~key_field =
     let c = if !size > 2 && heap.(2) < heap.(1) then 2 else 1 in
     let next = heap.(c) in
     let lim = (next asr input_bits) + if r < next land (max_inputs - 1) then 1 else 0 in
-    let b = bufs.(r) and e = ends.(r) and p = ref pos.(r) in
-    while !p < e && Int32.to_int (Bigarray.Array1.unsafe_get b (!p + key_field)) < lim do
-      for f = 0 to w - 1 do
-        Bigarray.Array1.unsafe_set out (!o + f) (Bigarray.Array1.unsafe_get b (!p + f))
-      done;
-      o := !o + w;
-      p := !p + w
-    done;
-    pos.(r) <- !p;
-    if !p < e then (heap.(0) <- next; sift_down heap !size c (head b !p key_field r))
+    let b = bufs.(r) and e = ends.(r) and p = pos.(r) in
+    let q = run b p e key_field lim out !o in
+    o := !o + (q - p);
+    pos.(r) <- q;
+    if q < e then (heap.(0) <- next; sift_down heap !size c (head b q key_field r))
     else (decr size; sift_down heap !size 0 heap.(!size))
   done;
   (* The last input left goes in one blit. *)

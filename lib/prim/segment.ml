@@ -63,8 +63,8 @@ let segment ~src ~ts_field ~window_size ?(slide = window_size) ~dst_for_window (
   iter_runs ~src ~ts_field ~size:window_size ~slide (fun first len lo hi ->
       for win = lo to hi do
         let dst = dst_of win in
-        let at = U.reserve dst len * w and from = first * w and dbuf = U.raw dst in
-        for i = 0 to (len * w) - 1 do
-          Bigarray.Array1.unsafe_set dbuf (at + i) (Bigarray.Array1.unsafe_get buf (from + i))
-        done
+        let at = U.reserve dst len * w in
+        Bigarray.Array1.blit
+          (Bigarray.Array1.sub buf (first * w) (len * w))
+          (Bigarray.Array1.sub (U.raw dst) at (len * w))
       done)

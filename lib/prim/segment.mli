@@ -10,7 +10,7 @@
     timestamp leaves the interval of timestamps with that range, so the
     scan divides once per run, not once per record.  The counting pass
     updates its table once per run and window; the routing pass reserves
-    once per run and window and copies the run in one loop.  Streams are
+    once per run and window and copies the run in one blit.  Streams are
     near-time-ordered, so a batch is a handful of runs. *)
 
 val windows_of : ts:int -> size:int -> slide:int -> int * int

@@ -237,6 +237,26 @@ let test_mixed_widths_rejected () =
         (List.length (rows_of dp (one (invoke dp op [ a; c ])))))
     [ P.Merge; P.Kway_merge; P.Concat ]
 
+(* Ingest reads two fields per 64-bit word and an odd last field alone:
+   at every width, with odd and even field counts, egress must return
+   the packed rows. *)
+let prop_ingest_roundtrip =
+  QCheck.Test.make ~name:"ingest then egress returns the packed rows" ~count:200
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let width = 1 + Random.State.int st 6 and n = Random.State.int st 301 in
+      let field () =
+        match Random.State.int st 4 with
+        | 0 -> Int32.min_int
+        | 1 -> Int32.max_int
+        | _ -> Random.State.bits32 st
+      in
+      let rows = List.init n (fun _ -> List.init width (fun _ -> field ())) in
+      let dp = mk_dp () in
+      let out = { D.win = -1; ref_ = ingest dp ~width rows; events = n } in
+      rows_of dp out = List.map (List.map Int32.to_int) rows)
+
 let () =
   Alcotest.run "dataplane-ops"
     [
@@ -259,5 +279,6 @@ let () =
           Alcotest.test_case "field outside the input rejected" `Quick test_field_out_of_width;
           Alcotest.test_case "inputs of different widths rejected" `Quick
             test_mixed_widths_rejected;
+          QCheck_alcotest.to_alcotest prop_ingest_roundtrip;
         ] );
     ]

@@ -98,11 +98,16 @@ let gen_keys st n =
 let prop_sort_algorithms_agree =
   QCheck.Test.make ~name:"three sorts agree" ~count:300 QCheck.(int_bound 1_000_000) (fun seed ->
       let st = Random.State.make [| seed |] in
-      let width = 1 + Random.State.int st 4 and n = Random.State.int st 400 in
+      (* Widths 3 and 4 take the scatter's unrolled arms, the others its
+         field loop. *)
+      let width = 1 + Random.State.int st 6 and n = Random.State.int st 400 in
       let kf = Random.State.int st width in
-      (* Every other field is a payload: the row's input position. *)
+      (* Every other field is a payload naming the row's input position
+         and the field, so a field copied to the wrong place shows. *)
       let rows =
-        List.mapi (fun i k -> List.init width (fun f -> if f = kf then k else i)) (gen_keys st n)
+        List.mapi
+          (fun i k -> List.init width (fun f -> if f = kf then k else (i * 8) + f))
+          (gen_keys st n)
       in
       let p = pool () in
       let src = ua_of_list p ~width rows in
@@ -218,12 +223,15 @@ let prop_kway_reference =
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let st = Random.State.make [| seed |] in
-      let width = 1 + Random.State.int st 4 and k = Random.State.int st 41 in
+      (* Widths 3 and 4 take the run copy's unrolled arms, the others its
+         field loop. *)
+      let width = 1 + Random.State.int st 6 and k = Random.State.int st 41 in
       let kf = Random.State.int st width in
       let key r = List.nth r kf in
-      (* Non-key fields carry (input, position), the first as one id. *)
+      (* Non-key fields carry (input, position), the first as one id, then
+         values that differ from them and from each other. *)
       let row i pos kv =
-        let other = [ (i * 1000) + pos; i; pos ] in
+        let other = [ (i * 1000) + pos; i; pos; -1 - i; -1 - pos ] in
         List.init width (fun f -> if f = kf then kv else List.nth other (f - Bool.to_int (f > kf)))
       in
       let inputs =
