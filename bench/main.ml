@@ -604,12 +604,16 @@ let sort_ablation () =
 (* Record-moving kernels at edgebench's shapes                           *)
 
 (* ns per record for the kernels that move records - the ingest call,
-   Segment, Sort and KwayMerge - on real batches of three edgebench
-   workloads: grid-clear (width 4, 20K-record batches, three merged per
-   window), join-egress (width 3, 15K-record batches, its two streams'
-   merged) and fps-small (width 3, 64-record batches, no sort or merge).
-   Each row keeps the best of [reps] calls, each into fresh destinations
-   made outside the timed region. *)
+   Segment, Sort and KwayMerge - on real batches at the shapes edgebench
+   runs them.  Datagen flushes every stream at each window boundary, so a
+   window's KwayMerge takes that window's batches of one stream:
+   grid-clear merges three width-4 batches of 20K records, taxi-enc two
+   width-3 batches of 5K; join-egress sends one 15K-record batch per
+   stream and window, so its merges take one input each (a blit) and it
+   has no KwayMerge row; fps-small runs no sort or merge.  taxi-enc's
+   ingest decrypts, which the crypto section times, so it has no ingest
+   row.  Each row keeps the best of [reps] calls, each into fresh
+   destinations made outside the timed region. *)
 let kernels () =
   section "[kernels] record moves per kernel at edgebench's shapes";
   let reps = if smoke then 20 else 300 in
@@ -647,7 +651,7 @@ let kernels () =
     Printf.printf "  %-12s %-10s %5d %8d %10.2f\n%!" workload kernel width records per
   in
   List.iter
-    (fun (workload, (bench : B.t), merged, sorts) ->
+    (fun (workload, (bench : B.t), timed) ->
       let p = bench.B.pipeline in
       let schema = p.Pipeline.schema in
       let width = schema.Sbt_core.Event.width and kf = schema.Sbt_core.Event.key_field in
@@ -664,56 +668,70 @@ let kernels () =
       in
       let batch = load (List.hd payloads) in
       let n = U.length batch in
-      (* The ingest call unpacks into a pool uArray, retired untimed. *)
-      let dp = D.create (D.Config.make ~version:D.Clear_ingress ()) in
-      D.set_ingest_width dp width;
-      let payload = List.hd payloads in
-      row workload "ingest" width n
-        (best
-           ~setup:(fun seq ->
-             D.R_ingest_events
-               { payload; encrypted = false; stream = 0; seq; mac = Bytes.empty; windowing = None })
-           ~free:(fun _ input -> ignore (D.call dp (D.R_retire { input })))
-           (fun req ->
-             match D.call dp req with
-             | D.Rs_ingested { outs = [ o ]; _ } -> o.D.ref_
-             | _ -> failwith "kernels: ingest"));
       let size = p.Pipeline.window_size_ticks and slide = p.Pipeline.window_slide_ticks in
       let ts_field = schema.Sbt_core.Event.ts_field in
-      row workload "Segment" width n
-        (best
-           ~setup:(fun _ ->
-             List.map
-               (fun (win, c) -> (win, fresh ~width c))
-               (Sbt_prim.Segment.count_per_window ~src:batch ~ts_field ~window_size:size ~slide ()))
-           ~free:(fun dsts () -> List.iter (fun (_, d) -> free_ua d ()) dsts)
-           (fun dsts ->
-             Sbt_prim.Segment.segment ~src:batch ~ts_field ~window_size:size ~slide
-               ~dst_for_window:(fun win -> List.assoc win dsts) ()));
-      if sorts then
-        row workload "Sort" width n
-          (best ~setup:(fun _ -> fresh ~width n) ~free:free_ua (fun dst ->
-               Sbt_prim.Sort.sort Sbt_prim.Sort.Radix ~src:batch ~dst ~key_field:kf));
-      if merged > 1 then begin
-        let inputs =
-          List.map
-            (fun payload ->
-              let src = load payload in
-              let dst = fresh ~width (U.length src) in
-              Sbt_prim.Sort.sort Sbt_prim.Sort.Radix ~src ~dst ~key_field:kf;
-              U.produce dst;
-              dst)
-            (List.filteri (fun i _ -> i < merged) payloads)
-        in
-        let total = List.fold_left (fun a ua -> a + U.length ua) 0 inputs in
-        row workload "KwayMerge" width total
-          (best ~setup:(fun _ -> fresh ~width total) ~free:free_ua (fun dst ->
-               Sbt_prim.Merge.kway ~inputs ~dst ~key_field:kf))
-      end)
+      List.iter
+        (function
+          | `Ingest ->
+              (* The ingest call unpacks into a pool uArray, retired untimed. *)
+              let dp = D.create (D.Config.make ~version:D.Clear_ingress ()) in
+              D.set_ingest_width dp width;
+              let payload = List.hd payloads in
+              row workload "ingest" width n
+                (best
+                   ~setup:(fun seq ->
+                     D.R_ingest_events
+                       { payload; encrypted = false; stream = 0; seq; mac = Bytes.empty; windowing = None })
+                   ~free:(fun _ input -> ignore (D.call dp (D.R_retire { input })))
+                   (fun req ->
+                     match D.call dp req with
+                     | D.Rs_ingested { outs = [ o ]; _ } -> o.D.ref_
+                     | _ -> failwith "kernels: ingest"))
+          | `Segment ->
+              row workload "Segment" width n
+                (best
+                   ~setup:(fun _ ->
+                     List.map
+                       (fun (win, c) -> (win, fresh ~width c))
+                       (Sbt_prim.Segment.count_per_window ~src:batch ~ts_field ~window_size:size
+                          ~slide ()))
+                   ~free:(fun dsts () -> List.iter (fun (_, d) -> free_ua d ()) dsts)
+                   (fun dsts ->
+                     Sbt_prim.Segment.segment ~src:batch ~ts_field ~window_size:size ~slide
+                       ~dst_for_window:(fun win -> List.assoc win dsts) ()))
+          | `Sort ->
+              row workload "Sort" width n
+                (best ~setup:(fun _ -> fresh ~width n) ~free:free_ua (fun dst ->
+                     Sbt_prim.Sort.sort Sbt_prim.Sort.Radix ~src:batch ~dst ~key_field:kf))
+          | `Kway merged ->
+              let inputs =
+                List.map
+                  (fun payload ->
+                    let src = load payload in
+                    let dst = fresh ~width (U.length src) in
+                    Sbt_prim.Sort.sort Sbt_prim.Sort.Radix ~src ~dst ~key_field:kf;
+                    U.produce dst;
+                    dst)
+                  (List.filteri (fun i _ -> i < merged) payloads)
+              in
+              let total = List.fold_left (fun a ua -> a + U.length ua) 0 inputs in
+              row workload "KwayMerge" width total
+                (best ~setup:(fun _ -> fresh ~width total) ~free:free_ua (fun dst ->
+                     Sbt_prim.Merge.kway ~inputs ~dst ~key_field:kf)))
+        timed)
     [
-      ("grid-clear", B.power ~windows:1 ~events_per_window:60_000 ~batch_events:20_000 (), 3, true);
-      ("join-egress", B.join ~windows:1 ~events_per_window:30_000 ~batch_events:15_000 (), 2, true);
-      ("fps-small", B.fps ~windows:1 ~events_per_window:64 ~batch_events:64 (), 1, false);
+      ( "grid-clear",
+        B.power ~windows:1 ~events_per_window:60_000 ~batch_events:20_000 (),
+        [ `Ingest; `Segment; `Sort; `Kway 3 ] );
+      ( "join-egress",
+        B.join ~windows:1 ~events_per_window:30_000 ~batch_events:15_000 (),
+        [ `Ingest; `Segment; `Sort ] );
+      ( "taxi-enc",
+        B.distinct ~windows:1 ~events_per_window:10_000 ~batch_events:5_000 (),
+        [ `Segment; `Sort; `Kway 2 ] );
+      ( "fps-small",
+        B.fps ~windows:1 ~events_per_window:64 ~batch_events:64 (),
+        [ `Ingest; `Segment ] );
     ];
   Printf.printf "  wrote %s\n" (Bench_json.path ~section:"kernels" ())
 

@@ -49,7 +49,7 @@ let count_per_window ~src ~ts_field ~window_size ?(slide = window_size) () =
   List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts [])
 
 let segment ~src ~ts_field ~window_size ?(slide = window_size) ~dst_for_window () =
-  let w = U.width src and buf = U.raw src in
+  let w = U.width src in
   let dsts = Hashtbl.create 8 in
   let dst_of win =
     match Hashtbl.find_opt dsts win with
@@ -62,9 +62,5 @@ let segment ~src ~ts_field ~window_size ?(slide = window_size) ~dst_for_window (
   in
   iter_runs ~src ~ts_field ~size:window_size ~slide (fun first len lo hi ->
       for win = lo to hi do
-        let dst = dst_of win in
-        let at = U.reserve dst len * w in
-        Bigarray.Array1.blit
-          (Bigarray.Array1.sub buf (first * w) (len * w))
-          (Bigarray.Array1.sub (U.raw dst) at (len * w))
+        U.append_blit (dst_of win) ~src ~src_pos:first ~len
       done)

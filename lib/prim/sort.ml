@@ -23,6 +23,28 @@ let swap_records (buf : U.buf) w i j =
 
 let digit k p = ((k + 0x8000_0000) lsr (8 * p)) land 0xFF
 
+(* The scatter's steps for one record, inlined by [@inline] into each
+   width's loop (ocamlopt without flambda would call them): [slot] takes
+   the next place, as a field offset, in the bucket of the key at field
+   offset [at] of [s] for digit [sh / 8], whose table starts at [h], and
+   moves the bucket on by [w] fields; [move3]/[move4] copy a record from
+   field offset [b] of [s] to [o] of [t].  [d] is [h] plus one byte,
+   below 1024, so [hist] is used unchecked. *)
+let[@inline] slot (hist : int array) h sh (s : U.buf) at w =
+  let d = h + (((Int32.to_int (Bigarray.Array1.unsafe_get s at) + 0x8000_0000) lsr sh) land 0xFF) in
+  let o = Array.unsafe_get hist d in
+  Array.unsafe_set hist d (o + w);
+  o
+
+let[@inline] move3 (s : U.buf) b (t : U.buf) o =
+  Bigarray.Array1.unsafe_set t o (Bigarray.Array1.unsafe_get s b);
+  Bigarray.Array1.unsafe_set t (o + 1) (Bigarray.Array1.unsafe_get s (b + 1));
+  Bigarray.Array1.unsafe_set t (o + 2) (Bigarray.Array1.unsafe_get s (b + 2))
+
+let[@inline] move4 (s : U.buf) b (t : U.buf) o =
+  move3 s b t o;
+  Bigarray.Array1.unsafe_set t (o + 3) (Bigarray.Array1.unsafe_get s (b + 3))
+
 (* Sort the [n] records of [src] into [dst]; [src == dst] sorts in place.
    The passes alternate between [dst] and one scratch buffer, starting so
    that the last pass writes [dst]. *)
@@ -62,42 +84,17 @@ let radix_sort (src : U.buf) (dst : U.buf) w kf n =
         hist.(d) <- !acc;
         acc := !acc + (c * w)
       done;
-      (* The scatter: one arm for each width a benchmark sorts, inlined by
-         hand (the field loop costs 1.6x there), and the field loop for
-         the others.  [d] is [h] plus one byte, below 1024, so [hist] is
-         used unchecked. *)
+      (* The scatter: one loop for each width a benchmark sorts (the
+         field loop costs 1.5x there; one loop that matches on [w] around
+         the stores, 1.1x), and the field loop for the others. *)
       let sh = 8 * p in
       (match w with
-      | 4 ->
-          for r = 0 to n - 1 do
-            let b = r * 4 in
-            let k = Int32.to_int (Bigarray.Array1.unsafe_get s (b + kf)) in
-            let d = h + (((k + 0x8000_0000) lsr sh) land 0xFF) in
-            let o = Array.unsafe_get hist d in
-            Array.unsafe_set hist d (o + 4);
-            Bigarray.Array1.unsafe_set t o (Bigarray.Array1.unsafe_get s b);
-            Bigarray.Array1.unsafe_set t (o + 1) (Bigarray.Array1.unsafe_get s (b + 1));
-            Bigarray.Array1.unsafe_set t (o + 2) (Bigarray.Array1.unsafe_get s (b + 2));
-            Bigarray.Array1.unsafe_set t (o + 3) (Bigarray.Array1.unsafe_get s (b + 3))
-          done
-      | 3 ->
-          for r = 0 to n - 1 do
-            let b = r * 3 in
-            let k = Int32.to_int (Bigarray.Array1.unsafe_get s (b + kf)) in
-            let d = h + (((k + 0x8000_0000) lsr sh) land 0xFF) in
-            let o = Array.unsafe_get hist d in
-            Array.unsafe_set hist d (o + 3);
-            Bigarray.Array1.unsafe_set t o (Bigarray.Array1.unsafe_get s b);
-            Bigarray.Array1.unsafe_set t (o + 1) (Bigarray.Array1.unsafe_get s (b + 1));
-            Bigarray.Array1.unsafe_set t (o + 2) (Bigarray.Array1.unsafe_get s (b + 2))
-          done
+      | 4 -> for r = 0 to n - 1 do let b = r * 4 in move4 s b t (slot hist h sh s (b + kf) 4) done
+      | 3 -> for r = 0 to n - 1 do let b = r * 3 in move3 s b t (slot hist h sh s (b + kf) 3) done
       | _ ->
           for r = 0 to n - 1 do
             let b = r * w in
-            let k = Int32.to_int (Bigarray.Array1.unsafe_get s (b + kf)) in
-            let d = h + (((k + 0x8000_0000) lsr sh) land 0xFF) in
-            let o = Array.unsafe_get hist d in
-            Array.unsafe_set hist d (o + w);
+            let o = slot hist h sh s (b + kf) w in
             for f = 0 to w - 1 do
               Bigarray.Array1.unsafe_set t (o + f) (Bigarray.Array1.unsafe_get s (b + f))
             done

@@ -550,10 +550,11 @@ let test_runner_insecure_faster_than_full () =
 
 (* Words the engine allocates per event (minor + major - promoted) over
    a deterministic run, with the frames made beforehand.  The kernels
-   move records without allocating, so a boxed int32 in one of them adds
-   at least 12 words per power event.  The figures read on OCaml 5.1.1
-   are 0.37 (power), 1.53 (join) and 39.6 (fps); each gate adds a margin
-   for other compilers. *)
+   move records without allocating, so one boxed int32 per record in the
+   radix scatter adds 6 words per power event (3 per pass, two passes).
+   Here they read 0.37 (power), 1.23 (join) and 39.6 (fps) on OCaml
+   5.1.1, and 0.47, 1.53 and 39.6 in a fresh process, whose heap
+   promotes differently; each gate adds a margin for other compilers. *)
 let test_engine_allocation_per_event () =
   let cfg = Runtime.Config.make ~version:D.Clear_ingress ~deterministic:true () in
   List.iter
