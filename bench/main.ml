@@ -259,25 +259,22 @@ let fig9_one_batch events =
         (D.R_ingest_events
            { payload; encrypted = false; stream = 0; seq = 0; mac = Bytes.empty; windowing = None })
     with
-    | D.Rs_ingested { outs = [ out ]; _ } -> out.D.ref_
-    | _ -> failwith "ingest"
+    | D.Ingested { outs = [ out ]; _ } -> out.D.ref_
+    | D.Ingested _ | D.Refused _ -> failwith "ingest: not one batch"
   in
   (* The paper profiles the GroupBy *operator*: exclude ingestion. *)
   let s0 = D.stats dp in
   let outs =
-    match
-      D.call dp
-        (D.R_invoke
-           {
-             chain = [ (P.Segment, [ D.P_window_size 1; D.P_ts_field 2 ]) ];
-             inputs = [ batch_ref ];
-             trigger = None;
-             hints = [];
-             retire_inputs = true;
-           })
-    with
-    | D.Rs_outputs outs -> List.map (fun (o : D.output) -> o.D.ref_) outs
-    | _ -> failwith "segment"
+    D.call dp
+      (D.R_invoke
+         {
+           chain = [ (P.Segment, [ D.P_window_size 1; D.P_ts_field 2 ]) ];
+           inputs = [ batch_ref ];
+           trigger = None;
+           hints = [];
+           retire_inputs = true;
+         })
+    |> List.map (fun (o : D.output) -> o.D.ref_)
   in
   let sorted =
     List.map
@@ -293,8 +290,8 @@ let fig9_one_batch events =
                  retire_inputs = true;
                })
         with
-        | D.Rs_outputs [ o ] -> o.D.ref_
-        | _ -> failwith "sort")
+        | [ o ] -> o.D.ref_
+        | _ -> failwith "sort: one output")
       outs
   in
   let merged =
@@ -309,8 +306,8 @@ let fig9_one_batch events =
              retire_inputs = true;
            })
     with
-    | D.Rs_outputs [ o ] -> o.D.ref_
-    | _ -> failwith "merge"
+    | [ o ] -> o.D.ref_
+    | _ -> failwith "merge: one output"
   in
   (match
      D.call dp
@@ -323,8 +320,8 @@ let fig9_one_batch events =
             retire_inputs = true;
           })
    with
-  | D.Rs_outputs [ _ ] -> ()
-  | _ -> failwith "agg");
+  | [ _ ] -> ()
+  | _ -> failwith "agg: one output");
   let s1 = D.stats dp in
   {
     s1 with
@@ -682,11 +679,11 @@ let kernels () =
                    ~setup:(fun seq ->
                      D.R_ingest_events
                        { payload; encrypted = false; stream = 0; seq; mac = Bytes.empty; windowing = None })
-                   ~free:(fun _ input -> ignore (D.call dp (D.R_retire { input })))
+                   ~free:(fun _ input -> D.call dp (D.R_retire { input }))
                    (fun req ->
                      match D.call dp req with
-                     | D.Rs_ingested { outs = [ o ]; _ } -> o.D.ref_
-                     | _ -> failwith "kernels: ingest"))
+                     | D.Ingested { outs = [ o ]; _ } -> o.D.ref_
+                     | D.Ingested _ | D.Refused _ -> failwith "kernels: ingest: not one batch"))
           | `Segment ->
               row workload "Segment" width n
                 (best

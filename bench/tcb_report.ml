@@ -8,6 +8,14 @@
 
 let is_source f = Filename.check_suffix f ".ml" || Filename.check_suffix f ".mli"
 
+(* Files that end inside a comment or a string: their later lines would
+   silently go uncounted, so [print] refuses to report. *)
+let ends_open = ref []
+
+(* Source lines of one file: non-blank lines outside comments.  Comment
+   delimiters are counted per line, and, as in the OCaml lexer, not
+   inside string literals (escapes included) or the char literal '"' —
+   in code and in comments alike. *)
 let sloc_of_file path =
   let ic = open_in path in
   Fun.protect
@@ -15,25 +23,35 @@ let sloc_of_file path =
     (fun () ->
       let count = ref 0 in
       let in_comment = ref 0 in
+      let in_string = ref false in
       (try
          while true do
            let line = String.trim (input_line ic) in
-           (* Good-enough comment tracking for (* ... *) blocks. *)
+           let n = String.length line in
            let opens = ref 0 and closes = ref 0 in
-           String.iteri
-             (fun i c ->
-               if c = '(' && i + 1 < String.length line && line.[i + 1] = '*' then incr opens;
-               if c = '*' && i + 1 < String.length line && line.[i + 1] = ')' then incr closes)
-             line;
+           let i = ref 0 in
+           while !i < n do
+             let c = line.[!i] and next = if !i + 1 < n then line.[!i + 1] else ' ' in
+             if !in_string then begin
+               if c = '\\' then incr i else if c = '"' then in_string := false
+             end
+             else if c = '"' then in_string := true
+             else if c = '\'' && next = '"' && !i + 2 < n && line.[!i + 2] = '\'' then i := !i + 2
+             else if c = '\'' && next = '\\' && !i + 3 < n && line.[!i + 3] = '\'' then i := !i + 3
+             else if c = '(' && next = '*' then incr opens
+             else if c = '*' && next = ')' then incr closes;
+             incr i
+           done;
            let was_in_comment = !in_comment > 0 in
            in_comment := max 0 (!in_comment + !opens - !closes);
            if
              line <> ""
              && (not was_in_comment)
-             && not (String.length line >= 2 && String.sub line 0 2 = "(*" && !in_comment = 0)
+             && not (n >= 2 && String.sub line 0 2 = "(*" && !in_comment = 0)
            then incr count
          done
        with End_of_file -> ());
+      if !in_comment > 0 || !in_string then ends_open := path :: !ends_open;
       !count)
 
 let rec sloc_of_dir path =
@@ -111,17 +129,24 @@ let print () =
         Printf.eprintf "table4: lib directories in no component: %s\n"
           (String.concat " " missing);
         exit 1);
+    let sloc_of_files = List.fold_left (fun acc f -> acc + (if Sys.file_exists f then sloc_of_file f else 0)) 0 in
+    let rows = List.map (fun c -> (c, List.fold_left (fun acc d -> acc + sloc_of_dir d) 0 c.dirs)) components in
+    let dp_core = sloc_of_files dataplane_core_files in
+    let verifier = sloc_of_files verifier_files in
+    (match !ends_open with
+    | [] -> ()
+    | files ->
+        Printf.eprintf "table4: files ending inside a comment or string: %s\n"
+          (String.concat " " (List.sort compare files));
+        exit 1);
     Printf.printf "  %-30s %10s  %s\n" "component" "SLoC" "TCB?";
     let trusted_total = ref 0 and untrusted_total = ref 0 in
     List.iter
-      (fun c ->
-        let sloc = List.fold_left (fun acc d -> acc + sloc_of_dir d) 0 c.dirs in
+      (fun (c, sloc) ->
         if c.trusted then trusted_total := !trusted_total + sloc
         else untrusted_total := !untrusted_total + sloc;
         Printf.printf "  %-30s %10d  %s\n" c.name sloc (if c.trusted then "yes" else "no"))
-      components;
-    let dp_core = List.fold_left (fun acc f -> acc + (if Sys.file_exists f then sloc_of_file f else 0)) 0 dataplane_core_files in
-    let verifier = List.fold_left (fun acc f -> acc + (if Sys.file_exists f then sloc_of_file f else 0)) 0 verifier_files in
+      rows;
     trusted_total := !trusted_total + dp_core - verifier;
     untrusted_total := !untrusted_total - dp_core + verifier;
     Printf.printf "  %-30s %10d  yes (dataplane/opaque/event)\n" "Data plane (lib/core subset)" dp_core;

@@ -40,11 +40,8 @@ type config = {
   version : version;
   platform : Tz.Platform.t;
   alloc_mode : Alloc.mode;
-  sort_algorithm : Sbt_prim.Sort.algorithm;
   ingress_key : bytes;
   egress_key : bytes;
-  audit_flush_every : int;
-  audit_enabled : bool;
   backpressure_threshold : float;
   adaptive_backpressure : bool;
   seed : int64;
@@ -61,10 +58,9 @@ module Config = struct
   type t = config
 
   let make ?(version = Full) ?(cores = 8) ?(secure_mb = 512) ?cost ?(deterministic = false)
-      ?platform ?(alloc_mode = Alloc.Hint_guided) ?(sort_algorithm = Sbt_prim.Sort.Radix)
+      ?platform ?(alloc_mode = Alloc.Hint_guided)
       ?(ingress_key = Bytes.of_string "sbt-ingress-k16!")
-      ?(egress_key = Bytes.of_string "sbt-egress-key16")
-      ?(audit_flush_every = 256) ?audit_enabled ?(backpressure_threshold = 0.90)
+      ?(egress_key = Bytes.of_string "sbt-egress-key16") ?(backpressure_threshold = 0.90)
       ?(adaptive_backpressure = false) ?(seed = 42L)
       ?(fault_plan = Sbt_fault.Fault.none) ?(late_policy = Silent) ?tracer
       ?pool_budget_bytes ?namespace () =
@@ -81,21 +77,12 @@ module Config = struct
           let cost = if deterministic then { cost with Tz.Cost_model.host_scale = 0.0 } else cost in
           Tz.Platform.create ~cores ~cost ~secure_mb ()
     in
-    let audit_enabled =
-      match (audit_enabled, version) with
-      | Some b, _ -> b
-      | None, Insecure -> false
-      | None, (Full | Clear_ingress | Io_via_os) -> true
-    in
     {
       version;
       platform;
       alloc_mode;
-      sort_algorithm;
       ingress_key;
       egress_key;
-      audit_flush_every;
-      audit_enabled;
       backpressure_threshold;
       adaptive_backpressure;
       seed;
@@ -129,31 +116,44 @@ type windowing = {
   stage_hints : (int * hint list) list;
 }
 
-type request =
-  | R_ingest_events of {
+type output = { win : int; ref_ : int64; events : int }
+type sealed_result = { window : int; cipher : bytes; tag : bytes; events : int; width : int }
+type refusal = Corrupt_ingress | Pool_pressure
+
+type ingested =
+  | Ingested of { outs : output list; stalled_ns : float }
+  | Refused of { reason : refusal; stalled_ns : float }
+
+type checkpoint = { blob : bytes; seq : int }
+
+type _ request =
+  | R_ingest_events : {
       payload : bytes; encrypted : bool; stream : int; seq : int; mac : bytes;
       windowing : windowing option;
     }
-  | R_ingest_watermark of { value : int }
-  | R_declare_gap of {
+      -> ingested request
+  | R_ingest_watermark : { value : int } -> int request
+  | R_declare_gap : {
       stream : int;
       seq : int;
       events : int;
       windows : int list;
       reason : Sbt_attest.Record.gap_reason;
     }
-  | R_invoke of {
+      -> unit request
+  | R_invoke : {
       chain : (P.t * param list) list;
       inputs : int64 list;
       trigger : int option;
       hints : hint list;
       retire_inputs : bool;
     }
-  | R_egress of { input : int64; window : int }
-  | R_late_drop of { input : int64; window : int }
-  | R_egress_correction of { input : int64; window : int; gen : int }
-  | R_install_udf of { udf : Udf.t; cert : bytes }
-  | R_invoke_udf of {
+      -> output list request
+  | R_egress : { input : int64; window : int } -> sealed_result request
+  | R_late_drop : { input : int64; window : int } -> unit request
+  | R_egress_correction : { input : int64; window : int; gen : int } -> sealed_result request
+  | R_install_udf : { udf : Udf.t; cert : bytes } -> unit request
+  | R_invoke_udf : {
       name : string;
       version : int;
       inputs : int64 list;
@@ -163,21 +163,11 @@ type request =
       retire_inputs : bool;
       state_output : bool;
     }
-  | R_retire of { input : int64 }
-  | R_checkpoint of { control : bytes; watermark : int }
-
-type output = { win : int; ref_ : int64; events : int }
-type sealed_result = { window : int; cipher : bytes; tag : bytes; events : int; width : int }
-
-type response =
-  | Rs_outputs of output list
-  | Rs_watermark of { audit_id : int; value : int }
-  | Rs_egress of sealed_result
-  | Rs_ingested of { outs : output list; stalled_ns : float }
-  | Rs_checkpoint of { blob : bytes; seq : int }
+      -> output request
+  | R_retire : { input : int64 } -> unit request
+  | R_checkpoint : { control : bytes; watermark : int } -> checkpoint request
 
 exception Rejected of string
-exception Overloaded of { stalled_ns : float }
 
 exception Cross_tenant_ref of { ref_ : int64; owner : int; tenant : int }
 (* A reference minted for one tenant arrived at another tenant's
@@ -186,11 +176,6 @@ exception Cross_tenant_ref of { ref_ : int64; owner : int; tenant : int }
    the namespace check fires before the per-tenant table lookup ever
    sees it. *)
 
-(* Internal SMC message wrappers so the entire surface is the paper's
-   four entries: init, finalize, debug, and one shared invoke. *)
-type rpc = Rpc_init | Rpc_finalize | Rpc_debug | Rpc_op of request
-type rpc_resp = Rr_unit | Rr_debug of string | Rr_op of response
-
 type t = {
   cfg : config;
   pool : Pool.t;
@@ -198,7 +183,8 @@ type t = {
   refs : Opaque.t;
   log : Sbt_attest.Log.t;
   rng : Sbt_crypto.Rng.t;
-  smc : (rpc, rpc_resp) Tz.Smc.t;
+  smc : Tz.Smc.t;
+  smc_refused : (int * int, int) Hashtbl.t; (* injected busy refusals per frame *)
   mutable now_ns : float;
   mutable compute_ns : float;
   mutable mem_ns : float;
@@ -256,14 +242,17 @@ type stats = {
 
 let now_us t = int_of_float (t.now_ns /. 1e3)
 
+(* An Insecure run has no TEE and keeps no audit log. *)
+let audited t = match t.cfg.version with Insecure -> false | Full | Clear_ingress | Io_via_os -> true
+
 let append_record t r =
-  if t.cfg.audit_enabled then
+  if audited t then
     match Sbt_attest.Log.append t.log r with
     | Some batch -> t.uploaded <- batch :: t.uploaded
     | None -> ()
 
 let flush_log t =
-  if t.cfg.audit_enabled then
+  if audited t then
     match Sbt_attest.Log.flush t.log with
     | Some batch -> t.uploaded <- batch :: t.uploaded
     | None -> ()
@@ -397,9 +386,7 @@ let one_width what = function
 (* --- ingestion -------------------------------------------------------- *)
 
 let unpack_payload t ~producer payload width =
-  let bytes_len = Bytes.length payload in
-  if bytes_len mod (4 * width) <> 0 then raise (Rejected "ingest: payload not a record multiple");
-  let events = bytes_len / (4 * width) in
+  let events = Bytes.length payload / (4 * width) in
   let ua = alloc_out t ~hint:H_parallel ~producer ~width ~capacity:events () in
   timed t `Ingest (fun () ->
       let first = U.reserve ua events in
@@ -416,20 +403,22 @@ let unpack_payload t ~producer payload width =
   produce t ua;
   (ua, events)
 
-let do_ingest_events t ~payload ~encrypted ~stream ~seq ~mac =
-  let platform = t.cfg.platform in
-  (* Authenticated links: verify the frame tag over the wire payload
-     before anything else is spent on the batch.  Damage anywhere in
-     header or payload surfaces here as a clean rejection. *)
-  if Bytes.length mac > 0 then begin
-    let events = Bytes.length payload / (4 * t.ingest_width) in
-    let valid =
-      timed t `Crypto (fun () ->
-          Sbt_net.Frame.payload_mac_valid ~key:t.cfg.ingress_key ~stream ~seq ~events ~mac
-            payload)
-    in
-    if not valid then raise (Rejected "ingest: frame authentication failed")
-  end;
+(* Why the TEE turns a frame away before it is in, if it does: with the
+   stall the source must take, and before any invocation is counted. *)
+let refusal t ~payload ~stream ~seq ~mac =
+  (* A frame that is not a whole number of records is corrupt, and so is
+     one whose tag does not verify on an authenticated link: checked
+     before anything else is spent on the batch, so damage anywhere in
+     header or payload surfaces here. *)
+  let events = Bytes.length payload / (4 * t.ingest_width) in
+  let corrupt =
+    Bytes.length payload <> 4 * t.ingest_width * events
+    || Bytes.length mac > 0
+       && not
+            (timed t `Crypto (fun () ->
+                 Sbt_net.Frame.payload_mac_valid ~key:t.cfg.ingress_key ~stream ~seq ~events ~mac
+                   payload))
+  in
   (* Pool pressure the backpressure stall cannot absorb: shed the batch
      instead of letting the allocator raise mid-ingest.  The refusal
      carries an escalating stall so a persistently full pool slows the
@@ -448,18 +437,22 @@ let do_ingest_events t ~payload ~encrypted ~stream ~seq ~mac =
     | Some b -> Pool.committed_bytes t.pool + Bytes.length payload > b / 3
     | None -> false
   in
-  if
+  if corrupt then Some (Corrupt_ingress, 0.0)
+  else if
     forced_shed || quota_shed
     || Pool.available_pages t.pool < Pool.pages_for_bytes (Bytes.length payload)
   then begin
     t.sheds <- t.sheds + 1;
     Sbt_obs.Metrics.incr t.m_sheds;
     t.consecutive_sheds <- t.consecutive_sheds + 1;
-    let stalled_ns =
-      Float.min 16_000_000.0 (1_000_000.0 *. float_of_int (1 lsl min 4 t.consecutive_sheds))
-    in
-    raise (Overloaded { stalled_ns })
-  end;
+    Some
+      ( Pool_pressure,
+        Float.min 16_000_000.0 (1_000_000.0 *. float_of_int (1 lsl min 4 t.consecutive_sheds)) )
+  end
+  else None
+
+let do_ingest_events t ~payload ~encrypted ~stream ~seq =
+  let platform = t.cfg.platform in
   (* Backpressure: above the threshold the source is stalled before this
      batch may enter (paper §4.2). *)
   let pressure =
@@ -526,8 +519,7 @@ let do_ingest_events t ~payload ~encrypted ~stream ~seq ~mac =
 let do_declare_gap t ~stream ~seq ~events ~windows ~reason =
   Sbt_obs.Metrics.incr t.m_gaps;
   append_record t
-    (Sbt_attest.Record.Gap { ts = now_us t; stream; seq; events; windows; reason });
-  Rs_outputs []
+    (Sbt_attest.Record.Gap { ts = now_us t; stream; seq; events; windows; reason })
 
 let do_ingest_watermark t ~value =
   (* Watermark ids come from the allocator's id sequence so all audit
@@ -535,7 +527,7 @@ let do_ingest_watermark t ~value =
   if value > t.last_wm then t.last_wm <- value;
   let id = Alloc.reserve_id t.alloc in
   append_record t (Sbt_attest.Record.Ingress_watermark { ts = now_us t; id; value });
-  Rs_watermark { audit_id = id; value }
+  id
 
 (* --- primitive dispatch ------------------------------------------------ *)
 
@@ -606,7 +598,7 @@ let do_invoke (t : t) ~chain ~inputs ~trigger ~hints ~retire_inputs =
                 (* Secondary order: stable radix by value, then by key. *)
                 Sbt_prim.Sort.sort Sbt_prim.Sort.Radix ~src ~dst ~key_field:vf;
                 Sbt_prim.Sort.sort_in_place Sbt_prim.Sort.Radix dst ~key_field:kf
-            | None -> Sbt_prim.Sort.sort t.cfg.sort_algorithm ~src ~dst ~key_field:kf);
+            | None -> Sbt_prim.Sort.sort Sbt_prim.Sort.Radix ~src ~dst ~key_field:kf);
         [ (-1, dst) ]
     | P.Merge ->
         let a, b = as_two uas in
@@ -924,7 +916,6 @@ let chain_name = function [ (op, _) ] -> P.name op | _ -> "fused"
    records, then one record per plan step per open segment.  Segments of
    windows below [first_open] come back unstaged, for the late policy. *)
 let do_ingest_batch t ~payload ~encrypted ~stream ~seq ~mac ~windowing =
-  let batch, stalled_ns = do_ingest_events t ~payload ~encrypted ~stream ~seq ~mac in
   let step hints (o : output) chain =
     traced_prim t (chain_name chain) (fun () ->
         do_invoke t ~chain ~inputs:[ o.ref_ ] ~trigger:None ~hints ~retire_inputs:true)
@@ -935,8 +926,12 @@ let do_ingest_batch t ~payload ~encrypted ~stream ~seq ~mac ~windowing =
     | _ -> raise (Rejected "windowing: a batch stage must have one output")
   in
   let staged w o = if o.win < w.first_open then o else List.fold_left (stage w) o w.plan in
-  let segments w = List.map (staged w) (step [] batch [ (P.Segment, w.segment) ]) in
-  Rs_ingested { outs = Option.fold ~none:[ batch ] ~some:segments windowing; stalled_ns }
+  match refusal t ~payload ~stream ~seq ~mac with
+  | Some (reason, stalled_ns) -> Refused { reason; stalled_ns }
+  | None ->
+      let batch, stalled_ns = do_ingest_events t ~payload ~encrypted ~stream ~seq in
+      let segments w = List.map (staged w) (step [] batch [ (P.Segment, w.segment) ]) in
+      Ingested { outs = Option.fold ~none:[ batch ] ~some:segments windowing; stalled_ns }
 
 let egress_nonce window = Int64.logor 0x4547000000000000L (Int64.of_int window)
 
@@ -977,7 +972,7 @@ let seal_out t ~input ~window ~nonce ~mk_record =
   retire_ref t input;
   (* Audit records are flushed upon externalizing any result (paper §7). *)
   flush_log t;
-  Rs_egress { window; cipher; tag; events; width }
+  { window; cipher; tag; events; width }
 
 let do_egress t ~input ~window =
   (* A session window may only seal once the watermark clears its end
@@ -1004,8 +999,7 @@ let do_late_drop t ~input ~window =
   let events = U.length ua in
   append_record t
     (Sbt_attest.Record.Late_drop { ts = now_us t; uarray = U.id ua; win_no = window; events });
-  retire_ref t input;
-  Rs_outputs []
+  retire_ref t input
 
 let do_egress_correction t ~input ~window ~gen =
   if gen <= 0 || gen > 255 then raise (Rejected "correction: generation out of range");
@@ -1021,8 +1015,7 @@ let do_install_udf t ~udf ~cert =
   let cert = Udf.certificate_of_bytes cert in
   if not (Udf.verify ~key:t.cfg.egress_key udf cert) then
     raise (Rejected "udf: certificate verification failed");
-  Hashtbl.replace t.udfs (udf.Udf.name, udf.Udf.version) udf;
-  Rs_outputs []
+  Hashtbl.replace t.udfs (udf.Udf.name, udf.Udf.version) udf
 
 let do_invoke_udf t ~name ~version ~inputs ~trigger ~value_field ~hints ~retire_inputs
     ~state_output =
@@ -1115,7 +1108,7 @@ let do_invoke_udf t ~name ~version ~inputs ~trigger ~value_field ~hints ~retire_
        { ts = now_us t; op = P.udf_id; inputs = in_ids; outputs = [ U.id dst ]; hints = audit_hints });
   let out = { win = -1; ref_ = mint_ref t dst; events = U.length dst } in
   if retire_inputs then List.iter (retire_ref t) inputs;
-  Rs_outputs [ out ]
+  out
 
 (* Explicit retirement: the only way a State-scope uArray dies (the data
    plane never retires state behind the control plane's back, but the
@@ -1125,8 +1118,7 @@ let do_retire t ~input =
   let ua = Opaque.resolve t.refs input in
   timed t `Mem (fun () ->
       Alloc.retire t.alloc ua;
-      drop_ref t input);
-  Rs_outputs []
+      drop_ref t input)
 
 (* --- checkpoint sealing ------------------------------------------------
 
@@ -1206,9 +1198,10 @@ let do_checkpoint t ~control ~watermark =
     timed t `Crypto (fun () ->
         Sbt_recovery.Seal.seal ~device_key:t.cfg.egress_key ~seq state)
   in
-  Rs_checkpoint { blob; seq }
+  { blob; seq }
 
-let dispatch t = function
+let dispatch : type a. t -> a request -> a =
+ fun t -> function
   | R_ingest_events { payload; encrypted; stream; seq; mac; windowing } ->
       do_ingest_batch t ~payload ~encrypted ~stream ~seq ~mac ~windowing
   | R_ingest_watermark { value } -> do_ingest_watermark t ~value
@@ -1216,7 +1209,7 @@ let dispatch t = function
       do_declare_gap t ~stream ~seq ~events ~windows ~reason
   | R_invoke { chain; inputs; trigger; hints; retire_inputs } ->
       traced_prim t (chain_name chain) (fun () ->
-          Rs_outputs (do_invoke t ~chain ~inputs ~trigger ~hints ~retire_inputs))
+          do_invoke t ~chain ~inputs ~trigger ~hints ~retire_inputs)
   | R_egress { input; window } -> traced_prim t "seal" (fun () -> do_egress t ~input ~window)
   | R_late_drop { input; window } -> do_late_drop t ~input ~window
   | R_egress_correction { input; window; gen } ->
@@ -1247,9 +1240,10 @@ let create cfg =
       pool;
       alloc;
       refs = Opaque.create ~rng;
-      log = Sbt_attest.Log.create ~key:cfg.egress_key ~flush_every:cfg.audit_flush_every;
+      log = Sbt_attest.Log.create ~key:cfg.egress_key ~flush_every:256;
       rng;
       smc;
+      smc_refused = Hashtbl.create 8;
       now_ns = 0.0;
       compute_ns = 0.0;
       mem_ns = 0.0;
@@ -1298,40 +1292,9 @@ let create cfg =
       let now_ns () = t.now_ns in
       Tz.Smc.set_observer smc ~tracer ~now_ns;
       Alloc.set_observer alloc ~tracer ~now_ns);
-  Tz.Smc.register smc Tz.Smc.Init (fun _ -> Rr_unit);
-  Tz.Smc.register smc Tz.Smc.Finalize (fun _ ->
-      flush_log t;
-      Rr_unit);
-  Tz.Smc.register smc Tz.Smc.Debug (fun _ ->
-      Rr_debug
-        (Printf.sprintf "refs=%d committed=%dB groups=%d" (Opaque.live_count t.refs)
-           (Pool.committed_bytes pool) (Alloc.live_groups alloc)));
-  Tz.Smc.register smc Tz.Smc.Invoke (fun rpc ->
-      match rpc with
-      | Rpc_op req -> Rr_op (dispatch t req)
-      | Rpc_init | Rpc_finalize | Rpc_debug -> raise (Rejected "wrong entry"));
-  (* Transient SMC entry failures: the plan decides, per ingest frame
-     identity, how many consecutive attempts the monitor refuses — so the
-     schedule replays identically whatever order tasks run in. *)
-  if not (Sbt_fault.Fault.is_none cfg.fault_plan) then begin
-    let refused : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
-    Tz.Smc.set_fault_hook smc (fun entry rpc ->
-        match (entry, rpc) with
-        | Tz.Smc.Invoke, Rpc_op (R_ingest_events { stream; seq; _ }) ->
-            let budget = Sbt_fault.Fault.smc_failures cfg.fault_plan ~stream ~seq in
-            budget > 0
-            &&
-            let done_ = Option.value ~default:0 (Hashtbl.find_opt refused (stream, seq)) in
-            done_ < budget
-            && begin
-                 Hashtbl.replace refused (stream, seq) (done_ + 1);
-                 true
-               end
-        | _ -> false)
-  end;
   (match cfg.version with
   | Insecure -> ()
-  | Full | Clear_ingress | Io_via_os -> ignore (Tz.Smc.call smc Tz.Smc.Init Rpc_init));
+  | Full | Clear_ingress | Io_via_os -> Tz.Smc.call smc Tz.Smc.Init ignore);
   t
 
 (* Boot-time recovery: build a fresh data plane (fresh SMC monitor, fresh
@@ -1409,27 +1372,43 @@ let restore cfg ~expect_seq blob =
   if not (C.at_end r) then invalid_arg "Dataplane.restore: trailing bytes";
   { rt = t; control; ckpt_seq = seq; log_seq }
 
-let call t req =
+(* Transient SMC entry failures: the plan decides, per ingest frame
+   identity, how many consecutive attempts the monitor refuses — so the
+   schedule replays identically whatever order tasks run in.  Without
+   faults the plan is never consulted. *)
+let busy (type a) t (req : a request) =
+  match req with
+  | R_ingest_events { stream; seq; _ } when not (Sbt_fault.Fault.is_none t.cfg.fault_plan) ->
+      let budget = Sbt_fault.Fault.smc_failures t.cfg.fault_plan ~stream ~seq in
+      budget > 0
+      &&
+      let refused = Option.value ~default:0 (Hashtbl.find_opt t.smc_refused (stream, seq)) in
+      refused < budget
+      && begin
+           Hashtbl.replace t.smc_refused (stream, seq) (refused + 1);
+           true
+         end
+  | _ -> false
+
+let call (type a) t (req : a request) : a =
   match t.cfg.version with
   | Insecure -> dispatch t req
-  | Full | Clear_ingress | Io_via_os -> (
-      match Tz.Smc.call t.smc Tz.Smc.Invoke (Rpc_op req) with
-      | Rr_op resp -> resp
-      | Rr_unit | Rr_debug _ -> raise (Rejected "unexpected response"))
+  | Full | Clear_ingress | Io_via_os ->
+      if busy t req then Tz.Smc.refuse t.smc Tz.Smc.Invoke
+      else Tz.Smc.call t.smc Tz.Smc.Invoke (fun () -> dispatch t req)
 
 let debug_dump t =
   match t.cfg.version with
   | Insecure -> "insecure: no TEE"
-  | Full | Clear_ingress | Io_via_os -> (
-      match Tz.Smc.call t.smc Tz.Smc.Debug Rpc_debug with
-      | Rr_debug s -> s
-      | Rr_unit | Rr_op _ -> raise (Rejected "unexpected response"))
+  | Full | Clear_ingress | Io_via_os ->
+      Tz.Smc.call t.smc Tz.Smc.Debug (fun () ->
+          Printf.sprintf "refs=%d committed=%dB groups=%d" (Opaque.live_count t.refs)
+            (Pool.committed_bytes t.pool) (Alloc.live_groups t.alloc))
 
 let finalize t =
   match t.cfg.version with
   | Insecure -> flush_log t
-  | Full | Clear_ingress | Io_via_os ->
-      ignore (Tz.Smc.call t.smc Tz.Smc.Finalize Rpc_finalize)
+  | Full | Clear_ingress | Io_via_os -> Tz.Smc.call t.smc Tz.Smc.Finalize (fun () -> flush_log t)
 
 let uploaded_batches t = List.rev t.uploaded
 

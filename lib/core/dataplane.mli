@@ -54,11 +54,8 @@ type config = {
   version : version;
   platform : Sbt_tz.Platform.t;
   alloc_mode : Sbt_umem.Allocator.mode;
-  sort_algorithm : Sbt_prim.Sort.algorithm;
   ingress_key : bytes;  (** AES-128 key shared with sources *)
   egress_key : bytes;  (** key shared with the cloud consumer (egress + audit MAC) *)
-  audit_flush_every : int;
-  audit_enabled : bool;
   backpressure_threshold : float;
       (** pool-usage fraction above which ingestion stalls the source *)
   adaptive_backpressure : bool;
@@ -101,11 +98,8 @@ module Config : sig
     ?deterministic:bool ->
     ?platform:Sbt_tz.Platform.t ->
     ?alloc_mode:Sbt_umem.Allocator.mode ->
-    ?sort_algorithm:Sbt_prim.Sort.algorithm ->
     ?ingress_key:bytes ->
     ?egress_key:bytes ->
-    ?audit_flush_every:int ->
-    ?audit_enabled:bool ->
     ?backpressure_threshold:float ->
     ?adaptive_backpressure:bool ->
     ?seed:int64 ->
@@ -117,8 +111,10 @@ module Config : sig
     unit ->
     t
   (** Defaults reproduce the paper's Full engine on an 8-core, 512 MB
-      platform: hint-guided allocator, radix sort, audit on (off for
-      [Insecure]), backpressure at 90% pool usage, no faults, no tracer.
+      platform: hint-guided allocator, backpressure at 90% pool usage, no
+      faults, no tracer.  The data plane always sorts with the radix sort
+      and keeps an audit log (flushed every 256 records) unless the
+      version is [Insecure].
       [cost] defaults per [version] ({!Sbt_tz.Cost_model.free} for
       [Insecure], [default] otherwise); [deterministic] (default false)
       zeroes that cost's [host_scale], so recorded costs carry no measured
@@ -169,8 +165,41 @@ type windowing = {
   stage_hints : (int * hint list) list;
 }
 
-type request =
-  | R_ingest_events of {
+type output = { win : int; ref_ : int64; events : int }
+
+type sealed_result = { window : int; cipher : bytes; tag : bytes; events : int; width : int }
+
+(** Why the TEE turned an ingest away, before the frame was in. *)
+type refusal =
+  | Corrupt_ingress
+      (** the payload is not a whole number of records, or its frame MAC
+          does not verify *)
+  | Pool_pressure
+      (** the secure pool cannot absorb the batch (or the fault plan
+          forced a shed): load shedding, not a crash *)
+
+(** The reply to {!R_ingest_events}. *)
+type ingested =
+  | Ingested of { outs : output list; stalled_ns : float }
+      (** [stalled_ns > 0] models backpressure: secure-memory usage was
+          above the threshold, so the source was slowed by that long
+          before this batch could enter (paper §4.2) *)
+  | Refused of { reason : refusal; stalled_ns : float }
+      (** The batch was not ingested and no invocation was counted
+          ({!stats}).  The source must stall [stalled_ns]: 0 for
+          [Corrupt_ingress]; for [Pool_pressure] it escalates with
+          consecutive sheds.  The caller degrades by declaring a gap
+          ({!R_declare_gap}). *)
+
+type checkpoint = { blob : bytes; seq : int }
+(** Sealed checkpoint ciphertext and its monotonic sequence number (also
+    recorded in the signed audit log, giving the verifier a rollback
+    lower bound). *)
+
+(** A request names the type of its reply: [call t r] returns an ['a]
+    for an ['a request]. *)
+type _ request =
+  | R_ingest_events : {
       payload : bytes;
       encrypted : bool;
       stream : int;
@@ -179,38 +208,43 @@ type request =
           (** frame HMAC from an authenticated link; [Bytes.empty] skips
               verification (the pre-fault-model behaviour) *)
       windowing : windowing option;
-    }  (** Ingest one frame.  Without [windowing] the reply holds the batch
+    }
+      -> ingested request
+      (** Ingest one frame.  Without [windowing] the reply holds the batch
           itself ([win = -1]).  With it, the same call runs Segment on the
           batch and the plan on every segment whose window is open, and
           replies with one output per window: the plan's result, or the
           unstaged segment of a closed window.  The audit gets the
           Ingress record, the Windowing records, then one record per plan
-          step per open segment.  A refusal (a bad MAC, {!Overloaded}, an
-          SMC busy) comes before the frame is in and before any
-          invocation is counted ({!stats}); a rejection by Segment or a
-          stage comes after both. *)
-  | R_ingest_watermark of { value : int }
-  | R_declare_gap of {
+          step per open segment.  A refusal ({!Refused}) comes before the
+          frame is in; a rejection by Segment or a stage ({!Rejected})
+          comes after. *)
+  | R_ingest_watermark : { value : int } -> int request
+      (** Replies with the watermark's audit id, which later invocations
+          cite as their trigger. *)
+  | R_declare_gap : {
       stream : int;
       seq : int;
       events : int;
       windows : int list;
       reason : Sbt_attest.Record.gap_reason;
     }
+      -> unit request
       (** Declare, inside the TEE, that a frame was lost to a benign
           fault.  Emits a signed {!Sbt_attest.Record.Gap} audit record so
           the cloud verifier reports degradation instead of flagging the
           missing dataflow as tampering. *)
-  | R_invoke of {
+  | R_invoke : {
       chain : (Sbt_prim.Primitive.t * param list) list;
       inputs : int64 list;
       trigger : int option;  (** audit id of the triggering watermark *)
       hints : hint list;
       retire_inputs : bool;
     }
+      -> output list request
       (** Run a chain of one or more (primitive, params) steps in one call
           of the shared invoke entry: one world-switch pair and one audit
-          record, however long the chain.
+          record, however long the chain.  Replies with the outputs.
           - A length-1 chain is a plain invoke of any primitive.  It emits
             one {!Sbt_attest.Record.Execution} record ({!Sbt_attest.Record.Windowing}
             records for [Segment]).
@@ -223,20 +257,21 @@ type request =
           {!Rejected} for an empty chain, a non-fusable op inside a longer
           chain, or a chain invalid for the input width
           ({!Sbt_prim.Fused.width_after}). *)
-  | R_egress of { input : int64; window : int }
-  | R_late_drop of { input : int64; window : int }
+  | R_egress : { input : int64; window : int } -> sealed_result request
+      (** Seal a window's result for the cloud; the input dies in-TEE. *)
+  | R_late_drop : { input : int64; window : int } -> unit request
       (** Drop+declare a late batch: the input dies in-TEE, but a signed
           {!Sbt_attest.Record.Late_drop} (window, event count) makes the
           loss a declared, attested fact rather than silence. *)
-  | R_egress_correction of { input : int64; window : int; gen : int }
+  | R_egress_correction : { input : int64; window : int; gen : int } -> sealed_result request
       (** Seal a superseding result for an already-egressed window under
           the correction nonce domain for ([window], [gen]); emits a
           {!Sbt_attest.Record.Correction}.  Generations are 1-based and
           must stay within a byte ({!Rejected} otherwise). *)
-  | R_install_udf of { udf : Udf.t; cert : bytes }
+  | R_install_udf : { udf : Udf.t; cert : bytes } -> unit request
       (** Admit a certified UDF (paper §4.2); the certificate must verify
           under the trusted party's key or the request is {!Rejected}. *)
-  | R_invoke_udf of {
+  | R_invoke_udf : {
       name : string;
       version : int;
       inputs : int64 list;
@@ -248,11 +283,14 @@ type request =
           (** allocate the output with {!Sbt_umem.Uarray.State} scope: it
               survives primitive executions and is only freed by an
               explicit [R_retire] (operator state, paper §6.1) *)
-    }  (** Run an installed UDF over the value field of one uArray. *)
-  | R_retire of { input : int64 }
+    }
+      -> output request
+      (** Run an installed UDF over the value field of one uArray;
+          replies with its one output. *)
+  | R_retire : { input : int64 } -> unit request
       (** Explicitly retire a uArray — required for State-scope arrays,
           which ordinary [retire_inputs] never touches. *)
-  | R_checkpoint of { control : bytes; watermark : int }
+  | R_checkpoint : { control : bytes; watermark : int } -> checkpoint request
       (** The Checkpoint trusted primitive (crash recovery).  Appends a
           {!Sbt_attest.Record.Checkpoint} audit record, flushes the log,
           serializes all volatile TEE state (PRNG limbs, allocator and
@@ -261,26 +299,10 @@ type request =
           seals the blob under the device key ({!Sbt_recovery.Seal}).
           Only ciphertext crosses to normal-world storage. *)
 
-type output = { win : int; ref_ : int64; events : int }
-
-type sealed_result = { window : int; cipher : bytes; tag : bytes; events : int; width : int }
-
-type response =
-  | Rs_outputs of output list
-  | Rs_watermark of { audit_id : int; value : int }
-  | Rs_egress of sealed_result
-  | Rs_ingested of { outs : output list; stalled_ns : float }
-      (** [stalled_ns > 0] models backpressure: secure-memory usage was
-          above the threshold, so the source was slowed by that long
-          before this batch could enter (paper §4.2) *)
-  | Rs_checkpoint of { blob : bytes; seq : int }
-      (** Sealed checkpoint ciphertext and its monotonic sequence number
-          (also recorded in the signed audit log, giving the verifier a
-          rollback lower bound). *)
-
 exception Rejected of string
 (** Structurally invalid request (wrong arity, bad params, fabricated
-    reference surfaced as {!Opaque.Invalid_reference} instead). *)
+    reference surfaced as {!Opaque.Invalid_reference} instead), or a
+    Segment or stage rejection once an ingested frame is in. *)
 
 exception Cross_tenant_ref of { ref_ : int64; owner : int; tenant : int }
 (** A live reference belonging to [owner] reached [tenant]'s dispatch: the
@@ -288,15 +310,9 @@ exception Cross_tenant_ref of { ref_ : int64; owner : int; tenant : int }
     Distinct from {!Opaque.Invalid_reference} (fabricated/stale ref) —
     the ownership check fires in-TEE before any table lookup. *)
 
-exception Overloaded of { stalled_ns : float }
-(** The secure pool cannot absorb this ingest (or the fault plan forced a
-    shed): the batch is refused and the source must stall [stalled_ns],
-    which escalates with consecutive sheds.  Load shedding, not a crash —
-    the caller degrades by declaring a gap ({!R_declare_gap}). *)
-
 val create : config -> t
-(** Builds the platform-attached data plane and registers the SMC
-    entries.  [Init] is called once here. *)
+(** Builds the platform-attached data plane.  The [Init] entry is
+    crossed once here. *)
 
 type restored = {
   rt : t;  (** the recovered data plane (fresh boot, restored state) *)
@@ -313,8 +329,11 @@ val restore : config -> expect_seq:int -> bytes -> restored
     [expect_seq] from Checkpoint records in the signed audit log, so a
     rolled-back blob cannot masquerade as the latest). *)
 
-val call : t -> request -> response
-(** Cross into the TEE ([Insecure] version: plain call, no crossing). *)
+val call : t -> 'a request -> 'a
+(** Cross into the TEE through the shared invoke entry ([Insecure]
+    version: plain call, no crossing) and return the request's reply.
+    Raises {!Sbt_tz.Smc.Entry_busy} when the fault plan has the monitor
+    bounce an ingest before any world switch. *)
 
 val debug_dump : t -> string
 (** The fourth (debug) entry: a one-line state summary. *)
@@ -357,7 +376,7 @@ type stats = {
   events_ingested : int;
   bytes_ingested : int;
   backpressure_stalls : int;
-  sheds : int;  (** ingests refused under pool pressure ({!Overloaded}) *)
+  sheds : int;  (** ingests refused under pool pressure ({!Pool_pressure}) *)
   smc_busy_rejections : int;
       (** injected transient SMC refusals ({!Sbt_tz.Smc.Entry_busy}) *)
 }

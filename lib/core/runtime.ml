@@ -12,16 +12,14 @@ module Config = struct
   type t = config
 
   let make ?version ?(cores = 8) ?secure_mb ?cost ?deterministic ?platform ?alloc_mode
-      ?sort_algorithm ?ingress_key ?egress_key ?audit_flush_every ?audit_enabled
-      ?backpressure_threshold ?adaptive_backpressure ?seed ?fault_plan ?late_policy
-      ?tracer ?(hints_enabled = true) ?dp_config () =
+      ?ingress_key ?egress_key ?backpressure_threshold ?adaptive_backpressure ?seed ?fault_plan
+      ?late_policy ?tracer ?(hints_enabled = true) ?dp_config () =
     let dp_config =
       match dp_config with
       | Some c -> c
       | None ->
-          D.Config.make ?version ~cores ?secure_mb ?cost ?deterministic ?platform
-            ?alloc_mode ?sort_algorithm ?ingress_key ?egress_key ?audit_flush_every
-            ?audit_enabled ?backpressure_threshold ?adaptive_backpressure ?seed
+          D.Config.make ?version ~cores ?secure_mb ?cost ?deterministic ?platform ?alloc_mode
+            ?ingress_key ?egress_key ?backpressure_threshold ?adaptive_backpressure ?seed
             ?fault_plan ?late_policy ?tracer ()
     in
     { dp_config; cores; hints_enabled }
@@ -365,19 +363,15 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
      the late policy decides what becomes of it. *)
   let late stream (o : D.output) =
     match cfg.dp_config.D.late_policy with
-    | D.Silent -> (
+    | D.Silent ->
         (* reclaim its memory, leave its audit trail unconsumed —
            precisely because the drop is silent, the cloud verifier flags
            the incident *)
-        match D.call dp (D.R_retire { input = o.D.ref_ }) with
-        | D.Rs_outputs [] -> ()
-        | _ -> failwith "control: unexpected retire response")
-    | D.Drop_declare -> (
+        D.call dp (D.R_retire { input = o.D.ref_ })
+    | D.Drop_declare ->
         (* the drop becomes a signed Late_drop audit fact: declared
            degradation, not silence *)
-        match D.call dp (D.R_late_drop { input = o.D.ref_; window = o.D.win }) with
-        | D.Rs_outputs [] -> ()
-        | _ -> failwith "control: unexpected late-drop response")
+        D.call dp (D.R_late_drop { input = o.D.ref_; window = o.D.win })
     | D.Retract_reemit ->
         (* the late segment joins the closed window's (still live) ready
            list; the correction task scheduled with the batch re-runs the
@@ -386,12 +380,7 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
   in
   (* --- frame loop -------------------------------------------------------- *)
   (* Certified UDFs ship with the pipeline install. *)
-  List.iter
-    (fun (udf, cert) ->
-      match D.call dp (D.R_install_udf { udf; cert }) with
-      | D.Rs_outputs [] -> ()
-      | _ -> failwith "control: unexpected UDF install response")
-    pipe.Pipeline.udfs;
+  List.iter (fun (udf, cert) -> D.call dp (D.R_install_udf { udf; cert })) pipe.Pipeline.udfs;
   let cum_events = ref (ctl_or 0 (fun c -> c.ck_cum_events)) in
   let total_events = ref (ctl_or 0 (fun c -> c.ck_total_events)) in
   let next_window_to_close = ref (ctl_or 0 (fun c -> c.ck_next_window_to_close)) in
@@ -402,18 +391,16 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
   let batches_dropped = ref (ctl_or 0 (fun c -> c.ck_batches_dropped)) in
   let events_dropped = ref (ctl_or 0 (fun c -> c.ck_events_dropped)) in
   let declare_gap ~stream ~seq ~events ~windows ~reason =
-    match D.call dp (D.R_declare_gap { stream; seq; events; windows; reason }) with
-    | D.Rs_outputs [] ->
-        incr gaps_declared;
-        Sbt_obs.Metrics.incr c_gaps;
-        instant "gap"
-          ~args:
-            [
-              ("stream", Sbt_obs.Tracer.Int stream);
-              ("seq", Sbt_obs.Tracer.Int seq);
-              ("events", Sbt_obs.Tracer.Int events);
-            ]
-    | _ -> failwith "control: unexpected gap response"
+    D.call dp (D.R_declare_gap { stream; seq; events; windows; reason });
+    incr gaps_declared;
+    Sbt_obs.Metrics.incr c_gaps;
+    instant "gap"
+      ~args:
+        [
+          ("stream", Sbt_obs.Tracer.Int stream);
+          ("seq", Sbt_obs.Tracer.Int seq);
+          ("events", Sbt_obs.Tracer.Int events);
+        ]
   in
   (* Next expected frame seq per stream: a jump means the link dropped
      frames, which the edge must declare before ingesting past the hole —
@@ -430,29 +417,25 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
   (* The batch call with bounded retry against transient SMC refusals.
      Returns [Ok (outputs, stall)] or [Error (stall, reason)]: every
      refusal of the ingest is a declared gap.  A rejection raised once the
-     frame is in (by Segment or a stage, after the TEE's invocation count
-     has moved) is no refusal, and escapes the run. *)
+     frame is in (by Segment or a stage) is no refusal, and escapes the
+     run. *)
   let ingest_with_retry ~payload ~encrypted ~stream ~seq ~mac ~windowing =
-    let invocations () = (D.stats dp).D.invocations in
-    let before = invocations () in
     let rec attempt n stall =
       match D.call dp (D.R_ingest_events { payload; encrypted; stream; seq; mac; windowing }) with
-      | D.Rs_ingested { outs; stalled_ns } -> Ok (outs, stall +. stalled_ns)
-      | D.Rs_outputs _ | D.Rs_watermark _ | D.Rs_egress _ | D.Rs_checkpoint _ ->
-          failwith "control: unexpected ingest response"
+      | D.Ingested { outs; stalled_ns } -> Ok (outs, stall +. stalled_ns)
+      | D.Refused { reason = D.Corrupt_ingress; stalled_ns } ->
+          Error (stall +. stalled_ns, Sbt_attest.Record.Corrupt_ingress)
+      | D.Refused { reason = D.Pool_pressure; stalled_ns } ->
+          Sbt_obs.Metrics.incr c_sheds;
+          instant "shed"
+            ~args:[ ("stream", Sbt_obs.Tracer.Int stream); ("seq", Sbt_obs.Tracer.Int seq) ];
+          Error (stall +. stalled_ns, Sbt_attest.Record.Pool_pressure)
       | exception Sbt_tz.Smc.Entry_busy _ ->
           Sbt_obs.Metrics.incr c_busy;
           if n < plan.Sbt_fault.Fault.retry_budget then
             let backoff = Sbt_fault.Fault.backoff_ns plan ~stream ~seq ~attempt:(n + 1) in
             attempt (n + 1) (stall +. backoff)
           else Error (stall, Sbt_attest.Record.Smc_unavailable)
-      | exception D.Rejected _ when invocations () = before ->
-          Error (stall, Sbt_attest.Record.Corrupt_ingress)
-      | exception D.Overloaded { stalled_ns } ->
-          Sbt_obs.Metrics.incr c_sheds;
-          instant "shed"
-            ~args:[ ("stream", Sbt_obs.Tracer.Int stream); ("seq", Sbt_obs.Tracer.Int seq) ];
-          Error (stall +. stalled_ns, Sbt_attest.Record.Pool_pressure)
     in
     attempt 0 0.0
   in
@@ -480,11 +463,7 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
     let trigger_used = ref false in
     let produced = ref [] in
     let explicit = ref [] in
-    let plain_retire r =
-      match D.call dp (D.R_retire { input = r }) with
-      | D.Rs_outputs [] -> ()
-      | _ -> failwith "control: unexpected retire response"
-    in
+    let plain_retire r = D.call dp (D.R_retire { input = r }) in
     let invoke ?(params = []) ?(hints = []) ?(retire = true) op inputs =
       let trigger =
         if !trigger_used then None
@@ -494,7 +473,7 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
         end
       in
       let hints = if cfg.hints_enabled && hints = [] then [] else hints in
-      match
+      let outs =
         D.call dp
           (D.R_invoke
              {
@@ -504,13 +483,10 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
                hints;
                retire_inputs = retire && not protect;
              })
-      with
-      | D.Rs_outputs outs ->
-          let refs = List.map (fun (o : D.output) -> o.D.ref_) outs in
-          if protect then produced := refs @ !produced;
-          refs
-      | D.Rs_watermark _ | D.Rs_egress _ | D.Rs_ingested _ | D.Rs_checkpoint _ ->
-          failwith "control: unexpected invoke response"
+      in
+      let refs = List.map (fun (o : D.output) -> o.D.ref_) outs in
+      if protect then produced := refs @ !produced;
+      refs
     in
     let invoke_udf ?(hints = []) ?(retire = true) ?(state_output = false) ~name ~version
         ~value_field inputs =
@@ -521,7 +497,7 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
           Some !wm_audit_ref
         end
       in
-      match
+      let out =
         D.call dp
           (D.R_invoke_udf
              {
@@ -534,13 +510,9 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
                retire_inputs = retire && not protect;
                state_output;
              })
-      with
-      | D.Rs_outputs outs ->
-          let refs = List.map (fun (o : D.output) -> o.D.ref_) outs in
-          if protect then produced := refs @ !produced;
-          refs
-      | D.Rs_watermark _ | D.Rs_egress _ | D.Rs_ingested _ | D.Rs_checkpoint _ ->
-          failwith "control: unexpected UDF invoke response"
+      in
+      if protect then produced := out.D.ref_ :: !produced;
+      [ out.D.ref_ ]
     in
     let retire_ref r =
       plain_retire r;
@@ -567,10 +539,7 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
       0.0
     else begin
       run_plan_and_seal ~w ~ready:(List.rev ws.ready) ~seal:(fun result_ref ->
-          match D.call dp (D.R_egress { input = result_ref; window = w }) with
-          | D.Rs_egress sealed -> results := (w, sealed) :: !results
-          | D.Rs_outputs _ | D.Rs_watermark _ | D.Rs_ingested _ | D.Rs_checkpoint _ ->
-              failwith "control: unexpected egress response");
+          results := (w, D.call dp (D.R_egress { input = result_ref; window = w })) :: !results);
       0.0
     end
   in
@@ -616,18 +585,14 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
               open_windows;
         }
     in
-    let ckpt_seq =
-      match D.call dp (D.R_checkpoint { control; watermark }) with
-      | D.Rs_checkpoint { blob; seq } ->
-          last_ckpt_window := !next_window_to_close;
-          instant "checkpoint"
-            ~args:[ ("seq", Sbt_obs.Tracer.Int seq); ("bytes", Sbt_obs.Tracer.Int (Bytes.length blob)) ];
-          (match on_checkpoint with
-          | Some f -> f ~blob ~seq ~frame_idx:next_frame_idx
-          | None -> ());
-          seq
-      | _ -> failwith "control: unexpected checkpoint response"
-    in
+    let { D.blob; seq = ckpt_seq } = D.call dp (D.R_checkpoint { control; watermark }) in
+    last_ckpt_window := !next_window_to_close;
+    instant "checkpoint"
+      ~args:
+        [ ("seq", Sbt_obs.Tracer.Int ckpt_seq); ("bytes", Sbt_obs.Tracer.Int (Bytes.length blob)) ];
+    (match on_checkpoint with
+    | Some f -> f ~blob ~seq:ckpt_seq ~frame_idx:next_frame_idx
+    | None -> ());
     (* A reboot crash is modeled at the boundary where TEE state is lost
        with the checkpoint already durable: right after persisting it. *)
     (match crash_arm with
@@ -748,16 +713,12 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
                                  ];
                              run_plan_and_seal ~w ~ready:(List.rev ws.ready)
                                ~seal:(fun result_ref ->
-                                 match
+                                 let sealed =
                                    D.call dp
                                      (D.R_egress_correction
                                         { input = result_ref; window = w; gen })
-                                 with
-                                 | D.Rs_egress sealed ->
-                                     corrections := (w, gen, sealed) :: !corrections
-                                 | D.Rs_outputs _ | D.Rs_watermark _ | D.Rs_ingested _
-                                 | D.Rs_checkpoint _ ->
-                                     failwith "control: unexpected correction response");
+                                 in
+                                 corrections := (w, gen, sealed) :: !corrections);
                              0.0)
                    in
                    last_close := Some (corr_task, corr_idx))
@@ -766,12 +727,8 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
           if value > !max_wm_seen then max_wm_seen := value;
           let wm_task, wm_idx =
             add_task ~arrival ~label:(Printf.sprintf "watermark:%d" seq) (fun () ->
-                match D.call dp (D.R_ingest_watermark { value }) with
-                | D.Rs_watermark { audit_id; _ } ->
-                    wm_audit_ref := audit_id;
-                    0.0
-                | D.Rs_outputs _ | D.Rs_egress _ | D.Rs_ingested _ | D.Rs_checkpoint _ ->
-                    failwith "control: unexpected watermark response")
+                wm_audit_ref := D.call dp (D.R_ingest_watermark { value });
+                0.0)
           in
           (* Close, in order, every window whose end has passed.  Session
              windows are exempt: which sessions exist is in-TEE state the
@@ -827,12 +784,8 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
       let final_wm = !max_wm_seen + gap + 1 in
       let wm_task, wm_idx =
         add_task ~arrival:!cum_events ~label:"wm:session-final" (fun () ->
-            match D.call dp (D.R_ingest_watermark { value = final_wm }) with
-            | D.Rs_watermark { audit_id; _ } ->
-                wm_audit_ref := audit_id;
-                0.0
-            | D.Rs_outputs _ | D.Rs_egress _ | D.Rs_ingested _ | D.Rs_checkpoint _ ->
-                failwith "control: unexpected watermark response")
+            wm_audit_ref := D.call dp (D.R_ingest_watermark { value = final_wm });
+            0.0)
       in
       Hashtbl.fold (fun w _ acc -> w :: acc) windows []
       |> List.sort compare
@@ -855,12 +808,7 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
     |> List.sort compare
     |> List.iter (fun w ->
            let ws = win w in
-           List.iter
-             (fun (_, r) ->
-               match D.call dp (D.R_retire { input = r }) with
-               | D.Rs_outputs [] -> ()
-               | _ -> failwith "control: unexpected retire response")
-             (List.rev ws.ready);
+           List.iter (fun (_, r) -> D.call dp (D.R_retire { input = r })) (List.rev ws.ready);
            ws.ready <- []);
   D.finalize dp;
   (* Assemble the trace: node order is schedule order (reverse of the
@@ -921,158 +869,27 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
 
 let run ?registry cfg pipe frames = record ?registry cfg pipe frames
 
-(* --- supervised restart ----------------------------------------------------
-
-   The normal-world supervisor around a checkpointed run: it owns the
-   durable stores (sealed checkpoints, uploaded audit batches, sealed
-   results, the source's replay buffer) and the restart policy.  On a
-   crash it derives the newest attested checkpoint sequence from the
-   signed audit stream — so a rolled-back blob cannot pose as the latest
-   — unseals, rebuilds a fresh data plane, trims durable state back to
-   the checkpoint's cut, re-ingests the replay suffix, and stamps each
-   boot with a sealed epoch manifest for the multi-epoch verifier. *)
-
-type supervised = {
-  sv_results : (int * D.sealed_result) list;  (* stitched, ascending window *)
-  sv_audit : Sbt_attest.Log.batch list;  (* stitched, oldest first *)
-  sv_epochs : (Sbt_attest.Epoch.sealed * Sbt_attest.Log.batch list) list;
-  sv_report : Sbt_attest.Verifier.report;
-  sv_crash_sites : Sbt_fault.Fault.site list;
-  sv_epoch_count : int;
-  sv_replayed_frames : int;
-  sv_checkpoints : int;
-  sv_checkpoint_bytes : int;
-  sv_last_run : run_result option;  (* the completing boot's full result *)
-}
-
-let run_supervised ?(max_restarts = 3) ?(ckpt_every = 1) cfg pipe frames =
-  let key = cfg.dp_config.D.egress_key in
-  let store = Sbt_recovery.Store.create () in
-  let replay = Sbt_net.Replay.create frames in
-  let ckpts = ref 0 and ckpt_bytes = ref 0 in
-  let replayed = ref 0 in
-  let crash_sites = ref [] in
-  let epochs = ref [] in (* (manifest, that boot's batches), newest first *)
-  let durable_uploads = ref [] in (* stitched normal-world storage, oldest first *)
-  let durable_results = ref [] in
-  let on_checkpoint ~blob ~seq ~frame_idx =
-    Sbt_recovery.Store.put store ~seq blob;
-    incr ckpts;
-    ckpt_bytes := !ckpt_bytes + Bytes.length blob;
-    Sbt_net.Replay.ack replay ~upto:frame_idx
-  in
-  let rec boot ~epoch ~resume ~frame_offset ~resumed_from ~resume_batch_seq cfgb suffix =
-    let manifest = { Sbt_attest.Epoch.epoch; resumed_from; resume_batch_seq } in
-    match
-      record ~ckpt_every ~on_checkpoint ?resume ~frame_offset cfgb pipe suffix
-    with
-    | r ->
-        epochs := (manifest, r.audit) :: !epochs;
-        durable_uploads := !durable_uploads @ r.audit;
-        durable_results := !durable_results @ r.results;
-        Some r
-    | exception Crashed { site; uploads; results } ->
-        crash_sites := site :: !crash_sites;
-        epochs := (manifest, uploads) :: !epochs;
-        durable_uploads := !durable_uploads @ uploads;
-        durable_results := !durable_results @ results;
-        if epoch >= max_restarts then
-          raise (Crashed { site; uploads = !durable_uploads; results = !durable_results })
-        else begin
-          (* The newest checkpoint the durable (signed) audit stream
-             attests: the floor below which a presented blob is a
-             rollback. *)
-          let attested_ckpt =
-            List.fold_left
-              (fun acc b ->
-                List.fold_left
-                  (fun acc r ->
-                    match r with
-                    | Sbt_attest.Record.Checkpoint { seq; _ } -> max acc seq
-                    | _ -> acc)
-                  acc
-                  (Sbt_attest.Log.open_batch ~key b))
-              (-1) !durable_uploads
-          in
-          let cfgb =
-            let dp = cfgb.dp_config in
-            let fault_plan = Sbt_fault.Fault.without_crash dp.D.fault_plan in
-            { cfgb with dp_config = { dp with D.fault_plan } }
-          in
-          match Sbt_recovery.Store.latest store with
-          | None ->
-              (* Crashed before any checkpoint: nothing was acked, the
-                 source still holds every frame — restart from scratch,
-                 and the fresh boot regenerates everything durable. *)
-              durable_uploads := [];
-              durable_results := [];
-              let suffix = Sbt_net.Replay.suffix replay ~from:0 in
-              replayed := !replayed + List.length suffix;
-              boot ~epoch:(epoch + 1) ~resume:None ~frame_offset:0 ~resumed_from:(-1)
-                ~resume_batch_seq:0 cfgb suffix
-          | Some (_, blob) ->
-              let restored =
-                D.restore cfgb.dp_config ~expect_seq:(max attested_ckpt 0) blob
-              in
-              let ctl = decode_control restored.D.control in
-              (* Trim durable state back to the checkpoint's cut: batches
-                 and windows past it are regenerated by the resumed boot,
-                 byte for byte. *)
-              durable_uploads :=
-                List.filter
-                  (fun b -> b.Sbt_attest.Log.seq < restored.D.log_seq)
-                  !durable_uploads;
-              durable_results :=
-                List.filter (fun (w, _) -> w < ctl.ck_next_window_to_close) !durable_results;
-              let suffix = Sbt_net.Replay.suffix replay ~from:ctl.ck_frame_idx in
-              replayed := !replayed + List.length suffix;
-              boot ~epoch:(epoch + 1)
-                ~resume:(Some (restored.D.rt, ctl))
-                ~frame_offset:ctl.ck_frame_idx ~resumed_from:restored.D.ckpt_seq
-                ~resume_batch_seq:restored.D.log_seq cfgb suffix
-        end
-  in
-  let last =
-    boot ~epoch:0 ~resume:None ~frame_offset:0 ~resumed_from:(-1) ~resume_batch_seq:0 cfg
-      frames
-  in
-  let sealed_epochs =
-    List.rev_map (fun (m, batches) -> (Sbt_attest.Epoch.seal ~key m, batches)) !epochs
-  in
-  let report =
-    Sbt_attest.Verifier.verify_epochs ~key (Pipeline.verifier_spec pipe) sealed_epochs
-  in
-  {
-    sv_results = List.sort (fun (a, _) (b, _) -> compare a b) !durable_results;
-    sv_audit = !durable_uploads;
-    sv_epochs = sealed_epochs;
-    sv_report = report;
-    sv_crash_sites = List.rev !crash_sites;
-    sv_epoch_count = List.length !epochs;
-    sv_replayed_frames = !replayed;
-    sv_checkpoints = !ckpts;
-    sv_checkpoint_bytes = !ckpt_bytes;
-    sv_last_run = last;
-  }
-
 (* --- resumable partition node ----------------------------------------------
 
-   The fleet-facing decomposition of [run_supervised]: one [Node.t] per
-   key partition owns the partition's durable normal-world state (sealed
-   checkpoint store, source replay buffer, uploaded audit batches,
-   sealed results) and runs it one boot epoch at a time.  A boot either
-   completes the stream or halts at a scheduled checkpoint boundary (the
-   fleet's kill/fence point); the next [boot] — issued by whichever edge
-   owns the partition after a handoff — resumes from the newest durable
-   checkpoint exactly as the supervisor's crash path does, so donor +
-   recipient stitched output is byte-identical to an uninterrupted run
-   with the same [ckpt_every]. *)
+   One [Node.t] per key partition owns the partition's durable
+   normal-world state (sealed checkpoint store, source replay buffer,
+   uploaded audit batches, sealed results) and runs it one boot epoch at
+   a time.  A boot completes the stream, halts at a scheduled checkpoint
+   boundary (the fleet's kill/fence point), or dies of an injected crash.
+   The next [boot] — on the same edge after a crash, or on whichever edge
+   owns the partition after a handoff — derives the newest attested
+   checkpoint sequence from the signed audit stream (so a rolled-back
+   blob cannot pose as the latest), unseals it into a fresh data plane,
+   trims durable state back to the checkpoint's cut and re-ingests the
+   replay suffix, so the stitched output is byte-identical to an
+   uninterrupted run with the same [ckpt_every].  Each boot is stamped
+   with an epoch manifest for the multi-epoch verifier. *)
 
 module Node = struct
   type outcome = Completed | Halted of { at_window : int }
 
   type t = {
-    n_cfg : config;
+    mutable n_cfg : config;
     n_pipe : Pipeline.t;
     n_ckpt_every : int;
     n_store : Sbt_recovery.Store.t;
@@ -1081,7 +898,7 @@ module Node = struct
         (* newest first *)
     mutable n_uploads : Sbt_attest.Log.batch list; (* stitched, oldest first *)
     mutable n_results : (int * D.sealed_result) list; (* stitched, ascending *)
-    mutable n_finished : bool;
+    mutable n_last_run : run_result option; (* the completing boot's full result *)
     mutable n_vt_ns : float;
     mutable n_total_events : int;
     mutable n_replayed : int;
@@ -1099,7 +916,7 @@ module Node = struct
       n_epochs = [];
       n_uploads = [];
       n_results = [];
-      n_finished = false;
+      n_last_run = None;
       n_vt_ns = 0.0;
       n_total_events = 0;
       n_replayed = 0;
@@ -1108,51 +925,46 @@ module Node = struct
     }
 
   let key t = t.n_cfg.dp_config.D.egress_key
+  let finished t = Option.is_some t.n_last_run
+
+  (* Where a boot after the first starts: (resume, frame offset,
+     resumed-from checkpoint, resume batch seq). *)
+  let resume_point t =
+    match Sbt_recovery.Store.latest t.n_store with
+    | None ->
+        (* Died before any checkpoint: nothing acked, restart from
+           scratch; the fresh boot regenerates all durable state. *)
+        t.n_uploads <- [];
+        t.n_results <- [];
+        (None, 0, -1, 0)
+    | Some (_, blob) ->
+        (* Rollback floor: the newest checkpoint the signed audit stream
+           attests. *)
+        let attested_ckpt =
+          List.fold_left
+            (fun acc b ->
+              List.fold_left
+                (fun acc r ->
+                  match r with Sbt_attest.Record.Checkpoint { seq; _ } -> max acc seq | _ -> acc)
+                acc
+                (Sbt_attest.Log.open_batch ~key:(key t) b))
+            (-1) t.n_uploads
+        in
+        let restored = D.restore t.n_cfg.dp_config ~expect_seq:(max attested_ckpt 0) blob in
+        let ctl = decode_control restored.D.control in
+        (* Trim durable state back to the checkpoint's cut: batches and
+           windows past it are regenerated by the resumed boot, byte for
+           byte. *)
+        t.n_uploads <- List.filter (fun b -> b.Sbt_attest.Log.seq < restored.D.log_seq) t.n_uploads;
+        t.n_results <- List.filter (fun (w, _) -> w < ctl.ck_next_window_to_close) t.n_results;
+        (Some (restored.D.rt, ctl), ctl.ck_frame_idx, restored.D.ckpt_seq, restored.D.log_seq)
 
   let boot ?registry ?halt_after_window t =
-    if t.n_finished then Completed
+    if finished t then Completed
     else begin
       let epoch = List.length t.n_epochs in
       let resume, frame_offset, resumed_from, resume_batch_seq =
-        if epoch = 0 then (None, 0, -1, 0)
-        else begin
-          (* Rollback floor: the newest checkpoint the signed audit
-             stream attests (same derivation as [run_supervised]). *)
-          let attested_ckpt =
-            List.fold_left
-              (fun acc b ->
-                List.fold_left
-                  (fun acc r ->
-                    match r with
-                    | Sbt_attest.Record.Checkpoint { seq; _ } -> max acc seq
-                    | _ -> acc)
-                  acc
-                  (Sbt_attest.Log.open_batch ~key:(key t) b))
-              (-1) t.n_uploads
-          in
-          match Sbt_recovery.Store.latest t.n_store with
-          | None ->
-              (* Died before any checkpoint: nothing acked, restart from
-                 scratch; the fresh boot regenerates all durable state. *)
-              t.n_uploads <- [];
-              t.n_results <- [];
-              (None, 0, -1, 0)
-          | Some (_, blob) ->
-              let restored =
-                D.restore t.n_cfg.dp_config ~expect_seq:(max attested_ckpt 0) blob
-              in
-              let ctl = decode_control restored.D.control in
-              t.n_uploads <-
-                List.filter
-                  (fun b -> b.Sbt_attest.Log.seq < restored.D.log_seq)
-                  t.n_uploads;
-              t.n_results <-
-                List.filter (fun (w, _) -> w < ctl.ck_next_window_to_close) t.n_results;
-              ( Some (restored.D.rt, ctl),
-                ctl.ck_frame_idx,
-                restored.D.ckpt_seq,
-                restored.D.log_seq )
-        end
+        if epoch = 0 then (None, 0, -1, 0) else resume_point t
       in
       let suffix = Sbt_net.Replay.suffix t.n_replay ~from:frame_offset in
       if epoch > 0 then t.n_replayed <- t.n_replayed + List.length suffix;
@@ -1163,27 +975,34 @@ module Node = struct
         t.n_ckpt_bytes <- t.n_ckpt_bytes + Bytes.length blob;
         Sbt_net.Replay.ack t.n_replay ~upto:frame_idx
       in
+      let keep uploads results =
+        t.n_epochs <- (manifest, uploads) :: t.n_epochs;
+        t.n_uploads <- t.n_uploads @ uploads;
+        t.n_results <- t.n_results @ results
+      in
       match
         record ~ckpt_every:t.n_ckpt_every ~on_checkpoint ?resume ~frame_offset ?registry
           ?halt_after_window t.n_cfg t.n_pipe suffix
       with
       | r ->
-          t.n_epochs <- (manifest, r.audit) :: t.n_epochs;
-          t.n_uploads <- t.n_uploads @ r.audit;
-          t.n_results <- t.n_results @ r.results;
-          t.n_finished <- true;
+          keep r.audit r.results;
+          t.n_last_run <- Some r;
           t.n_vt_ns <- Float.max t.n_vt_ns r.makespan_ns;
           t.n_total_events <- r.total_events;
           Completed
       | exception Halted_at { uploads; results; vt_ns; _ } ->
-          t.n_epochs <- (manifest, uploads) :: t.n_epochs;
-          t.n_uploads <- t.n_uploads @ uploads;
-          t.n_results <- t.n_results @ results;
+          keep uploads results;
           t.n_vt_ns <- Float.max t.n_vt_ns vt_ns;
           Halted { at_window = Option.value ~default:0 halt_after_window }
+      | exception Crashed { site; uploads; results } ->
+          keep uploads results;
+          (* Later boots run without the injected crash. *)
+          let dp = t.n_cfg.dp_config in
+          let fault_plan = Sbt_fault.Fault.without_crash dp.D.fault_plan in
+          t.n_cfg <- { t.n_cfg with dp_config = { dp with D.fault_plan } };
+          raise (Crashed { site; uploads = t.n_uploads; results = t.n_results })
     end
 
-  let finished t = t.n_finished
   let epoch_count t = List.length t.n_epochs
   let results t = List.sort (fun (a, _) (b, _) -> compare a b) t.n_results
   let audit t = t.n_uploads
@@ -1205,3 +1024,46 @@ module Node = struct
   let checkpoints t = t.n_ckpts
   let checkpoint_bytes t = t.n_ckpt_bytes
 end
+
+(* --- supervised restart ----------------------------------------------------
+
+   The normal-world supervisor around a checkpointed run: one [Node]
+   owns the durable stores and the supervisor owns the restart policy,
+   booting again after each injected crash up to [max_restarts] times. *)
+
+type supervised = {
+  sv_results : (int * D.sealed_result) list;  (* stitched, ascending window *)
+  sv_audit : Sbt_attest.Log.batch list;  (* stitched, oldest first *)
+  sv_epochs : (Sbt_attest.Epoch.sealed * Sbt_attest.Log.batch list) list;
+  sv_report : Sbt_attest.Verifier.report;
+  sv_crash_sites : Sbt_fault.Fault.site list;
+  sv_epoch_count : int;
+  sv_replayed_frames : int;
+  sv_checkpoints : int;
+  sv_checkpoint_bytes : int;
+  sv_last_run : run_result option;  (* the completing boot's full result *)
+}
+
+let run_supervised ?(max_restarts = 3) ?(ckpt_every = 1) cfg pipe frames =
+  let node = Node.create ~ckpt_every cfg pipe frames in
+  let rec boot crash_sites =
+    match Node.boot node with
+    | (_ : Node.outcome) -> List.rev crash_sites
+    | exception (Crashed { site; _ } as crash) ->
+        if Node.epoch_count node > max_restarts then raise crash else boot (site :: crash_sites)
+  in
+  let crash_sites = boot [] in
+  let epochs = Node.epochs node in
+  {
+    sv_results = Node.results node;
+    sv_audit = Node.audit node;
+    sv_epochs = epochs;
+    sv_report =
+      Sbt_attest.Verifier.verify_epochs ~key:(Node.key node) (Pipeline.verifier_spec pipe) epochs;
+    sv_crash_sites = crash_sites;
+    sv_epoch_count = Node.epoch_count node;
+    sv_replayed_frames = Node.replayed_frames node;
+    sv_checkpoints = Node.checkpoints node;
+    sv_checkpoint_bytes = Node.checkpoint_bytes node;
+    sv_last_run = node.Node.n_last_run;
+  }

@@ -37,11 +37,8 @@ module Config : sig
     ?deterministic:bool ->
     ?platform:Sbt_tz.Platform.t ->
     ?alloc_mode:Sbt_umem.Allocator.mode ->
-    ?sort_algorithm:Sbt_prim.Sort.algorithm ->
     ?ingress_key:bytes ->
     ?egress_key:bytes ->
-    ?audit_flush_every:int ->
-    ?audit_enabled:bool ->
     ?backpressure_threshold:float ->
     ?adaptive_backpressure:bool ->
     ?seed:int64 ->
@@ -146,9 +143,11 @@ exception
   }
 (** An injected crash ({!Sbt_fault.Fault.plan}[.crash]) killed the run.
     The payload is exactly what the normal world already held durably —
-    everything in-TEE is gone.  {!run_supervised} catches this and
-    restarts; it escapes only when the restart budget is exhausted (or
-    the caller ran {!run} directly with a crash armed). *)
+    everything in-TEE is gone: the run's own uploads and results from
+    {!run}, the node's stitched ones from {!Node.boot}.
+    {!run_supervised} catches this and restarts; it escapes only when the
+    restart budget is exhausted (or the caller ran {!run} directly with a
+    crash armed). *)
 
 (** Result of a supervised (crash-recovering) run: the stitched durable
     state after every boot epoch, plus the multi-epoch verifier's
@@ -173,18 +172,21 @@ type supervised = {
   sv_last_run : run_result option;  (** the completing boot's full result *)
 }
 
-(** A resumable per-partition node — the fleet-facing decomposition of
-    {!run_supervised}.  A [Node.t] owns one key partition's durable
-    normal-world state (sealed checkpoint store, source replay buffer,
-    stitched audit batches and sealed results) and advances it one boot
-    epoch at a time: [boot] either completes the partition's stream or
-    halts at the first checkpoint boundary past [halt_after_window] (the
-    fleet's kill/fence point — the checkpoint is durable, in-TEE state is
-    lost, exactly the [Crash_reboot] cut).  A later [boot] — issued by
-    whichever edge owns the partition after a handoff — resumes from the
-    newest durable checkpoint with the same rollback-floor validation as
-    the supervisor, so the stitched donor+recipient output is
-    byte-identical to an uninterrupted run with the same [ckpt_every]. *)
+(** A resumable per-partition node: the one recovery path, under both
+    {!run_supervised} and the fleet.  A [Node.t] owns one key partition's
+    durable normal-world state (sealed checkpoint store, source replay
+    buffer, stitched audit batches and sealed results) and advances it one
+    boot epoch at a time: [boot] completes the partition's stream, halts
+    at the first checkpoint boundary past [halt_after_window] (the fleet's
+    kill/fence point — the checkpoint is durable, in-TEE state is lost,
+    exactly the [Crash_reboot] cut), or dies of an injected crash.  A
+    later [boot] — on the same edge, or on whichever edge owns the
+    partition after a handoff — derives the rollback floor from the
+    Checkpoint records of the signed audit stream, unseals the newest
+    durable checkpoint into a fresh data plane, trims the stitched
+    uploads and results back to its cut and replays the unacknowledged
+    frame suffix, so the stitched output is byte-identical to an
+    uninterrupted run with the same [ckpt_every]. *)
 module Node : sig
   type t
 
@@ -203,7 +205,12 @@ module Node : sig
       {!Sbt_obs.Metrics.scoped} view named after the executing edge)
       receives the boot's control-plane counters; omitted, each boot gets
       a private registry.  On an already-[finished] node this is a no-op
-      returning [Completed]. *)
+      returning [Completed].
+
+      An injected crash ends the boot the way a halt does — its epoch,
+      uploads and results are kept — and clears the crash from the
+      node's fault plan for later boots; then {!Crashed} is raised,
+      carrying the node's stitched uploads and results. *)
 
   val finished : t -> bool
   val epoch_count : t -> int  (** boots so far *)
@@ -249,13 +256,14 @@ val run_supervised :
   supervised
 (** Run under a normal-world supervisor with sealed TEE checkpoints
     every [ckpt_every] closed windows (default 1) and source-side frame
-    replay.  On an injected crash the supervisor unseals the latest
-    checkpoint — rejecting tampered blobs ({!Sbt_recovery.Seal.Tamper})
-    and blobs older than the newest checkpoint attested in the signed
-    audit stream ({!Sbt_recovery.Seal.Rollback}) — rebuilds the data
-    plane, re-ingests the unacknowledged frame suffix, and continues;
-    up to [max_restarts] (default 3) times, re-raising {!Crashed}
-    beyond that.  Stateful cross-window pipelines (operator state held
+    replay: {!Node.boot} in a loop over one {!Node.t}.  After an injected
+    crash the next boot unseals the latest checkpoint — rejecting
+    tampered blobs ({!Sbt_recovery.Seal.Tamper}) and blobs older than the
+    newest checkpoint attested in the signed audit stream
+    ({!Sbt_recovery.Seal.Rollback}) — rebuilds the data plane,
+    re-ingests the unacknowledged frame suffix, and continues; up to
+    [max_restarts] (default 3) times, re-raising {!Crashed} beyond
+    that.  Stateful cross-window pipelines (operator state held
     in plan closures, e.g. [power_grid]) are not checkpointable — their
     state lives outside the TEE snapshot; use stateless-per-window
     pipelines with recovery.

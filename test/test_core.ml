@@ -68,8 +68,9 @@ let ingest dp rows =
          { payload = payload_of rows; encrypted = false; stream = 0; seq = 0; mac = Bytes.empty;
            windowing = None })
   with
-  | D.Rs_ingested { outs = [ out ]; _ } -> out.D.ref_
-  | _ -> Alcotest.fail "unexpected ingest response"
+  | D.Ingested { outs = [ out ]; _ } -> out.D.ref_
+  | D.Ingested _ -> Alcotest.fail "ingest without windowing must return one batch"
+  | D.Refused _ -> Alcotest.fail "ingest refused"
 
 let test_dataplane_ingest_and_sort () =
   let dp = mk_dp () in
@@ -85,16 +86,14 @@ let test_dataplane_ingest_and_sort () =
            retire_inputs = true;
          })
   with
-  | D.Rs_outputs [ out ] -> (
+  | [ out ] ->
       Alcotest.(check int) "3 events" 3 out.D.events;
       (* Egress it and check the order through the sealed result. *)
-      match D.call dp (D.R_egress { input = out.D.ref_; window = 0 }) with
-      | D.Rs_egress sealed ->
-          let rows = D.open_result ~egress_key sealed in
-          Alcotest.(check int32) "sorted first key" 1l rows.(0).(0);
-          Alcotest.(check int32) "sorted last key" 3l rows.(2).(0)
-      | _ -> Alcotest.fail "unexpected egress response")
-  | _ -> Alcotest.fail "unexpected invoke response"
+      let sealed = D.call dp (D.R_egress { input = out.D.ref_; window = 0 }) in
+      let rows = D.open_result ~egress_key sealed in
+      Alcotest.(check int32) "sorted first key" 1l rows.(0).(0);
+      Alcotest.(check int32) "sorted last key" 3l rows.(2).(0)
+  | _ -> Alcotest.fail "sort must have one output"
 
 let test_dataplane_rejects_fabricated_ref () =
   let dp = mk_dp () in
@@ -128,13 +127,11 @@ let test_dataplane_retire_semantics () =
   let dp = mk_dp () in
   let a = ingest dp [ [ 1l; 2l; 3l ]; [ 4l; 5l; 6l ] ] in
   (* Count with retire: the input ref dies. *)
-  (match
-     D.call dp
-       (D.R_invoke
-          { chain = [ (P.Count, []) ]; inputs = [ a ]; trigger = None; hints = []; retire_inputs = true })
-   with
-  | D.Rs_outputs [ _ ] -> ()
-  | _ -> Alcotest.fail "unexpected response");
+  Alcotest.(check int) "one count output" 1
+    (List.length
+       (D.call dp
+          (D.R_invoke
+             { chain = [ (P.Count, []) ]; inputs = [ a ]; trigger = None; hints = []; retire_inputs = true })));
   try
     ignore
       (D.call dp
@@ -156,25 +153,22 @@ let test_dataplane_encrypted_ingest () =
       (D.R_ingest_events { payload = cipher; encrypted = true; stream = 0; seq = 3;
                            mac = Bytes.empty; windowing = None })
   with
-  | D.Rs_ingested { outs = [ out ]; _ } -> (
-      match D.call dp (D.R_egress { input = out.D.ref_; window = 0 }) with
-      | D.Rs_egress sealed ->
-          let back = D.open_result ~egress_key sealed in
-          Alcotest.(check int32) "decrypted inside TEE" 70l back.(0).(1)
-      | _ -> Alcotest.fail "unexpected egress")
-  | _ -> Alcotest.fail "unexpected ingest"
+  | D.Ingested { outs = [ out ]; _ } ->
+      let sealed = D.call dp (D.R_egress { input = out.D.ref_; window = 0 }) in
+      let back = D.open_result ~egress_key sealed in
+      Alcotest.(check int32) "decrypted inside TEE" 70l back.(0).(1)
+  | D.Ingested _ -> Alcotest.fail "ingest without windowing must return one batch"
+  | D.Refused _ -> Alcotest.fail "encrypted ingest refused"
 
 let test_dataplane_result_tamper_detected () =
   let dp = mk_dp () in
   let r = ingest dp [ [ 1l; 2l; 3l ] ] in
-  match D.call dp (D.R_egress { input = r; window = 0 }) with
-  | D.Rs_egress sealed ->
-      let bad = Bytes.copy sealed.D.cipher in
-      Bytes.set bad 0 (Char.chr (Char.code (Bytes.get bad 0) lxor 0xFF));
-      Alcotest.check_raises "MAC failure"
-        (Invalid_argument "Dataplane.open_result: MAC verification failed") (fun () ->
-          ignore (D.open_result ~egress_key { sealed with D.cipher = bad }))
-  | _ -> Alcotest.fail "unexpected egress"
+  let sealed = D.call dp (D.R_egress { input = r; window = 0 }) in
+  let bad = Bytes.copy sealed.D.cipher in
+  Bytes.set bad 0 (Char.chr (Char.code (Bytes.get bad 0) lxor 0xFF));
+  Alcotest.check_raises "MAC failure"
+    (Invalid_argument "Dataplane.open_result: MAC verification failed") (fun () ->
+      ignore (D.open_result ~egress_key { sealed with D.cipher = bad }))
 
 let test_dataplane_version_accounting () =
   (* Full pays world switches; Insecure pays none; IOviaOS additionally
@@ -203,18 +197,18 @@ let test_dataplane_backpressure () =
           { payload = payload_of big_rows; encrypted = false; stream = 0; seq = 0;
             mac = Bytes.empty; windowing = None })
    with
-  | D.Rs_ingested { stalled_ns; _ } -> Alcotest.(check (float 0.0)) "first batch unstalled" 0.0 stalled_ns
-  | _ -> Alcotest.fail "unexpected");
+  | D.Ingested { stalled_ns; _ } -> Alcotest.(check (float 0.0)) "first batch unstalled" 0.0 stalled_ns
+  | D.Refused _ -> Alcotest.fail "first batch refused");
   match
     D.call dp
       (D.R_ingest_events
          { payload = payload_of big_rows; encrypted = false; stream = 0; seq = 1; mac = Bytes.empty;
            windowing = None })
   with
-  | D.Rs_ingested { stalled_ns; _ } ->
+  | D.Ingested { stalled_ns; _ } ->
       Alcotest.(check bool) "second batch stalled" true (stalled_ns > 0.0);
       Alcotest.(check int) "stall counted" 1 (D.stats dp).D.backpressure_stalls
-  | _ -> Alcotest.fail "unexpected"
+  | D.Refused _ -> Alcotest.fail "second batch refused"
 
 let test_dataplane_adaptive_backpressure () =
   (* Adaptive flow control: the stall grows as the pool fills deeper past
@@ -231,8 +225,8 @@ let test_dataplane_adaptive_backpressure () =
            { payload = payload_of rows; encrypted = false; stream = 0; seq; mac = Bytes.empty;
              windowing = None })
     with
-    | D.Rs_ingested { stalled_ns; _ } -> stalled_ns
-    | _ -> Alcotest.fail "unexpected"
+    | D.Ingested { stalled_ns; _ } -> stalled_ns
+    | D.Refused _ -> Alcotest.fail "batch refused"
   in
   let s0 = stall 0 in
   let s1 = stall 1 in
@@ -752,7 +746,7 @@ let test_smc_budget_exhausted_degrades () =
     Alcotest.failf "declared SMC loss must degrade: %s" (Format.asprintf "%a" V.pp_report report)
 
 let test_pool_pressure_sheds_and_degrades () =
-  (* Forced pool sheds: ingest refuses with Overloaded instead of raising
+  (* Forced pool sheds: ingest is refused under pool pressure instead of raising
      Out_of_secure_memory, the batch is declared lost, the run verifies. *)
   let bench = resilience_bench () in
   let plan = { Fault.none with Fault.pool = { Fault.quiet with Fault.fail_p = 0.25 } } in
@@ -769,18 +763,19 @@ let test_pool_pressure_sheds_and_degrades () =
 
 let test_dataplane_exhaustion_sheds_not_crashes () =
   (* Real exhaustion (no injection): a payload larger than the whole pool
-     must shed with Overloaded, never crash the TEE. *)
+     must be refused under pool pressure, never crash the TEE. *)
   let dp = mk_dp ~secure_mb:1 () in
   let rows = List.init 120_000 (fun i -> [ Int32.of_int i; 1l; 0l ]) in
-  (try
-     ignore
-       (D.call dp
-          (D.R_ingest_events
-             { payload = payload_of rows; encrypted = false; stream = 0; seq = 0; mac = Bytes.empty;
-               windowing = None }));
-     Alcotest.fail "expected Overloaded"
-   with D.Overloaded { stalled_ns } ->
-     Alcotest.(check bool) "stall modeled" true (stalled_ns > 0.0));
+  (match
+     D.call dp
+       (D.R_ingest_events
+          { payload = payload_of rows; encrypted = false; stream = 0; seq = 0; mac = Bytes.empty;
+            windowing = None })
+   with
+  | D.Refused { reason = D.Pool_pressure; stalled_ns } ->
+      Alcotest.(check bool) "stall modeled" true (stalled_ns > 0.0)
+  | D.Refused { reason = D.Corrupt_ingress; _ } -> Alcotest.fail "refused as corrupt"
+  | D.Ingested _ -> Alcotest.fail "expected a pool-pressure refusal");
   Alcotest.(check int) "shed counted" 1 (D.stats dp).D.sheds;
   (* The pool is untouched: a reasonable batch still ingests fine. *)
   match
@@ -789,8 +784,8 @@ let test_dataplane_exhaustion_sheds_not_crashes () =
          { payload = payload_of [ [ 1l; 2l; 0l ] ]; encrypted = false; stream = 0; seq = 1;
            mac = Bytes.empty; windowing = None })
   with
-  | D.Rs_ingested _ -> ()
-  | _ -> Alcotest.fail "pool unusable after shed"
+  | D.Ingested _ -> ()
+  | D.Refused _ -> Alcotest.fail "pool unusable after shed"
 
 let test_corrupt_frame_rejected_by_dataplane () =
   (* A MAC that does not match the payload: rejected inside the TEE. *)
@@ -800,17 +795,18 @@ let test_corrupt_frame_rejected_by_dataplane () =
   let mac = Frame.mac_payload ~key ~stream:0 ~seq:0 ~events:2 payload in
   let bad = Bytes.copy payload in
   Bytes.set bad 0 (Char.chr (Char.code (Bytes.get bad 0) lxor 0x40));
-  (try
-     ignore
-       (D.call dp (D.R_ingest_events { payload = bad; encrypted = false; stream = 0; seq = 0; mac;
-                                       windowing = None }));
-     Alcotest.fail "expected Rejected"
-   with D.Rejected _ -> ());
+  (match
+     D.call dp (D.R_ingest_events { payload = bad; encrypted = false; stream = 0; seq = 0; mac;
+                                    windowing = None })
+   with
+  | D.Refused { reason = D.Corrupt_ingress; _ } -> ()
+  | D.Refused { reason = D.Pool_pressure; _ } -> Alcotest.fail "refused as pool pressure"
+  | D.Ingested _ -> Alcotest.fail "expected a corrupt-ingress refusal");
   (* The genuine payload with the same MAC is accepted. *)
   match D.call dp (D.R_ingest_events { payload; encrypted = false; stream = 0; seq = 0; mac;
                                        windowing = None }) with
-  | D.Rs_ingested _ -> ()
-  | _ -> Alcotest.fail "genuine frame refused"
+  | D.Ingested _ -> ()
+  | D.Refused _ -> Alcotest.fail "genuine frame refused"
 
 (* --- one world switch per batch ----------------------------------------------- *)
 

@@ -22,24 +22,19 @@ let ingest dp ~width rows =
          { payload = payload_of ~width rows; encrypted = false; stream = 0; seq = 0;
            mac = Bytes.empty; windowing = None })
   with
-  | D.Rs_ingested { outs = [ out ]; _ } -> out.D.ref_
-  | _ -> Alcotest.fail "unexpected ingest response"
+  | D.Ingested { outs = [ out ]; _ } -> out.D.ref_
+  | D.Ingested _ -> Alcotest.fail "ingest without windowing must return one batch"
+  | D.Refused _ -> Alcotest.fail "ingest refused"
 
 let invoke dp ?(params = []) ?(retire = true) op inputs =
-  match
-    D.call dp
-      (D.R_invoke
-         { chain = [ (op, params) ]; inputs; trigger = None; hints = []; retire_inputs = retire })
-  with
-  | D.Rs_outputs outs -> outs
-  | _ -> Alcotest.fail "unexpected invoke response"
+  D.call dp
+    (D.R_invoke
+       { chain = [ (op, params) ]; inputs; trigger = None; hints = []; retire_inputs = retire })
 
 let rows_of dp (out : D.output) =
-  match D.call dp (D.R_egress { input = out.D.ref_; window = 0 }) with
-  | D.Rs_egress sealed ->
-      let rows = D.open_result ~egress_key:(Bytes.of_string "sbt-egress-key16") sealed in
-      Array.to_list rows |> List.map (fun r -> Array.to_list (Array.map Int32.to_int r))
-  | _ -> Alcotest.fail "unexpected egress response"
+  let sealed = D.call dp (D.R_egress { input = out.D.ref_; window = 0 }) in
+  let rows = D.open_result ~egress_key:(Bytes.of_string "sbt-egress-key16") sealed in
+  Array.to_list rows |> List.map (fun r -> Array.to_list (Array.map Int32.to_int r))
 
 let one = function [ o ] -> o | _ -> Alcotest.fail "expected one output"
 

@@ -158,8 +158,8 @@ let run_plan plan records =
         (D.R_ingest_events
            { payload; encrypted = false; stream = 0; seq = 0; mac = Bytes.empty; windowing = None })
     with
-    | D.Rs_ingested { outs = [ out ]; _ } -> out.D.ref_
-    | _ -> Alcotest.fail "ingest"
+    | D.Ingested { outs = [ out ]; _ } -> out.D.ref_
+    | D.Ingested _ | D.Refused _ -> Alcotest.fail "ingest"
   in
   let cost () =
     let records = D.audit_records_produced dp in
@@ -176,16 +176,14 @@ let run_plan plan records =
                 (D.R_invoke
                    { chain; inputs = [ r ]; trigger = None; hints = []; retire_inputs = true })
             with
-            | D.Rs_outputs [ o ] ->
+            | [ o ] ->
                 let s1, a1 = cost () in
                 (o.D.ref_, (s1 - s0, a1 - a0) :: costs)
-            | _ -> Alcotest.fail "invoke"))
+            | _ -> Alcotest.fail "invoke must have one output"))
       (seg, []) plan
   in
   let rows =
-    match D.call dp (D.R_egress { input = out; window = 0 }) with
-    | D.Rs_egress sealed -> D.open_result ~egress_key:cfg.D.egress_key sealed
-    | _ -> Alcotest.fail "egress"
+    D.open_result ~egress_key:cfg.D.egress_key (D.call dp (D.R_egress { input = out; window = 0 }))
   in
   (rows, List.rev costs, D.audit_records_for_test dp)
 

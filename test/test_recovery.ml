@@ -56,11 +56,7 @@ let test_dataplane_checkpoint_roundtrip () =
   let cfg = D.Config.make () in
   let dp = D.create cfg in
   let control = Bytes.of_string "control-section" in
-  let blob, seq =
-    match D.call dp (D.R_checkpoint { control; watermark = 42 }) with
-    | D.Rs_checkpoint { blob; seq } -> (blob, seq)
-    | _ -> Alcotest.fail "expected Rs_checkpoint"
-  in
+  let { D.blob; seq } = D.call dp (D.R_checkpoint { control; watermark = 42 }) in
   Alcotest.(check int) "first checkpoint is seq 0" 0 seq;
   let restored = D.restore cfg ~expect_seq:0 blob in
   Alcotest.(check string) "control section returned verbatim"
@@ -83,11 +79,7 @@ let test_dataplane_checkpoint_roundtrip () =
 let test_dataplane_restore_rejects () =
   let cfg = D.Config.make () in
   let dp = D.create cfg in
-  let blob =
-    match D.call dp (D.R_checkpoint { control = Bytes.empty; watermark = 0 }) with
-    | D.Rs_checkpoint { blob; _ } -> blob
-    | _ -> Alcotest.fail "expected Rs_checkpoint"
-  in
+  let { D.blob; _ } = D.call dp (D.R_checkpoint { control = Bytes.empty; watermark = 0 }) in
   let tampered = Bytes.copy blob in
   let at = Bytes.length tampered / 2 in
   Bytes.set tampered at (Char.chr (Char.code (Bytes.get tampered at) lxor 0x80));
@@ -269,14 +261,9 @@ let test_rolled_back_store_is_rejected () =
      to what the signed audit log attests — restore must refuse it. *)
   let cfg = D.Config.make () in
   let dp = D.create cfg in
-  let b0 =
-    match D.call dp (D.R_checkpoint { control = Bytes.empty; watermark = 1 }) with
-    | D.Rs_checkpoint { blob; _ } -> blob
-    | _ -> Alcotest.fail "expected Rs_checkpoint"
-  in
-  (match D.call dp (D.R_checkpoint { control = Bytes.empty; watermark = 2 }) with
-  | D.Rs_checkpoint { seq; _ } -> Alcotest.(check int) "second seq" 1 seq
-  | _ -> Alcotest.fail "expected Rs_checkpoint");
+  let b0 = (D.call dp (D.R_checkpoint { control = Bytes.empty; watermark = 1 })).D.blob in
+  Alcotest.(check int) "second seq" 1
+    (D.call dp (D.R_checkpoint { control = Bytes.empty; watermark = 2 })).D.seq;
   (* The log now attests checkpoint 1; presenting blob 0 is a rollback. *)
   let attested =
     List.fold_left

@@ -103,37 +103,25 @@ let test_smc_entry_surface () =
 
 let test_smc_dispatch () =
   let p = Tz.Platform.create () in
-  let smc : (int, int) Tz.Smc.t = Tz.Smc.create p in
-  Tz.Smc.register smc Tz.Smc.Invoke (fun x ->
-      (* Handlers run in the secure world. *)
-      Alcotest.(check bool) "in secure world" true (Tz.World.equal p.Tz.Platform.world Tz.World.Secure);
-      x + 1);
-  let r = Tz.Smc.call smc Tz.Smc.Invoke 41 in
+  let smc = Tz.Smc.create p in
+  let r =
+    Tz.Smc.call smc Tz.Smc.Invoke (fun () ->
+        (* The work runs in the secure world. *)
+        Alcotest.(check bool) "in secure world" true (Tz.World.equal p.Tz.Platform.world Tz.World.Secure);
+        42)
+  in
   Alcotest.(check int) "result" 42 r;
   Alcotest.(check bool) "back in normal world" true
     (Tz.World.equal p.Tz.Platform.world Tz.World.Normal);
   Alcotest.(check int) "one switch pair" 1 (Tz.Smc.switch_pairs smc)
 
-let test_smc_unregistered () =
-  let p = Tz.Platform.create () in
-  let smc : (unit, unit) Tz.Smc.t = Tz.Smc.create p in
-  Alcotest.check_raises "unregistered" Not_found (fun () -> Tz.Smc.call smc Tz.Smc.Debug ())
-
-let test_smc_duplicate_registration () =
-  let p = Tz.Platform.create () in
-  let smc : (unit, unit) Tz.Smc.t = Tz.Smc.create p in
-  Tz.Smc.register smc Tz.Smc.Init (fun () -> ());
-  Alcotest.check_raises "duplicate"
-    (Invalid_argument "Smc.register: handler already registered for init") (fun () ->
-      Tz.Smc.register smc Tz.Smc.Init (fun () -> ()))
-
 let test_smc_exception_restores_world () =
   let p = Tz.Platform.create () in
-  let smc : (unit, unit) Tz.Smc.t = Tz.Smc.create p in
-  Tz.Smc.register smc Tz.Smc.Invoke (fun () -> failwith "primitive crashed");
-  (try ignore (Tz.Smc.call smc Tz.Smc.Invoke ()) with Failure _ -> ());
+  let smc = Tz.Smc.create p in
+  (try Tz.Smc.call smc Tz.Smc.Invoke (fun () -> failwith "primitive crashed") with Failure _ -> ());
   Alcotest.(check bool) "world restored after crash" true
     (Tz.World.equal p.Tz.Platform.world Tz.World.Normal);
+  Alcotest.(check int) "the crossing is charged" 1 (Tz.Smc.switch_pairs smc);
   (* And the model is still usable. *)
   Tz.Platform.enter_secure p;
   Tz.Platform.exit_secure p
@@ -143,12 +131,9 @@ let test_smc_fault_hook_entry_busy () =
      pair is charged, the caller sees Entry_busy, and the normal world
      keeps running. *)
   let p = Tz.Platform.create () in
-  let smc : (int, int) Tz.Smc.t = Tz.Smc.create p in
-  Tz.Smc.register smc Tz.Smc.Invoke (fun x -> x * 2);
-  let refuse = ref true in
-  Tz.Smc.set_fault_hook smc (fun entry _ -> !refuse && entry = Tz.Smc.Invoke);
+  let smc = Tz.Smc.create p in
   (try
-     ignore (Tz.Smc.call smc Tz.Smc.Invoke 21);
+     ignore (Tz.Smc.refuse smc Tz.Smc.Invoke : int);
      Alcotest.fail "expected Entry_busy"
    with Tz.Smc.Entry_busy e -> Alcotest.(check string) "entry" "invoke" (Tz.Smc.entry_name e));
   Alcotest.(check int) "refusal counted" 1 (Tz.Smc.busy_rejections smc);
@@ -156,12 +141,9 @@ let test_smc_fault_hook_entry_busy () =
   Alcotest.(check bool) "still in normal world" true
     (Tz.World.equal p.Tz.Platform.world Tz.World.Normal);
   (* Retry after the transient clears. *)
-  refuse := false;
-  Alcotest.(check int) "retry succeeds" 42 (Tz.Smc.call smc Tz.Smc.Invoke 21);
+  Alcotest.(check int) "retry succeeds" 42 (Tz.Smc.call smc Tz.Smc.Invoke (fun () -> 21 * 2));
   Alcotest.(check int) "now one pair" 1 (Tz.Smc.switch_pairs smc);
-  Tz.Smc.clear_fault_hook smc;
-  refuse := true;
-  Alcotest.(check int) "hook cleared" 4 (Tz.Smc.call smc Tz.Smc.Invoke 2)
+  Alcotest.(check int) "one refusal in all" 1 (Tz.Smc.busy_rejections smc)
 
 (* --- Cost model ---------------------------------------------------------- *)
 
@@ -195,8 +177,6 @@ let () =
         [
           Alcotest.test_case "four entries" `Quick test_smc_entry_surface;
           Alcotest.test_case "dispatch" `Quick test_smc_dispatch;
-          Alcotest.test_case "unregistered" `Quick test_smc_unregistered;
-          Alcotest.test_case "duplicate registration" `Quick test_smc_duplicate_registration;
           Alcotest.test_case "exception restores world" `Quick test_smc_exception_restores_world;
           Alcotest.test_case "fault hook refuses entry" `Quick test_smc_fault_hook_entry_busy;
         ] );

@@ -40,17 +40,16 @@ let ingest dp rows =
       (D.R_ingest_events { payload; encrypted = false; stream = 0; seq = 0; mac = Bytes.empty;
                            windowing = None })
   with
-  | D.Rs_ingested { outs = [ out ]; _ } -> out.D.ref_
-  | _ -> Alcotest.fail "unexpected ingest response"
+  | D.Ingested { outs = [ out ]; _ } -> out.D.ref_
+  | D.Ingested _ -> Alcotest.fail "ingest without windowing must return one batch"
+  | D.Refused _ -> Alcotest.fail "ingest refused"
 
 let install dp udf =
   let cert = Udf.certificate_bytes (Udf.certify ~key:egress_key udf) in
-  match D.call dp (D.R_install_udf { udf; cert }) with
-  | D.Rs_outputs [] -> ()
-  | _ -> Alcotest.fail "unexpected install response"
+  D.call dp (D.R_install_udf { udf; cert })
 
 let run_udf dp ~name ~version input =
-  match
+  let out =
     D.call dp
       (D.R_invoke_udf
          {
@@ -63,15 +62,11 @@ let run_udf dp ~name ~version input =
            retire_inputs = true;
            state_output = false;
          })
-  with
-  | D.Rs_outputs [ out ] -> (
-      match D.call dp (D.R_egress { input = out.D.ref_; window = 0 }) with
-      | D.Rs_egress sealed ->
-          D.open_result ~egress_key sealed
-          |> Array.to_list
-          |> List.map (fun r -> Array.to_list (Array.map Int32.to_int r))
-      | _ -> Alcotest.fail "unexpected egress")
-  | _ -> Alcotest.fail "unexpected invoke response"
+  in
+  D.call dp (D.R_egress { input = out.D.ref_; window = 0 })
+  |> D.open_result ~egress_key
+  |> Array.to_list
+  |> List.map (fun r -> Array.to_list (Array.map Int32.to_int r))
 
 let rows = [ [ 1l; 10l; 0l ]; [ 2l; 11l; 0l ]; [ 3l; 12l; 0l ] ]
 
