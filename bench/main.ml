@@ -385,7 +385,7 @@ let fig10_one (mk : ?windows:int -> ?events_per_window:int -> ?batch_events:int 
   in
   let cfg = Runtime.Config.make ~cores:8 ~alloc_mode ~hints_enabled:hints () in
   let r =
-    Sbt_core.Session.create ~verify:false cfg
+    Sbt_core.Session.create cfg
     |> Sbt_core.Session.add_tenant ~pipeline:bench.B.pipeline ~source:(B.frames bench)
     |> Sbt_core.Session.run_single
   in
@@ -530,7 +530,7 @@ let fig12_one (mk : ?windows:int -> ?events_per_window:int -> ?batch_events:int 
   let bench = mk ~windows ~events_per_window:epw ~batch_events () in
   let cfg = Runtime.Config.make () in
   let r =
-    Sbt_core.Session.create ~verify:false cfg
+    Sbt_core.Session.create cfg
     |> Sbt_core.Session.add_tenant ~pipeline:bench.B.pipeline ~source:(B.frames bench)
     |> Sbt_core.Session.run_single
   in
@@ -777,7 +777,7 @@ let switch_sweep () =
       in
       let p = List.hd o.Runner.points in
       Printf.printf "  %14.0f %12.2f %8d\n" switch_us (p.Runner.events_per_sec /. 1e6)
-        o.Runner.dp_stats.D.switch_pairs)
+        o.Runner.run.Runtime.dp_stats.D.switch_pairs)
     [ 0.0; 25.0; 100.0; 400.0 ]
 
 (* ------------------------------------------------------------------ *)
@@ -899,9 +899,10 @@ let resilience () =
           bench.B.pipeline frames
       in
       let rep = o.Runner.verifier_report in
-      let loss = o.Runner.loss in
+      let r = o.Runner.run in
+      let loss = r.Runtime.loss in
       let goodput =
-        float_of_int (o.Runner.total_events - Runtime.Loss.events_dropped loss)
+        float_of_int (r.Runtime.total_events - Runtime.Loss.events_dropped loss)
         /. float_of_int (max 1 generated)
       in
       ignore
@@ -910,15 +911,15 @@ let resilience () =
              ("fault_rate", J.Num rate);
              ("goodput", J.Num goodput);
              ("gaps_declared", J.num_of_int (Runtime.Loss.gaps_declared loss));
-             ("sheds", J.num_of_int o.Runner.dp_stats.D.sheds);
-             ("smc_busy", J.num_of_int o.Runner.dp_stats.D.smc_busy_rejections);
+             ("sheds", J.num_of_int r.Runtime.dp_stats.D.sheds);
+             ("smc_busy", J.num_of_int r.Runtime.dp_stats.D.smc_busy_rejections);
              ("loss_fraction", J.Num rep.Sbt_attest.Verifier.loss_fraction);
              ("violations", J.num_of_int (List.length rep.Sbt_attest.Verifier.violations));
-             ("control_metrics", Sbt_obs.Metrics.to_json o.Runner.registry);
+             ("control_metrics", Sbt_obs.Metrics.to_json r.Runtime.registry);
            ]);
       Printf.printf "  %-6.2f %-9.3f %-6d %-6d %-6d %-10.3f %d\n" rate goodput
         (Runtime.Loss.gaps_declared loss)
-        o.Runner.dp_stats.D.sheds o.Runner.dp_stats.D.smc_busy_rejections
+        r.Runtime.dp_stats.D.sheds r.Runtime.dp_stats.D.smc_busy_rejections
         rep.Sbt_attest.Verifier.loss_fraction
         (List.length rep.Sbt_attest.Verifier.violations))
     [ 0.0; 0.02; 0.05; 0.1; 0.2 ];
@@ -1100,8 +1101,9 @@ let fusion () =
           (Runtime.Config.make ~version:D.Clear_ingress ~deterministic:true ())
           bench.B.pipeline (B.frames bench)
       in
-      let sw = Sbt_obs.Metrics.find_counter o.Runner.registry "smc.switches" in
-      let ab = Sbt_obs.Metrics.find_counter o.Runner.registry "audit.bytes" in
+      let reg = o.Runner.run.Runtime.registry in
+      let sw = Sbt_obs.Metrics.find_counter reg "smc.switches" in
+      let ab = Sbt_obs.Metrics.find_counter reg "audit.bytes" in
       let per_win n = float_of_int n /. float_of_int windows in
       Printf.printf "  %6d %10d %12.1f %10d %14.1f %9b\n" batch_events sw (per_win sw) ab
         (per_win ab) o.Runner.verified;
@@ -1127,7 +1129,6 @@ let fusion () =
 let tenants_bench () =
   section "[tenants] N pipelines in one enclave: aggregate rate and fairness (PR 8)";
   let module Session = Sbt_core.Session in
-  let module Multi = Sbt_core.Multi in
   let module V = Sbt_attest.Verifier in
   let counts = if smoke then [ 1; 8 ] else if quick then [ 1; 8; 64 ] else [ 1; 8; 64; 256 ] in
   let cfg = Sbt_core.Runtime.Config.make ~cores:4 ~deterministic:true () in
@@ -1157,33 +1158,28 @@ let tenants_bench () =
       let t0 = Clock.now_ns () in
       let res = Session.run session in
       let wall = Clock.elapsed_ns ~since:t0 /. 1e9 in
-      let clean, degraded, violating =
-        match res.Multi.report with
-        | Some r -> (r.V.tenants_clean, r.V.tenants_degraded, r.V.tenants_violating)
-        | None -> (0, 0, 0)
-      in
+      let r = res.Session.report in
       ignore
         (Bench_json.append ~section:"tenants"
            [
              ("tenants", J.num_of_int n);
-             ("events", J.num_of_int res.Multi.agg_events);
-             ("agg_events_per_s", J.Num res.Multi.agg_events_per_sec);
-             ("makespan_ms", J.Num (res.Multi.makespan_ns /. 1e6));
+             ("events", J.num_of_int res.Session.agg_events);
+             ("agg_events_per_s", J.Num res.Session.agg_events_per_sec);
+             ("makespan_ms", J.Num (res.Session.makespan_ns /. 1e6));
              ("wall_ms", J.Num (wall *. 1e3));
-             ("p99_delay_ms", J.Num (res.Multi.p99_delay_ns /. 1e6));
-             ("max_delay_ms", J.Num (res.Multi.max_delay_ns /. 1e6));
-             ("clean", J.num_of_int clean);
-             ("degraded", J.num_of_int degraded);
-             ("violating", J.num_of_int violating);
-             ( "verified",
-               J.Bool (match res.Multi.report with Some r -> V.tenants_ok r | None -> false) );
+             ("p99_delay_ms", J.Num (res.Session.p99_delay_ns /. 1e6));
+             ("max_delay_ms", J.Num (res.Session.max_delay_ns /. 1e6));
+             ("clean", J.num_of_int r.V.tenants_clean);
+             ("degraded", J.num_of_int r.V.tenants_degraded);
+             ("violating", J.num_of_int r.V.tenants_violating);
+             ("verified", J.Bool (V.tenants_ok r));
            ]);
       Printf.printf "  %-4d %-9d %-10.0f %-12.2f %-11.2f %-11.2f %d/%d clean\n" n
-        res.Multi.agg_events res.Multi.agg_events_per_sec
-        (res.Multi.makespan_ns /. 1e6)
-        (res.Multi.p99_delay_ns /. 1e6)
-        (res.Multi.max_delay_ns /. 1e6)
-        clean n)
+        res.Session.agg_events res.Session.agg_events_per_sec
+        (res.Session.makespan_ns /. 1e6)
+        (res.Session.p99_delay_ns /. 1e6)
+        (res.Session.max_delay_ns /. 1e6)
+        r.V.tenants_clean n)
     counts;
   Printf.printf
     "  (delays are per-tenant output delays under the merged DRR schedule)\n";
@@ -1236,7 +1232,7 @@ let disorder_bench () =
                [
                  ("policy", J.Str pname);
                  ("disorder", J.Num rate);
-                 ("events", J.num_of_int outcome.Runner.total_events);
+                 ("events", J.num_of_int outcome.Runner.run.Runtime.total_events);
                  ("events_per_s", J.Num pt.Runner.events_per_sec);
                  ("delay_ms", J.Num pt.Runner.delay_ms);
                  ("late_drops", J.num_of_int rep.V.late_drops);

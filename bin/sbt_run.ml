@@ -229,12 +229,13 @@ let run o =
       ~target_delay_ms:(Option.value o.run.target_ms ~default:bench.B.target_delay_ms)
       cfg pipeline frames
   in
+  let run = outcome.Runner.run in
   (* --undeclared-late presents the log under a quote claiming the
      silent policy: the declaration the verifier trusts omits what the
      edge actually did, and the replay must flag the mismatch. *)
   let spec_out =
-    if o.run.undeclared_late then { outcome.Runner.spec with V.late_policy = 0 }
-    else outcome.Runner.spec
+    if o.run.undeclared_late then { run.Runtime.verifier_spec with V.late_policy = 0 }
+    else run.Runtime.verifier_spec
   in
   (match (o.run.trace, tracer) with
   | Some path, Some tr ->
@@ -243,7 +244,7 @@ let run o =
         path (Sbt_obs.Tracer.event_count tr)
   | _ -> ());
   write_to o.audit_out "signed audit log" (fun p ->
-      Sbt_io.write_audit p spec_out outcome.Runner.audit);
+      Sbt_io.write_audit p spec_out run.Runtime.audit);
   (* the cloud-side merge: corrected windows carry their final
      (highest-generation) bytes, re-sealed under the canonical egress
      nonce — identical to [results] when nothing was corrected *)
@@ -259,7 +260,7 @@ let run o =
   end;
   Format.printf "%a" Runner.pp_outcome outcome;
   if o.verbose then begin
-    let s = outcome.Runner.dp_stats in
+    let s = run.Runtime.dp_stats in
     Format.printf
       "compute %.1f ms | mem %.1f ms | crypto %.1f ms | ingest %.1f ms | %d switch pairs | %d invocations@."
       (s.D.compute_ns /. 1e6) (s.D.mem_ns /. 1e6) (s.D.crypto_ns /. 1e6)
@@ -273,7 +274,7 @@ let run o =
     ||
     let key = cfg.Runtime.dp_config.D.egress_key in
     let records =
-      List.concat_map (fun b -> Sbt_attest.Log.open_batch ~key b) outcome.Runner.audit
+      List.concat_map (fun b -> Sbt_attest.Log.open_batch ~key b) run.Runtime.audit
     in
     let r = V.verify spec_out records in
     Printf.printf "undeclared-late check: %d violation(s) under the stripped declaration\n"
@@ -369,12 +370,13 @@ let resilience o =
       let frames, link = Lossy.apply plan clean_frames in
       let cfg = config ~fault_plan:plan o in
       let outcome = Runner.run cfg pipeline frames in
+      let r = outcome.Runner.run in
       (* Events that survived the link AND were ingested, over events the
          source generated: frames the link ate never reach the control
          plane, so they are missing from [total_events] already. *)
       let goodput =
         float_of_int
-          (outcome.Runner.total_events - Runtime.Loss.events_dropped outcome.Runner.loss)
+          (r.Runtime.total_events - Runtime.Loss.events_dropped r.Runtime.loss)
         /. float_of_int (max 1 total_events)
       in
       (* The uplink leg: drop whole signed batches and replay what is
@@ -382,25 +384,25 @@ let resilience o =
       let kept =
         List.filter
           (fun (b : Sbt_attest.Log.batch) -> not (Fault.uplink_drops plan ~seq:b.Sbt_attest.Log.seq))
-          outcome.Runner.audit
+          r.Runtime.audit
       in
       let uplink_verdict =
-        if List.length kept = List.length outcome.Runner.audit then "none"
+        if List.length kept = List.length r.Runtime.audit then "none"
         else
           let key = cfg.Runtime.dp_config.D.egress_key in
           let records = List.concat_map (fun b -> Sbt_attest.Log.open_batch ~key b) kept in
-          let r = V.verify outcome.Runner.spec records in
+          let report = V.verify r.Runtime.verifier_spec records in
           Printf.sprintf "%d batches lost -> %d violations"
-            (List.length outcome.Runner.audit - List.length kept)
-            (List.length r.V.violations)
+            (List.length r.Runtime.audit - List.length kept)
+            (List.length report.V.violations)
       in
       if not outcome.Runner.verified then all_verified := false;
       Printf.printf "%-6.2f %-28s %-9.3f %-5d %-7d %-7d %-10b %s\n" rate
         (Printf.sprintf "%d/%d/%d" link.Lossy.delivered link.Lossy.dropped link.Lossy.corrupted)
         goodput
-        (Runtime.Loss.gaps_declared outcome.Runner.loss)
-        outcome.Runner.dp_stats.D.sheds
-        outcome.Runner.dp_stats.D.smc_busy_rejections outcome.Runner.verified uplink_verdict)
+        (Runtime.Loss.gaps_declared r.Runtime.loss)
+        r.Runtime.dp_stats.D.sheds r.Runtime.dp_stats.D.smc_busy_rejections
+        outcome.Runner.verified uplink_verdict)
     (Option.value o.resilience.fault_rates ~default:default_fault_rates);
   (* Loss must surface as declared degradation, never as tamper
      evidence: any rate whose replay raised violations fails the sweep. *)
@@ -500,7 +502,6 @@ let fleet o =
    declared degradation). *)
 let tenants o =
   let module Session = Sbt_core.Session in
-  let module Multi = Sbt_core.Multi in
   let t = o.tenants in
   let n = Option.get t.count in
   let quota_for id =
@@ -527,37 +528,35 @@ let tenants o =
   let res = Session.run session in
   Printf.printf
     "tenants: %d in one enclave | %d events | agg %.2f Mev/s | p99 delay %.2f ms | max %.2f ms\n"
-    (List.length res.Multi.tenants) res.Multi.agg_events
-    (res.Multi.agg_events_per_sec /. 1e6)
-    (res.Multi.p99_delay_ns /. 1e6)
-    (res.Multi.max_delay_ns /. 1e6);
+    (List.length res.Session.tenants) res.Session.agg_events
+    (res.Session.agg_events_per_sec /. 1e6)
+    (res.Session.p99_delay_ns /. 1e6)
+    (res.Session.max_delay_ns /. 1e6);
   if o.verbose then
     List.iter
       (fun tr ->
-        let r = tr.Multi.tr_run in
+        let r = tr.Session.tr_run in
         Printf.printf
           "tenant %d: %d events | %d window(s) | %d shed(s) | mean delay %.2f ms | max %.2f ms\n"
-          tr.Multi.tr_id r.Runtime.total_events (List.length r.Runtime.results)
+          tr.Session.tr_id r.Runtime.total_events (List.length r.Runtime.results)
           r.Runtime.dp_stats.D.sheds
-          (tr.Multi.tr_mean_delay_ns /. 1e6)
-          (tr.Multi.tr_max_delay_ns /. 1e6))
-      res.Multi.tenants;
+          (tr.Session.tr_mean_delay_ns /. 1e6)
+          (tr.Session.tr_max_delay_ns /. 1e6))
+      res.Session.tenants;
   (* durable per-tenant outputs: <path>.t<id>, byte-comparable with a
      --solo-tenant run of the same spec *)
   let per_tenant path write =
     List.iter
-      (fun tr -> write (Printf.sprintf "%s.t%d" path tr.Multi.tr_id) tr.Multi.tr_run)
-      res.Multi.tenants
+      (fun tr -> write (Printf.sprintf "%s.t%d" path tr.Session.tr_id) tr.Session.tr_run)
+      res.Session.tenants
   in
   write_to o.results_out "sealed results (one file per tenant, suffix .t<ID>)" (fun p ->
       per_tenant p (fun path r -> Sbt_io.write_results path r.Runtime.results));
   write_to o.audit_out "audit sub-streams (one file per tenant, suffix .t<ID>)" (fun p ->
       per_tenant p (fun path r -> Sbt_io.write_audit path r.Runtime.verifier_spec r.Runtime.audit));
-  Option.iter
-    (fun report ->
-      Format.printf "%a" V.pp_tenants_report report;
-      if not (V.tenants_ok report) || report.V.tenants_degraded > 0 then exit 2)
-    res.Multi.report
+  let report = res.Session.report in
+  Format.printf "%a" V.pp_tenants_report report;
+  if not (V.tenants_ok report) || report.V.tenants_degraded > 0 then exit 2
 
 let main o =
   let m = validate o in

@@ -33,6 +33,7 @@ module Fault = Sbt_fault.Fault
 module D = Sbt_core.Dataplane
 module P = Sbt_core.Pipeline
 module Runner = Sbt_core.Runner
+module Runtime = Sbt_core.Runtime
 module Log = Sbt_attest.Log
 module V = Sbt_attest.Verifier
 
@@ -80,15 +81,17 @@ let () =
      re-sealed under the canonical egress nonce): the disordered run's
      final bytes equal the in-order run's. *)
   Printf.printf "convergence  : corrected results %s the in-order run's sealed bytes\n"
-    (if retracted.Runner.results_corrected = ordered.Runner.results then "MATCH"
+    (if retracted.Runner.results_corrected = ordered.Runner.run.Runtime.results then "MATCH"
      else "DIVERGE (bug!)");
 
   (* The attack: present the retract run's log under a declaration that
      claims the silent policy.  The replay sees Correction records no
      declared policy accounts for and rejects. *)
   let key = (D.Config.make ~version:D.Full ()).D.egress_key in
-  let records = List.concat_map (fun b -> Log.open_batch ~key b) retracted.Runner.audit in
-  let lying_spec = { retracted.Runner.spec with V.late_policy = 0 } in
+  let records =
+    List.concat_map (fun b -> Log.open_batch ~key b) retracted.Runner.run.Runtime.audit
+  in
+  let lying_spec = { retracted.Runner.run.Runtime.verifier_spec with V.late_policy = 0 } in
   let caught = V.verify lying_spec records in
   Printf.printf "undeclared   : silent-policy declaration over a correcting log -> %s\n"
     (match caught.V.violations with
@@ -124,5 +127,5 @@ let () =
   in
   let sessions = run (P.with_session_gap pipeline ~gap_ticks:400) rounds in
   Printf.printf "sessions     : 3 ward rounds under a 400-tick gap -> %d sealed session(s), verdict %s\n"
-    (List.length sessions.Runner.results)
+    (List.length sessions.Runner.run.Runtime.results)
     (if sessions.Runner.verified then "ACCEPTED" else "REJECTED")

@@ -15,7 +15,6 @@
 
 module B = Sbt_workloads.Benchmarks
 module Session = Sbt_core.Session
-module Multi = Sbt_core.Multi
 module Runtime = Sbt_core.Runtime
 module V = Sbt_attest.Verifier
 
@@ -41,22 +40,20 @@ let () =
     |> Session.run
   in
   Printf.printf "aggregate: %d events, %.2f M events/s, p99 tenant delay %.2f ms\n"
-    result.Multi.agg_events
-    (result.Multi.agg_events_per_sec /. 1e6)
-    (result.Multi.p99_delay_ns /. 1e6);
+    result.Session.agg_events
+    (result.Session.agg_events_per_sec /. 1e6)
+    (result.Session.p99_delay_ns /. 1e6);
   List.iter
     (fun tr ->
-      let run = tr.Multi.tr_run in
+      let run = tr.Session.tr_run in
       Printf.printf
         "tenant %d: %d events | %d window(s) | %d shed(s) | max delay %.2f ms\n"
-        tr.Multi.tr_id run.Runtime.total_events
+        tr.Session.tr_id run.Runtime.total_events
         (List.length run.Runtime.results)
         run.Runtime.dp_stats.Sbt_core.Dataplane.sheds
-        (tr.Multi.tr_max_delay_ns /. 1e6))
-    result.Multi.tenants;
+        (tr.Session.tr_max_delay_ns /. 1e6))
+    result.Session.tenants;
   (* Per-tenant verdicts: each audit sub-stream is MAC'd under a key
      derived from the tenant id and judged independently — the
      quota-squeezed tenant is DEGRADED (declared loss), the rest OK. *)
-  match result.Multi.report with
-  | Some report -> Format.printf "%a" V.pp_tenants_report report
-  | None -> ()
+  Format.printf "%a" V.pp_tenants_report result.Session.report

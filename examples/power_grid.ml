@@ -68,7 +68,7 @@ let () =
           Hashtbl.replace ewma house ((alpha *. float_of_int count) +. ((1.0 -. alpha) *. prev)))
         rows;
       print_newline ())
-    outcome.Runner.results;
+    outcome.Runner.run.Sbt_core.Runtime.results;
   print_endline "predicted high-power plug counts for the next window:";
   Hashtbl.fold (fun h p acc -> (h, p) :: acc) ewma []
   |> List.sort (fun (_, a) (_, b) -> compare b a)

@@ -33,7 +33,7 @@ let () =
       let lo = Int64.logand (Int64.of_int32 rows.(0).(0)) 0xFFFFFFFFL in
       let hi = Int64.shift_left (Int64.of_int32 rows.(0).(1)) 32 in
       Printf.printf "window %d: sum = %Ld\n" w (Int64.add hi lo))
-    outcome.Runner.results;
+    outcome.Runner.run.Sbt_core.Runtime.results;
 
   (* 4. Throughput and attestation summary. *)
   List.iter

@@ -21,7 +21,7 @@ let () =
     (fun (w, sealed) ->
       let rows = D.open_result ~egress_key sealed in
       Printf.printf "window %d: %ld distinct taxis\n" w rows.(0).(0))
-    outcome.Runner.results;
+    outcome.Runner.run.Sbt_core.Runtime.results;
   List.iter
     (fun p ->
       Printf.printf "%d cores: %.2f M events/s within %.0f ms delay target\n" p.Runner.cores

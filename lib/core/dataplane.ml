@@ -31,11 +31,6 @@ type late_policy = Silent | Drop_declare | Retract_reemit
 
 let late_policy_code = function Silent -> 0 | Drop_declare -> 1 | Retract_reemit -> 2
 
-let late_policy_name = function
-  | Silent -> "silent"
-  | Drop_declare -> "drop-declare"
-  | Retract_reemit -> "retract-reemit"
-
 type config = {
   version : version;
   platform : Tz.Platform.t;
@@ -43,7 +38,6 @@ type config = {
   ingress_key : bytes;
   egress_key : bytes;
   backpressure_threshold : float;
-  adaptive_backpressure : bool;
   seed : int64;
   fault_plan : Sbt_fault.Fault.plan;
   late_policy : late_policy;
@@ -61,9 +55,8 @@ module Config = struct
       ?platform ?(alloc_mode = Alloc.Hint_guided)
       ?(ingress_key = Bytes.of_string "sbt-ingress-k16!")
       ?(egress_key = Bytes.of_string "sbt-egress-key16") ?(backpressure_threshold = 0.90)
-      ?(adaptive_backpressure = false) ?(seed = 42L)
-      ?(fault_plan = Sbt_fault.Fault.none) ?(late_policy = Silent) ?tracer
-      ?pool_budget_bytes ?namespace () =
+      ?(seed = 42L) ?(fault_plan = Sbt_fault.Fault.none) ?(late_policy = Silent) ?tracer ?namespace
+      () =
     let platform =
       match platform with
       | Some p -> p
@@ -84,12 +77,11 @@ module Config = struct
       ingress_key;
       egress_key;
       backpressure_threshold;
-      adaptive_backpressure;
       seed;
       fault_plan;
       late_policy;
       tracer;
-      pool_budget_bytes;
+      pool_budget_bytes = None;
       namespace;
     }
 end
@@ -462,18 +454,7 @@ let do_ingest_events t ~payload ~encrypted ~stream ~seq =
     if pressure > t.cfg.backpressure_threshold then begin
       t.backpressure_stalls <- t.backpressure_stalls + 1;
       Sbt_obs.Metrics.incr t.m_stalls;
-      if t.cfg.adaptive_backpressure then begin
-        (* Automatic flow control (the paper's stated future work, 4.2):
-           the stall grows with how deep past the threshold the pool is,
-           so the source slows proportionally to the backlog instead of by
-           a fixed step. *)
-        let over =
-          (pressure -. t.cfg.backpressure_threshold)
-          /. Float.max 0.01 (1.0 -. t.cfg.backpressure_threshold)
-        in
-        Float.min 10_000_000.0 (Float.max 100_000.0 (10_000_000.0 *. over))
-      end
-      else 1_000_000.0 (* fixed 1 ms source stall *)
+      1_000_000.0 (* fixed 1 ms source stall *)
     end
     else 0.0
   in

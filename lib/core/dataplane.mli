@@ -48,8 +48,6 @@ type late_policy =
 val late_policy_code : late_policy -> int
 (** The attested wire code: 0 = silent, 1 = drop+declare, 2 = retract+reemit. *)
 
-val late_policy_name : late_policy -> string
-
 type config = {
   version : version;
   platform : Sbt_tz.Platform.t;
@@ -58,10 +56,6 @@ type config = {
   egress_key : bytes;  (** key shared with the cloud consumer (egress + audit MAC) *)
   backpressure_threshold : float;
       (** pool-usage fraction above which ingestion stalls the source *)
-  adaptive_backpressure : bool;
-      (** scale the stall with how far past the threshold the pool is —
-          the automatic flow control the paper leaves as future work
-          (§4.2); off by default to match the paper's implementation *)
   seed : int64;
   fault_plan : Sbt_fault.Fault.plan;
       (** deterministic fault injection (SMC entry refusal, forced pool
@@ -78,8 +72,9 @@ type config = {
           tracing cannot change any result, audit byte, or verdict. *)
   pool_budget_bytes : int option;
       (** secure-pool budget override, page-granular — how per-tenant
-          DRAM quotas are enforced ({!Sbt_core.Multi}); [None] (the
-          default) sizes the pool to the platform's full secure region *)
+          DRAM quotas are enforced ({!Sbt_core.Session} sets it per
+          tenant); [None] (the default) sizes the pool to the platform's
+          full secure region *)
   namespace : namespace option;
       (** tenant namespace this plane mints and guards refs under;
           [None] (the default, single-tenant) skips all guarding *)
@@ -101,12 +96,10 @@ module Config : sig
     ?ingress_key:bytes ->
     ?egress_key:bytes ->
     ?backpressure_threshold:float ->
-    ?adaptive_backpressure:bool ->
     ?seed:int64 ->
     ?fault_plan:Sbt_fault.Fault.plan ->
     ?late_policy:late_policy ->
     ?tracer:Sbt_obs.Tracer.t ->
-    ?pool_budget_bytes:int ->
     ?namespace:namespace ->
     unit ->
     t

@@ -17,9 +17,3 @@ let timing ~event_ts ~arrival_ts =
   if arrival_ts < event_ts then
     invalid_arg "Event.timing: an event cannot arrive before it happened";
   { event_ts; arrival_ts }
-
-let delay_ticks t = t.arrival_ts - t.event_ts
-
-(* Late relative to a watermark: the frontier already passed the event's
-   time when it arrived, so its window may have closed. *)
-let is_late t ~watermark = t.event_ts < watermark

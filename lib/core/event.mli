@@ -36,11 +36,3 @@ type timing = { event_ts : int; arrival_ts : int }
 
 val timing : event_ts:int -> arrival_ts:int -> timing
 (** Raises [Invalid_argument] if [arrival_ts < event_ts]. *)
-
-val delay_ticks : timing -> int
-(** How long the event was in flight, in event-time ticks. *)
-
-val is_late : timing -> watermark:int -> bool
-(** The watermark frontier already passed the event's time: its window
-    may have closed, and the configured late-data policy decides what
-    happens to it. *)

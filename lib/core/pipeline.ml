@@ -11,15 +11,8 @@ type batch_op =
 type wctx = {
   window : int;
   ready : (int * int64) list;
-  invoke :
-    ?params:D.param list ->
-    ?hints:D.hint list ->
-    ?retire:bool ->
-    P.t ->
-    int64 list ->
-    int64 list;
+  invoke : ?params:D.param list -> ?retire:bool -> P.t -> int64 list -> int64 list;
   invoke_udf :
-    ?hints:D.hint list ->
     ?retire:bool ->
     ?state_output:bool ->
     name:string ->
@@ -61,7 +54,7 @@ let with_session_gap p ~gap_ticks =
     invalid_arg "Pipeline.with_session_gap: session windows need a pipeline with no batch stages";
   { p with window_kind = `Session gap_ticks }
 
-let verifier_spec ?freshness_bound_us ?(late_policy = 0) p =
+let verifier_spec ?(late_policy = 0) p =
   {
     Sbt_attest.Verifier.batch_ops = List.map (fun op -> P.to_id (batch_op_primitive op)) p.batch_ops;
     window_ops =
@@ -69,7 +62,7 @@ let verifier_spec ?freshness_bound_us ?(late_policy = 0) p =
       @ List.init p.window_udf_invocations (fun _ -> P.udf_id);
     window_size = p.window_size_ticks;
     window_slide = p.window_slide_ticks;
-    freshness_bound = freshness_bound_us;
+    freshness_bound = None;
     late_policy;
     session_gap = session_gap p;
   }

@@ -28,7 +28,6 @@ type wctx = {
   ready : (int * int64) list;  (** (stream, opaque ref) of ready arrays *)
   invoke :
     ?params:Dataplane.param list ->
-    ?hints:Dataplane.hint list ->
     ?retire:bool ->
     Sbt_prim.Primitive.t ->
     int64 list ->
@@ -38,7 +37,6 @@ type wctx = {
           the first invocation (it appears in that audit record as the
           execution trigger). *)
   invoke_udf :
-    ?hints:Dataplane.hint list ->
     ?retire:bool ->
     ?state_output:bool ->
     name:string ->
@@ -92,10 +90,12 @@ val with_session_gap : t -> gap_ticks:int -> t
     with no batch stages (session assignment happens at windowing time);
     raises [Invalid_argument] otherwise or if [gap_ticks <= 0]. *)
 
-val verifier_spec : ?freshness_bound_us:int -> ?late_policy:int -> t -> Sbt_attest.Verifier.spec
+val verifier_spec : ?late_policy:int -> t -> Sbt_attest.Verifier.spec
 (** [late_policy] is the attested policy code the run declared (0 =
     silent, 1 = drop+declare, 2 = retract-and-reemit; default 0); the
-    session gap is taken from the pipeline's [window_kind]. *)
+    session gap is taken from the pipeline's [window_kind].  The spec
+    sets no freshness bound; a caller that checks one sets
+    [freshness_bound] on the returned record. *)
 
 (** {2 The paper's six benchmark pipelines (§9.2)} *)
 

@@ -11,25 +11,16 @@ type throughput_point = {
 type outcome = {
   version : D.version;
   pipeline_name : string;
+  run : Runtime.run_result;
   points : throughput_point list;
   mem_steady_mb : float;
   mem_high_water_mb : float;
-  total_events : int;
-  dp_stats : D.stats;
   audit_records : int;
   audit_raw_bytes : int;
   audit_compressed_bytes : int;
   verified : bool;
   verifier_report : Sbt_attest.Verifier.report;
-  loss : Runtime.Loss.t;
-  results : (int * D.sealed_result) list;
-  corrections : (int * int * D.sealed_result) list;
   results_corrected : (int * D.sealed_result) list;
-  audit : Sbt_attest.Log.batch list;
-  spec : Sbt_attest.Verifier.spec;
-  registry : Sbt_obs.Metrics.t;
-  tee_metrics : bytes;
-  tee_quote : Sbt_attest.Quote.quote;
 }
 
 let mean = function
@@ -133,28 +124,16 @@ let run ?(cores_list = [ 2; 4; 8 ]) ?(target_delay_ms = 500.0) ?(repeats = 1)
   {
     version;
     pipeline_name = pipe.Pipeline.name;
+    run = r;
     points;
     mem_steady_mb = mean r.Runtime.mem_samples_bytes /. 1e6;
     mem_high_water_mb = float_of_int r.Runtime.pool_high_water_bytes /. 1e6;
-    total_events = r.Runtime.total_events;
-    dp_stats = r.Runtime.dp_stats;
     audit_records;
     audit_raw_bytes = audit_raw;
     audit_compressed_bytes = audit_compressed;
     verified;
     verifier_report = report;
-    loss = r.Runtime.loss;
-    results = List.sort (fun (a, _) (b, _) -> compare a b) r.Runtime.results;
-    corrections = r.Runtime.corrections;
-    results_corrected =
-      merge_corrections ~egress_key
-        (List.sort (fun (a, _) (b, _) -> compare a b) r.Runtime.results)
-        r.Runtime.corrections;
-    audit = r.Runtime.audit;
-    spec = r.Runtime.verifier_spec;
-    registry = r.Runtime.registry;
-    tee_metrics = r.Runtime.tee_metrics;
-    tee_quote = r.Runtime.tee_quote;
+    results_corrected = merge_corrections ~egress_key r.Runtime.results r.Runtime.corrections;
   }
 
 let pp_outcome fmt o =

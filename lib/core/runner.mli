@@ -17,31 +17,21 @@ type throughput_point = {
 type outcome = {
   version : Dataplane.version;
   pipeline_name : string;
+  run : Runtime.run_result;  (** the kept recording *)
   points : throughput_point list;
   mem_steady_mb : float;  (** mean committed secure memory at window closes *)
   mem_high_water_mb : float;
-  total_events : int;
-  dp_stats : Dataplane.stats;
   audit_records : int;
   audit_raw_bytes : int;
   audit_compressed_bytes : int;
   verified : bool;  (** cloud verifier replayed the audit log cleanly *)
   verifier_report : Sbt_attest.Verifier.report;
-  loss : Runtime.Loss.t;  (** what graceful degradation dropped and declared *)
-  results : (int * Dataplane.sealed_result) list;  (** sorted by window *)
-  corrections : (int * int * Dataplane.sealed_result) list;
-      (** (window, generation, sealed) correction egress under
-          retract-and-reemit, in emission order; empty otherwise *)
   results_corrected : (int * Dataplane.sealed_result) list;
-      (** the cloud-side merge: [results] with each corrected window
-          replaced by its highest-generation correction re-sealed under
-          the canonical egress nonce ({!Dataplane.reseal_correction}) —
-          byte-comparable against an in-order run's [results] *)
-  audit : Sbt_attest.Log.batch list;  (** the signed upload, oldest first *)
-  spec : Sbt_attest.Verifier.spec;  (** the declaration the verifier used *)
-  registry : Sbt_obs.Metrics.t;  (** control-plane metrics for the kept recording *)
-  tee_metrics : bytes;  (** attested TEE registry snapshot *)
-  tee_quote : Sbt_attest.Quote.quote;
+      (** the cloud-side merge: the recording's results with each
+          corrected window replaced by its highest-generation correction
+          re-sealed under the canonical egress nonce
+          ({!Dataplane.reseal_correction}) — byte-comparable against an
+          in-order run's results *)
 }
 
 val merge_corrections :

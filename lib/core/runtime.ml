@@ -12,15 +12,11 @@ module Config = struct
   type t = config
 
   let make ?version ?(cores = 8) ?secure_mb ?cost ?deterministic ?platform ?alloc_mode
-      ?ingress_key ?egress_key ?backpressure_threshold ?adaptive_backpressure ?seed ?fault_plan
-      ?late_policy ?tracer ?(hints_enabled = true) ?dp_config () =
+      ?ingress_key ?egress_key ?backpressure_threshold ?seed ?fault_plan ?late_policy ?tracer
+      ?(hints_enabled = true) () =
     let dp_config =
-      match dp_config with
-      | Some c -> c
-      | None ->
-          D.Config.make ?version ~cores ?secure_mb ?cost ?deterministic ?platform ?alloc_mode
-            ?ingress_key ?egress_key ?backpressure_threshold ?adaptive_backpressure ?seed
-            ?fault_plan ?late_policy ?tracer ()
+      D.Config.make ?version ~cores ?secure_mb ?cost ?deterministic ?platform ?alloc_mode
+        ?ingress_key ?egress_key ?backpressure_threshold ?seed ?fault_plan ?late_policy ?tracer ()
     in
     { dp_config; cores; hints_enabled }
 end
@@ -28,18 +24,12 @@ end
 module Loss = struct
   type t = { gaps_declared : int; batches_dropped : int; events_dropped : int }
 
-  let none = { gaps_declared = 0; batches_dropped = 0; events_dropped = 0 }
   let v ~gaps_declared ~batches_dropped ~events_dropped =
     { gaps_declared; batches_dropped; events_dropped }
 
   let gaps_declared t = t.gaps_declared
   let batches_dropped t = t.batches_dropped
   let events_dropped t = t.events_dropped
-  let is_lossless t = t = none
-
-  let pp fmt t =
-    Format.fprintf fmt "gaps=%d batches_dropped=%d events_dropped=%d"
-      t.gaps_declared t.batches_dropped t.events_dropped
 end
 
 exception
@@ -57,8 +47,6 @@ exception
   Halted_at of {
     uploads : Sbt_attest.Log.batch list;
     results : (int * Dataplane.sealed_result) list;
-    ckpt_seq : int;
-    frame_idx : int;
     vt_ns : float;
   }
 
@@ -83,42 +71,52 @@ type run_result = {
   tee_quote : Sbt_attest.Quote.quote;
 }
 
-(* Per-window control state. *)
+(* --- control state -----------------------------------------------------------
+
+   Everything the control plane carries from frame to frame, in one
+   record.  The same record is the opaque [control] section of a sealed
+   checkpoint: the data plane seals it without interpreting it, and only
+   a successfully unsealed checkpoint can hand it back.  References
+   inside window states are the same opaque 64-bit values the restored
+   data plane re-binds, so the rebuilt control state points at exactly
+   the arrays it did before the crash. *)
+
 type win_state = {
   mutable ready : (int * int64) list; (* (stream, ref), newest first *)
   mutable dep_tasks : (Des.task * int) list; (* tasks (and trace indices) preceding the close *)
   mutable last_ready : (int * int64) list; (* per-stream chain anchors for consumed-after hints *)
-  mutable closed : bool;
 }
 
-let new_win () = { ready = []; dep_tasks = []; last_ready = []; closed = false }
+type control = {
+  mutable frame_idx : int; (* absolute index of the next frame to ingest *)
+  mutable base_ns : float; (* virtual time the next segment starts at *)
+  mutable next_window_to_close : int;
+  mutable total_events : int;
+  mutable cum_events : int;
+  mutable gaps_declared : int;
+  mutable batches_dropped : int;
+  mutable events_dropped : int;
+  mutable wm_audit_ref : int; (* audit id of the newest watermark *)
+  expected_seq : (int, int) Hashtbl.t; (* per-stream next expected frame seq *)
+  windows : (int, win_state) Hashtbl.t;
+}
 
-(* --- checkpointed control state --------------------------------------------
-
-   The control plane's resume coordinates, carried as the opaque [control]
-   section of a sealed checkpoint: the data plane seals it without
-   interpreting it, and only a successfully unsealed checkpoint can hand
-   it back.  References inside window states are the same opaque 64-bit
-   values the restored data plane re-binds, so the rebuilt control state
-   points at exactly the arrays it did before the crash. *)
+let new_control () =
+  {
+    frame_idx = 0;
+    base_ns = 0.0;
+    next_window_to_close = 0;
+    total_events = 0;
+    cum_events = 0;
+    gaps_declared = 0;
+    batches_dropped = 0;
+    events_dropped = 0;
+    wm_audit_ref = 0;
+    expected_seq = Hashtbl.create 4;
+    windows = Hashtbl.create 64;
+  }
 
 module C = Sbt_recovery.Codec
-
-type win_ckpt = { wk_win : int; wk_ready : (int * int64) list; wk_last_ready : (int * int64) list }
-
-type ctl_state = {
-  ck_frame_idx : int; (* absolute index of the next frame to ingest *)
-  ck_base_ns : float; (* virtual time the next segment starts at *)
-  ck_next_window_to_close : int;
-  ck_total_events : int;
-  ck_cum_events : int;
-  ck_gaps_declared : int;
-  ck_batches_dropped : int;
-  ck_events_dropped : int;
-  ck_wm_audit_ref : int;
-  ck_expected_seq : (int * int) list; (* per-stream next expected frame seq *)
-  ck_windows : win_ckpt list; (* open windows only, ascending *)
-}
 
 let put_sref w (s, r) =
   C.int_ w s;
@@ -129,84 +127,85 @@ let get_sref r =
   let v = C.get_i64 r in
   (s, v)
 
-let encode_control st =
+let sorted_bindings tbl =
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort (fun (a, _) (b, _) -> compare a b)
+
+(* Open windows only, ascending; closed ones are no resume state. *)
+let encode_control c =
   let w = C.writer () in
-  C.int_ w st.ck_frame_idx;
-  C.f64 w st.ck_base_ns;
-  C.int_ w st.ck_next_window_to_close;
-  C.int_ w st.ck_total_events;
-  C.int_ w st.ck_cum_events;
-  C.int_ w st.ck_gaps_declared;
-  C.int_ w st.ck_batches_dropped;
-  C.int_ w st.ck_events_dropped;
-  C.int_ w st.ck_wm_audit_ref;
+  C.int_ w c.frame_idx;
+  C.f64 w c.base_ns;
+  List.iter (C.int_ w)
+    [
+      c.next_window_to_close;
+      c.total_events;
+      c.cum_events;
+      c.gaps_declared;
+      c.batches_dropped;
+      c.events_dropped;
+      c.wm_audit_ref;
+    ];
   C.list_ w
     (fun w (s, n) ->
       C.int_ w s;
       C.int_ w n)
-    st.ck_expected_seq;
+    (sorted_bindings c.expected_seq);
   C.list_ w
-    (fun w wk ->
-      C.int_ w wk.wk_win;
-      C.list_ w put_sref wk.wk_ready;
-      C.list_ w put_sref wk.wk_last_ready)
-    st.ck_windows;
+    (fun w (win, ws) ->
+      C.int_ w win;
+      C.list_ w put_sref ws.ready;
+      C.list_ w put_sref ws.last_ready)
+    (List.filter (fun (win, _) -> win >= c.next_window_to_close) (sorted_bindings c.windows));
   C.contents w
 
+(* Restored windows keep their ready/last-ready structure and start with
+   no dep tasks: the checkpoint boundary drained its segment, so there is
+   nothing scheduled to depend on. *)
 let decode_control blob =
   let r = C.reader blob in
-  let ck_frame_idx = C.get_int r in
-  let ck_base_ns = C.get_f64 r in
-  let ck_next_window_to_close = C.get_int r in
-  let ck_total_events = C.get_int r in
-  let ck_cum_events = C.get_int r in
-  let ck_gaps_declared = C.get_int r in
-  let ck_batches_dropped = C.get_int r in
-  let ck_events_dropped = C.get_int r in
-  let ck_wm_audit_ref = C.get_int r in
-  let ck_expected_seq =
-    C.get_list r (fun r ->
-        let s = C.get_int r in
-        let n = C.get_int r in
-        (s, n))
-  in
-  let ck_windows =
-    C.get_list r (fun r ->
-        let wk_win = C.get_int r in
-        let wk_ready = C.get_list r get_sref in
-        let wk_last_ready = C.get_list r get_sref in
-        { wk_win; wk_ready; wk_last_ready })
-  in
+  let c = new_control () in
+  c.frame_idx <- C.get_int r;
+  c.base_ns <- C.get_f64 r;
+  c.next_window_to_close <- C.get_int r;
+  c.total_events <- C.get_int r;
+  c.cum_events <- C.get_int r;
+  c.gaps_declared <- C.get_int r;
+  c.batches_dropped <- C.get_int r;
+  c.events_dropped <- C.get_int r;
+  c.wm_audit_ref <- C.get_int r;
+  List.iter
+    (fun (s, n) -> Hashtbl.replace c.expected_seq s n)
+    (C.get_list r (fun r ->
+         let s = C.get_int r in
+         let n = C.get_int r in
+         (s, n)));
+  List.iter
+    (fun (w, ready, last_ready) ->
+      Hashtbl.replace c.windows w { ready; dep_tasks = []; last_ready })
+    (C.get_list r (fun r ->
+         let w = C.get_int r in
+         let ready = C.get_list r get_sref in
+         let last_ready = C.get_list r get_sref in
+         (w, ready, last_ready)));
   if not (C.at_end r) then invalid_arg "Runtime.decode_control: trailing bytes";
-  {
-    ck_frame_idx;
-    ck_base_ns;
-    ck_next_window_to_close;
-    ck_total_events;
-    ck_cum_events;
-    ck_gaps_declared;
-    ck_batches_dropped;
-    ck_events_dropped;
-    ck_wm_audit_ref;
-    ck_expected_seq;
-    ck_windows;
-  }
+  c
 
 (* --- the recording loop ----------------------------------------------------
 
    The one engine: the control plane runs for real and every data-plane
    effect happens once, serially, while the DES schedules the task graph
    on [cfg.cores] virtual cores.  Sealed results, audit bytes and
-   verdicts all come from this pass. *)
+   verdicts all come from this pass.  A resumed boot passes the restored
+   data plane and the checkpoint's control state; its frames start at
+   that state's [frame_idx]. *)
 
-let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
-    ?halt_after_window cfg (pipe : Pipeline.t) frames =
-  let dp, resume_ctl =
+let record ?ckpt_every ?on_checkpoint ?resume ?registry ?halt_after_window cfg
+    (pipe : Pipeline.t) frames =
+  let dp, c =
     match resume with
-    | None -> (D.create cfg.dp_config, None)
-    | Some (rt, ctl) -> (rt, Some ctl)
+    | None -> (D.create cfg.dp_config, new_control ())
+    | Some (rt, c) -> (rt, c)
   in
-  let ctl_or v f = match resume_ctl with None -> v | Some c -> f c in
   (* Retract-and-reemit re-runs the window plan over {original + late}
      segments, so those segments must reach the plan unmodified; batch
      stages would have consumed them long before the close. *)
@@ -239,7 +238,6 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
      function of [ckpt_every] alone, so a crashed-and-recovered run and an
      uninterrupted run with the same interval produce identical bytes. *)
   let des = ref (fresh_des ()) in
-  let base_ns = ref (ctl_or 0.0 (fun c -> c.ck_base_ns)) in
   let tasks_total = ref 0 in
   (* Deterministic crash injection: the fault plan names a site and how
      many control tasks may complete this boot before it fires. *)
@@ -272,22 +270,12 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
     ref []
   in
   let node_count = ref 0 in
-  let windows : (int, win_state) Hashtbl.t = Hashtbl.create 64 in
-  (* Open windows from the checkpoint: same ready/last-ready structure
-     (references re-bound by the restored data plane), empty dep-task
-     lists — the checkpoint boundary drained its segment, so there is
-     nothing scheduled to depend on. *)
-  List.iter
-    (fun wk ->
-      Hashtbl.replace windows wk.wk_win
-        { ready = wk.wk_ready; dep_tasks = []; last_ready = wk.wk_last_ready; closed = false })
-    (ctl_or [] (fun c -> c.ck_windows));
   let win w =
-    match Hashtbl.find_opt windows w with
+    match Hashtbl.find_opt c.windows w with
     | Some ws -> ws
     | None ->
-        let ws = new_win () in
-        Hashtbl.replace windows w ws;
+        let ws = { ready = []; dep_tasks = []; last_ready = [] } in
+        Hashtbl.replace c.windows w ws;
         ws
   in
   let results = ref [] in
@@ -325,7 +313,7 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
     (* Segments start at the accumulated virtual time; within the first
        (or only) segment this is 0 and scheduling is unconstrained, as
        before checkpointing existed. *)
-    let not_before = !base_ns in
+    let not_before = c.base_ns in
     let deps_tasks = List.map fst deps in
     let task = Des.schedule !des ~deps:deps_tasks ~not_before ~label ~work () in
     pending_nodes := (label, task, List.map snd deps, arrival, role) :: !pending_nodes;
@@ -381,18 +369,11 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
   (* --- frame loop -------------------------------------------------------- *)
   (* Certified UDFs ship with the pipeline install. *)
   List.iter (fun (udf, cert) -> D.call dp (D.R_install_udf { udf; cert })) pipe.Pipeline.udfs;
-  let cum_events = ref (ctl_or 0 (fun c -> c.ck_cum_events)) in
-  let total_events = ref (ctl_or 0 (fun c -> c.ck_total_events)) in
-  let next_window_to_close = ref (ctl_or 0 (fun c -> c.ck_next_window_to_close)) in
-  let wm_audit_ref = ref (ctl_or 0 (fun c -> c.ck_wm_audit_ref)) in
   (* --- graceful degradation --------------------------------------------- *)
   let plan = cfg.dp_config.D.fault_plan in
-  let gaps_declared = ref (ctl_or 0 (fun c -> c.ck_gaps_declared)) in
-  let batches_dropped = ref (ctl_or 0 (fun c -> c.ck_batches_dropped)) in
-  let events_dropped = ref (ctl_or 0 (fun c -> c.ck_events_dropped)) in
   let declare_gap ~stream ~seq ~events ~windows ~reason =
     D.call dp (D.R_declare_gap { stream; seq; events; windows; reason });
-    incr gaps_declared;
+    c.gaps_declared <- c.gaps_declared + 1;
     Sbt_obs.Metrics.incr c_gaps;
     instant "gap"
       ~args:
@@ -405,13 +386,9 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
   (* Next expected frame seq per stream: a jump means the link dropped
      frames, which the edge must declare before ingesting past the hole —
      otherwise the verifier reads the hole as tampering. *)
-  let expected_seq : (int, int) Hashtbl.t = Hashtbl.create 4 in
-  List.iter
-    (fun (s, n) -> Hashtbl.replace expected_seq s n)
-    (ctl_or [] (fun c -> c.ck_expected_seq));
   let link_holes ~stream ~seq =
-    let exp = Option.value ~default:0 (Hashtbl.find_opt expected_seq stream) in
-    Hashtbl.replace expected_seq stream (max (seq + 1) exp);
+    let exp = Option.value ~default:0 (Hashtbl.find_opt c.expected_seq stream) in
+    Hashtbl.replace c.expected_seq stream (max (seq + 1) exp);
     if seq > exp then List.init (seq - exp) (fun i -> exp + i) else []
   in
   (* The batch call with bounded retry against transient SMC refusals.
@@ -443,14 +420,25 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
      one, which also serializes any cross-window operator state. *)
   let last_close = ref None in
   (* --- checkpointing ------------------------------------------------------ *)
-  let last_ckpt_window = ref !next_window_to_close in
+  let last_ckpt_window = ref c.next_window_to_close in
   let crashed site =
     raise (Crashed { site; uploads = D.uploaded_batches dp; results = List.rev !results })
   in
   let drain_segment () =
     (try Des.run !des with Sbt_fault.Fault.Crash site -> crashed site);
     tasks_total := !tasks_total + Des.tasks_executed !des;
-    base_ns := Float.max !base_ns (Des.makespan_ns !des)
+    c.base_ns <- Float.max c.base_ns (Des.makespan_ns !des)
+  in
+  (* Quiesce: drain everything scheduled so far, then start a fresh DES
+     for the next segment.  Cross-segment orderings (previous close,
+     stages feeding a close) are enforced by [base_ns] rather than task
+     dependencies, so the drained task handles can be dropped. *)
+  let quiesce () =
+    drain_segment ();
+    des := fresh_des ();
+    Hashtbl.iter (fun _ ws -> ws.dep_tasks <- []) c.windows;
+    last_close := None;
+    D.set_now_ns dp c.base_ns
   in
   (* The shared window-plan execution path, used by ordinary closes,
      session closes and retract-and-reemit corrections.  Under the
@@ -460,19 +448,21 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
      explicitly — so the window's ready segments outlive the close and a
      later correction can re-run the plan over {originals + late}. *)
   let run_plan_and_seal ~w ~ready ~seal =
+    (* The window's triggering watermark rides on its first invocation. *)
     let trigger_used = ref false in
+    let trigger () =
+      if !trigger_used then None
+      else begin
+        trigger_used := true;
+        Some c.wm_audit_ref
+      end
+    in
     let produced = ref [] in
     let explicit = ref [] in
     let plain_retire r = D.call dp (D.R_retire { input = r }) in
-    let invoke ?(params = []) ?(hints = []) ?(retire = true) op inputs =
-      let trigger =
-        if !trigger_used then None
-        else begin
-          trigger_used := true;
-          Some !wm_audit_ref
-        end
-      in
-      let hints = if cfg.hints_enabled && hints = [] then [] else hints in
+    let retire_inputs retire = retire && not protect in
+    let invoke ?(params = []) ?(retire = true) op inputs =
+      let trigger = trigger () in
       let outs =
         D.call dp
           (D.R_invoke
@@ -480,23 +470,16 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
                chain = [ (op, params) ];
                inputs;
                trigger;
-               hints;
-               retire_inputs = retire && not protect;
+               hints = [];
+               retire_inputs = retire_inputs retire;
              })
       in
       let refs = List.map (fun (o : D.output) -> o.D.ref_) outs in
       if protect then produced := refs @ !produced;
       refs
     in
-    let invoke_udf ?(hints = []) ?(retire = true) ?(state_output = false) ~name ~version
-        ~value_field inputs =
-      let trigger =
-        if !trigger_used then None
-        else begin
-          trigger_used := true;
-          Some !wm_audit_ref
-        end
-      in
+    let invoke_udf ?(retire = true) ?(state_output = false) ~name ~version ~value_field inputs =
+      let trigger = trigger () in
       let out =
         D.call dp
           (D.R_invoke_udf
@@ -506,8 +489,8 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
                inputs;
                trigger;
                value_field;
-               hints;
-               retire_inputs = retire && not protect;
+               hints = [];
+               retire_inputs = retire_inputs retire;
                state_output;
              })
       in
@@ -543,56 +526,20 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
       0.0
     end
   in
-  let take_checkpoint ~next_frame_idx ~watermark =
-    (* Quiesce: drain everything scheduled so far, then start a fresh DES
-       for the next segment.  Cross-segment orderings (previous close,
-       stages feeding a close) are enforced by [base_ns] rather than task
-       dependencies, so the drained task handles can be dropped. *)
-    drain_segment ();
-    des := fresh_des ();
-    Hashtbl.iter (fun _ ws -> ws.dep_tasks <- []) windows;
-    last_close := None;
-    D.set_now_ns dp !base_ns;
-    let open_windows =
-      Hashtbl.fold
-        (fun w ws acc -> if w >= !next_window_to_close then (w, ws) :: acc else acc)
-        windows []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-    in
-    let control =
-      encode_control
-        {
-          ck_frame_idx = next_frame_idx;
-          ck_base_ns = !base_ns;
-          ck_next_window_to_close = !next_window_to_close;
-          ck_total_events = !total_events;
-          ck_cum_events = !cum_events;
-          ck_gaps_declared = !gaps_declared;
-          ck_batches_dropped = !batches_dropped;
-          ck_events_dropped = !events_dropped;
-          ck_wm_audit_ref = !wm_audit_ref;
-          ck_expected_seq =
-            Hashtbl.fold (fun s n acc -> (s, n) :: acc) expected_seq []
-            |> List.sort compare;
-          ck_windows =
-            List.map
-              (fun (w, ws) ->
-                {
-                  wk_win = w;
-                  wk_ready = ws.ready;
-                  wk_last_ready = ws.last_ready;
-                })
-              open_windows;
-        }
-    in
-    let { D.blob; seq = ckpt_seq } = D.call dp (D.R_checkpoint { control; watermark }) in
-    last_ckpt_window := !next_window_to_close;
+  (* A window's close waits for its watermark, the previous close and
+     every batch that fed it. *)
+  let schedule_close ~wm ~label w ws =
+    let deps = wm :: (Option.to_list !last_close @ ws.dep_tasks) in
+    last_close :=
+      Some (add_task ~deps ~role:(Trace.Egress_of w) ~label (fun () -> run_close w ws))
+  in
+  let take_checkpoint ~watermark =
+    quiesce ();
+    let { D.blob; seq } = D.call dp (D.R_checkpoint { control = encode_control c; watermark }) in
+    last_ckpt_window := c.next_window_to_close;
     instant "checkpoint"
-      ~args:
-        [ ("seq", Sbt_obs.Tracer.Int ckpt_seq); ("bytes", Sbt_obs.Tracer.Int (Bytes.length blob)) ];
-    (match on_checkpoint with
-    | Some f -> f ~blob ~seq:ckpt_seq ~frame_idx:next_frame_idx
-    | None -> ());
+      ~args:[ ("seq", Sbt_obs.Tracer.Int seq); ("bytes", Sbt_obs.Tracer.Int (Bytes.length blob)) ];
+    (match on_checkpoint with Some f -> f ~blob ~seq ~frame_idx:c.frame_idx | None -> ());
     (* A reboot crash is modeled at the boundary where TEE state is lost
        with the checkpoint already durable: right after persisting it. *)
     (match crash_arm with
@@ -603,33 +550,28 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
        checkpoint just persisted is exactly where a resume (or a handoff
        recipient) picks up, so the stitched run stays byte-identical. *)
     match halt_after_window with
-    | Some h when !next_window_to_close > h ->
+    | Some h when c.next_window_to_close > h ->
         raise
           (Halted_at
-             {
-               uploads = D.uploaded_batches dp;
-               results = List.rev !results;
-               ckpt_seq;
-               frame_idx = next_frame_idx;
-               vt_ns = !base_ns;
-             })
+             { uploads = D.uploaded_batches dp; results = List.rev !results; vt_ns = c.base_ns })
     | Some _ | None -> ()
   in
-  List.iteri
-    (fun frame_i frame ->
+  List.iter
+    (fun frame ->
+      c.frame_idx <- c.frame_idx + 1;
       match frame with
       | Sbt_net.Frame.Events
           { seq; stream; events; windows = frame_windows; payload; encrypted; mac } ->
-          let arrival = !cum_events + events in
-          cum_events := arrival;
-          total_events := !total_events + events;
+          let arrival = c.cum_events + events in
+          c.cum_events <- arrival;
+          c.total_events <- c.total_events + events;
           Sbt_obs.Metrics.incr c_frames;
           let holes = link_holes ~stream ~seq in
           (* Windows already closed when this batch was scheduled: data for
              them is late (the source broke the watermark contract).  The
              batch call hands their segments back unstaged, and the late
              policy decides what becomes of them. *)
-          let closed_below = !next_window_to_close in
+          let closed_below = c.next_window_to_close in
           (* One task, one world switch: ingest, Segment, and the batch
              plan on every segment whose window is still open. *)
           let batch_task, batch_idx =
@@ -640,7 +582,7 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
                    the audit log vouches for the hole in stream order. *)
                 List.iter
                   (fun missing ->
-                    incr batches_dropped;
+                    c.batches_dropped <- c.batches_dropped + 1;
                     Sbt_obs.Metrics.incr c_batches_dropped;
                     declare_gap ~stream ~seq:missing ~events:0 ~windows:[]
                       ~reason:Sbt_attest.Record.Link_loss)
@@ -666,9 +608,9 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
                 | Error (stalled_ns, reason) ->
                     (* Past the retry budget / rejected / shed: degrade by
                        dropping the batch and leaving a signed gap. *)
-                    incr batches_dropped;
+                    c.batches_dropped <- c.batches_dropped + 1;
                     Sbt_obs.Metrics.incr c_batches_dropped;
-                    events_dropped := !events_dropped + events;
+                    c.events_dropped <- c.events_dropped + events;
                     Sbt_obs.Metrics.add c_events_dropped events;
                     declare_gap ~stream ~seq ~events ~windows:frame_windows ~reason;
                     Sbt_obs.Metrics.observe h_stall stalled_ns;
@@ -697,7 +639,7 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
                      add_task ~deps ~role:(Trace.Egress_of w)
                        ~label:(Printf.sprintf "correct:w%d" w)
                        (fun () ->
-                         match Hashtbl.find_opt windows w with
+                         match Hashtbl.find_opt c.windows w with
                          | None -> 0.0 (* the late batch was lost: nothing to correct *)
                          | Some ws when ws.ready = [] -> 0.0
                          | Some ws ->
@@ -723,11 +665,11 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
                    in
                    last_close := Some (corr_task, corr_idx))
       | Sbt_net.Frame.Watermark { seq; value } ->
-          let arrival = !cum_events in
+          let arrival = c.cum_events in
           if value > !max_wm_seen then max_wm_seen := value;
-          let wm_task, wm_idx =
+          let wm =
             add_task ~arrival ~label:(Printf.sprintf "watermark:%d" seq) (fun () ->
-                wm_audit_ref := D.call dp (D.R_ingest_watermark { value });
+                c.wm_audit_ref <- D.call dp (D.R_ingest_watermark { value });
                 0.0)
           in
           (* Close, in order, every window whose end has passed.  Session
@@ -736,36 +678,24 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
              their closes are scheduled after the last frame instead. *)
           while
             Pipeline.session_gap pipe = None
-            && (!next_window_to_close * pipe.Pipeline.window_slide_ticks)
+            && (c.next_window_to_close * pipe.Pipeline.window_slide_ticks)
                + pipe.Pipeline.window_size_ticks
                <= value
           do
-            let w = !next_window_to_close in
-            incr next_window_to_close;
-            match Hashtbl.find_opt windows w with
+            let w = c.next_window_to_close in
+            c.next_window_to_close <- w + 1;
+            match Hashtbl.find_opt c.windows w with
             | None -> () (* empty window: nothing to do *)
             | Some ws ->
-                ws.closed <- true;
-                let marker_deps = [ (wm_task, wm_idx) ] in
-                let _marker, marker_idx =
-                  add_task ~deps:marker_deps ~arrival ~role:(Trace.Watermark_arrival w)
-                    ~label:(Printf.sprintf "wm-arrive:w%d" w)
-                    (fun () -> 0.0)
-                in
-                ignore marker_idx;
-                let close_deps =
-                  (wm_task, wm_idx) :: (Option.to_list !last_close @ ws.dep_tasks)
-                in
-                let close_task, close_idx =
-                  add_task ~deps:close_deps ~role:(Trace.Egress_of w)
-                    ~label:(Printf.sprintf "close:w%d" w)
-                    (fun () -> run_close w ws)
-                in
-                last_close := Some (close_task, close_idx)
+                ignore
+                  (add_task ~deps:[ wm ] ~arrival ~role:(Trace.Watermark_arrival w)
+                     ~label:(Printf.sprintf "wm-arrive:w%d" w)
+                     (fun () -> 0.0));
+                schedule_close ~wm ~label:(Printf.sprintf "close:w%d" w) w ws
           done;
           (match ckpt_every with
-          | Some every when !next_window_to_close - !last_ckpt_window >= every ->
-              take_checkpoint ~next_frame_idx:(frame_offset + frame_i + 1) ~watermark:value
+          | Some every when c.next_window_to_close - !last_ckpt_window >= every ->
+              take_checkpoint ~watermark:value
           | Some _ | None -> ()))
     frames;
   (* Session close scheduling: drain everything so the windowing tasks
@@ -776,40 +706,26 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
   (match Pipeline.session_gap pipe with
   | None -> ()
   | Some gap ->
-      drain_segment ();
-      des := fresh_des ();
-      Hashtbl.iter (fun _ ws -> ws.dep_tasks <- []) windows;
-      last_close := None;
-      D.set_now_ns dp !base_ns;
+      quiesce ();
       let final_wm = !max_wm_seen + gap + 1 in
-      let wm_task, wm_idx =
-        add_task ~arrival:!cum_events ~label:"wm:session-final" (fun () ->
-            wm_audit_ref := D.call dp (D.R_ingest_watermark { value = final_wm });
+      let wm =
+        add_task ~arrival:c.cum_events ~label:"wm:session-final" (fun () ->
+            c.wm_audit_ref <- D.call dp (D.R_ingest_watermark { value = final_wm });
             0.0)
       in
-      Hashtbl.fold (fun w _ acc -> w :: acc) windows []
-      |> List.sort compare
-      |> List.iter (fun w ->
-             let ws = win w in
-             ws.closed <- true;
-             let close_deps = (wm_task, wm_idx) :: Option.to_list !last_close in
-             let close_task, close_idx =
-               add_task ~deps:close_deps ~role:(Trace.Egress_of w)
-                 ~label:(Printf.sprintf "close:s%d" w)
-                 (fun () -> run_close w ws)
-             in
-             last_close := Some (close_task, close_idx)));
+      List.iter
+        (fun (w, ws) -> schedule_close ~wm ~label:(Printf.sprintf "close:s%d" w) w ws)
+        (sorted_bindings c.windows));
   drain_segment ();
   (* Retract-and-reemit kept every window's segments alive for possible
      corrections; reclaim them now that no more can arrive (R_retire is
      audit-silent, so the sweep leaves no trace in the signed log). *)
   if protect then
-    Hashtbl.fold (fun w _ acc -> w :: acc) windows []
-    |> List.sort compare
-    |> List.iter (fun w ->
-           let ws = win w in
-           List.iter (fun (_, r) -> D.call dp (D.R_retire { input = r })) (List.rev ws.ready);
-           ws.ready <- []);
+    List.iter
+      (fun (_, ws) ->
+        List.iter (fun (_, r) -> D.call dp (D.R_retire { input = r })) (List.rev ws.ready);
+        ws.ready <- [])
+      (sorted_bindings c.windows);
   D.finalize dp;
   (* Assemble the trace: node order is schedule order (reverse of the
      accumulation list). *)
@@ -855,13 +771,13 @@ let record ?ckpt_every ?on_checkpoint ?resume ?(frame_offset = 0) ?registry
       Pipeline.verifier_spec
         ~late_policy:(D.late_policy_code cfg.dp_config.D.late_policy)
         pipe;
-    makespan_ns = !base_ns;
-    total_events = !total_events;
+    makespan_ns = c.base_ns;
+    total_events = c.total_events;
     tasks_executed = !tasks_total;
     live_refs_after = D.live_refs dp;
     loss =
-      Loss.v ~gaps_declared:!gaps_declared ~batches_dropped:!batches_dropped
-        ~events_dropped:!events_dropped;
+      Loss.v ~gaps_declared:c.gaps_declared ~batches_dropped:c.batches_dropped
+        ~events_dropped:c.events_dropped;
     registry = reg;
     tee_metrics;
     tee_quote;
@@ -956,8 +872,8 @@ module Node = struct
            windows past it are regenerated by the resumed boot, byte for
            byte. *)
         t.n_uploads <- List.filter (fun b -> b.Sbt_attest.Log.seq < restored.D.log_seq) t.n_uploads;
-        t.n_results <- List.filter (fun (w, _) -> w < ctl.ck_next_window_to_close) t.n_results;
-        (Some (restored.D.rt, ctl), ctl.ck_frame_idx, restored.D.ckpt_seq, restored.D.log_seq)
+        t.n_results <- List.filter (fun (w, _) -> w < ctl.next_window_to_close) t.n_results;
+        (Some (restored.D.rt, ctl), ctl.frame_idx, restored.D.ckpt_seq, restored.D.log_seq)
 
   let boot ?registry ?halt_after_window t =
     if finished t then Completed
@@ -981,7 +897,7 @@ module Node = struct
         t.n_results <- t.n_results @ results
       in
       match
-        record ~ckpt_every:t.n_ckpt_every ~on_checkpoint ?resume ~frame_offset ?registry
+        record ~ckpt_every:t.n_ckpt_every ~on_checkpoint ?resume ?registry
           ?halt_after_window t.n_cfg t.n_pipe suffix
       with
       | r ->
@@ -990,7 +906,7 @@ module Node = struct
           t.n_vt_ns <- Float.max t.n_vt_ns r.makespan_ns;
           t.n_total_events <- r.total_events;
           Completed
-      | exception Halted_at { uploads; results; vt_ns; _ } ->
+      | exception Halted_at { uploads; results; vt_ns } ->
           keep uploads results;
           t.n_vt_ns <- Float.max t.n_vt_ns vt_ns;
           Halted { at_window = Option.value ~default:0 halt_after_window }
@@ -1014,9 +930,6 @@ module Node = struct
 
   let manifests t = List.rev_map fst t.n_epochs
   let acked_frames t = Sbt_net.Replay.acked t.n_replay
-
-  let last_ckpt_seq t =
-    match Sbt_recovery.Store.latest t.n_store with Some (seq, _) -> seq | None -> -1
 
   let vt_ns t = t.n_vt_ns
   let total_events t = t.n_total_events

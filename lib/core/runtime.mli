@@ -24,8 +24,7 @@ type config = {
     unfused mode; tests reach the unfused lowering through {!Ir.lower}. *)
 
 (** Labelled construction for {!config}.  [make]'s data-plane labels are
-    forwarded to {!Dataplane.Config.make}; passing [?dp_config] overrides
-    them wholesale. *)
+    forwarded to {!Dataplane.Config.make}. *)
 module Config : sig
   type t = config
 
@@ -40,13 +39,11 @@ module Config : sig
     ?ingress_key:bytes ->
     ?egress_key:bytes ->
     ?backpressure_threshold:float ->
-    ?adaptive_backpressure:bool ->
     ?seed:int64 ->
     ?fault_plan:Sbt_fault.Fault.plan ->
     ?late_policy:Dataplane.late_policy ->
     ?tracer:Sbt_obs.Tracer.t ->
     ?hints_enabled:bool ->
-    ?dp_config:Dataplane.config ->
     unit ->
     t
   (** Defaults: 8 cores, hints on, and
@@ -66,16 +63,10 @@ module Loss : sig
     events_dropped : int;  (** events inside dropped frames (link holes excluded) *)
   }
 
-  val none : t
   val v : gaps_declared:int -> batches_dropped:int -> events_dropped:int -> t
   val gaps_declared : t -> int
   val batches_dropped : t -> int
   val events_dropped : t -> int
-
-  val is_lossless : t -> bool
-  (** No gaps, no drops — the run saw every event it was sent. *)
-
-  val pp : Format.formatter -> t -> unit
 end
 
 type run_result = {
@@ -232,9 +223,6 @@ module Node : sig
   val acked_frames : t -> int
   (** Source-replay cursor: frames acknowledged by durable checkpoints —
       the resume cursor a handoff manifest records. *)
-
-  val last_ckpt_seq : t -> int
-  (** Newest durable checkpoint seq; -1 if none. *)
 
   val vt_ns : t -> float
   (** Accumulated virtual time across boots. *)

@@ -59,8 +59,8 @@ let closable_windows ~size ~slide frames =
   in
   if wm_max >= size then ((wm_max - size) / slide) + 1 else 0
 
-let run ?registry ?(ckpt_every = 1) ?(rogue_handoff = false) ?(plan = Fault.none) ~scenario
-    ~nodes:m ~batch_events cfg pipe frames =
+let run ?(ckpt_every = 1) ?(rogue_handoff = false) ~scenario ~nodes:m ~batch_events cfg pipe
+    frames =
   if m < 1 then invalid_arg "Fleet.run: nodes must be >= 1";
   let size = pipe.P.window_size_ticks and slide = pipe.P.window_slide_ticks in
   let w_total = closable_windows ~size ~slide frames in
@@ -99,7 +99,9 @@ let run ?registry ?(ckpt_every = 1) ?(rogue_handoff = false) ?(plan = Fault.none
           let r = k + ra in
           base @ (if k >= last then [ r ] else range r (r + last - k - 1))
     | Some (Fault.Uplink_partition { at_beat = a; beats = b; _ }) ->
-        let r = Fault.reconnect_beat plan ~node:n ~at_beat:a ~beats:b ~beat_ns in
+        let r =
+          Fault.reconnect_beat cfg.R.dp_config.D.fault_plan ~node:n ~at_beat:a ~beats:b ~beat_ns
+        in
         range 0 (min (a - 1) last) @ (if r <= last then range r last else [ r ])
     | Some (Fault.Straggle { factor; _ }) ->
         List.sort_uniq compare
@@ -171,7 +173,7 @@ let run ?registry ?(ckpt_every = 1) ?(rogue_handoff = false) ?(plan = Fault.none
     find 0
   in
   (* ---- execution ---- *)
-  let reg = match registry with Some r -> r | None -> M.create () in
+  let reg = M.create () in
   let scope e = M.scoped reg (Printf.sprintf "edge%d" e) in
   let key = cfg.R.dp_config.D.egress_key in
   let fates = Array.make m Ran in

@@ -74,10 +74,8 @@ type summary = {
 }
 
 val run :
-  ?registry:Sbt_obs.Metrics.t ->
   ?ckpt_every:int ->
   ?rogue_handoff:bool ->
-  ?plan:Sbt_fault.Fault.plan ->
   scenario:Sbt_fault.Fault.fleet_scenario ->
   nodes:int ->
   batch_events:int ->
@@ -89,9 +87,8 @@ val run :
     {!Partition.split} for partitioning rules; [batch_events] is the
     workload's batch size).  A fleet partitions one pipeline; several
     tenants in one enclave are {!Sbt_core.Session}'s job.  [ckpt_every]
-    defaults to 1 so every beat is a consistent kill point.  [plan]
-    supplies the reconnect backoff for uplink partitions (default
-    {!Sbt_fault.Fault.none}).
+    defaults to 1 so every beat is a consistent kill point.  The config's
+    fault plan supplies the reconnect backoff for uplink partitions.
 
     [rogue_handoff] simulates an adversarial failover: the survivor
     re-runs the dead edge's partition from scratch and discards the

@@ -57,8 +57,6 @@ let watermark ?last ~seq ~value () =
   | _ -> ());
   Watermark { seq; value }
 
-let watermark_value = function Watermark { value; _ } -> Some value | Events _ -> None
-
 let ctr_pos seq = Int64.shift_left (Int64.of_int seq) 32
 
 (* Authenticated bytes: a 12-byte little-endian header binding the frame

@@ -40,10 +40,6 @@ val watermark : ?last:int -> seq:int -> value:int -> unit -> t
     flight; regressing would retroactively legitimize data already
     classified as late, so a regression is rejected at construction. *)
 
-val watermark_value : t -> int option
-(** [watermark_value f] is [Some value] for a [Watermark] frame and
-    [None] for [Events]. *)
-
 val encrypt_payload : key:bytes -> stream_nonce:int64 -> t -> t
 (** En/decrypt an [Events] payload in a fresh copy (CTR position =
     [seq * 2^32]); identity on watermarks and on already-(un)encrypted

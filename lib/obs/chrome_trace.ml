@@ -54,9 +54,9 @@ let metadata_event pid name =
       ("args", Json.Obj [ ("name", Json.Str name) ]);
     ]
 
-let default_process_names = [ (0, "normal-world"); (1, "secure-world") ]
+let process_names = [ (0, "normal-world"); (1, "secure-world") ]
 
-let to_json ?(process_names = default_process_names) tracer =
+let to_json tracer =
   let events =
     List.map (fun (pid, name) -> metadata_event pid name) process_names
     @ List.map json_of_event (Tracer.events tracer)
@@ -64,8 +64,8 @@ let to_json ?(process_names = default_process_names) tracer =
   Json.to_string
     (Json.Obj [ ("traceEvents", Json.List events); ("displayTimeUnit", Json.Str "ms") ])
 
-let write_file ?process_names tracer ~path =
+let write_file tracer ~path =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_json ?process_names tracer))
+    (fun () -> output_string oc (to_json tracer))

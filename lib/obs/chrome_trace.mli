@@ -6,8 +6,7 @@
     [ph = "X"], instants [ph = "i"] (thread scope), counter samples
     [ph = "C"], plus [ph = "M"] metadata naming the two worlds. *)
 
-val to_json : ?process_names:(int * string) list -> Tracer.t -> string
-(** [process_names] defaults to
-    [[(0, "normal-world"); (1, "secure-world")]]. *)
+val to_json : Tracer.t -> string
+(** Process 0 is named ["normal-world"] and process 1 ["secure-world"]. *)
 
-val write_file : ?process_names:(int * string) list -> Tracer.t -> path:string -> unit
+val write_file : Tracer.t -> path:string -> unit

@@ -16,8 +16,6 @@ let step_op = function
   | F_project _ -> Primitive.Project
   | F_shift_key _ -> Primitive.Shift_key
 
-let step_name s = Primitive.name (step_op s)
-
 (* Record width after each step, threading projections through; [None] if
    any step references a field outside the width it actually sees (the
    in-TEE validity check before a fused chain may run). *)

@@ -27,8 +27,6 @@ type step =
 val step_op : step -> Primitive.t
 (** The unfused primitive a step stands for. *)
 
-val step_name : step -> string
-
 val width_after : int -> step list -> int option
 (** [width_after w steps] is the record width after the whole chain runs
     over width-[w] input, or [None] if any step references a field outside

@@ -1,12 +1,3 @@
-let event_width = 3
 let key_field = 0
 let value_field = 1
 let ts_field = 2
-
-let power_width = 4
-let house_field = 0
-let plug_field = 1
-let power_field = 2
-let power_ts_field = 3
-
-let kv_width = 2

@@ -2,25 +2,10 @@
 
     All analytics data lives in uArrays of fixed-width records of 32-bit
     fields.  The engine's standard event is 3 fields (12 bytes, the
-    paper's default); the power-grid benchmark uses 4 fields (16 bytes).
-    Primitives take the relevant field indices as parameters, so these
-    constants are conventions, not requirements. *)
-
-val event_width : int
-(** 3: {!key_field}, {!value_field}, {!ts_field}. *)
+    paper's default): key, value, timestamp.  Primitives take the
+    relevant field indices as parameters, so these constants are
+    conventions, not requirements. *)
 
 val key_field : int
 val value_field : int
 val ts_field : int
-
-val power_width : int
-(** 4: {!house_field}, {!plug_field}, {!power_field}, {!power_ts_field} —
-    the <power, plug, house, time> sample of Figure 2. *)
-
-val house_field : int
-val plug_field : int
-val power_field : int
-val power_ts_field : int
-
-val kv_width : int
-(** 2: key, value — the shape of per-key aggregation results. *)

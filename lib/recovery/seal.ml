@@ -61,11 +61,3 @@ let unseal ~device_key ?(expect_at_least = 0) blob =
   let cipher = Bytes.sub blob hdr_len cipher_len in
   let plaintext = Sbt_crypto.Ctr.xcrypt_bytes ~key:enc ~nonce:(nonce_of_seq seq) cipher in
   (seq, plaintext)
-
-let seq_of blob =
-  if
-    Bytes.length blob < String.length magic + 8
-    || Bytes.sub_string blob 0 (String.length magic) <> magic
-  then raise Tamper;
-  let r = Codec.reader (Bytes.sub blob (String.length magic) 4) in
-  Codec.get_u32 r

@@ -27,6 +27,3 @@ val unseal : device_key:bytes -> ?expect_at_least:int -> bytes -> int * bytes
 (** [unseal ~device_key ~expect_at_least blob] is [(seq, plaintext)].
     Raises {!Tamper} or {!Rollback}. *)
 
-val seq_of : bytes -> int
-(** The (unauthenticated) sequence number in a sealed blob's header —
-    for store bookkeeping only; trust requires {!unseal}. *)

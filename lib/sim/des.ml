@@ -174,9 +174,7 @@ let finish_ns task =
   | `Done -> task.finish
   | `Waiting | `Ready -> invalid_arg "Des.finish_ns: task not finished"
 
-let start_ns_of task = task.start_ns
 let cost_ns_of task = task.cost
-let label_of task = task.label
 let makespan_ns t = t.makespan
 let busy_ns t = t.busy
 let tasks_executed t = t.executed

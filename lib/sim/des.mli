@@ -48,9 +48,7 @@ val finish_ns : task -> float
 (** Virtual completion time; raises [Invalid_argument] before {!run}
     completes the task. *)
 
-val start_ns_of : task -> float
 val cost_ns_of : task -> float
-val label_of : task -> string
 val makespan_ns : t -> float
 val busy_ns : t -> float
 val tasks_executed : t -> int

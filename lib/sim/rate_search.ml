@@ -5,6 +5,9 @@ type result = {
   evals : int;
 }
 
+(* The bisection stops at this relative width. *)
+let tolerance = 0.02
+
 (* The long-run sustainable rate can never exceed the analytic compute
    capacity (events / (total cost / cores)); on a finite workload the
    delay criterion alone can transiently admit higher rates (the backlog
@@ -12,7 +15,7 @@ type result = {
    ceiling and the delay bound as a constraint that can only push the
    result below it.  This keeps results monotone in cores and consistent
    across workload lengths. *)
-let max_rate ?(tolerance = 0.02) ~trace ~cores ~target_delay_ns () =
+let max_rate ~trace ~cores ~target_delay_ns () =
   let evals = ref 0 in
   let eval rate =
     incr evals;

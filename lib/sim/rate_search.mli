@@ -13,13 +13,7 @@ type result = {
   evals : int;  (** replays performed by the search *)
 }
 
-val max_rate :
-  ?tolerance:float ->
-  trace:Trace.t ->
-  cores:int ->
-  target_delay_ns:float ->
-  unit ->
-  result
-(** [tolerance] is the relative bisection width at which the search stops
-    (default 0.02).  Returns rate 0 if even an idle trickle misses the
-    target (the per-window compute alone exceeds the delay bound). *)
+val max_rate : trace:Trace.t -> cores:int -> target_delay_ns:float -> unit -> result
+(** The bisection stops at a relative width of 2%.  Returns rate 0 if
+    even an idle trickle misses the target (the per-window compute
+    alone exceeds the delay bound). *)

@@ -9,7 +9,9 @@ type t = {
   mutable modeled_copy_ns : float;
 }
 
-let create ?(cores = 8) ?(cost = Cost_model.default) ?(secure_mb = 512) ?(dram_mb = 2048) () =
+let dram_mb = 2048
+
+let create ?(cores = 8) ?(cost = Cost_model.default) ?(secure_mb = 512) () =
   let tzasc = Tzasc.create () in
   let mb = 1024 * 1024 in
   Tzasc.add_region tzasc ~name:"secure-dram" ~bytes_len:(secure_mb * mb) ~world:World.Secure;

@@ -15,7 +15,7 @@ type t = {
   mutable modeled_copy_ns : float;  (** accumulated virtual boundary-copy cost *)
 }
 
-val create : ?cores:int -> ?cost:Cost_model.t -> ?secure_mb:int -> ?dram_mb:int -> unit -> t
+val create : ?cores:int -> ?cost:Cost_model.t -> ?secure_mb:int -> unit -> t
 (** [create ()] models the paper's HiKey: 8 cores, 2 GB DRAM split into a
     ["secure-dram"] region ([secure_mb], default 512 MB) and a
     ["normal-dram"] region, plus a secure ["net0"] peripheral (trusted IO)

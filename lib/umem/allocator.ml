@@ -15,14 +15,12 @@ type t = {
   mutable observer : (Sbt_obs.Tracer.t * (unit -> float)) option;
 }
 
-let create ?(mode = Hint_guided) ~pool ?vspace_stride () =
-  let stride =
-    match vspace_stride with Some s -> s | None -> Page_pool.budget_bytes pool
-  in
+let create ?(mode = Hint_guided) ~pool () =
   {
     mode;
     pool;
-    vspace = Vspace.create ~stride_bytes:stride ();
+    (* one secure-DRAM-sized virtual range per uGroup *)
+    vspace = Vspace.create ~stride_bytes:(Page_pool.budget_bytes pool) ();
     group_of = Hashtbl.create 64;
     producer_group = Hashtbl.create 16;
     groups = Hashtbl.create 64;
@@ -35,7 +33,6 @@ let create ?(mode = Hint_guided) ~pool ?vspace_stride () =
 let mode t = t.mode
 
 let set_observer t ~tracer ~now_ns = t.observer <- Some (tracer, now_ns)
-let clear_observer t = t.observer <- None
 
 let sample_pool t =
   match t.observer with
@@ -179,7 +176,6 @@ let committed_bytes t = Page_pool.committed_bytes t.pool
 
 let pinned_bytes t = Hashtbl.fold (fun _ g acc -> acc + Ugroup.pinned_bytes g) t.groups 0
 
-let vspace_utilization t = Vspace.utilization t.vspace
 let next_uarray_id t = t.next_uarray_id
 
 let reserve_id t =

@@ -31,10 +31,8 @@ type hint =
 
 type t
 
-val create :
-  ?mode:mode -> pool:Page_pool.t -> ?vspace_stride:int -> unit -> t
-(** [vspace_stride] defaults to the pool budget (one secure-DRAM-sized
-    virtual range per uGroup). *)
+val create : ?mode:mode -> pool:Page_pool.t -> unit -> t
+(** Each uGroup gets one virtual range the size of the pool budget. *)
 
 val mode : t -> mode
 
@@ -66,7 +64,6 @@ val pinned_bytes : t -> int
 (** Total bytes pinned behind stragglers across groups (Figure 10's
     waste metric). *)
 
-val vspace_utilization : t -> float
 val next_uarray_id : t -> int
 (** Peek at the next id the allocator will assign (monotonic; ids also key
     audit records). *)
@@ -94,4 +91,3 @@ val set_observer : t -> tracer:Sbt_obs.Tracer.t -> now_ns:(unit -> float) -> uni
     reclamation.  Timestamps come from [now_ns] (the data plane's
     virtual clock); observation never touches allocator decisions. *)
 
-val clear_observer : t -> unit

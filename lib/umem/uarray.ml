@@ -72,17 +72,6 @@ let append_fields3 t a b c =
   Bigarray.Array1.unsafe_set t.buf (base + 1) b;
   Bigarray.Array1.unsafe_set t.buf (base + 2) c
 
-let append_fields4 t a b c d =
-  ensure_open t;
-  if t.width <> 4 then invalid_arg "Uarray.append_fields4: width <> 4";
-  let r = t.len in
-  grow_to t (r + 1);
-  let base = r * 4 in
-  Bigarray.Array1.unsafe_set t.buf base a;
-  Bigarray.Array1.unsafe_set t.buf (base + 1) b;
-  Bigarray.Array1.unsafe_set t.buf (base + 2) c;
-  Bigarray.Array1.unsafe_set t.buf (base + 3) d
-
 let append_blit t ~src ~src_pos ~len =
   ensure_open t;
   if src.width <> t.width then invalid_arg "Uarray.append_blit: width mismatch";

@@ -51,8 +51,6 @@ val append : t -> int32 array -> unit
 val append_fields3 : t -> int32 -> int32 -> int32 -> unit
 (** Fast path for the common 3-field event (no array allocation). *)
 
-val append_fields4 : t -> int32 -> int32 -> int32 -> int32 -> unit
-
 val append_blit : t -> src:t -> src_pos:int -> len:int -> unit
 (** Bulk copy [len] records from the produced array [src]. *)
 

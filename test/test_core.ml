@@ -210,32 +210,6 @@ let test_dataplane_backpressure () =
       Alcotest.(check int) "stall counted" 1 (D.stats dp).D.backpressure_stalls
   | D.Refused _ -> Alcotest.fail "second batch refused"
 
-let test_dataplane_adaptive_backpressure () =
-  (* Adaptive flow control: the stall grows as the pool fills deeper past
-     the threshold. *)
-  let cfg =
-    D.Config.make ~secure_mb:2 ~backpressure_threshold:0.1 ~adaptive_backpressure:true ()
-  in
-  let dp = D.create cfg in
-  let rows = List.init 20_000 (fun i -> [ Int32.of_int i; 1l; 0l ]) in
-  let stall seq =
-    match
-      D.call dp
-        (D.R_ingest_events
-           { payload = payload_of rows; encrypted = false; stream = 0; seq; mac = Bytes.empty;
-             windowing = None })
-    with
-    | D.Ingested { stalled_ns; _ } -> stalled_ns
-    | D.Refused _ -> Alcotest.fail "batch refused"
-  in
-  let s0 = stall 0 in
-  let s1 = stall 1 in
-  let s2 = stall 2 in
-  Alcotest.(check (float 0.0)) "first free" 0.0 s0;
-  Alcotest.(check bool) "second stalled" true (s1 > 0.0);
-  Alcotest.(check bool) (Printf.sprintf "deeper pressure, longer stall (%.0f > %.0f)" s2 s1) true
-    (s2 > s1)
-
 let test_dataplane_debug_entry () =
   let dp = mk_dp () in
   ignore (ingest dp [ [ 1l; 2l; 3l ] ]);
@@ -578,14 +552,14 @@ let test_runner_records_on_config_cores () =
   let frames = B.frames bench in
   let cfg = Runtime.Config.make ~cores:4 ~deterministic:true () in
   let plain = Runtime.run cfg bench.B.pipeline frames in
-  let sorted = List.sort (fun (a, _) (b, _) -> compare a b) in
   List.iter
     (fun cores_list ->
-      let o = Runner.run ~cores_list cfg bench.B.pipeline frames in
+      let r = (Runner.run ~cores_list cfg bench.B.pipeline frames).Runner.run in
       let what = String.concat "," (List.map string_of_int cores_list) in
       Alcotest.(check bool) ("results, cores_list " ^ what) true
-        (o.Runner.results = sorted plain.Runtime.results);
-      Alcotest.(check bool) ("audit, cores_list " ^ what) true (o.Runner.audit = plain.Runtime.audit))
+        (r.Runtime.results = plain.Runtime.results);
+      Alcotest.(check bool) ("audit, cores_list " ^ what) true
+        (r.Runtime.audit = plain.Runtime.audit))
     [ [ 4 ]; [ 2; 8 ] ]
 
 (* Every recording on one config shares its platform (the repeats of one
@@ -595,7 +569,9 @@ let test_runner_recordings_count_alone () =
   let bench = B.topk ~windows:2 ~events_per_window:2_000 ~batch_events:500 () in
   let frames = B.frames bench in
   let cfg = Runtime.Config.make ~version:D.Clear_ingress ~deterministic:true () in
-  let stats () = (Runner.run ~cores_list:[ 8 ] cfg bench.B.pipeline frames).Runner.dp_stats in
+  let stats () =
+    (Runner.run ~cores_list:[ 8 ] cfg bench.B.pipeline frames).Runner.run.Runtime.dp_stats
+  in
   let first = stats () in
   let second = stats () in
   Alcotest.(check bool) "some switches" true (first.D.switch_pairs > 0);
@@ -915,15 +891,14 @@ let test_batch_call_stage_rejection_escapes () =
   | exception D.Rejected _ -> ()
   | _ -> Alcotest.fail "stage rejection became a gap"
 
-let test_control_adaptive_backpressure () =
-  (* Satellite: adaptive flow control exercised through the whole control
-     plane, not just the dataplane unit - the run completes, stalls are
-     recorded, and the answers are unchanged. *)
+let test_control_backpressure () =
+  (* Backpressure exercised through the whole control plane, not just the
+     dataplane unit: under the fixed stall the run completes, stalls are
+     recorded, nothing is dropped, and the answers are unchanged. *)
   let mk () = B.win_sum ~windows:2 ~events_per_window:8_000 ~batch_events:1_000 () in
   let bench = mk () in
   let cfg =
-    Runtime.Config.make ~cores:8 ~secure_mb:1 ~backpressure_threshold:0.05
-      ~adaptive_backpressure:true ()
+    Runtime.Config.make ~cores:8 ~secure_mb:1 ~backpressure_threshold:0.05 ()
   in
   let r = Runtime.run cfg bench.B.pipeline (B.frames bench) in
   Alcotest.(check bool) "stalls recorded" true (r.Runtime.dp_stats.D.backpressure_stalls > 0);
@@ -954,7 +929,6 @@ let () =
           Alcotest.test_case "result tamper detected" `Quick test_dataplane_result_tamper_detected;
           Alcotest.test_case "version accounting" `Quick test_dataplane_version_accounting;
           Alcotest.test_case "backpressure" `Quick test_dataplane_backpressure;
-          Alcotest.test_case "adaptive backpressure" `Quick test_dataplane_adaptive_backpressure;
           Alcotest.test_case "debug entry" `Quick test_dataplane_debug_entry;
         ] );
       ( "pipelines",
@@ -995,8 +969,7 @@ let () =
           Alcotest.test_case "exhaustion sheds not crashes" `Quick
             test_dataplane_exhaustion_sheds_not_crashes;
           Alcotest.test_case "corrupt frame rejected" `Quick test_corrupt_frame_rejected_by_dataplane;
-          Alcotest.test_case "control adaptive backpressure" `Quick
-            test_control_adaptive_backpressure;
+          Alcotest.test_case "control backpressure" `Quick test_control_backpressure;
         ] );
       ( "batch call",
         [

@@ -25,7 +25,7 @@ let det_cfg ?(late = D.Silent) () =
 let egress_key = (det_cfg ()).Runtime.dp_config.D.egress_key
 
 let run ?late pipe frames =
-  Session.create ~verify:false (det_cfg ?late ())
+  Session.create (det_cfg ?late ())
   |> Session.add_tenant ~pipeline:pipe ~source:frames
   |> Session.run_single
 

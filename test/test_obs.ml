@@ -686,27 +686,27 @@ let test_clean_run_counters () =
    under [tenant<id>.*] in the shared root, and the enclave aggregates
    under [tenants.*] must equal the per-tenant sums. *)
 let test_tenant_scoped_registries () =
-  let module Multi = Sbt_core.Multi in
+  let module Session = Sbt_core.Session in
   let module Runtime = Sbt_core.Runtime in
   let cfg = Runtime.Config.make ~cores:4 ~deterministic:true () in
-  let tenant id =
+  let admit s =
     let b = B.win_sum ~windows:2 ~events_per_window:2_000 ~batch_events:500 () in
-    { Multi.id; pipeline = b.B.pipeline; source = B.frames b; quota_pages = None }
+    Session.add_tenant ~pipeline:b.B.pipeline ~source:(B.frames b) s
   in
-  let res = Multi.run cfg [ tenant 0; tenant 1 ] in
-  let reg = res.Multi.registry in
+  let res = Session.create cfg |> admit |> admit |> Session.run in
+  let reg = res.Session.registry in
   let frames id = Metrics.find_counter reg (Printf.sprintf "tenant%d.control.frames" id) in
   Alcotest.(check int) "tenant0 frames scoped" 8 (frames 0);
   Alcotest.(check int) "tenant1 frames scoped" 8 (frames 1);
   Alcotest.(check int) "tenants.count" 2 (Metrics.find_counter reg "tenants.count");
-  let sum f = List.fold_left (fun a tr -> a + f tr) 0 res.Multi.tenants in
+  let sum f = List.fold_left (fun a tr -> a + f tr) 0 res.Session.tenants in
   Alcotest.(check int)
     "tenants.events = per-tenant sum"
-    (sum (fun tr -> tr.Multi.tr_run.Runtime.total_events))
+    (sum (fun tr -> tr.Session.tr_run.Runtime.total_events))
     (Metrics.find_counter reg "tenants.events");
   Alcotest.(check int)
     "tenants.windows = per-tenant sum"
-    (sum (fun tr -> List.length tr.Multi.tr_run.Runtime.results))
+    (sum (fun tr -> List.length tr.Session.tr_run.Runtime.results))
     (Metrics.find_counter reg "tenants.windows");
   Alcotest.(check int) "clean enclave: no sheds" 0 (Metrics.find_counter reg "tenants.sheds");
   Alcotest.(check int)

@@ -9,7 +9,6 @@
 module D = Sbt_core.Dataplane
 module Runtime = Sbt_core.Runtime
 module Session = Sbt_core.Session
-module Multi = Sbt_core.Multi
 module B = Sbt_workloads.Benchmarks
 module V = Sbt_attest.Verifier
 module Log = Sbt_attest.Log
@@ -30,10 +29,24 @@ let mk_tenant ?quota_pages ?(windows = 2) ?(events_per_window = 2_000) ?(batch =
     | Some b -> b
     | None -> Alcotest.fail "mixed tenant mix missing"
   in
-  { Multi.id; pipeline = b.B.pipeline; source = B.frames b; quota_pages }
+  { Session.id; pipeline = b.B.pipeline; source = B.frames b; quota_pages }
 
-let tenant_observables (tr : Multi.tenant_result) =
-  (tr.Multi.tr_run.Runtime.results, tr.Multi.tr_run.Runtime.audit)
+(* Admit [tenants] through the Session builder and run them in one
+   enclave. *)
+let run_session tenants =
+  List.fold_left
+    (fun s (t : Session.tenant) ->
+      Session.add_tenant ~id:t.id ?quota_pages:t.quota_pages ~pipeline:t.pipeline ~source:t.source
+        s)
+    (Session.create (det_cfg ()))
+    tenants
+  |> Session.run
+
+let tenant_observables (tr : Session.tenant_result) =
+  (tr.Session.tr_run.Runtime.results, tr.Session.tr_run.Runtime.audit)
+
+let tenant_report (res : Session.result) id =
+  (List.find (fun x -> x.V.tn_tenant = id) res.Session.report.V.tenant_reports).V.tn_report
 
 (* --- joint-equals-solo ------------------------------------------------------ *)
 
@@ -42,25 +55,24 @@ let prop_joint_matches_solo =
     QCheck.(pair (int_range 2 4) (int_range 0 6))
     (fun (n, off) ->
       let tenants = List.init n (fun i -> mk_tenant ~id:i off) in
-      let joint = Multi.run (det_cfg ()) tenants in
+      let joint = run_session tenants in
       List.for_all
-        (fun t ->
-          let solo = Multi.run (det_cfg ()) [ t ] in
-          let jt = List.find (fun r -> r.Multi.tr_id = t.Multi.id) joint.Multi.tenants in
-          let st = List.hd solo.Multi.tenants in
-          let verdict (res : Multi.result) id =
-            match res.Multi.report with
-            | Some r ->
-                let tr = List.find (fun x -> x.V.tn_tenant = id) r.V.tenant_reports in
-                (V.ok tr.V.tn_report, tr.V.tn_report.V.declared_gaps)
-            | None -> QCheck.Test.fail_report "verification missing"
+        (fun (t : Session.tenant) ->
+          let solo = run_session [ t ] in
+          let jt = List.find (fun r -> r.Session.tr_id = t.id) joint.Session.tenants in
+          let st = List.hd solo.Session.tenants in
+          let verdict res =
+            let r = tenant_report res t.id in
+            (V.ok r, r.V.declared_gaps)
           in
-          tenant_observables jt = tenant_observables st
-          && verdict joint t.Multi.id = verdict solo t.Multi.id)
+          tenant_observables jt = tenant_observables st && verdict joint = verdict solo)
         tenants)
 
 (* --- 1-tenant Session = Runtime.run ----------------------------------------- *)
 
+(* Both session entry points on one tenant reproduce Runtime.run: the
+   fast path byte for byte, and the full run's recording too, with a
+   clean verdict. *)
 let test_single_tenant_session_matches_runtime_run () =
   let b =
     match B.by_name "winsum" with
@@ -69,11 +81,10 @@ let test_single_tenant_session_matches_runtime_run () =
   in
   let frames = B.frames b in
   let direct = Runtime.run (det_cfg ()) b.B.pipeline frames in
-  let via_session =
-    Session.create (det_cfg ())
-    |> Session.add_tenant ~pipeline:b.B.pipeline ~source:frames
-    |> Session.run_single
+  let session =
+    Session.create (det_cfg ()) |> Session.add_tenant ~pipeline:b.B.pipeline ~source:frames
   in
+  let via_session = Session.run_single session in
   Alcotest.(check bool)
     "sealed results identical" true
     (direct.Runtime.results = via_session.Runtime.results);
@@ -81,7 +92,19 @@ let test_single_tenant_session_matches_runtime_run () =
     "audit bytes identical" true
     (direct.Runtime.audit = via_session.Runtime.audit);
   Alcotest.(check int)
-    "same event count" direct.Runtime.total_events via_session.Runtime.total_events
+    "same event count" direct.Runtime.total_events via_session.Runtime.total_events;
+  let res = Session.run session in
+  let recorded = (List.hd res.Session.tenants).Session.tr_run in
+  Alcotest.(check bool)
+    "Session.run: sealed results identical" true
+    (direct.Runtime.results = recorded.Runtime.results);
+  Alcotest.(check bool)
+    "Session.run: audit bytes identical" true
+    (direct.Runtime.audit = recorded.Runtime.audit);
+  let report = res.Session.report in
+  Alcotest.(check bool) "Session.run: verdict ok" true (V.tenants_ok report);
+  Alcotest.(check int) "Session.run: one clean tenant" 1 report.V.tenants_clean;
+  Alcotest.(check int) "Session.run: no declared gaps" 0 (tenant_report res 0).V.declared_gaps
 
 (* --- quota isolation -------------------------------------------------------- *)
 
@@ -93,25 +116,21 @@ let test_quota_shed_isolates_offender () =
     mk_tenant ?quota_pages:quota ~windows:2 ~events_per_window:10_000 ~batch:5_000 ~id 0
   in
   let t0 = heavy 0 (Some 64) and t1 = heavy 1 None in
-  let joint = Multi.run (det_cfg ()) [ t0; t1 ] in
-  let tr id = List.find (fun r -> r.Multi.tr_id = id) joint.Multi.tenants in
-  let sheds id = (tr id).Multi.tr_run.Runtime.dp_stats.D.sheds in
+  let joint = run_session [ t0; t1 ] in
+  let tr id = List.find (fun r -> r.Session.tr_id = id) joint.Session.tenants in
+  let sheds id = (tr id).Session.tr_run.Runtime.dp_stats.D.sheds in
   Alcotest.(check bool) "offender sheds" true (sheds 0 > 0);
   Alcotest.(check int) "co-tenant never sheds" 0 (sheds 1);
-  (match joint.Multi.report with
-  | None -> Alcotest.fail "expected verification"
-  | Some r ->
-      let rep id = (List.find (fun x -> x.V.tn_tenant = id) r.V.tenant_reports).V.tn_report in
-      Alcotest.(check bool) "offender degraded, not violating" true (V.ok (rep 0));
-      Alcotest.(check bool) "offender declared its loss" true ((rep 0).V.declared_gaps > 0);
-      Alcotest.(check bool) "co-tenant clean" true
-        (V.ok (rep 1) && (rep 1).V.declared_gaps = 0);
-      Alcotest.(check int) "one degraded" 1 r.V.tenants_degraded;
-      Alcotest.(check int) "one clean" 1 r.V.tenants_clean);
-  let solo1 = Multi.run (det_cfg ()) [ t1 ] in
+  let r = joint.Session.report and rep = tenant_report joint in
+  Alcotest.(check bool) "offender degraded, not violating" true (V.ok (rep 0));
+  Alcotest.(check bool) "offender declared its loss" true ((rep 0).V.declared_gaps > 0);
+  Alcotest.(check bool) "co-tenant clean" true (V.ok (rep 1) && (rep 1).V.declared_gaps = 0);
+  Alcotest.(check int) "one degraded" 1 r.V.tenants_degraded;
+  Alcotest.(check int) "one clean" 1 r.V.tenants_clean;
+  let solo1 = run_session [ t1 ] in
   Alcotest.(check bool)
     "co-tenant unaffected by the offender" true
-    (tenant_observables (tr 1) = tenant_observables (List.hd solo1.Multi.tenants))
+    (tenant_observables (tr 1) = tenant_observables (List.hd solo1.Session.tenants))
 
 (* --- cross-tenant opaque refs ----------------------------------------------- *)
 
@@ -174,13 +193,13 @@ let test_cross_tenant_ref_rejected_in_tee () =
 let test_one_bad_tenant_does_not_poison_the_rest () =
   let cfg = det_cfg () in
   let tenants = List.init 2 (fun i -> mk_tenant ~id:i 0) in
-  let res = Multi.run ~verify:false cfg tenants in
+  let res = run_session tenants in
   let chain id =
-    let tr = List.find (fun r -> r.Multi.tr_id = id) res.Multi.tenants in
+    let tr = List.find (fun r -> r.Session.tr_id = id) res.Session.tenants in
     {
       V.tenant = id;
-      t_spec = tr.Multi.tr_run.Runtime.verifier_spec;
-      t_audit = tr.Multi.tr_run.Runtime.audit;
+      t_spec = tr.Session.tr_run.Runtime.verifier_spec;
+      t_audit = tr.Session.tr_run.Runtime.audit;
     }
   in
   let base = cfg.Runtime.dp_config.D.egress_key in
@@ -246,13 +265,13 @@ let test_session_assigns_ids_and_validates () =
   in
   Alcotest.(check (list int))
     "auto ids fill from 0, explicit ids respected" [ 0; 1; 7 ]
-    (List.map (fun t -> t.Multi.id) (Session.tenants s));
+    (List.map (fun t -> t.Session.id) (Session.tenants s));
   (try
-     ignore (Multi.run (det_cfg ()) [ mk_tenant ~id:3 0; mk_tenant ~id:3 1 ]);
+     ignore (run_session [ mk_tenant ~id:3 0; mk_tenant ~id:3 1 ]);
      Alcotest.fail "duplicate tenant ids admitted"
    with Invalid_argument _ -> ());
   try
-    ignore (Multi.run (det_cfg ()) []);
+    ignore (Session.run (Session.create (det_cfg ())));
     Alcotest.fail "empty enclave admitted"
   with Invalid_argument _ -> ()
 
