@@ -68,16 +68,19 @@ let table4 () =
   Tcb_report.print ()
 
 (* ------------------------------------------------------------------ *)
-(* Crypto throughput: the TEE's per-batch primitives (ingress AES-CTR
-   decrypt, frame HMAC, egress seal and audit MAC) over one buffer.      *)
+(* Crypto throughput over one buffer: the record path's AEAD (AES-CTR,
+   the Poly1305 tag, and both as one seal), and SHA-256 and HMAC-SHA256,
+   which authenticate audit batches, quotes and manifests.              *)
 
 let crypto () =
-  section "[crypto] AES-128-CTR, SHA-256 and HMAC-SHA256 throughput";
+  section "[crypto] AES-128-CTR, Poly1305, AEAD seal, SHA-256 and HMAC-SHA256 throughput";
   let mb = if smoke then 1 else 16 in
   let n = mb * 1024 * 1024 in
   let buf = Bytes.init n (fun i -> Char.unsafe_chr (i * 31 land 0xFF)) in
   let key = Bytes.of_string "sbt-ingress-k16!" in
   let ctr = Sbt_crypto.Ctr.create ~key ~nonce:1L in
+  let aead = Sbt_crypto.Aead.of_key key and ad = Sbt_crypto.Aead.ad 'F' [ 0; 0; 0; 1 ] in
+  let poly = Sbt_crypto.Poly1305.key key 0 in
   Printf.printf "  %d MB buffer, best of 3 runs\n" mb;
   List.iter
     (fun (name, f) ->
@@ -93,6 +96,12 @@ let crypto () =
       Printf.printf "  %-12s %8.1f MB/s\n%!" name mb_s)
     [
       ("aes-128-ctr", fun () -> Sbt_crypto.Ctr.xcrypt ctr ~pos:0L buf 0 n);
+      ( "poly1305",
+        fun () ->
+          let st = Sbt_crypto.Poly1305.init poly in
+          Sbt_crypto.Poly1305.pad16 st buf 0 n;
+          ignore (Sbt_crypto.Poly1305.finish st) );
+      ("aead-seal", fun () -> ignore (Sbt_crypto.Aead.seal aead ~nonce:1L ~pos:0L ~ad buf 0 n));
       ("sha256", fun () -> ignore (Sbt_crypto.Sha256.digest buf));
       ("hmac-sha256", fun () -> ignore (Sbt_crypto.Hmac.mac ~key buf));
     ];
@@ -422,7 +431,7 @@ let fig11_merge_uarray n_bufs buf_ints =
     for i = first to buf_ints - 1 do
       Bigarray.Array1.unsafe_set buf i (Sbt_crypto.Rng.int32_any rng)
     done;
-    Sbt_prim.Sort.sort_in_place Sbt_prim.Sort.Radix ua ~key_field:0;
+    Sbt_prim.Sort.sort_in_place ua ~key_field:0;
     U.produce ua;
     ua
   in
@@ -574,15 +583,24 @@ let sort_ablation () =
     Bigarray.Array1.unsafe_set buf i (Sbt_crypto.Rng.int32_any rng)
   done;
   U.produce src;
-  let bench_algo algo =
-    Bechamel.Test.make ~name:(match algo with Sbt_prim.Sort.Radix -> "radix(neon-model)" | Sbt_prim.Sort.Std -> "std::sort-model" | Sbt_prim.Sort.Qsort -> "qsort-model")
+  let bench_algo (name, sort) =
+    Bechamel.Test.make ~name
       (Bechamel.Staged.stage (fun () ->
            let dst = U.create ~id:1 ~pool ~width:3 ~capacity:n () in
-           Sbt_prim.Sort.sort algo ~src ~dst ~key_field:0;
+           sort ~src ~dst ~key_field:0;
            U.retire dst;
            U.release_pages dst))
   in
-  let results = bechamel_run [ bench_algo Sbt_prim.Sort.Radix; bench_algo Sbt_prim.Sort.Std; bench_algo Sbt_prim.Sort.Qsort ] in
+  let module C = Sbt_baselines.Comparison_sort in
+  let results =
+    bechamel_run
+      (List.map bench_algo
+         [
+           ("radix(neon-model)", Sbt_prim.Sort.sort);
+           ("std::sort-model", C.sort C.Std);
+           ("qsort-model", C.sort C.Qsort);
+         ])
+  in
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in
     let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
@@ -699,14 +717,14 @@ let kernels () =
           | `Sort ->
               row workload "Sort" width n
                 (best ~setup:(fun _ -> fresh ~width n) ~free:free_ua (fun dst ->
-                     Sbt_prim.Sort.sort Sbt_prim.Sort.Radix ~src:batch ~dst ~key_field:kf))
+                     Sbt_prim.Sort.sort ~src:batch ~dst ~key_field:kf))
           | `Kway merged ->
               let inputs =
                 List.map
                   (fun payload ->
                     let src = load payload in
                     let dst = fresh ~width (U.length src) in
-                    Sbt_prim.Sort.sort Sbt_prim.Sort.Radix ~src ~dst ~key_field:kf;
+                    Sbt_prim.Sort.sort ~src ~dst ~key_field:kf;
                     U.produce dst;
                     dst)
                   (List.filteri (fun i _ -> i < merged) payloads)

@@ -55,35 +55,6 @@ let chain_hash ~ops ~params =
   Buffer.add_bytes b params;
   Bytes.sub (Sbt_crypto.Sha256.digest (Buffer.to_bytes b)) 0 16
 
-let pp fmt = function
-  | Ingress { ts; uarray; stream; seq } ->
-      Format.fprintf fmt "ts=%d INGRESS data=%d stream=%d seq=%d" ts uarray stream seq
-  | Ingress_watermark { ts; id; value } ->
-      Format.fprintf fmt "ts=%d INGRESS data=%d (watermark=%d)" ts id value
-  | Windowing { ts; data_in; win_no; data_out } ->
-      Format.fprintf fmt "ts=%d WND data_in=%d win_no=%d data_out=%d" ts data_in win_no data_out
-  | Execution { ts; op; inputs; outputs; hints } ->
-      let ints l = String.concat "," (List.map string_of_int l) in
-      Format.fprintf fmt "ts=%d EXEC op=%d in=%s out=%s hints=%d" ts op (ints inputs)
-        (ints outputs) (List.length hints)
-  | Egress { ts; uarray; win_no } ->
-      Format.fprintf fmt "ts=%d EGRESS data=%d win_no=%d" ts uarray win_no
-  | Gap { ts; stream; seq; events; windows; reason } ->
-      Format.fprintf fmt "ts=%d GAP stream=%d seq=%d events=%d windows=%s reason=%s" ts stream
-        seq events
-        (String.concat "," (List.map string_of_int windows))
-        (gap_reason_name reason)
-  | Checkpoint { ts; seq; watermark } ->
-      Format.fprintf fmt "ts=%d CKPT seq=%d watermark=%d" ts seq watermark
-  | Fused { ts; ops; inputs; outputs; hints; _ } ->
-      let ints l = String.concat "," (List.map string_of_int l) in
-      Format.fprintf fmt "ts=%d FUSED ops=%s in=%s out=%s hints=%d" ts (ints ops) (ints inputs)
-        (ints outputs) (List.length hints)
-  | Late_drop { ts; uarray; win_no; events } ->
-      Format.fprintf fmt "ts=%d LATE-DROP data=%d win_no=%d events=%d" ts uarray win_no events
-  | Correction { ts; uarray; win_no; gen } ->
-      Format.fprintf fmt "ts=%d CORRECTION data=%d win_no=%d gen=%d" ts uarray win_no gen
-
 let tag = function
   | Ingress _ -> 0
   | Ingress_watermark _ -> 1

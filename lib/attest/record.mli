@@ -92,8 +92,6 @@ val chain_hash : ops:int list -> params:bytes -> bytes
     the data plane (when emitting) and the verifier (when replaying)
     compute it with this one function. *)
 
-val pp : Format.formatter -> t -> unit
-
 val encode_row : Buffer.t -> t -> unit
 (** Raw row-order binary encoding (the uncompressed on-edge format whose
     size Figure 12 reports as "Raw"). *)

@@ -55,8 +55,7 @@ module Config = struct
       ?platform ?(alloc_mode = Alloc.Hint_guided)
       ?(ingress_key = Bytes.of_string "sbt-ingress-k16!")
       ?(egress_key = Bytes.of_string "sbt-egress-key16") ?(backpressure_threshold = 0.90)
-      ?(seed = 42L) ?(fault_plan = Sbt_fault.Fault.none) ?(late_policy = Silent) ?tracer ?namespace
-      () =
+      ?(seed = 42L) ?(fault_plan = Sbt_fault.Fault.none) ?(late_policy = Silent) ?tracer () =
     let platform =
       match platform with
       | Some p -> p
@@ -82,7 +81,7 @@ module Config = struct
       late_policy;
       tracer;
       pool_budget_bytes = None;
-      namespace;
+      namespace = None;
     }
 end
 
@@ -170,6 +169,8 @@ exception Cross_tenant_ref of { ref_ : int64; owner : int; tenant : int }
 
 type t = {
   cfg : config;
+  ingress : Sbt_crypto.Aead.key; (* derived from the config's keys at creation *)
+  egress : Sbt_crypto.Aead.key;
   pool : Pool.t;
   alloc : Alloc.t;
   refs : Opaque.t;
@@ -397,18 +398,18 @@ let unpack_payload t ~producer payload width =
 
 (* Why the TEE turns a frame away before it is in, if it does: with the
    stall the source must take, and before any invocation is counted. *)
-let refusal t ~payload ~stream ~seq ~mac =
+let refusal t ~payload ~encrypted ~stream ~seq ~mac =
   (* A frame that is not a whole number of records is corrupt, and so is
-     one whose tag does not verify on an authenticated link: checked
-     before anything else is spent on the batch, so damage anywhere in
-     header or payload surfaces here. *)
+     an encrypted or tagged one whose tag does not verify: checked before
+     anything else is spent on the batch, so damage anywhere in header or
+     payload surfaces here. *)
   let events = Bytes.length payload / (4 * t.ingest_width) in
   let corrupt =
     Bytes.length payload <> 4 * t.ingest_width * events
-    || Bytes.length mac > 0
+    || (encrypted || Bytes.length mac > 0)
        && not
             (timed t `Crypto (fun () ->
-                 Sbt_net.Frame.payload_mac_valid ~key:t.cfg.ingress_key ~stream ~seq ~events ~mac
+                 Sbt_net.Frame.payload_mac_valid ~key:t.ingress ~stream ~seq ~events ~encrypted ~mac
                    payload))
   in
   (* Pool pressure the backpressure stall cannot absorb: shed the batch
@@ -476,10 +477,9 @@ let do_ingest_events t ~payload ~encrypted ~stream ~seq =
   let payload =
     if encrypted then
       timed t `Crypto (fun () ->
-          let ctr = Sbt_crypto.Ctr.create ~key:t.cfg.ingress_key ~nonce:(Int64.of_int stream) in
           let p = Bytes.copy payload in
-          Sbt_crypto.Ctr.xcrypt ctr ~pos:(Int64.shift_left (Int64.of_int seq) 32) p 0
-            (Bytes.length p);
+          Sbt_crypto.Aead.xcrypt t.ingress ~nonce:(Int64.of_int stream)
+            ~pos:(Int64.shift_left (Int64.of_int seq) 32) p 0 (Bytes.length p);
           p)
     else payload
   in
@@ -577,9 +577,9 @@ let do_invoke (t : t) ~chain ~inputs ~trigger ~hints ~retire_inputs =
             match vf with
             | Some vf ->
                 (* Secondary order: stable radix by value, then by key. *)
-                Sbt_prim.Sort.sort Sbt_prim.Sort.Radix ~src ~dst ~key_field:vf;
-                Sbt_prim.Sort.sort_in_place Sbt_prim.Sort.Radix dst ~key_field:kf
-            | None -> Sbt_prim.Sort.sort Sbt_prim.Sort.Radix ~src ~dst ~key_field:kf);
+                Sbt_prim.Sort.sort ~src ~dst ~key_field:vf;
+                Sbt_prim.Sort.sort_in_place dst ~key_field:kf
+            | None -> Sbt_prim.Sort.sort ~src ~dst ~key_field:kf);
         [ (-1, dst) ]
     | P.Merge ->
         let a, b = as_two uas in
@@ -907,7 +907,7 @@ let do_ingest_batch t ~payload ~encrypted ~stream ~seq ~mac ~windowing =
     | _ -> raise (Rejected "windowing: a batch stage must have one output")
   in
   let staged w o = if o.win < w.first_open then o else List.fold_left (stage w) o w.plan in
-  match refusal t ~payload ~stream ~seq ~mac with
+  match refusal t ~payload ~encrypted ~stream ~seq ~mac with
   | Some (reason, stalled_ns) -> Refused { reason; stalled_ns }
   | None ->
       let batch, stalled_ns = do_ingest_events t ~payload ~encrypted ~stream ~seq in
@@ -925,7 +925,14 @@ let egress_nonce window = Int64.logor 0x4547000000000000L (Int64.of_int window)
 let correction_nonce ~window ~gen =
   Int64.logor 0x4354000000000000L (Int64.of_int ((window * 256) + gen))
 
-let seal_out t ~input ~window ~nonce ~mk_record =
+(* A result's tag binds its window, generation (0 for a result, 'R'), the
+   shape of its rows and, with the domain byte, whether it is a result or
+   a correction ('C'): no result opens as another window's, another
+   generation's or a shorter one. *)
+let result_ad ~gen ~window ~events ~width =
+  Sbt_crypto.Aead.ad (if gen = 0 then 'R' else 'C') [ window; gen; events; width ]
+
+let seal_out t ~input ~window ~nonce ~gen ~mk_record =
   guard_ref t input;
   let ua = Opaque.resolve t.refs input in
   let events = U.length ua and width = U.width ua in
@@ -936,18 +943,16 @@ let seal_out t ~input ~window ~nonce ~mk_record =
         for i = 0 to (events * width) - 1 do
           Bytes.set_int32_le payload (4 * i) (Bigarray.Array1.get buf i)
         done;
-        match t.cfg.version with
-        | Insecure -> payload
-        | Full | Clear_ingress | Io_via_os ->
-            let ctr = Sbt_crypto.Ctr.create ~key:t.cfg.egress_key ~nonce in
-            Sbt_crypto.Ctr.xcrypt ctr ~pos:0L payload 0 (Bytes.length payload);
-            payload)
+        payload)
   in
   let tag =
     match t.cfg.version with
-    | Insecure -> Bytes.create 0
+    | Insecure -> Bytes.empty
     | Full | Clear_ingress | Io_via_os ->
-        timed t `Crypto (fun () -> Sbt_crypto.Hmac.mac ~key:t.cfg.egress_key cipher)
+        timed t `Crypto (fun () ->
+            Sbt_crypto.Aead.seal t.egress ~nonce ~pos:0L
+              ~ad:(result_ad ~gen ~window ~events ~width)
+              cipher 0 (Bytes.length cipher))
   in
   append_record t (mk_record ~ts:(now_us t) ~uarray:(U.id ua));
   retire_ref t input;
@@ -967,7 +972,7 @@ let do_egress t ~input ~window =
            (Printf.sprintf "egress: session %d still open (last event %d, gap %d, watermark %d)"
               window end_ts t.sess_gap t.last_wm))
   | _ -> ());
-  seal_out t ~input ~window ~nonce:(egress_nonce window) ~mk_record:(fun ~ts ~uarray ->
+  seal_out t ~input ~window ~nonce:(egress_nonce window) ~gen:0 ~mk_record:(fun ~ts ~uarray ->
       Sbt_attest.Record.Egress { ts; uarray; win_no = window })
 
 (* Drop+declare: the late batch dies inside the TEE, but its death is a
@@ -984,8 +989,7 @@ let do_late_drop t ~input ~window =
 
 let do_egress_correction t ~input ~window ~gen =
   if gen <= 0 || gen > 255 then raise (Rejected "correction: generation out of range");
-  seal_out t ~input ~window
-    ~nonce:(correction_nonce ~window ~gen)
+  seal_out t ~input ~window ~nonce:(correction_nonce ~window ~gen) ~gen
     ~mk_record:(fun ~ts ~uarray -> Sbt_attest.Record.Correction { ts; uarray; win_no = window; gen })
 
 (* --- certified UDFs (paper 4.2) ---------------------------------------- *)
@@ -1218,6 +1222,8 @@ let create cfg =
   let t =
     {
       cfg;
+      ingress = Sbt_crypto.Aead.of_key cfg.ingress_key;
+      egress = Sbt_crypto.Aead.of_key cfg.egress_key;
       pool;
       alloc;
       refs = Opaque.create ~rng;
@@ -1399,17 +1405,20 @@ let audit_records_for_test t =
     (fun b -> Sbt_attest.Log.open_batch ~key:t.cfg.egress_key b)
     (uploaded_batches t)
 
+(* Verify [r]'s tag as generation [gen] of its window under [k], then
+   decrypt a copy of its bytes under [nonce]. *)
+let open_copy k ~gen ~nonce ~fn (r : sealed_result) =
+  let p = Bytes.copy r.cipher in
+  let ad = result_ad ~gen ~window:r.window ~events:r.events ~width:r.width in
+  if not (Sbt_crypto.Aead.verify k ~ad ~tag:r.tag p 0 (Bytes.length p)) then
+    invalid_arg (fn ^ ": MAC verification failed");
+  Sbt_crypto.Aead.xcrypt k ~nonce ~pos:0L p 0 (Bytes.length p);
+  p
+
 let open_result ~egress_key (r : sealed_result) =
-  if Bytes.length r.tag > 0 && not (Sbt_crypto.Hmac.verify ~key:egress_key ~tag:r.tag r.cipher)
-  then invalid_arg "Dataplane.open_result: MAC verification failed";
   let payload =
-    if Bytes.length r.tag = 0 then Bytes.copy r.cipher
-    else begin
-      let p = Bytes.copy r.cipher in
-      let ctr = Sbt_crypto.Ctr.create ~key:egress_key ~nonce:(egress_nonce r.window) in
-      Sbt_crypto.Ctr.xcrypt ctr ~pos:0L p 0 (Bytes.length p);
-      p
-    end
+    open_copy (Sbt_crypto.Aead.of_key egress_key) ~gen:0 ~nonce:(egress_nonce r.window)
+      ~fn:"Dataplane.open_result" r
   in
   Array.init r.events (fun i ->
       Array.init r.width (fun f -> Bytes.get_int32_le payload (4 * ((i * r.width) + f))))
@@ -1418,21 +1427,21 @@ let open_result ~egress_key (r : sealed_result) =
    open it under its (window, gen) nonce, and re-seal the plaintext
    under the canonical egress nonce — after the merge, corrected output
    is byte-identical to what an in-order run seals for the window.
-   Identity on unauthenticated (Insecure) results, which are plaintext
-   under either nonce. *)
+   Identity on untagged (Insecure) results, which {!open_result}
+   refuses. *)
 let reseal_correction ~egress_key ~gen (r : sealed_result) =
   if Bytes.length r.tag = 0 then r
   else begin
-    if not (Sbt_crypto.Hmac.verify ~key:egress_key ~tag:r.tag r.cipher) then
-      invalid_arg "Dataplane.reseal_correction: MAC verification failed";
-    let p = Bytes.copy r.cipher in
-    let open_ctr =
-      Sbt_crypto.Ctr.create ~key:egress_key ~nonce:(correction_nonce ~window:r.window ~gen)
+    let k = Sbt_crypto.Aead.of_key egress_key in
+    let p =
+      open_copy k ~gen ~nonce:(correction_nonce ~window:r.window ~gen)
+        ~fn:"Dataplane.reseal_correction" r
     in
-    Sbt_crypto.Ctr.xcrypt open_ctr ~pos:0L p 0 (Bytes.length p);
-    let seal_ctr = Sbt_crypto.Ctr.create ~key:egress_key ~nonce:(egress_nonce r.window) in
-    Sbt_crypto.Ctr.xcrypt seal_ctr ~pos:0L p 0 (Bytes.length p);
-    let tag = Sbt_crypto.Hmac.mac ~key:egress_key p in
+    let tag =
+      Sbt_crypto.Aead.seal k ~nonce:(egress_nonce r.window) ~pos:0L
+        ~ad:(result_ad ~gen:0 ~window:r.window ~events:r.events ~width:r.width)
+        p 0 (Bytes.length p)
+    in
     { r with cipher = p; tag }
   end
 

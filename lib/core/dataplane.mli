@@ -52,8 +52,14 @@ type config = {
   version : version;
   platform : Sbt_tz.Platform.t;
   alloc_mode : Sbt_umem.Allocator.mode;
-  ingress_key : bytes;  (** AES-128 key shared with sources *)
-  egress_key : bytes;  (** key shared with the cloud consumer (egress + audit MAC) *)
+  ingress_key : bytes;
+      (** AEAD key shared with sources ({!Sbt_crypto.Aead}): frames are
+          decrypted and their tags checked under it *)
+  egress_key : bytes;
+      (** key shared with the cloud consumer: sealed results use it as an
+          AEAD key; audit batches, quotes and checkpoints use it with
+          HMAC-SHA256.  The data plane derives both AEAD keys once, at
+          {!create} *)
   backpressure_threshold : float;
       (** pool-usage fraction above which ingestion stalls the source *)
   seed : int64;
@@ -100,12 +106,12 @@ module Config : sig
     ?fault_plan:Sbt_fault.Fault.plan ->
     ?late_policy:late_policy ->
     ?tracer:Sbt_obs.Tracer.t ->
-    ?namespace:namespace ->
     unit ->
     t
   (** Defaults reproduce the paper's Full engine on an 8-core, 512 MB
       platform: hint-guided allocator, backpressure at 90% pool usage, no
-      faults, no tracer.  The data plane always sorts with the radix sort
+      faults, no tracer, no tenant namespace ({!Sbt_core.Session} sets one
+      with a record update).  The data plane always sorts with the radix sort
       and keeps an audit log (flushed every 256 records) unless the
       version is [Insecure].
       [cost] defaults per [version] ({!Sbt_tz.Cost_model.free} for
@@ -161,12 +167,18 @@ type windowing = {
 type output = { win : int; ref_ : int64; events : int }
 
 type sealed_result = { window : int; cipher : bytes; tag : bytes; events : int; width : int }
+(** A window's rows, little-endian fields, AES-CTR encrypted under the
+    egress key and the window's nonce.  [tag] is the 16-byte
+    {!Sbt_crypto.Aead} tag over the cipher bytes and (domain, window,
+    generation, events, width), the domain byte ['R'] for a result and
+    ['C'] for a correction.  [Insecure] results are plaintext with an
+    empty tag, which {!open_result} refuses. *)
 
 (** Why the TEE turned an ingest away, before the frame was in. *)
 type refusal =
   | Corrupt_ingress
-      (** the payload is not a whole number of records, or its frame MAC
-          does not verify *)
+      (** the payload is not a whole number of records, or the frame is
+          encrypted or tagged and its tag is missing or does not verify *)
   | Pool_pressure
       (** the secure pool cannot absorb the batch (or the fault plan
           forced a shed): load shedding, not a crash *)
@@ -198,8 +210,9 @@ type _ request =
       stream : int;
       seq : int;
       mac : bytes;
-          (** frame HMAC from an authenticated link; [Bytes.empty] skips
-              verification (the pre-fault-model behaviour) *)
+          (** the frame's AEAD tag ({!Sbt_net.Frame.mac_payload}).  An
+              encrypted frame must carry a valid one; a clear frame may
+              carry none ([Bytes.empty]) *)
       windowing : windowing option;
     }
       -> ingested request
@@ -343,8 +356,10 @@ val audit_records_for_test : t -> Sbt_attest.Record.t list
     that performs the MAC checks a real consumer would. *)
 
 val open_result : egress_key:bytes -> sealed_result -> int32 array array
-(** Decrypt and authenticate an egressed window result (the cloud
-    consumer's view).  Raises [Invalid_argument] on a bad MAC. *)
+(** Authenticate and decrypt an egressed window result (the cloud
+    consumer's view).  Raises [Invalid_argument] unless [tag] is a valid
+    16-byte tag for this window's result with these [events] and
+    [width]. *)
 
 val reseal_correction : egress_key:bytes -> gen:int -> sealed_result -> sealed_result
 (** The cloud-side correction merge step: authenticate a
@@ -353,7 +368,8 @@ val reseal_correction : egress_key:bytes -> gen:int -> sealed_result -> sealed_r
     After the merge the corrected window is byte-identical to what an
     in-order run would have sealed, so {!open_result} (and any downstream
     consumer) treats it like an original.  Raises [Invalid_argument] on a
-    bad MAC; identity on unauthenticated ([Insecure]) results. *)
+    bad tag; identity on untagged ([Insecure]) results, which
+    {!open_result} refuses. *)
 
 (** {2 Accounting} *)
 

@@ -24,15 +24,3 @@ val bytes_per_event : schema -> int
 
 val ticks_per_second : int
 (** 1000: event-time resolution of all workloads and window sizes. *)
-
-(** {2 Event time vs arrival order}
-
-    Windowing consults only [event_ts] (the in-record timestamp);
-    [arrival_ts] is when the network actually delivered the event.  The
-    two coincide on an orderly stream — disorder is their divergence, and
-    a watermark policy is a promise about how large it may get. *)
-
-type timing = { event_ts : int; arrival_ts : int }
-
-val timing : event_ts:int -> arrival_ts:int -> timing
-(** Raises [Invalid_argument] if [arrival_ts < event_ts]. *)

@@ -1,5 +1,3 @@
-let block_size = 16
-
 (* The AES S-box, generated from multiplicative inverses in GF(2^8)
    followed by the affine transform (FIPS-197 §5.1.1).  We compute it at
    startup instead of embedding the 256-entry literal: fewer magic numbers
@@ -90,12 +88,15 @@ let last_round rk k a b c d =
   (t sbox (a lsr 24) lsl 24) lor (t sbox (b lsr 16) lsl 16) lor (t sbox (c lsr 8) lsl 8) lor t sbox d
   lxor rk_word rk k
 
-let encrypt_block key src soff dst doff =
+let xor_be buf off w =
+  Bytes.set_int32_be buf off (Int32.logxor (Bytes.get_int32_be buf off) (Int32.of_int w))
+
+(* The one cipher loop: the output words are XORed into [buf] as they
+   leave the last round, which is CTR mode's whole use of a block. *)
+let xor_encrypt key w0 w1 w2 w3 buf off =
   let rk = key.rk in
-  let s0 = ref (get32 src soff lxor rk_word rk 0) in
-  let s1 = ref (get32 src (soff + 4) lxor rk_word rk 1) in
-  let s2 = ref (get32 src (soff + 8) lxor rk_word rk 2) in
-  let s3 = ref (get32 src (soff + 12) lxor rk_word rk 3) in
+  let s0 = ref (w0 lxor rk_word rk 0) and s1 = ref (w1 lxor rk_word rk 1) in
+  let s2 = ref (w2 lxor rk_word rk 2) and s3 = ref (w3 lxor rk_word rk 3) in
   for round = 1 to 9 do
     let a = !s0 and b = !s1 and c = !s2 and d = !s3 and k = 4 * round in
     s0 := t te0 (a lsr 24) lxor t te1 (b lsr 16) lxor t te2 (c lsr 8) lxor t te3 d lxor rk_word rk k;
@@ -104,7 +105,13 @@ let encrypt_block key src soff dst doff =
     s3 := t te0 (d lsr 24) lxor t te1 (a lsr 16) lxor t te2 (b lsr 8) lxor t te3 c lxor rk_word rk (k + 3)
   done;
   let a = !s0 and b = !s1 and c = !s2 and d = !s3 in
-  Bytes.set_int32_be dst doff (Int32.of_int (last_round rk 40 a b c d));
-  Bytes.set_int32_be dst (doff + 4) (Int32.of_int (last_round rk 41 b c d a));
-  Bytes.set_int32_be dst (doff + 8) (Int32.of_int (last_round rk 42 c d a b));
-  Bytes.set_int32_be dst (doff + 12) (Int32.of_int (last_round rk 43 d a b c))
+  xor_be buf off (last_round rk 40 a b c d);
+  xor_be buf (off + 4) (last_round rk 41 b c d a);
+  xor_be buf (off + 8) (last_round rk 42 c d a b);
+  xor_be buf (off + 12) (last_round rk 43 d a b c)
+
+let encrypt_block key src soff dst doff =
+  let w0 = get32 src soff and w1 = get32 src (soff + 4) in
+  let w2 = get32 src (soff + 8) and w3 = get32 src (soff + 12) in
+  Bytes.fill dst doff 16 '\000';
+  xor_encrypt key w0 w1 w2 w3 dst doff

@@ -19,5 +19,8 @@ val encrypt_block : key -> bytes -> int -> bytes -> int -> unit
 (** [encrypt_block k src soff dst doff] encrypts the 16-byte block at
     [src+soff] into [dst+doff].  [src] and [dst] may be the same buffer. *)
 
-val block_size : int
-(** 16. *)
+val xor_encrypt : key -> int -> int -> int -> int -> bytes -> int -> unit
+(** [xor_encrypt k w0 w1 w2 w3 buf off] XORs the encryption of the block
+    whose big-endian 32-bit words are [w0..w3] into the 16 bytes of [buf]
+    at [off]: a CTR keystream block goes straight into the data, with no
+    keystream buffer. *)

@@ -12,6 +12,9 @@ val create : key:bytes -> nonce:int64 -> t
 (** [create ~key ~nonce] builds a stream.  [key] must be 16 bytes.
     The counter block is [nonce || block_index]. *)
 
+val of_key : Aes.key -> nonce:int64 -> t
+(** A stream over an already expanded key: no key schedule per stream. *)
+
 val xcrypt : t -> pos:int64 -> bytes -> int -> int -> unit
 (** [xcrypt t ~pos buf off len] en/decrypts [len] bytes of [buf] in place,
     treating [pos] as the absolute byte offset within the stream (so

@@ -59,61 +59,46 @@ let watermark ?last ~seq ~value () =
 
 let ctr_pos seq = Int64.shift_left (Int64.of_int seq) 32
 
-(* Authenticated bytes: a 12-byte little-endian header binding the frame
-   to its (stream, seq, events) identity, then the payload as carried on
-   the wire (encrypt-then-MAC when the link is encrypted). *)
-let auth_input ~stream ~seq ~events payload =
-  let b = Bytes.create (12 + Bytes.length payload) in
-  let set_u32 off v =
-    Bytes.set b off (Char.unsafe_chr (v land 0xFF));
-    Bytes.set b (off + 1) (Char.unsafe_chr ((v lsr 8) land 0xFF));
-    Bytes.set b (off + 2) (Char.unsafe_chr ((v lsr 16) land 0xFF));
-    Bytes.set b (off + 3) (Char.unsafe_chr ((v lsr 24) land 0xFF))
-  in
-  set_u32 0 stream;
-  set_u32 4 seq;
-  set_u32 8 events;
-  Bytes.blit payload 0 b 12 (Bytes.length payload);
-  b
+(* The tag binds the frame's (stream, seq, events) identity and whether
+   the payload on the wire is ciphertext, under the domain byte 'F'. *)
+let frame_ad ~stream ~seq ~events ~encrypted =
+  Sbt_crypto.Aead.ad 'F' [ stream; seq; events; Bool.to_int encrypted ]
 
-let mac_payload ~key ~stream ~seq ~events payload =
-  Sbt_crypto.Hmac.mac ~key (auth_input ~stream ~seq ~events payload)
+let mac_payload ~key ~stream ~seq ~events ~encrypted payload =
+  Sbt_crypto.Aead.tag key ~ad:(frame_ad ~stream ~seq ~events ~encrypted) payload 0
+    (Bytes.length payload)
 
-let payload_mac_valid ~key ~stream ~seq ~events ~mac payload =
-  Bytes.length mac > 0
-  && Sbt_crypto.Hmac.verify ~key ~tag:mac (auth_input ~stream ~seq ~events payload)
+let payload_mac_valid ~key ~stream ~seq ~events ~encrypted ~mac payload =
+  Sbt_crypto.Aead.verify key ~ad:(frame_ad ~stream ~seq ~events ~encrypted) ~tag:mac payload 0
+    (Bytes.length payload)
 
 let seal ~key = function
   | Watermark _ as f -> f
   | Events e ->
-      Events
-        { e with mac = mac_payload ~key ~stream:e.stream ~seq:e.seq ~events:e.events e.payload }
+      let mac =
+        mac_payload ~key ~stream:e.stream ~seq:e.seq ~events:e.events ~encrypted:e.encrypted
+          e.payload
+      in
+      Events { e with mac }
 
 let sealed = function Watermark _ -> false | Events e -> Bytes.length e.mac > 0
 
 let mac_valid ~key = function
   | Watermark _ -> true
   | Events e ->
-      payload_mac_valid ~key ~stream:e.stream ~seq:e.seq ~events:e.events ~mac:e.mac e.payload
+      payload_mac_valid ~key ~stream:e.stream ~seq:e.seq ~events:e.events ~encrypted:e.encrypted
+        ~mac:e.mac e.payload
 
 let encrypt_payload ~key ~stream_nonce = function
-  | Watermark _ as f -> f
-  | Events e ->
-      if e.encrypted then Events e
-      else begin
-        let ctr = Sbt_crypto.Ctr.create ~key ~nonce:stream_nonce in
-        let p = Bytes.copy e.payload in
-        Sbt_crypto.Ctr.xcrypt ctr ~pos:(ctr_pos e.seq) p 0 (Bytes.length p);
-        Events { e with payload = p; encrypted = true }
-      end
+  | Events e when not e.encrypted ->
+      let p = Bytes.copy e.payload in
+      Sbt_crypto.Aead.xcrypt key ~nonce:stream_nonce ~pos:(ctr_pos e.seq) p 0 (Bytes.length p);
+      seal ~key (Events { e with payload = p; encrypted = true })
+  | f -> f
 
 let decrypt_payload ~key ~stream_nonce = function
-  | Watermark _ as f -> f
-  | Events e ->
-      if not e.encrypted then Events e
-      else begin
-        let ctr = Sbt_crypto.Ctr.create ~key ~nonce:stream_nonce in
-        let p = Bytes.copy e.payload in
-        Sbt_crypto.Ctr.xcrypt ctr ~pos:(ctr_pos e.seq) p 0 (Bytes.length p);
-        Events { e with payload = p; encrypted = false }
-      end
+  | Events e when e.encrypted ->
+      let p = Bytes.copy e.payload in
+      Sbt_crypto.Aead.xcrypt key ~nonce:stream_nonce ~pos:(ctr_pos e.seq) p 0 (Bytes.length p);
+      Events { e with payload = p; encrypted = false; mac = Bytes.empty }
+  | f -> f

@@ -5,7 +5,9 @@
     mirroring the paper's ZeroMQ transport.  On untrusted source-edge
     links the payload is AES-128-CTR encrypted with a per-stream nonce
     and sequence-derived positions, so frames can be decrypted
-    independently and out of order. *)
+    independently and out of order, and tagged with the
+    {!Sbt_crypto.Aead} tag, so the TEE can refuse a frame whose bytes or
+    header were changed. *)
 
 type t =
   | Events of {
@@ -19,9 +21,10 @@ type t =
       payload : bytes;
       encrypted : bool;
       mac : bytes;
-          (** HMAC-SHA256 over header (stream, seq, events) + wire
-              payload; [Bytes.empty] on unauthenticated links (the
-              pre-fault-model default) *)
+          (** the 16-byte {!Sbt_crypto.Aead} tag over the domain byte 'F',
+              (stream, seq, events, encrypted) and the payload as carried
+              on the wire; every encrypted frame carries one, and a clear
+              frame carries [Bytes.empty] unless its source seals it *)
     }
   | Watermark of { seq : int; value : int }
 
@@ -40,28 +43,39 @@ val watermark : ?last:int -> seq:int -> value:int -> unit -> t
     flight; regressing would retroactively legitimize data already
     classified as late, so a regression is rejected at construction. *)
 
-val encrypt_payload : key:bytes -> stream_nonce:int64 -> t -> t
-(** En/decrypt an [Events] payload in a fresh copy (CTR position =
-    [seq * 2^32]); identity on watermarks and on already-(un)encrypted
-    frames as indicated by the [encrypted] flag. *)
+val encrypt_payload : key:Sbt_crypto.Aead.key -> stream_nonce:int64 -> t -> t
+(** Encrypt an [Events] payload in a fresh copy (CTR position [seq * 2^32])
+    and {!seal} it: no encrypted byte leaves without a tag.  Identity on
+    watermarks and on frames already marked [encrypted]. *)
 
-val decrypt_payload : key:bytes -> stream_nonce:int64 -> t -> t
+val decrypt_payload : key:Sbt_crypto.Aead.key -> stream_nonce:int64 -> t -> t
+(** Decrypt an encrypted payload in a fresh copy and drop its tag, which
+    covered the ciphertext.  It does not verify the tag. *)
 
-val seal : key:bytes -> t -> t
-(** Attach an HMAC-SHA256 tag binding the frame header (stream, seq,
-    events) and the payload as carried on the wire.  Seal {e after}
-    {!encrypt_payload} (encrypt-then-MAC).  Identity on watermarks. *)
+val seal : key:Sbt_crypto.Aead.key -> t -> t
+(** Attach the tag over the frame header and the payload as it stands.
+    {!encrypt_payload} seals already; this tags a clear frame.  Identity
+    on watermarks. *)
 
 val sealed : t -> bool
 (** Whether an [Events] frame carries a tag ([false] for watermarks). *)
 
-val mac_valid : key:bytes -> t -> bool
-(** Verify a sealed frame's tag; [false] for unsealed [Events] frames,
-    [true] for watermarks (they carry no payload to protect). *)
+val mac_valid : key:Sbt_crypto.Aead.key -> t -> bool
+(** Verify a frame's tag; [false] for untagged [Events] frames, [true] for
+    watermarks (they carry no payload to protect). *)
 
-val mac_payload : key:bytes -> stream:int -> seq:int -> events:int -> bytes -> bytes
-(** The tag {!seal} attaches, for callers holding the fields unbundled
-    (the data plane receives payloads, not frames). *)
+val mac_payload :
+  key:Sbt_crypto.Aead.key -> stream:int -> seq:int -> events:int -> encrypted:bool -> bytes -> bytes
+(** The tag {!seal} attaches, for callers holding the fields unbundled. *)
 
 val payload_mac_valid :
-  key:bytes -> stream:int -> seq:int -> events:int -> mac:bytes -> bytes -> bool
+  key:Sbt_crypto.Aead.key ->
+  stream:int ->
+  seq:int ->
+  events:int ->
+  encrypted:bool ->
+  mac:bytes ->
+  bytes ->
+  bool
+(** {!mac_valid} for callers holding the fields unbundled (the data
+    plane receives payloads, not frames). *)

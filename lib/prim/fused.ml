@@ -196,13 +196,3 @@ let decode_steps bytes =
     in
     if !pos = len then Some steps else None
   with Exit -> None
-
-let pp fmt s =
-  match s with
-  | F_filter_band { field; lo; hi } ->
-      Format.fprintf fmt "FilterBand(f%d in [%ld,%ld])" field lo hi
-  | F_select { field; value } -> Format.fprintf fmt "Select(f%d = %ld)" field value
-  | F_project { fields } ->
-      Format.fprintf fmt "Project(%s)"
-        (String.concat "," (Array.to_list (Array.map string_of_int fields)))
-  | F_shift_key { field; shift } -> Format.fprintf fmt "ShiftKey(f%d >> %d)" field shift

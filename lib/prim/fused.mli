@@ -55,5 +55,3 @@ val encode_steps : step list -> bytes
 val decode_steps : bytes -> step list option
 (** Inverse of {!encode_steps}; [None] on any malformed or trailing
     bytes. *)
-
-val pp : Format.formatter -> step -> unit

@@ -6,4 +6,3 @@ let equal a b =
   | Normal, Secure | Secure, Normal -> false
 
 let to_string = function Normal -> "normal" | Secure -> "secure"
-let pp fmt t = Format.pp_print_string fmt (to_string t)

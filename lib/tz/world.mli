@@ -9,5 +9,4 @@
 type t = Normal | Secure
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -121,6 +121,8 @@ let frames spec =
     Array.init spec.streams (fun _ ->
         { rows = Array.make (max 1 spec.batch_events) 0; buffered = 0; windows_touched = []; seq = 0 })
   in
+  (* The tag keys are derived once per call, and only when a frame is tagged. *)
+  let aead = lazy (Sbt_crypto.Aead.of_key spec.key) in
   let wm_seq = ref 0 in
   let last_wm = ref None in
   let max_ts_seen = ref (-1) in
@@ -144,10 +146,10 @@ let frames spec =
       in
       let frame =
         if spec.encrypted then
-          Frame.encrypt_payload ~key:spec.key ~stream_nonce:(Int64.of_int stream) frame
+          Frame.encrypt_payload ~key:(Lazy.force aead) ~stream_nonce:(Int64.of_int stream) frame
+        else if spec.authenticated then Frame.seal ~key:(Lazy.force aead) frame
         else frame
       in
-      let frame = if spec.authenticated then Frame.seal ~key:spec.key frame else frame in
       out := frame :: !out;
       st.seq <- st.seq + 1;
       st.buffered <- 0;

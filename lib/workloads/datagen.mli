@@ -32,11 +32,11 @@ type spec = {
       (** window size when sliding (> window_ticks); [None] = fixed *)
   streams : int;  (** interleaved source streams (2 for Join) *)
   encrypted : bool;
+      (** encrypt each Events frame and tag it ({!Sbt_net.Frame.encrypt_payload}) *)
   authenticated : bool;
-      (** seal each Events frame with an HMAC (encrypt-then-MAC when
-          [encrypted]); off by default — ingress then behaves exactly as
-          before the fault model existed *)
-  key : bytes;  (** source-edge AES/HMAC key used when [encrypted]/[authenticated] *)
+      (** tag each clear Events frame too; encrypted frames are always
+          tagged.  Off by default: clear frames then carry no tag *)
+  key : bytes;  (** source-edge AEAD key, used when [encrypted] or [authenticated] *)
   seed : int64;
   gen_record : Sbt_crypto.Rng.t -> ts:int32 -> int32 array;
       (** Fill one record given its event time; must return [schema.width]

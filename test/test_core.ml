@@ -140,25 +140,54 @@ let test_dataplane_retire_semantics () =
     Alcotest.fail "stale reference accepted"
   with Opaque.Invalid_reference _ -> ()
 
+let ingress_key = Sbt_crypto.Aead.of_key (Bytes.of_string "sbt-ingress-k16!")
+
+(* A frame as an encrypting source sends it: CTR under the stream's nonce,
+   sealed as it is encrypted. *)
+let encrypted_frame ~seq rows =
+  match
+    Frame.encrypt_payload ~key:ingress_key ~stream_nonce:0L
+      (Frame.Events
+         { seq; stream = 0; events = List.length rows; windows = [ 0 ]; payload = payload_of rows;
+           encrypted = false; mac = Bytes.empty })
+  with
+  | Frame.Events { payload; mac; _ } -> (payload, mac)
+  | Frame.Watermark _ -> assert false
+
+let ingest_frame dp (stream, seq, encrypted, payload, mac) =
+  D.call dp (D.R_ingest_events { payload; encrypted; stream; seq; mac; windowing = None })
+
 let test_dataplane_encrypted_ingest () =
   let dp = mk_dp () in
-  let rows = [ [ 7l; 70l; 0l ]; [ 8l; 80l; 1l ] ] in
-  let clear = payload_of rows in
-  let key = Bytes.of_string "sbt-ingress-k16!" in
-  let ctr = Sbt_crypto.Ctr.create ~key ~nonce:0L in
-  let cipher = Bytes.copy clear in
-  Sbt_crypto.Ctr.xcrypt ctr ~pos:(Int64.shift_left 3L 32) cipher 0 (Bytes.length cipher);
-  match
-    D.call dp
-      (D.R_ingest_events { payload = cipher; encrypted = true; stream = 0; seq = 3;
-                           mac = Bytes.empty; windowing = None })
-  with
+  let payload, mac = encrypted_frame ~seq:3 [ [ 7l; 70l; 0l ]; [ 8l; 80l; 1l ] ] in
+  match ingest_frame dp (0, 3, true, payload, mac) with
   | D.Ingested { outs = [ out ]; _ } ->
       let sealed = D.call dp (D.R_egress { input = out.D.ref_; window = 0 }) in
       let back = D.open_result ~egress_key sealed in
       Alcotest.(check int32) "decrypted inside TEE" 70l back.(0).(1)
   | D.Ingested _ -> Alcotest.fail "ingest without windowing must return one batch"
   | D.Refused _ -> Alcotest.fail "encrypted ingest refused"
+
+(* Each forgery of a sealed encrypted frame is refused inside the TEE
+   before anything is spent on it: a flipped ciphertext bit (CTR is
+   malleable), a stripped tag, the [encrypted] flag cleared, and the tag
+   replayed at the next sequence number. *)
+let test_encrypted_frame_forgeries_refused () =
+  let payload, mac = encrypted_frame ~seq:3 [ [ 7l; 70l; 0l ]; [ 8l; 80l; 1l ] ] in
+  let flipped = Bytes.copy payload in
+  Bytes.set flipped 5 (Char.chr (Char.code (Bytes.get flipped 5) lxor 0x10));
+  List.iter
+    (fun (name, frame) ->
+      match ingest_frame (mk_dp ()) frame with
+      | D.Refused { reason = D.Corrupt_ingress; _ } -> ()
+      | D.Refused { reason = D.Pool_pressure; _ } -> Alcotest.failf "%s: refused as pool pressure" name
+      | D.Ingested _ -> Alcotest.failf "%s: ingested" name)
+    [
+      ("bit flipped", (0, 3, true, flipped, mac));
+      ("tag stripped", (0, 3, true, payload, Bytes.empty));
+      ("encrypted flipped", (0, 3, false, payload, mac));
+      ("next seq", (0, 4, true, payload, mac));
+    ]
 
 let test_dataplane_result_tamper_detected () =
   let dp = mk_dp () in
@@ -240,6 +269,26 @@ let result_rows (r : Runtime.run_result) w =
   match List.assoc_opt w r.Runtime.results with
   | Some sealed -> D.open_result ~egress_key sealed
   | None -> Alcotest.failf "no result for window %d" w
+
+(* Forged sealed results from a Full winsum run: each raises from
+   [open_result] instead of opening to rows the edge never sealed. *)
+let test_result_forgeries_rejected () =
+  let r, _ = run_pipeline (B.win_sum ~windows:2 ~events_per_window:2_000 ~batch_events:500 ()) in
+  let s0 = List.assoc 0 r.Runtime.results and s1 = List.assoc 1 r.Runtime.results in
+  let chosen =
+    Frame.pack_events ~width:s0.D.width (Array.make s0.D.events (Array.make s0.D.width 42l))
+  in
+  Alcotest.(check int) "genuine opens" s0.D.events (Array.length (D.open_result ~egress_key s0));
+  List.iter
+    (fun (name, forged) ->
+      match D.open_result ~egress_key forged with
+      | _ -> Alcotest.failf "%s: opened" name
+      | exception Invalid_argument _ -> ())
+    [
+      ("tag stripped, chosen plaintext", { s0 with D.cipher = chosen; tag = Bytes.empty });
+      ("cipher and tag of window 1", { s0 with D.cipher = s1.D.cipher; tag = s1.D.tag });
+      ("events zeroed", { s0 with D.events = 0 });
+    ]
 
 let test_winsum_matches_reference () =
   let bench = B.win_sum ~windows:3 ~events_per_window:5_000 ~batch_events:1_000 () in
@@ -767,8 +816,7 @@ let test_corrupt_frame_rejected_by_dataplane () =
   (* A MAC that does not match the payload: rejected inside the TEE. *)
   let dp = mk_dp () in
   let payload = payload_of [ [ 1l; 2l; 0l ]; [ 3l; 4l; 1l ] ] in
-  let key = Bytes.of_string "sbt-ingress-k16!" in
-  let mac = Frame.mac_payload ~key ~stream:0 ~seq:0 ~events:2 payload in
+  let mac = Frame.mac_payload ~key:ingress_key ~stream:0 ~seq:0 ~events:2 ~encrypted:false payload in
   let bad = Bytes.copy payload in
   Bytes.set bad 0 (Char.chr (Char.code (Bytes.get bad 0) lxor 0x40));
   (match
@@ -926,7 +974,10 @@ let () =
           Alcotest.test_case "rejects wrong arity" `Quick test_dataplane_rejects_wrong_arity;
           Alcotest.test_case "retire semantics" `Quick test_dataplane_retire_semantics;
           Alcotest.test_case "encrypted ingest" `Quick test_dataplane_encrypted_ingest;
+          Alcotest.test_case "encrypted frame forgeries refused" `Quick
+            test_encrypted_frame_forgeries_refused;
           Alcotest.test_case "result tamper detected" `Quick test_dataplane_result_tamper_detected;
+          Alcotest.test_case "result forgeries rejected" `Quick test_result_forgeries_rejected;
           Alcotest.test_case "version accounting" `Quick test_dataplane_version_accounting;
           Alcotest.test_case "backpressure" `Quick test_dataplane_backpressure;
           Alcotest.test_case "debug entry" `Quick test_dataplane_debug_entry;

@@ -1,12 +1,16 @@
 (* Tests for the from-scratch crypto substrate: AES-128 against FIPS-197
    vectors and a byte-wise reference cipher ([Aes_reference]), SHA-256
    against FIPS 180-4 vectors, HMAC against RFC 4231, CTR-mode algebraic
-   properties, and the PRNG against a boxed reference ([Rng_reference]). *)
+   properties, Poly1305 against RFC 8439 and a plain-number reference
+   ([Poly1305_reference]), the AEAD built from them, and the PRNG against
+   a boxed reference ([Rng_reference]). *)
 
 module Aes = Sbt_crypto.Aes
 module Ctr = Sbt_crypto.Ctr
 module Sha256 = Sbt_crypto.Sha256
 module Hmac = Sbt_crypto.Hmac
+module Poly1305 = Sbt_crypto.Poly1305
+module Aead = Sbt_crypto.Aead
 module Rng = Sbt_crypto.Rng
 
 let bytes_of_hex s =
@@ -133,6 +137,21 @@ let prop_ctr_matches_reference =
       Ctr.xcrypt (Ctr.create ~key ~nonce) ~pos:(Int64.of_int pos) buf off len;
       Bytes.equal buf expected)
 
+(* The fused keystream path at block counters just below 2^32, so the
+   low counter word wraps inside the range and the high word steps. *)
+let prop_ctr_crosses_2_32 =
+  QCheck.Test.make ~name:"ctr equals byte-wise reference across 2^32 blocks" ~count:200
+    QCheck.(quad block16 int64 (pair (int_bound 100) (int_bound 7)) (string_of_size Gen.(0 -- 300)))
+    (fun (k, nonce, (back, off), msg) ->
+      let key = Bytes.of_string k and len = String.length msg in
+      let pos = (1 lsl 36) - back in
+      let buf = Bytes.make (off + len + 8) '\x5a' in
+      Bytes.blit_string msg 0 buf off len;
+      let expected = Bytes.copy buf in
+      Aes_reference.ctr_xcrypt ~key ~nonce ~pos expected off len;
+      Ctr.xcrypt (Ctr.create ~key ~nonce) ~pos:(Int64.of_int pos) buf off len;
+      Bytes.equal buf expected)
+
 (* --- SHA-256 ----------------------------------------------------------- *)
 
 let test_sha256_vectors () =
@@ -212,6 +231,131 @@ let test_hmac_verify () =
   Bytes.set bad 5 (Char.chr (Char.code (Bytes.get bad 5) lxor 1));
   Alcotest.(check bool) "rejects flipped bit" false (Hmac.verify ~key ~tag:bad msg);
   Alcotest.(check bool) "rejects short tag" false (Hmac.verify ~key ~tag:(Bytes.create 4) msg)
+
+(* --- Poly1305 and the AEAD ------------------------------------------------ *)
+
+let ietf =
+  "Any submission to the IETF intended by the Contributor for publication as all or part of an \
+   IETF Internet-Draft or RFC and any statement made within the context of an IETF activity is \
+   considered an \"IETF Contribution\". Such statements include oral statements in IETF \
+   sessions, as well as written and electronic communications made at any time or place, which \
+   are addressed to"
+
+let jabberwocky =
+  "'Twas brillig, and the slithy toves\nDid gyre and gimble in the wabe:\nAll mimsy were the \
+   borogoves,\nAnd the mome raths outgrabe."
+
+(* RFC 8439 §2.5.2 and Appendix A.3 (vectors 1-11): (key, message, tag). *)
+let poly1305_vectors =
+  (* [rep n b]: the hex byte [b] n times. *)
+  let rep n b = String.concat "" (List.init n (fun _ -> b)) in
+  let z n = rep n "00" and r1 = "01" ^ rep 15 "00" and r2 = "02" ^ rep 15 "00" in
+  let r10 = "01000000000000000400000000000000" and hex = bytes_of_hex in
+  [
+    ( "85d6be7857556d337f4452fe42d506a80103808afb0db2fd4abff6af4149f51b",
+      Bytes.of_string "Cryptographic Forum Research Group",
+      "a8061dc1305136c6c22b8baf0c0127a9" );
+    (z 32, Bytes.make 64 '\000', z 16);
+    (z 16 ^ "36e5f6b5c5e06070f0efca96227a863e", Bytes.of_string ietf, "36e5f6b5c5e06070f0efca96227a863e");
+    ("36e5f6b5c5e06070f0efca96227a863e" ^ z 16, Bytes.of_string ietf, "f3477e7cd95417af89a6b8794c310cf0");
+    ( "1c9240a5eb55d38af333888604f6b5f0473917c1402b80099dca5cbc207075c0",
+      Bytes.of_string jabberwocky,
+      "4541669a7eaaee61e708dc7cbcc5eb62" );
+    (r2 ^ z 16, hex (rep 16 "ff"), "03" ^ z 15);
+    (r2 ^ rep 16 "ff", hex ("02" ^ z 15), "03" ^ z 15);
+    (r1 ^ z 16, hex (rep 16 "ff" ^ "f0" ^ rep 15 "ff" ^ "11" ^ z 15), "05" ^ z 15);
+    (r1 ^ z 16, hex (rep 16 "ff" ^ "fb" ^ rep 15 "fe" ^ rep 16 "01"), z 16);
+    (r2 ^ z 16, hex ("fd" ^ rep 15 "ff"), "fa" ^ rep 15 "ff");
+    ( r10 ^ z 16,
+      hex ("e33594d7505e43b9" ^ z 8 ^ "3394d7505e4379cd" ^ "01" ^ z 7 ^ z 16 ^ "01" ^ z 15),
+      "14000000000000005500000000000000" );
+    (r10 ^ z 16, hex ("e33594d7505e43b9" ^ z 8 ^ "3394d7505e4379cd" ^ "01" ^ z 7 ^ z 16), "13" ^ z 15);
+  ]
+
+(* Every vector pins the reference.  Those with s = 0 and whole blocks
+   (A.3 #1, #5 and #7-#11; all but #1 are carry and reduction edge
+   cases) are the zero-padded hash itself, so they pin [pad16] and
+   [finish] directly. *)
+let test_poly1305_rfc8439 () =
+  let direct =
+    List.filteri
+      (fun i (key, msg, tag) ->
+        let key = bytes_of_hex key in
+        check_hex (Printf.sprintf "reference %d" i) tag (hex_of (Poly1305_reference.mac ~key msg));
+        let whole = Bytes.length msg mod 16 = 0 in
+        let s_zero = Bytes.equal (Bytes.sub key 16 16) (Bytes.make 16 '\000') in
+        if whole && s_zero then begin
+          let st = Poly1305.init (Poly1305.key key 0) in
+          Poly1305.pad16 st msg 0 (Bytes.length msg);
+          check_hex (Printf.sprintf "vector %d" i) tag (hex_of (Poly1305.finish st))
+        end;
+        whole && s_zero)
+      poly1305_vectors
+  in
+  Alcotest.(check int) "vectors hashed directly" 7 (List.length direct)
+
+(* Random r, lengths 0-300 (half of them within one byte of a 16-byte
+   boundary) at an offset into a larger buffer: [pad16] then [finish]
+   equals the reference's one-time MAC with s = 0 over the message
+   zero-padded to whole blocks. *)
+let prop_poly1305_matches_reference =
+  let boundary = QCheck.Gen.(map2 (fun k d -> max 0 ((16 * k) + d)) (0 -- 18) (-1 -- 1)) in
+  QCheck.Test.make ~name:"poly1305 equals plain-number reference" ~count:300
+    QCheck.(
+      triple block16 (int_bound 20) (string_of_size Gen.(oneof [ 0 -- 300; boundary ])))
+    (fun (r, off, m) ->
+      let len = String.length m in
+      let buf = Bytes.make (off + len + 5) '\x5a' in
+      Bytes.blit_string m 0 buf off len;
+      let padded = Bytes.make ((len + 15) / 16 * 16) '\000' in
+      Bytes.blit_string m 0 padded 0 len;
+      let st = Poly1305.init (Poly1305.key (Bytes.of_string r) 0) in
+      Poly1305.pad16 st buf off len;
+      let key = Bytes.cat (Bytes.of_string r) (Bytes.make 16 '\000') in
+      Bytes.equal (Poly1305.finish st) (Poly1305_reference.mac ~key padded))
+
+(* The tag is AES_kt of the Poly1305_r hash (s = 0) of RFC 8439's MAC
+   data, with (r, kt) from [Kdf] under "aead-tag": checked against the
+   reference and the byte-wise AES, so the construction itself is pinned.
+   The cipher bytes are plain CTR's. *)
+let prop_aead_construction =
+  QCheck.Test.make ~name:"aead is ctr plus enciphered poly1305 of the mac data" ~count:100
+    QCheck.(quad block16 int64 (string_of_size Gen.(0 -- 40)) (string_of_size Gen.(0 -- 300)))
+    (fun (k, nonce, a, m) ->
+      let key = Bytes.of_string k and ad = Bytes.of_string a and buf = Bytes.of_string m in
+      let tag = Aead.seal (Aead.of_key key) ~nonce ~pos:0L ~ad buf 0 (Bytes.length buf) in
+      let d = Sbt_crypto.Kdf.derive ~master:key ~label:"aead-tag" 32 in
+      let pad b =
+        let p = Bytes.make ((Bytes.length b + 15) / 16 * 16) '\000' in
+        Bytes.blit b 0 p 0 (Bytes.length b);
+        p
+      in
+      let lens = Bytes.create 16 in
+      Bytes.set_int64_le lens 0 (Int64.of_int (Bytes.length ad));
+      Bytes.set_int64_le lens 8 (Int64.of_int (Bytes.length buf));
+      let data = Bytes.concat Bytes.empty [ pad ad; pad buf; lens ] in
+      let h = Poly1305_reference.mac ~key:(Bytes.cat (Bytes.sub d 0 16) (Bytes.make 16 '\000')) data in
+      let expected = Bytes.create 16 in
+      Aes_reference.encrypt_block (Bytes.sub d 16 16) h 0 expected 0;
+      Bytes.equal tag expected && Bytes.equal buf (Ctr.xcrypt_bytes ~key ~nonce (Bytes.of_string m)))
+
+let test_aead_rejects () =
+  let k = Aead.of_key (Bytes.of_string "0123456789abcdef") in
+  let ad = Aead.ad 'F' [ 1; 2; 3 ] and msg = Bytes.of_string "sixteen byte msg and some more" in
+  let n = Bytes.length msg in
+  let buf = Bytes.copy msg in
+  let tag = Aead.seal k ~nonce:5L ~pos:64L ~ad buf 0 n in
+  let verifies ?(ad = ad) ?(tag = tag) c = Aead.verify k ~ad ~tag c 0 n in
+  Alcotest.(check bool) "verifies" true (verifies buf);
+  let flipped = Bytes.copy buf in
+  Bytes.set flipped 7 (Char.chr (Char.code (Bytes.get flipped 7) lxor 1));
+  Alcotest.(check bool) "flipped byte" false (verifies flipped);
+  Alcotest.(check bool) "other ad" false (verifies ~ad:(Aead.ad 'F' [ 1; 2; 4 ]) buf);
+  Alcotest.(check bool) "other domain" false (verifies ~ad:(Aead.ad 'R' [ 1; 2; 3 ]) buf);
+  Alcotest.(check bool) "empty tag" false (verifies ~tag:Bytes.empty buf);
+  Alcotest.(check bool) "short tag" false (verifies ~tag:(Bytes.sub tag 0 15) buf);
+  Aead.xcrypt k ~nonce:5L ~pos:64L buf 0 n;
+  Alcotest.(check string) "decrypts" (Bytes.to_string msg) (Bytes.to_string buf)
 
 (* --- RNG --------------------------------------------------------------- *)
 
@@ -341,6 +485,7 @@ let () =
           Alcotest.test_case "nonce separation" `Quick test_ctr_different_nonce_differs;
           q prop_ctr_roundtrip;
           q prop_ctr_matches_reference;
+          q prop_ctr_crosses_2_32;
         ] );
       ( "sha256",
         [
@@ -356,6 +501,13 @@ let () =
           Alcotest.test_case "long key" `Quick test_hmac_long_key;
           Alcotest.test_case "verify" `Quick test_hmac_verify;
         ] );
+      ( "poly1305",
+        [
+          Alcotest.test_case "rfc8439 vectors" `Quick test_poly1305_rfc8439;
+          q prop_poly1305_matches_reference;
+        ] );
+      ( "aead",
+        [ Alcotest.test_case "rejects" `Quick test_aead_rejects; q prop_aead_construction ] );
       ( "rng",
         [
           Alcotest.test_case "determinism" `Quick test_rng_determinism;

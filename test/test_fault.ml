@@ -180,7 +180,7 @@ let test_lossy_watermarks_survive () =
 let test_lossy_corruption_detectable () =
   (* A corrupted sealed frame still carries its original MAC, so the edge
      rejects it instead of ingesting garbage. *)
-  let key = Bytes.of_string "sbt-ingress-k16!" in
+  let key = Sbt_crypto.Aead.of_key (Bytes.of_string "sbt-ingress-k16!") in
   let frames = List.map (fun f -> Frame.seal ~key f) (List.init 300 mk_events) in
   let plan = Fault.uniform ~seed:17L ~rate:0.3 () in
   let out, stats = Lossy.apply plan frames in

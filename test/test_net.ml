@@ -3,7 +3,7 @@
 module Frame = Sbt_net.Frame
 module Link = Sbt_net.Link
 
-let key = Bytes.of_string "0123456789abcdef"
+let key = Sbt_crypto.Aead.of_key (Bytes.of_string "0123456789abcdef")
 
 let sample_records =
   [| [| 1l; 2l; 3l |]; [| -4l; 5l; 6l |]; [| 7l; 8l; 2147483647l |] |]
@@ -79,7 +79,7 @@ let test_seal_verify_roundtrip () =
   Alcotest.(check bool) "sealed" true (Frame.sealed f);
   Alcotest.(check bool) "verifies" true (Frame.mac_valid ~key f);
   Alcotest.(check bool) "unsealed frame fails" false (Frame.mac_valid ~key (mk_frame payload));
-  Alcotest.(check bool) "wrong key fails" false (Frame.mac_valid ~key:(Bytes.make 16 'z') f);
+  Alcotest.(check bool) "wrong key fails" false (Frame.mac_valid ~key:(Sbt_crypto.Aead.of_key (Bytes.make 16 'z')) f);
   (* Watermarks carry no payload: nothing to protect, nothing to fail. *)
   Alcotest.(check bool) "watermark ok" true (Frame.mac_valid ~key (Frame.Watermark { seq = 0; value = 1 }))
 

@@ -5,6 +5,7 @@
 module U = Sbt_umem.Uarray
 module Pool = Sbt_umem.Page_pool
 module Sort = Sbt_prim.Sort
+module Comparison_sort = Sbt_baselines.Comparison_sort
 module Merge = Sbt_prim.Merge
 module Segment = Sbt_prim.Segment
 module Agg = Sbt_prim.Agg
@@ -38,12 +39,13 @@ let is_sorted ua ~key_field =
 
 (* --- Sort ---------------------------------------------------------------- *)
 
-let check_sorted_algo algo () =
+(* [sort] is the radix sort or a comparison-sort baseline. *)
+let check_sorted_algo sort () =
   let p = pool () in
   let rows = random_rows ~width:3 ~n:5_000 1 in
   let src = ua_of_list p ~width:3 rows in
   let dst = fresh p ~width:3 ~capacity:5_000 in
-  Sort.sort algo ~src ~dst ~key_field:0;
+  sort ~src ~dst ~key_field:0;
   Alcotest.(check bool) "sorted" true (is_sorted dst ~key_field:0);
   (* Same multiset of records. *)
   let norm l = List.sort compare l in
@@ -54,7 +56,7 @@ let test_sort_negative_keys () =
   let p = pool () in
   let src = ua_of_list p ~width:1 [ [ 5 ]; [ -3 ]; [ 0 ]; [ -2000000000 ]; [ 2000000000 ] ] in
   let dst = fresh p ~width:1 ~capacity:5 in
-  Sort.sort Sort.Radix ~src ~dst ~key_field:0;
+  Sort.sort ~src ~dst ~key_field:0;
   Alcotest.(check (list (list int))) "signed ascending"
     [ [ -2000000000 ]; [ -3 ]; [ 0 ]; [ 5 ]; [ 2000000000 ] ]
     (rows_of_ua dst)
@@ -65,7 +67,7 @@ let test_sort_stability_radix () =
   let rows = [ [ 1; 10 ]; [ 0; 20 ]; [ 1; 30 ]; [ 0; 40 ]; [ 1; 50 ] ] in
   let src = ua_of_list p ~width:2 rows in
   let dst = fresh p ~width:2 ~capacity:5 in
-  Sort.sort Sort.Radix ~src ~dst ~key_field:0;
+  Sort.sort ~src ~dst ~key_field:0;
   Alcotest.(check (list (list int))) "stable"
     [ [ 0; 20 ]; [ 0; 40 ]; [ 1; 10 ]; [ 1; 30 ]; [ 1; 50 ] ]
     (rows_of_ua dst)
@@ -75,7 +77,7 @@ let test_sort_in_place () =
   let ua = fresh p ~width:2 ~capacity:100 in
   let rows = random_rows ~width:2 ~n:100 3 in
   List.iter (fun r -> U.append ua (Array.of_list (List.map Int32.of_int r))) rows;
-  Sort.sort_in_place Sort.Std ua ~key_field:1;
+  Comparison_sort.sort_in_place Comparison_sort.Std ua ~key_field:1;
   Alcotest.(check bool) "sorted by field 1" true (is_sorted ua ~key_field:1)
 
 (* Keys that leave 0-4 live digits (bytes on which some keys differ), so
@@ -112,30 +114,30 @@ let prop_sort_algorithms_agree =
       let p = pool () in
       let src = ua_of_list p ~width rows in
       let prefix = List.init (Random.State.int st 3) (fun i -> List.init width (fun _ -> -i)) in
-      let out algo =
+      let out sort =
         let dst = fresh p ~width ~capacity:(List.length prefix + n) in
         List.iter (fun r -> U.append dst (Array.of_list (List.map Int32.of_int r))) prefix;
-        Sort.sort algo ~src ~dst ~key_field:kf;
+        sort ~src ~dst ~key_field:kf;
         rows_of_ua dst
       in
-      let in_place algo =
+      let in_place sort_in_place =
         let ua = fresh p ~width ~capacity:(max 1 n) in
         List.iter (fun r -> U.append ua (Array.of_list (List.map Int32.of_int r))) rows;
-        Sort.sort_in_place algo ua ~key_field:kf;
+        sort_in_place ua ~key_field:kf;
         rows_of_ua ua
       in
       let stable = List.stable_sort (fun a b -> compare (List.nth a kf) (List.nth b kf)) rows in
       let keys l = List.map (fun r -> List.nth r kf) l in
       (* Radix is stable; the comparison sorts agree on keys and rows. *)
-      out Sort.Radix = prefix @ stable
-      && in_place Sort.Radix = stable
+      out Sort.sort = prefix @ stable
+      && in_place Sort.sort_in_place = stable
       && List.for_all
            (fun algo ->
-             let o = out algo in
+             let o = out (Comparison_sort.sort algo) in
              keys o = keys (prefix @ stable)
              && List.sort compare o = List.sort compare (prefix @ rows)
-             && keys (in_place algo) = keys stable)
-           [ Sort.Std; Sort.Qsort ])
+             && keys (in_place (Comparison_sort.sort_in_place algo)) = keys stable)
+           [ Comparison_sort.Std; Comparison_sort.Qsort ])
 
 (* The secondary order through the invoke surface: Sort with a value field
    must be the stable (key, value) sort. *)
@@ -710,9 +712,11 @@ let () =
     [
       ( "sort",
         [
-          Alcotest.test_case "radix correct" `Quick (check_sorted_algo Sort.Radix);
-          Alcotest.test_case "std correct" `Quick (check_sorted_algo Sort.Std);
-          Alcotest.test_case "qsort correct" `Quick (check_sorted_algo Sort.Qsort);
+          Alcotest.test_case "radix correct" `Quick (check_sorted_algo Sort.sort);
+          Alcotest.test_case "std correct" `Quick
+            (check_sorted_algo (Comparison_sort.sort Comparison_sort.Std));
+          Alcotest.test_case "qsort correct" `Quick
+            (check_sorted_algo (Comparison_sort.sort Comparison_sort.Qsort));
           Alcotest.test_case "negative keys" `Quick test_sort_negative_keys;
           Alcotest.test_case "radix stability" `Quick test_sort_stability_radix;
           Alcotest.test_case "in place" `Quick test_sort_in_place;

@@ -137,12 +137,8 @@ let test_quota_shed_isolates_offender () =
 let test_cross_tenant_ref_rejected_in_tee () =
   let owners = Hashtbl.create 64 in
   let dp_for tenant =
-    let cfg =
-      D.Config.make ~version:D.Clear_ingress
-        ~namespace:{ D.ns_tenant = tenant; ns_owners = owners }
-        ()
-    in
-    D.create cfg
+    let cfg = D.Config.make ~version:D.Clear_ingress () in
+    D.create { cfg with D.namespace = Some { D.ns_tenant = tenant; ns_owners = owners } }
   in
   let dp0 = dp_for 0 and dp1 = dp_for 1 in
   let payload =
