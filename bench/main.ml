@@ -865,6 +865,147 @@ let attest_overhead () =
   Printf.printf "  (paper: 300-400 records/s produced per engine; 57K records/s replayed)\n"
 
 (* ------------------------------------------------------------------ *)
+(* Fixed cost of a batch                                                 *)
+
+(* What an fps batch costs beside its events.  One stream of fps events
+   is cut into batches of 16 to 8,000 events; each cut runs through
+   [Runtime.run] and then the cloud's [Log.open_batch] and
+   [Verifier.verify].  A least-squares line over the batch counts splits
+   every ledger bucket into a part per batch (the slope) and a part per
+   event (the intercept over the events, which also holds the per-window
+   work).  Host ns keep the fastest of [reps] runs per size, so a row's
+   buckets sum to its total; allocated words (minor + major - promoted,
+   counted as test_core counts them) are deterministic. *)
+let batch_cost () =
+  section "[batch-cost] fixed and per-event cost of an fps batch";
+  let module Log = Sbt_attest.Log in
+  let windows = if smoke then 2 else 4 and epw = if smoke then 1_000 else 8_000 in
+  let reps = if smoke then 2 else 7 in
+  let sizes =
+    if smoke then [ 16; 64; 1_024 ]
+    else [ 16; 32; 64; 128; 256; 512; 1_024; 2_000; 4_000; 8_000 ]
+  in
+  let cfg = Runtime.Config.make ~version:D.Clear_ingress ~deterministic:true () in
+  let key = cfg.Runtime.dp_config.D.egress_key in
+  let parts = [| "control"; "compute"; "mem"; "ingest"; "crypto"; "audit open"; "verify" |] in
+  let words f =
+    Gc.full_major ();
+    let minor0, promoted0, major0 = Gc.counters () in
+    let r = f () in
+    (* OCaml 5.1's [Gc.counters] counts the words allocated since the
+       last minor collection at an eighth; one more collection counts
+       them in full. *)
+    Gc.minor ();
+    let minor1, promoted1, major1 = Gc.counters () in
+    (r, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+  in
+  let cloud spec audit =
+    let records = List.concat_map (Log.open_batch ~key) audit in
+    if not (Sbt_attest.Verifier.ok (Sbt_attest.Verifier.verify spec records)) then
+      failwith "batch-cost: verdict not clean"
+  in
+  (* One run's host ns per part: the edge run less the data plane's
+     buckets is control. *)
+  let timed_run pipeline frames =
+    let t0 = Clock.now_ns () in
+    let r = Runtime.run cfg pipeline frames in
+    let edge = Clock.elapsed_ns ~since:t0 in
+    let t1 = Clock.now_ns () in
+    let records = List.concat_map (Log.open_batch ~key) r.Runtime.audit in
+    let opened = Clock.elapsed_ns ~since:t1 in
+    let t2 = Clock.now_ns () in
+    ignore (Sys.opaque_identity (Sbt_attest.Verifier.verify r.Runtime.verifier_spec records));
+    let verify = Clock.elapsed_ns ~since:t2 in
+    let s = r.Runtime.dp_stats in
+    [|
+      edge -. s.D.compute_ns -. s.D.mem_ns -. s.D.ingest_ns -. s.D.crypto_ns;
+      s.D.compute_ns; s.D.mem_ns; s.D.ingest_ns; s.D.crypto_ns; opened; verify;
+    |]
+  in
+  Printf.printf "  fps, %d windows x %d events, Clear_ingress; fastest of %d runs per size (ms)\n"
+    windows epw reps;
+  Printf.printf "  %6s %7s %8s" "batch" "batches" "total";
+  Array.iter (fun p -> Printf.printf " %10s" p) parts;
+  Printf.printf " %11s %11s\n" "engine w/ev" "cloud w/ev";
+  let rows =
+    List.map
+      (fun size ->
+        let bench = B.fps ~windows ~events_per_window:epw ~batch_events:size () in
+        let frames = B.frames bench and pipeline = bench.B.pipeline in
+        let events = Sbt_workloads.Datagen.total_events bench.B.spec in
+        let batches =
+          List.length (List.filter (function Frame.Events _ -> true | _ -> false) frames)
+        in
+        let r, engine_words = words (fun () -> Runtime.run cfg pipeline frames) in
+        let (), cloud_words = words (fun () -> cloud r.Runtime.verifier_spec r.Runtime.audit) in
+        let best = ref [||] in
+        for _ = 1 to reps do
+          let ns = timed_run pipeline frames in
+          let total a = Array.fold_left ( +. ) 0.0 a in
+          if !best = [||] || total ns < total !best then best := ns
+        done;
+        let ns = !best in
+        Printf.printf "  %6d %7d %8.2f" size batches (Array.fold_left ( +. ) 0.0 ns /. 1e6);
+        Array.iter (fun v -> Printf.printf " %10.2f" (v /. 1e6)) ns;
+        Printf.printf " %11.2f %11.2f\n%!"
+          (engine_words /. float_of_int events)
+          (cloud_words /. float_of_int events);
+        ignore
+          (Bench_json.append ~section:"batch-cost"
+             ([
+                ("batch_events", J.num_of_int size);
+                ("batches", J.num_of_int batches);
+                ("events", J.num_of_int events);
+                ("engine_words", J.Num engine_words);
+                ("cloud_words", J.Num cloud_words);
+              ]
+             @ Array.to_list (Array.mapi (fun i p -> (p ^ " ns", J.Num ns.(i))) parts)));
+        (size, batches, events, ns, engine_words, cloud_words))
+      sizes
+  in
+  (* Least squares of [y] on the batch count: (per batch, per event). *)
+  let fit y =
+    let n = float_of_int (List.length rows) in
+    let xs = List.map (fun (_, b, _, _, _, _) -> float_of_int b) rows in
+    let ys = List.map y rows in
+    let mx = List.fold_left ( +. ) 0.0 xs /. n and my = List.fold_left ( +. ) 0.0 ys /. n in
+    let sxy = List.fold_left2 (fun a x y -> a +. ((x -. mx) *. (y -. my))) 0.0 xs ys in
+    let sxx = List.fold_left (fun a x -> a +. ((x -. mx) *. (x -. mx))) 0.0 xs in
+    let slope = sxy /. sxx in
+    let _, _, events, _, _, _ = List.hd rows in
+    (slope, (my -. (slope *. mx)) /. float_of_int events)
+  in
+  Printf.printf "  least-squares fit over batch counts:\n";
+  Printf.printf "  %-12s %14s %10s\n" "part" "ns per batch" "ns/event";
+  let line name (per_batch, per_event) unit =
+    ignore
+      (Bench_json.append ~section:"batch-cost"
+         [
+           ("fit", J.Str name);
+           ("unit", J.Str unit);
+           ("per_batch", J.Num per_batch);
+           ("per_event", J.Num per_event);
+         ]);
+    Printf.printf "  %-12s %14.0f %10.2f\n" name per_batch per_event
+  in
+  Array.iteri (fun i p -> line p (fit (fun (_, _, _, ns, _, _) -> ns.(i))) "ns") parts;
+  line "total" (fit (fun (_, _, _, ns, _, _) -> Array.fold_left ( +. ) 0.0 ns)) "ns";
+  Printf.printf "  %-12s %14s %10s\n" "" "words/batch" "words/ev";
+  line "engine" (fit (fun (_, _, _, _, w, _) -> w)) "words";
+  line "cloud" (fit (fun (_, _, _, _, _, w) -> w)) "words";
+  (* test_core's figure: the difference between 64- and 1,024-event
+     batches over the difference in batch counts. *)
+  (match
+     ( List.find_opt (fun (s, _, _, _, _, _) -> s = 64) rows,
+       List.find_opt (fun (s, _, _, _, _, _) -> s = 1_024) rows )
+   with
+  | Some (_, b64, _, _, w64, _), Some (_, b1k, _, _, w1k, _) ->
+      Printf.printf "  engine words per batch, 64 vs 1,024 events per batch: %.0f\n"
+        ((w64 -. w1k) /. float_of_int (b64 - b1k))
+  | _ -> ());
+  Printf.printf "  wrote %s\n" (Bench_json.path ~section:"batch-cost" ())
+
+(* ------------------------------------------------------------------ *)
 (* Opaque-reference validation microbench (9 / 8)                        *)
 
 let opaque_refs () =
@@ -1284,6 +1425,7 @@ let sections =
     ("switch-sweep", switch_sweep);
     ("fusion", fusion);
     ("attest-overhead", attest_overhead);
+    ("batch-cost", batch_cost);
     ("opaque-refs", opaque_refs);
     ("resilience", resilience);
     ("recovery", recovery_bench);
