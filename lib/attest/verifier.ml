@@ -141,6 +141,11 @@ type win_state = {
   mutable egress_ts : int option;
 }
 
+(* A table's bindings in ascending key order: the report lists its
+   sweeps in this order, whatever the table's hashing. *)
+let sorted_bindings tbl =
+  List.sort (fun (a, _) (b, _) -> compare a b) (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+
 let verify spec records =
   let table : (int, prov) Hashtbl.t = Hashtbl.create 256 in
   let windows : (int, win_state) Hashtbl.t = Hashtbl.create 64 in
@@ -488,21 +493,23 @@ let verify spec records =
   (* Correction generations must be contiguous from 1 in emission order:
      a skipped, repeated, or reordered generation means the cloud-side
      merge would apply a different history than the TEE emitted. *)
-  Hashtbl.iter
-    (fun w gens ->
+  List.iter
+    (fun (w, gens) ->
       List.iteri
         (fun i g ->
           if g <> i + 1 then
             violate (Correction_mismatch { window = w; expected_gen = i + 1; got_gen = g }))
         (List.rev gens))
-    corr_gens;
+    (sorted_bindings corr_gens);
   (* Final sweep. *)
-  Hashtbl.iter
-    (fun id prov ->
+  Hashtbl.fold
+    (fun id prov acc ->
       match prov with
-      | Batch b -> if not b.windowed then violate (Unprocessed_batch { id })
-      | Watermark _ | Segment _ | Ready _ | Group_mid _ -> ())
-    table;
+      | Batch b when not b.windowed -> id :: acc
+      | Batch _ | Watermark _ | Segment _ | Ready _ | Group_mid _ -> acc)
+    table []
+  |> List.sort compare
+  |> List.iter (fun id -> violate (Unprocessed_batch { id }));
   let windows_verified = ref 0 in
   let delays = ref [] and max_delay = ref 0 in
   (* Closing watermark of a window: the first (in record order) whose value
@@ -515,8 +522,8 @@ let verify spec records =
     List.find_map (fun (value, ts) -> if value >= win_end then Some ts else None) wms_in_order
   in
   let session_mode = spec.session_gap <> None in
-  Hashtbl.iter
-    (fun w s ->
+  List.iter
+    (fun (w, s) ->
       let n_corr = List.length (corrections_of w) in
       (* Session windows close by inactivity gap, not by a spec-derivable
          watermark boundary, so the sweep judges exactly the sessions the
@@ -582,7 +589,7 @@ let verify spec records =
                 | Some _ | None -> ())
             | _, _ -> ()
           end)
-    windows;
+    (sorted_bindings windows);
   (* Misleading hints: successor consumed before its predecessor. *)
   let misleading =
     List.fold_left

@@ -128,11 +128,13 @@ val pp_violation : Format.formatter -> violation -> unit
 
 type report = {
   violations : violation list;
+      (** record-replay violations in record order, then the end-of-log
+          sweeps', each sweep in ascending window (or uArray id) order *)
   misleading_hints : int;
   windows_verified : int;
   records_replayed : int;
   max_delay : int;  (** worst observed output delay (ts ticks) *)
-  delays : (int * int) list;  (** (window, delay) per verified window *)
+  delays : (int * int) list;  (** (window, delay) per verified window, ascending by window *)
   declared_gaps : int;  (** Gap records replayed *)
   gap_events : int;  (** events the edge declared lost *)
   lost_batches : int;  (** declared-gap frames never ingested *)

@@ -1016,6 +1016,30 @@ let test_audit_allocation () =
         fun () -> ignore (Sys.opaque_identity (V.verify r.Runtime.verifier_spec records)) );
     ]
 
+(* The report lists its end-of-log sweeps in ascending window order,
+   whatever order the verifier's tables hash in: a 16-window fps run's
+   delays, and the Missing_egress violations of the same log with its
+   Egress records dropped. *)
+let test_verifier_report_order () =
+  let module B = Sbt_workloads.Benchmarks in
+  let module Runtime = Sbt_core.Runtime in
+  let module D = Sbt_core.Dataplane in
+  let b = B.fps ~windows:16 ~events_per_window:512 ~batch_events:64 () in
+  let cfg = Runtime.Config.make ~version:D.Clear_ingress ~deterministic:true () in
+  let key = cfg.Runtime.dp_config.D.egress_key in
+  let r = Runtime.run cfg b.B.pipeline (B.frames b) in
+  let records = List.concat_map (Log.open_batch ~key) r.Runtime.audit in
+  let all = List.init 16 Fun.id in
+  let rep = V.verify r.Runtime.verifier_spec records in
+  Alcotest.(check (list int)) "delays by window" all (List.map fst rep.V.delays);
+  let dropped = List.filter (function Record.Egress _ -> false | _ -> true) records in
+  let missing =
+    List.filter_map
+      (function V.Missing_egress { window } -> Some window | _ -> None)
+      (V.verify r.Runtime.verifier_spec dropped).V.violations
+  in
+  Alcotest.(check (list int)) "missing egress by window" all missing
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "attest"
@@ -1078,6 +1102,7 @@ let () =
           Alcotest.test_case "misleading hints" `Quick test_verifier_misleading_hints;
           Alcotest.test_case "empty windows ok" `Quick test_verifier_empty_windows_ok;
           Alcotest.test_case "open window not flagged" `Quick test_verifier_open_window_not_flagged;
+          Alcotest.test_case "report in window order" `Quick test_verifier_report_order;
         ] );
       ( "fused-records",
         [
