@@ -625,7 +625,8 @@ let sort_ablation () =
    grid-clear merges three width-4 batches of 20K records, taxi-enc two
    width-3 batches of 5K; join-egress sends one 15K-record batch per
    stream and window, so its merges take one input each (a blit) and it
-   has no KwayMerge row; fps-small runs no sort or merge.  taxi-enc's
+   has no KwayMerge row; fps-small runs no sort or merge, but its five
+   per-record stages run as one Fused chain.  taxi-enc's
    ingest decrypts, which the crypto section times, so it has no ingest
    row.  Each row keeps the best of [reps] calls, each into fresh
    destinations made outside the timed region. *)
@@ -703,17 +704,47 @@ let kernels () =
                      | D.Ingested { outs = [ o ]; _ } -> o.D.ref_
                      | D.Ingested _ | D.Refused _ -> failwith "kernels: ingest: not one batch"))
           | `Segment ->
+              (* Count and route in one call, as the batch call runs it,
+                 into destinations made beforehand. *)
               row workload "Segment" width n
                 (best
                    ~setup:(fun _ ->
-                     List.map
-                       (fun (win, c) -> (win, fresh ~width c))
-                       (Sbt_prim.Segment.count_per_window ~src:batch ~ts_field ~window_size:size
-                          ~slide ()))
-                   ~free:(fun dsts () -> List.iter (fun (_, d) -> free_ua d ()) dsts)
+                     Array.of_list
+                       (List.map
+                          (fun (_, c) -> fresh ~width c)
+                          (Sbt_prim.Segment.count_per_window ~src:batch ~ts_field
+                             ~window_size:size ~slide ())))
+                   ~free:(fun dsts _ -> Array.iter (fun d -> free_ua d ()) dsts)
                    (fun dsts ->
-                     Sbt_prim.Segment.segment ~src:batch ~ts_field ~window_size:size ~slide
-                       ~dst_for_window:(fun win -> List.assoc win dsts) ()))
+                     Sbt_prim.Segment.split ~src:batch ~ts_field ~window_size:size ~slide
+                       ~alloc:(fun ~i ~win:_ ~count:_ -> dsts.(i))
+                       ()))
+          | `Fused ->
+              (* The pipeline's batch stages as the one chain the batch
+                 call runs on each segment. *)
+              let steps =
+                List.map
+                  (function
+                    | Pipeline.B_filter_band { field; lo; hi } ->
+                        Sbt_prim.Fused.F_filter_band { field; lo; hi }
+                    | Pipeline.B_project fields -> Sbt_prim.Fused.F_project { fields }
+                    | Pipeline.B_select { field; value } -> Sbt_prim.Fused.F_select { field; value }
+                    | Pipeline.B_shift_key { field; shift } ->
+                        Sbt_prim.Fused.F_shift_key { field; shift }
+                    | Pipeline.B_sort _ -> failwith "kernels: a sort does not fuse")
+                  p.Pipeline.batch_ops
+              in
+              let dw = Option.get (Sbt_prim.Fused.width_after width steps) in
+              row workload "Fused" width n
+                (best
+                   ~setup:(fun _ -> ref None)
+                   ~free:(fun out () -> Option.iter (fun d -> free_ua d ()) !out)
+                   (fun out ->
+                     ignore
+                       (Sbt_prim.Fused.run ~steps ~src:batch ~alloc:(fun k ->
+                            let d = fresh ~width:dw k in
+                            out := Some d;
+                            d))))
           | `Sort ->
               row workload "Sort" width n
                 (best ~setup:(fun _ -> fresh ~width n) ~free:free_ua (fun dst ->
@@ -746,7 +777,7 @@ let kernels () =
         [ `Segment; `Sort; `Kway 2 ] );
       ( "fps-small",
         B.fps ~windows:1 ~events_per_window:64 ~batch_events:64 (),
-        [ `Ingest; `Segment ] );
+        [ `Ingest; `Segment; `Fused ] );
     ];
   Printf.printf "  wrote %s\n" (Bench_json.path ~section:"kernels" ())
 

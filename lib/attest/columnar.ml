@@ -34,38 +34,22 @@ let split records =
       blobs = Buffer.create 64;
     }
   in
-  let prev_ts = ref 0 and prev_id = ref 0 and prev_win = ref 0 and prev_val = ref 0 in
-  let prev_hint = ref 0 in
+  (* Each delta column keeps its own cursor: a value goes out as its
+     difference from the column's previous one. *)
+  let delta buf =
+    let prev = ref 0 in
+    fun v ->
+      Varint.write_signed buf (v - !prev);
+      prev := v
+  in
+  let put_ts = delta c.ts and put_new_id = delta c.new_ids and put_used_id = delta c.used_ids in
+  let put_win = delta c.win_nos and put_val = delta c.values in
+  (* Hints pack two 32-bit ids; both are near the current id cursor, so
+     each goes out as a delta against one hint cursor. *)
+  let put_hint_id = delta c.hints in
   let put_hint h =
-    (* Hints pack two 32-bit ids; both are near the current id cursor, so
-       encode each as a delta against a dedicated cursor. *)
-    let pred = Int64.to_int (Int64.shift_right_logical h 32) in
-    let succ = Int64.to_int (Int64.logand h 0xFFFFFFFFL) in
-    Varint.write_signed c.hints (pred - !prev_hint);
-    prev_hint := pred;
-    Varint.write_signed c.hints (succ - !prev_hint);
-    prev_hint := succ
-  in
-  let put_ts v =
-    Varint.write_signed c.ts (v - !prev_ts);
-    prev_ts := v
-  in
-  let prev_used = ref 0 in
-  let put_new_id v =
-    Varint.write_signed c.new_ids (v - !prev_id);
-    prev_id := v
-  in
-  let put_used_id v =
-    Varint.write_signed c.used_ids (v - !prev_used);
-    prev_used := v
-  in
-  let put_win v =
-    Varint.write_signed c.win_nos (v - !prev_win);
-    prev_win := v
-  in
-  let put_val v =
-    Varint.write_signed c.values (v - !prev_val);
-    prev_val := v
+    put_hint_id (Int64.to_int (Int64.shift_right_logical h 32));
+    put_hint_id (Int64.to_int (Int64.logand h 0xFFFFFFFFL))
   in
   (* List lengths below 128 take one byte; a window close over hundreds
      of segments takes two. *)
@@ -84,15 +68,7 @@ let split records =
       prev_blob := b
     end
   in
-  let prev_stream = ref 0 and prev_seq = ref 0 in
-  let put_stream v =
-    Varint.write_signed c.streams (v - !prev_stream);
-    prev_stream := v
-  in
-  let put_seq v =
-    Varint.write_signed c.seqs (v - !prev_seq);
-    prev_seq := v
-  in
+  let put_stream = delta c.streams and put_seq = delta c.seqs in
   List.iter
     (fun r ->
       match r with
@@ -216,11 +192,7 @@ let decompress data =
   let streams_col = Huffman.decode (block ()) in
   let seqs_col = Huffman.decode (block ()) in
   let blobs_col = Huffman.decode (block ()) in
-  let ts_pos = ref 0 and new_id_pos = ref 0 and used_id_pos = ref 0 in
-  let win_pos = ref 0 and val_pos = ref 0 in
-  let hint_pos = ref 0 and op_pos = ref 0 and cnt_pos = ref 0 in
-  let stream_pos = ref 0 and seq_pos = ref 0 in
-  let blob_pos = ref 0 in
+  let op_pos = ref 0 and cnt_pos = ref 0 and blob_pos = ref 0 in
   let prev_blob = ref Bytes.empty in
   let get_blob () =
     (* 0 is a back-reference to the previous blob; n > 0 is a literal of
@@ -237,53 +209,32 @@ let decompress data =
       b
     end
   in
-  (* Chain hashes derived once per distinct (ops, params) in the batch. *)
-  let chains = Hashtbl.create 4 in
+  (* A chain hash is derived again only when (ops, params) differ from
+     the last Fused record's. *)
+  let last = ref None in
   let chain_of ops params =
-    match Hashtbl.find_opt chains (ops, params) with
-    | Some chain -> chain
-    | None ->
+    match !last with
+    | Some (o, p, chain) when Bytes.equal p params && List.equal Int.equal o ops -> chain
+    | _ ->
         let chain = Record.chain_hash ~ops ~params in
-        Hashtbl.add chains (ops, params) chain;
+        last := Some (ops, params, chain);
         chain
   in
-  let prev_ts = ref 0 and prev_id = ref 0 and prev_win = ref 0 and prev_val = ref 0 in
-  let prev_hint = ref 0 and prev_stream = ref 0 and prev_seq = ref 0 in
+  (* Each delta column is read back through its own cursor and running
+     value, as [split] wrote it. *)
+  let delta col =
+    let pos = ref 0 and prev = ref 0 in
+    fun () ->
+      prev := !prev + Varint.read_signed col pos;
+      !prev
+  in
+  let get_ts = delta ts_col and get_new_id = delta new_ids_col and get_used_id = delta used_ids_col in
+  let get_win = delta wins_col and get_val = delta vals_col in
+  let get_stream = delta streams_col and get_seq = delta seqs_col and get_hint_id = delta hints_col in
   let get_hint () =
-    prev_hint := !prev_hint + Varint.read_signed hints_col hint_pos;
-    let pred = !prev_hint in
-    prev_hint := !prev_hint + Varint.read_signed hints_col hint_pos;
-    let succ = !prev_hint in
+    let pred = get_hint_id () in
+    let succ = get_hint_id () in
     Int64.logor (Int64.shift_left (Int64.of_int pred) 32) (Int64.of_int succ)
-  in
-  let get_ts () =
-    prev_ts := !prev_ts + Varint.read_signed ts_col ts_pos;
-    !prev_ts
-  in
-  let prev_used = ref 0 in
-  let get_new_id () =
-    prev_id := !prev_id + Varint.read_signed new_ids_col new_id_pos;
-    !prev_id
-  in
-  let get_used_id () =
-    prev_used := !prev_used + Varint.read_signed used_ids_col used_id_pos;
-    !prev_used
-  in
-  let get_win () =
-    prev_win := !prev_win + Varint.read_signed wins_col win_pos;
-    !prev_win
-  in
-  let get_val () =
-    prev_val := !prev_val + Varint.read_signed vals_col val_pos;
-    !prev_val
-  in
-  let get_stream () =
-    prev_stream := !prev_stream + Varint.read_signed streams_col stream_pos;
-    !prev_stream
-  in
-  let get_seq () =
-    prev_seq := !prev_seq + Varint.read_signed seqs_col seq_pos;
-    !prev_seq
   in
   let get_byte buf pos =
     let c = Char.code (Bytes.get buf !pos) in
@@ -291,6 +242,7 @@ let decompress data =
     c
   in
   let get_count () = Varint.read_unsigned counts cnt_pos in
+  let rec take n get = if n = 0 then [] else let x = get () in x :: take (n - 1) get in
   List.init n (fun i ->
       match Char.code (Bytes.get tags i) with
       | 0 ->
@@ -316,9 +268,9 @@ let decompress data =
           let n_in = get_count () in
           let n_out = get_count () in
           let n_h = get_count () in
-          let inputs = List.init n_in (fun _ -> get_used_id ()) in
-          let outputs = List.init n_out (fun _ -> get_new_id ()) in
-          let hints = List.init n_h (fun _ -> get_hint ()) in
+          let inputs = take n_in get_used_id in
+          let outputs = take n_out get_new_id in
+          let hints = take n_h get_hint in
           Record.Execution { ts; op; inputs; outputs; hints }
       | 4 ->
           let ts = get_ts () in
@@ -332,7 +284,7 @@ let decompress data =
           let events = get_val () in
           let reason = Record.gap_reason_of_tag (get_byte counts cnt_pos) in
           let n_w = get_count () in
-          let windows = List.init n_w (fun _ -> get_win ()) in
+          let windows = take n_w get_win in
           Record.Gap { ts; stream; seq; events; windows; reason }
       | 6 ->
           let ts = get_ts () in
@@ -342,15 +294,15 @@ let decompress data =
       | 7 ->
           let ts = get_ts () in
           let n_ops = get_count () in
-          let ops = List.init n_ops (fun _ -> get_byte ops op_pos) in
+          let ops = take n_ops (fun () -> get_byte ops op_pos) in
           let params = get_blob () in
           let chain = chain_of ops params in
           let n_in = get_count () in
           let n_out = get_count () in
           let n_h = get_count () in
-          let inputs = List.init n_in (fun _ -> get_used_id ()) in
-          let outputs = List.init n_out (fun _ -> get_new_id ()) in
-          let hints = List.init n_h (fun _ -> get_hint ()) in
+          let inputs = take n_in get_used_id in
+          let outputs = take n_out get_new_id in
+          let hints = take n_h get_hint in
           Record.Fused { ts; ops; params; chain; inputs; outputs; hints }
       | 8 ->
           let ts = get_ts () in

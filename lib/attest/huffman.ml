@@ -80,8 +80,8 @@ let code_lengths w =
    and, within a length, consecutive values to symbols in increasing
    order. *)
 let first_codes count =
-  let first = Array.make (max_code_len + 1) 0 in
-  for l = 1 to max_code_len do
+  let first = Array.make (Array.length count) 0 in
+  for l = 1 to Array.length count - 1 do
     first.(l) <- (first.(l - 1) + count.(l - 1)) lsl 1
   done;
   first
@@ -92,36 +92,42 @@ let encode data =
   Varint.write_unsigned head n;
   if n = 0 then Buffer.to_bytes head
   else begin
-    let freq = Array.make 256 0 in
+    (* [index] first marks the present symbols, then maps each to its
+       rank among them; [present] lists them in increasing order and
+       [freq] counts them by rank, so nothing is sized 256 but [index]. *)
+    let index = Bytes.make 256 '\000' and d = ref 0 in
     for i = 0 to n - 1 do
       let s = Char.code (Bytes.unsafe_get data i) in
-      freq.(s) <- freq.(s) + 1
-    done;
-    (* The present symbols, in increasing order. *)
-    let present = Bytes.create 256 and d = ref 0 in
-    for s = 0 to 255 do
-      if freq.(s) > 0 then begin
-        Bytes.unsafe_set present !d (Char.unsafe_chr s);
-        incr d
-      end
+      if Bytes.unsafe_get index s = '\000' then (Bytes.unsafe_set index s '\001'; incr d)
     done;
     let d = !d in
+    let present = Bytes.create d and k = ref 0 in
+    for s = 0 to 255 do
+      if Bytes.unsafe_get index s = '\001' then begin
+        Bytes.unsafe_set present !k (Char.unsafe_chr s);
+        Bytes.unsafe_set index s (Char.unsafe_chr !k);
+        incr k
+      end
+    done;
     let sym i = Char.code (Bytes.unsafe_get present i) in
-    (* One symbol still takes a 1-bit code. *)
-    let lens = if d = 1 then [| 1 |] else code_lengths (Array.init d (fun i -> freq.(sym i))) in
-    let count = Array.make (max_code_len + 1) 0 and bits = ref 0 in
+    let rank j = Char.code (Bytes.unsafe_get index (Char.code (Bytes.unsafe_get data j))) in
+    let freq = Array.make d 0 in
+    for j = 0 to n - 1 do
+      freq.(rank j) <- freq.(rank j) + 1
+    done;
+    (* One symbol still takes a 1-bit code; d symbols take at most d - 1 bits. *)
+    let lens = if d = 1 then [| 1 |] else code_lengths freq in
+    let count = Array.make (d + 1) 0 and bits = ref 0 in
     for i = 0 to d - 1 do
       if lens.(i) > max_code_len then invalid_arg "Huffman.encode: code past 62 bits";
       count.(lens.(i)) <- count.(lens.(i)) + 1;
-      bits := !bits + (freq.(sym i) * lens.(i))
+      bits := !bits + (freq.(i) * lens.(i))
     done;
     let next = first_codes count in
     let codes = Array.make d 0 in
     for i = 0 to d - 1 do
       codes.(i) <- next.(lens.(i));
-      next.(lens.(i)) <- codes.(i) + 1;
-      (* [freq] becomes the symbol -> present-index map. *)
-      freq.(sym i) <- i
+      next.(lens.(i)) <- codes.(i) + 1
     done;
     if d < 128 then begin
       Buffer.add_char head (Char.unsafe_chr d);
@@ -146,7 +152,7 @@ let encode data =
        within 63, and a longer one goes in two parts. *)
     let acc = ref 0 and pending = ref 0 and pos = ref h in
     for j = 0 to n - 1 do
-      let i = freq.(Char.code (Bytes.unsafe_get data j)) in
+      let i = rank j in
       let len = lens.(i) and code = codes.(i) in
       if len <= 55 then begin
         acc := (!acc lsl len) lor code;
@@ -199,16 +205,21 @@ let decode data =
           f (byte (2 * i)) (byte ((2 * i) + 1))
         done
     in
-    let count = Array.make (max_code_len + 1) 0 and d = ref 0 in
+    (* The tables reach the table's longest length, [top], and no further. *)
+    let top = ref 0 in
     iter_present (fun _ l ->
         if l = 0 || l > max_code_len then invalid_arg "Huffman.decode: bad table";
+        top := max !top l);
+    let top = !top in
+    let count = Array.make (top + 1) 0 and d = ref 0 in
+    iter_present (fun _ l ->
         count.(l) <- count.(l) + 1;
         incr d);
     let first = first_codes count in
     (* Symbols ordered by (length, symbol): the codes of length l, from
        [first.(l)] up, belong to [sorted.(offset.(l))] onwards. *)
-    let offset = Array.make (max_code_len + 1) 0 in
-    for l = 1 to max_code_len do
+    let offset = Array.make (top + 1) 0 in
+    for l = 1 to top do
       offset.(l) <- offset.(l - 1) + count.(l - 1)
     done;
     let sorted = Array.make !d 0 and next = Array.copy offset in
@@ -229,7 +240,7 @@ let decode data =
         decr left;
         code := (!code lsl 1) lor ((!cur lsr !left) land 1);
         incr l;
-        if !l > max_code_len then invalid_arg "Huffman.decode: bad code";
+        if !l > top then invalid_arg "Huffman.decode: bad code";
         let k = !code - first.(!l) in
         if k >= 0 && k < count.(!l) then sym := sorted.(offset.(!l) + k)
       done;

@@ -122,17 +122,38 @@ type report = {
 let ok r = r.violations = []
 
 (* Provenance of every identifier the data plane has mentioned. *)
-type batch_info = { mutable windowed : bool }
-type seg_info = { seg_window : int; mutable stage : int; mutable consumed : bool }
-type ready_info = { ready_window : int; mutable read : bool }
-type mid_info = { mid_window : int; mutable mid_read : bool; mutable egressed : bool }
+(* Each kind keeps the index of the record that first consumed it (-1
+   before that); all inputs of one execution tie, so a hint between them
+   is not misleading.  An entry that replaces another under the same id
+   takes its index over. *)
+type batch_info = { mutable windowed : bool; mutable b_used : int }
+type seg_info = {
+  seg_window : int;
+  mutable stage : int;
+  mutable consumed : bool;
+  mutable s_used : int;
+}
+type ready_info = { ready_window : int; mutable read : bool; mutable r_used : int }
+type mid_info = {
+  mid_window : int;
+  mutable mid_read : bool;
+  mutable egressed : bool;
+  mutable m_used : int;
+}
 
 type prov =
   | Batch of batch_info
-  | Watermark of { value : int; ts : int }
+  | Watermark of { value : int; ts : int; w_used : int }
   | Segment of seg_info
   | Ready of ready_info
   | Group_mid of mid_info
+
+let first_use = function
+  | Batch b -> b.b_used
+  | Watermark w -> w.w_used
+  | Segment s -> s.s_used
+  | Ready r -> r.r_used
+  | Group_mid g -> g.m_used
 
 type win_state = {
   mutable ready_ids : int list;
@@ -141,44 +162,49 @@ type win_state = {
   mutable egress_ts : int option;
 }
 
+(* The replay's tables are keyed by ints (ids, windows, streams and
+   sequence numbers), so the identity is their hash. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash i = i land max_int
+end)
+
 (* A table's bindings in ascending key order: the report lists its
    sweeps in this order, whatever the table's hashing. *)
 let sorted_bindings tbl =
-  List.sort (fun (a, _) (b, _) -> compare a b) (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+  List.sort (fun (a, _) (b, _) -> Int.compare a b) (Itbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
 let verify spec records =
-  let table : (int, prov) Hashtbl.t = Hashtbl.create 256 in
-  let windows : (int, win_state) Hashtbl.t = Hashtbl.create 64 in
+  let table : prov Itbl.t = Itbl.create 256 in
+  let windows : win_state Itbl.t = Itbl.create 64 in
   let violations = ref [] in
   let violate v = violations := v :: !violations in
-  (* Consumption order is the index of the record that first consumed an
-     id; all inputs of one execution tie, so a hint between them is not
-     misleading. *)
-  let consumption_seq : (int, int) Hashtbl.t = Hashtbl.create 256 in
-  let note_consumed ~idx id =
-    if not (Hashtbl.mem consumption_seq id) then Hashtbl.replace consumption_seq id idx
-  in
+  (* The first-use index an entry replacing [id]'s takes over. *)
+  let carried id = match Itbl.find table id with p -> first_use p | exception Not_found -> -1 in
   (* hints recorded as (predecessor id, output id) pairs *)
   let hints_seen = ref [] in
   let watermarks = ref [] (* (value, ts), record order *) in
   let prev_wm = ref min_int in
   let win_state w =
-    match Hashtbl.find_opt windows w with
+    match Itbl.find_opt windows w with
     | Some s -> s
     | None ->
         let s = { ready_ids = []; group_ops = []; egress_count = 0; egress_ts = None } in
-        Hashtbl.replace windows w s;
+        Itbl.replace windows w s;
         s
   in
   let batch_op_count = List.length spec.batch_ops in
   (* A Fused record's claim depends only on its (ops, params): the chain
      hash they commit to, and whether the params decode to those ops.  A
-     stream repeats a few chains, so each is derived once. *)
-  let fused_claims : (int list * bytes, bytes * bool) Hashtbl.t = Hashtbl.create 8 in
+     stream repeats one chain per pipeline, so a claim is derived again
+     only when they differ from the last record's. *)
+  let last_claim = ref None in
   let fused_claim ops params =
-    match Hashtbl.find_opt fused_claims (ops, params) with
-    | Some c -> c
-    | None ->
+    match !last_claim with
+    | Some (o, p, c) when Bytes.equal p params && List.equal Int.equal o ops -> c
+    | _ ->
         let decodes =
           match Sbt_prim.Fused.decode_steps params with
           | Some steps ->
@@ -186,61 +212,62 @@ let verify spec records =
           | None -> false
         in
         let c = (Record.chain_hash ~ops ~params, decodes) in
-        Hashtbl.add fused_claims (ops, params) c;
+        last_claim := Some (ops, params, c);
         c
   in
   (* Loss accounting: ingress and declared-gap frame identities, per
      stream.  Holes inside a stream's observed sequence range that no Gap
      record covers are undeclared loss — the tamper-evidence property the
      fault model must preserve. *)
-  let ingress_seqs : (int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 8 in
-  let gap_seqs : (int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 8 in
+  let ingress_seqs : unit Itbl.t Itbl.t = Itbl.create 8 in
+  let gap_seqs : unit Itbl.t Itbl.t = Itbl.create 8 in
   let seq_set tbl stream =
-    match Hashtbl.find_opt tbl stream with
+    match Itbl.find_opt tbl stream with
     | Some s -> s
     | None ->
-        let s = Hashtbl.create 64 in
-        Hashtbl.replace tbl stream s;
+        let s = Itbl.create 64 in
+        Itbl.replace tbl stream s;
         s
   in
   let declared_gaps = ref 0 and gap_events = ref 0 in
-  let gap_windows : (int, unit) Hashtbl.t = Hashtbl.create 8 in
+  let gap_windows : unit Itbl.t = Itbl.create 8 in
   (* Late-data accounting.  [corr_gens] keeps correction generations per
      window in record order; [late_drop_windows] suppresses
      [Missing_egress] the same way declared gaps do — a window whose
      entire content arrived late and was (declaredly) dropped never
      egresses, and that is degradation, not tampering. *)
   let late_drops = ref 0 and late_events = ref 0 in
-  let late_drop_windows : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-  let corr_gens : (int, int list) Hashtbl.t = Hashtbl.create 8 in
-  let corrections_of w = match Hashtbl.find_opt corr_gens w with None -> [] | Some l -> List.rev l in
+  let late_drop_windows : unit Itbl.t = Itbl.create 8 in
+  let corr_gens : int list Itbl.t = Itbl.create 8 in
+  let corrections_of w = match Itbl.find_opt corr_gens w with None -> [] | Some l -> List.rev l in
   let register_output window stage_done id =
-    if Hashtbl.mem table id then violate (Double_consumption { record_index = -1; id })
+    if Itbl.mem table id then violate (Double_consumption { record_index = -1; id })
     else if stage_done then begin
-      Hashtbl.replace table id (Ready { ready_window = window; read = false });
+      Itbl.replace table id (Ready { ready_window = window; read = false; r_used = -1 });
       let s = win_state window in
       s.ready_ids <- id :: s.ready_ids
     end
-    else Hashtbl.replace table id (Segment { seg_window = window; stage = 0; consumed = false })
+    else
+      Itbl.replace table id (Segment { seg_window = window; stage = 0; consumed = false; s_used = -1 })
   in
   List.iteri
     (fun idx r ->
       match r with
       | Record.Ingress { ts = _; uarray; stream; seq } ->
-          Hashtbl.replace (seq_set ingress_seqs stream) seq ();
-          if Hashtbl.mem table uarray then
+          Itbl.replace (seq_set ingress_seqs stream) seq ();
+          if Itbl.mem table uarray then
             violate (Double_consumption { record_index = idx; id = uarray })
-          else Hashtbl.replace table uarray (Batch { windowed = false })
+          else Itbl.replace table uarray (Batch { windowed = false; b_used = -1 })
       | Record.Ingress_watermark { ts; id; value } ->
           if value < !prev_wm then violate (Watermark_regression { id; value; prev = !prev_wm });
           prev_wm := max !prev_wm value;
-          Hashtbl.replace table id (Watermark { value; ts });
+          Itbl.replace table id (Watermark { value; ts; w_used = carried id });
           watermarks := (value, ts) :: !watermarks
       | Record.Windowing { ts = _; data_in; win_no; data_out } -> (
-          match Hashtbl.find_opt table data_in with
+          match Itbl.find_opt table data_in with
           | Some (Batch b) ->
               b.windowed <- true;
-              note_consumed ~idx data_in;
+              if b.b_used < 0 then b.b_used <- idx;
               (* Segments with no batch stages are immediately window-ready. *)
               register_output win_no (batch_op_count = 0) data_out
           | Some (Watermark _ | Segment _ | Ready _ | Group_mid _) ->
@@ -252,7 +279,7 @@ let verify spec records =
           let bad = ref false in
           List.iter
             (fun id ->
-              match Hashtbl.find_opt table id with
+              match Itbl.find_opt table id with
               | None ->
                   violate (Unknown_uarray { record_index = idx; id });
                   bad := true
@@ -271,7 +298,7 @@ let verify spec records =
                 if s.consumed then violate (Double_consumption { record_index = idx; id })
                 else begin
                   s.consumed <- true;
-                  note_consumed ~idx id;
+                  if s.s_used < 0 then s.s_used <- idx;
                   let expected = List.nth spec.batch_ops s.stage in
                   if op <> expected then violate (Unexpected_batch_op { id; expected; got = op });
                   let done_after = s.stage + 1 >= batch_op_count in
@@ -279,8 +306,14 @@ let verify spec records =
                     (fun out ->
                       if done_after then register_output s.seg_window true out
                       else begin
-                        Hashtbl.replace table out
-                          (Segment { seg_window = s.seg_window; stage = s.stage + 1; consumed = false });
+                        Itbl.replace table out
+                          (Segment
+                             {
+                               seg_window = s.seg_window;
+                               stage = s.stage + 1;
+                               consumed = false;
+                               s_used = carried out;
+                             });
                         ignore (win_state s.seg_window)
                       end)
                     outputs
@@ -303,16 +336,22 @@ let verify spec records =
                 in
                 if ok then begin
                   List.iter
-                    (fun (id, i) ->
-                      note_consumed ~idx id;
-                      match i with `Ready r -> r.read <- true | `Mid g -> g.mid_read <- true)
+                    (fun (_, i) ->
+                      match i with
+                      | `Ready r ->
+                          r.read <- true;
+                          if r.r_used < 0 then r.r_used <- idx
+                      | `Mid g ->
+                          g.mid_read <- true;
+                          if g.m_used < 0 then g.m_used <- idx)
                     wins;
                   let s = win_state w0 in
                   s.group_ops <- op :: s.group_ops;
                   List.iter
                     (fun out ->
-                      Hashtbl.replace table out
-                        (Group_mid { mid_window = w0; mid_read = false; egressed = false }))
+                      Itbl.replace table out
+                        (Group_mid
+                           { mid_window = w0; mid_read = false; egressed = false; m_used = carried out }))
                     outputs
                 end
                 else violate (Mixed_window_inputs { record_index = idx })
@@ -347,7 +386,7 @@ let verify spec records =
           let bad = ref false in
           List.iter
             (fun id ->
-              match Hashtbl.find_opt table id with
+              match Itbl.find_opt table id with
               | None ->
                   violate (Unknown_uarray { record_index = idx; id });
                   bad := true
@@ -369,7 +408,7 @@ let verify spec records =
                 if s.consumed then violate (Double_consumption { record_index = idx; id })
                 else begin
                   s.consumed <- true;
-                  note_consumed ~idx id;
+                  if s.s_used < 0 then s.s_used <- idx;
                   List.iteri
                     (fun k op ->
                       if s.stage + k >= batch_op_count then
@@ -384,9 +423,14 @@ let verify spec records =
                     (fun out ->
                       if done_after then register_output s.seg_window true out
                       else begin
-                        Hashtbl.replace table out
+                        Itbl.replace table out
                           (Segment
-                             { seg_window = s.seg_window; stage = s.stage + n_ops; consumed = false });
+                             {
+                               seg_window = s.seg_window;
+                               stage = s.stage + n_ops;
+                               consumed = false;
+                               s_used = carried out;
+                             });
                         ignore (win_state s.seg_window)
                       end)
                     outputs
@@ -406,16 +450,22 @@ let verify spec records =
                 in
                 if ok then begin
                   List.iter
-                    (fun (id, i) ->
-                      note_consumed ~idx id;
-                      match i with `Ready r -> r.read <- true | `Mid g -> g.mid_read <- true)
+                    (fun (_, i) ->
+                      match i with
+                      | `Ready r ->
+                          r.read <- true;
+                          if r.r_used < 0 then r.r_used <- idx
+                      | `Mid g ->
+                          g.mid_read <- true;
+                          if g.m_used < 0 then g.m_used <- idx)
                     wins;
                   let s = win_state w0 in
                   List.iter (fun op -> s.group_ops <- op :: s.group_ops) ops;
                   List.iter
                     (fun out ->
-                      Hashtbl.replace table out
-                        (Group_mid { mid_window = w0; mid_read = false; egressed = false }))
+                      Itbl.replace table out
+                        (Group_mid
+                           { mid_window = w0; mid_read = false; egressed = false; m_used = carried out }))
                     outputs
                 end
                 else violate (Mixed_window_inputs { record_index = idx })
@@ -427,17 +477,17 @@ let verify spec records =
               hints_seen := (pred, succ) :: !hints_seen)
             hints)
       | Record.Egress { ts; uarray; win_no } -> (
-          match Hashtbl.find_opt table uarray with
+          match Itbl.find_opt table uarray with
           | Some (Group_mid g) when g.mid_window = win_no && not g.egressed ->
               g.egressed <- true;
-              note_consumed ~idx uarray;
+              if g.m_used < 0 then g.m_used <- idx;
               let s = win_state win_no in
               s.egress_count <- s.egress_count + 1;
               if s.egress_count > 1 then violate (Duplicate_egress { window = win_no });
               if s.egress_ts = None then s.egress_ts <- Some ts
           | Some (Ready r) when r.ready_window = win_no && spec.window_ops = [] ->
               r.read <- true;
-              note_consumed ~idx uarray;
+              if r.r_used < 0 then r.r_used <- idx;
               let s = win_state win_no in
               s.egress_count <- s.egress_count + 1;
               if s.egress_count > 1 then violate (Duplicate_egress { window = win_no });
@@ -446,10 +496,10 @@ let verify spec records =
               violate (Egress_of_non_result { record_index = idx; id = uarray })
           | None -> violate (Unknown_uarray { record_index = idx; id = uarray }))
       | Record.Gap { ts = _; stream; seq; events; windows = ws; reason = _ } ->
-          Hashtbl.replace (seq_set gap_seqs stream) seq ();
+          Itbl.replace (seq_set gap_seqs stream) seq ();
           incr declared_gaps;
           gap_events := !gap_events + events;
-          List.iter (fun w -> Hashtbl.replace gap_windows w ()) ws
+          List.iter (fun w -> Itbl.replace gap_windows w ()) ws
       | Record.Checkpoint _ ->
           (* State sealing has no dataflow of its own; its sequence
              numbers matter to [verify_epochs], not to single-log replay. *)
@@ -462,30 +512,30 @@ let verify spec records =
             violate (Undeclared_late_handling { record_index = idx; window = win_no });
           incr late_drops;
           late_events := !late_events + events;
-          Hashtbl.replace late_drop_windows win_no ();
-          match Hashtbl.find_opt table uarray with
+          Itbl.replace late_drop_windows win_no ();
+          match Itbl.find_opt table uarray with
           | Some (Ready r) when r.ready_window = win_no ->
               r.read <- true;
-              note_consumed ~idx uarray
+              if r.r_used < 0 then r.r_used <- idx
           | Some (Batch _ | Watermark _ | Segment _ | Ready _ | Group_mid _) ->
               violate (Mixed_window_inputs { record_index = idx })
           | None -> violate (Unknown_uarray { record_index = idx; id = uarray }))
       | Record.Correction { ts = _; uarray; win_no; gen } -> (
           if spec.late_policy <> 2 then
             violate (Undeclared_late_handling { record_index = idx; window = win_no });
-          Hashtbl.replace corr_gens win_no
-            (gen :: (match Hashtbl.find_opt corr_gens win_no with None -> [] | Some l -> l));
+          Itbl.replace corr_gens win_no
+            (gen :: (match Itbl.find_opt corr_gens win_no with None -> [] | Some l -> l));
           (* A correction externalizes a window result exactly like an
              egress, but supersedes rather than duplicates the original:
              it neither bumps the egress count nor touches the delay
              accounting (freshness is judged on first emission). *)
-          match Hashtbl.find_opt table uarray with
+          match Itbl.find_opt table uarray with
           | Some (Group_mid g) when g.mid_window = win_no && not g.egressed ->
               g.egressed <- true;
-              note_consumed ~idx uarray
+              if g.m_used < 0 then g.m_used <- idx
           | Some (Ready r) when r.ready_window = win_no && spec.window_ops = [] ->
               r.read <- true;
-              note_consumed ~idx uarray
+              if r.r_used < 0 then r.r_used <- idx
           | Some (Batch _ | Watermark _ | Segment _ | Ready _ | Group_mid _) ->
               violate (Egress_of_non_result { record_index = idx; id = uarray })
           | None -> violate (Unknown_uarray { record_index = idx; id = uarray })))
@@ -502,7 +552,7 @@ let verify spec records =
         (List.rev gens))
     (sorted_bindings corr_gens);
   (* Final sweep. *)
-  Hashtbl.fold
+  Itbl.fold
     (fun id prov acc ->
       match prov with
       | Batch b when not b.windowed -> id :: acc
@@ -543,7 +593,7 @@ let verify spec records =
                content was declaredly dropped as late) may legitimately
                have shed all its remaining work: degradation, not
                violation. *)
-            if not (Hashtbl.mem gap_windows w || Hashtbl.mem late_drop_windows w) then
+            if not (Itbl.mem gap_windows w || Itbl.mem late_drop_windows w) then
               violate (Missing_egress { window = w })
           end
           else begin
@@ -573,7 +623,7 @@ let verify spec records =
             let unread =
               List.filter
                 (fun id ->
-                  match Hashtbl.find_opt table id with
+                  match Itbl.find_opt table id with
                   | Some (Ready r) -> not r.read
                   | Some (Batch _ | Watermark _ | Segment _ | Group_mid _) | None -> false)
                 s.ready_ids
@@ -594,8 +644,8 @@ let verify spec records =
   let misleading =
     List.fold_left
       (fun acc (pred, succ) ->
-        match (Hashtbl.find_opt consumption_seq pred, Hashtbl.find_opt consumption_seq succ) with
-        | Some p, Some s when s < p -> acc + 1
+        match (carried pred, carried succ) with
+        | p, s when p >= 0 && s >= 0 && s < p -> acc + 1
         | _, _ -> acc)
       0 !hints_seen
   in
@@ -604,22 +654,22 @@ let verify spec records =
      Loss before the first or after the last observed frame of a stream is
      invisible here (nothing anchors the range); DESIGN.md documents the
      limitation. *)
-  let streams_seen : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-  Hashtbl.iter (fun s _ -> Hashtbl.replace streams_seen s ()) ingress_seqs;
-  Hashtbl.iter (fun s _ -> Hashtbl.replace streams_seen s ()) gap_seqs;
+  let streams_seen : unit Itbl.t = Itbl.create 8 in
+  Itbl.iter (fun s _ -> Itbl.replace streams_seen s ()) ingress_seqs;
+  Itbl.iter (fun s _ -> Itbl.replace streams_seen s ()) gap_seqs;
   let lost_batches = ref 0 and expected_batches = ref 0 in
-  let stream_ids = Hashtbl.fold (fun s () acc -> s :: acc) streams_seen [] in
+  let stream_ids = Itbl.fold (fun s () acc -> s :: acc) streams_seen [] in
   List.iter
     (fun stream ->
       let ing = seq_set ingress_seqs stream and gap = seq_set gap_seqs stream in
       let bounds tbl acc =
-        Hashtbl.fold (fun seq () (lo, hi) -> (min lo seq, max hi seq)) tbl acc
+        Itbl.fold (fun seq () (lo, hi) -> (min lo seq, max hi seq)) tbl acc
       in
       let lo, hi = bounds ing (bounds gap (max_int, min_int)) in
       if lo <= hi then begin
         expected_batches := !expected_batches + (hi - lo + 1);
         for seq = lo to hi do
-          let ingested = Hashtbl.mem ing seq and declared = Hashtbl.mem gap seq in
+          let ingested = Itbl.mem ing seq and declared = Itbl.mem gap seq in
           if declared && not ingested then incr lost_batches
           else if (not ingested) && not declared then
             violate (Undeclared_loss { stream; seq })
@@ -642,14 +692,14 @@ let verify spec records =
     lost_batches = !lost_batches;
     loss_fraction;
     degraded_windows =
-      (let degraded = Hashtbl.copy gap_windows in
-       Hashtbl.iter (fun w () -> Hashtbl.replace degraded w ()) late_drop_windows;
-       List.sort compare (Hashtbl.fold (fun w () acc -> w :: acc) degraded []));
+      (let degraded = Itbl.copy gap_windows in
+       Itbl.iter (fun w () -> Itbl.replace degraded w ()) late_drop_windows;
+       List.sort compare (Itbl.fold (fun w () acc -> w :: acc) degraded []));
     late_drops = !late_drops;
     late_events = !late_events;
-    corrections = Hashtbl.fold (fun _ gens acc -> acc + List.length gens) corr_gens 0;
+    corrections = Itbl.fold (fun _ gens acc -> acc + List.length gens) corr_gens 0;
     corrected_windows =
-      List.sort compare (Hashtbl.fold (fun w _ acc -> w :: acc) corr_gens []);
+      List.sort compare (Itbl.fold (fun w _ acc -> w :: acc) corr_gens []);
   }
 
 let pp_report fmt r =

@@ -167,6 +167,23 @@ exception Cross_tenant_ref of { ref_ : int64; owner : int; tenant : int }
    the namespace check fires before the per-tenant table lookup ever
    sees it. *)
 
+(* The last chain the TEE parsed: a private copy of the request it came
+   from (the normal world owns the request's arrays, and may change them
+   between calls), its steps, and the ops, parameter blob and hash its
+   Fused record carries. *)
+type parsed_chain = {
+  request : (P.t * param list) list;
+  steps : F.step list;
+  ops : int list; params : bytes; hash : bytes;
+}
+
+(* The secure clock and the host-time ledger: an all-float record, so
+   charging a bucket stores a float in place instead of boxing one. *)
+type ledger = {
+  mutable vt : float; (* the secure clock, in virtual ns *)
+  mutable compute : float; mutable mem : float; mutable crypto : float; mutable ingest : float;
+}
+
 type t = {
   cfg : config;
   ingress : Sbt_crypto.Aead.key; (* derived from the config's keys at creation *)
@@ -178,11 +195,7 @@ type t = {
   rng : Sbt_crypto.Rng.t;
   smc : Tz.Smc.t;
   smc_refused : (int * int, int) Hashtbl.t; (* injected busy refusals per frame *)
-  mutable now_ns : float;
-  mutable compute_ns : float;
-  mutable mem_ns : float;
-  mutable crypto_ns : float;
-  mutable ingest_ns : float;
+  ns : ledger;
   mutable invocations : int;
   mutable events_ingested : int;
   mutable bytes_ingested : int;
@@ -203,7 +216,7 @@ type t = {
   sess_ends : (int, int) Hashtbl.t;
   mutable last_wm : int; (* highest ingested watermark (-1 before any) *)
   udfs : (string * int, Udf.t) Hashtbl.t; (* certified-and-installed UDFs *)
-  mutable last_chain : int list * bytes * bytes; (* (ops, params, chain hash) last hashed *)
+  mutable last_chain : parsed_chain option;
   (* TEE-side metrics registry: never read across the boundary directly;
      exported only as an attested snapshot via [metrics_quote]. *)
   reg : Sbt_obs.Metrics.t;
@@ -233,7 +246,7 @@ type stats = {
   smc_busy_rejections : int;
 }
 
-let now_us t = int_of_float (t.now_ns /. 1e3)
+let now_us t = int_of_float (t.ns.vt /. 1e3)
 
 (* An Insecure run has no TEE and keeps no audit log. *)
 let audited t = match t.cfg.version with Insecure -> false | Full | Clear_ingress | Io_via_os -> true
@@ -252,18 +265,26 @@ let flush_log t =
 
 (* --- timing helpers: measured host nanoseconds per cost category ------ *)
 
-let timed (t : t) category f =
+(* [charge t bucket t0] adds the host ns since the clock reading [t0] to
+   [bucket] and returns the new reading, so an adjacent span can start
+   from it. *)
+let[@inline] charge (t : t) bucket t0 =
+  let t1 = Sbt_sim.Clock.now_ns () in
+  let l = t.ns and dt = t1 -. t0 in
+  (match bucket with
+  | `Compute -> l.compute <- l.compute +. dt
+  | `Mem -> l.mem <- l.mem +. dt
+  | `Crypto -> l.crypto <- l.crypto +. dt
+  | `Ingest -> l.ingest <- l.ingest +. dt);
+  t1
+
+let timed t bucket f =
   let t0 = Sbt_sim.Clock.now_ns () in
   let r = f () in
-  let dt = Sbt_sim.Clock.elapsed_ns ~since:t0 in
-  (match category with
-  | `Compute -> t.compute_ns <- t.compute_ns +. dt
-  | `Mem -> t.mem_ns <- t.mem_ns +. dt
-  | `Crypto -> t.crypto_ns <- t.crypto_ns +. dt
-  | `Ingest -> t.ingest_ns <- t.ingest_ns +. dt);
+  ignore (charge t bucket t0);
   r
 
-let measured_total (t : t) = t.compute_ns +. t.mem_ns +. t.crypto_ns +. t.ingest_ns
+let measured_total (t : t) = t.ns.compute +. t.ns.mem +. t.ns.crypto +. t.ns.ingest
 
 (* One "prim" span per primitive/udf/seal execution, at the TEE's virtual
    clock.  The duration is the measured-time delta with crypto charged at
@@ -274,11 +295,12 @@ let traced_prim t name f =
   match t.cfg.tracer with
   | None -> f ()
   | Some tr ->
-      let ts = t.now_ns and before = measured_total t and crypto_before = t.crypto_ns in
+      let ts = t.ns.vt and before = measured_total t and crypto_before = t.ns.crypto in
       let r = f () in
+      Alloc.emit_trace t.alloc;
       let cost = t.cfg.platform.Tz.Platform.cost in
       let crypto_adjust =
-        (t.crypto_ns -. crypto_before) *. (cost.Tz.Cost_model.crypto_scale -. 1.0)
+        (t.ns.crypto -. crypto_before) *. (cost.Tz.Cost_model.crypto_scale -. 1.0)
       in
       let dur = (measured_total t -. before +. crypto_adjust) *. cost.Tz.Cost_model.host_scale in
       Sbt_obs.Tracer.complete tr ~pid:1 ~tid:0 ~cat:"prim" ~name ~ts_ns:ts ~dur_ns:dur ();
@@ -303,8 +325,10 @@ let encode_hint_for_audit t h out_id =
   Int64.logor (Int64.shift_left (Int64.of_int pred) 32) (Int64.of_int out_id)
 
 let alloc_out t ?hint ?(scope = U.Streaming) ~producer ~width ~capacity () =
-  timed t `Mem (fun () ->
-      Alloc.alloc t.alloc ~hint:(safe_hint t hint) ~scope ~producer ~width ~capacity ())
+  let t0 = Sbt_sim.Clock.now_ns () in
+  let ua = Alloc.alloc t.alloc ~hint:(safe_hint t hint) ~scope ~producer ~width ~capacity () in
+  ignore (charge t `Mem t0);
+  ua
 
 let produce t ua = timed t `Mem (fun () -> Alloc.produce t.alloc ua)
 
@@ -339,22 +363,30 @@ let drop_ref t r =
   | Some ns -> Hashtbl.remove ns.ns_owners r
   | None -> ()
 
+(* Drop [r] and retire [ua], the array it resolved to, untimed: the
+   caller's Mem span covers it.  A reference named twice fails in
+   [drop_ref] the second time, before its array is touched. *)
+let retire t r ua =
+  (* State uArrays outlive primitive executions; never retire them
+     behind the control plane's back. *)
+  match U.scope ua with
+  | U.State -> ()
+  | U.Streaming | U.Temporary ->
+      drop_ref t r;
+      Alloc.retire t.alloc ua
+
 let retire_ref t r =
   guard_ref t r;
   let ua = Opaque.resolve t.refs r in
-  timed t `Mem (fun () ->
-      (* State uArrays outlive primitive executions; never retire them
-         behind the control plane's back. *)
-      match U.scope ua with
-      | U.State -> ()
-      | U.Streaming | U.Temporary ->
-          Alloc.retire t.alloc ua;
-          drop_ref t r)
+  timed t `Mem (fun () -> retire t r ua)
 
 let find_param params f = List.find_map f params
 
 let key_field params default =
   Option.value ~default (find_param params (function P_key_field k -> Some k | _ -> None))
+
+let k_param params =
+  Option.value ~default:10 (find_param params (function P_k k -> Some k | _ -> None))
 
 let value_field params default =
   Option.value ~default (find_param params (function P_value_field v -> Some v | _ -> None))
@@ -367,6 +399,9 @@ let in_width uas f =
     raise (Rejected (Printf.sprintf "invoke: field %d outside the input records" f));
   f
 
+let key_in params uas = in_width uas (key_field params 0)
+let value_in params uas = in_width uas (value_field params 1)
+
 (* Merges and Concat copy whole records into one output: their inputs
    must share one width. *)
 let one_width what = function
@@ -378,22 +413,30 @@ let one_width what = function
 
 (* --- ingestion -------------------------------------------------------- *)
 
+(* Three adjacent spans: the allocation (Mem), the unpack (Ingest) and
+   the seal (Mem), each starting where the last ended. *)
 let unpack_payload t ~producer payload width =
   let events = Bytes.length payload / (4 * width) in
-  let ua = alloc_out t ~hint:H_parallel ~producer ~width ~capacity:events () in
-  timed t `Ingest (fun () ->
-      let first = U.reserve ua events in
-      assert (first = 0);
-      let buf = U.raw ua and fields = events * width in
-      (* Two fields per 64-bit read, the low half first; an odd last one alone. *)
-      for j = 0 to (fields / 2) - 1 do
-        let v = Bytes.get_int64_le payload (8 * j) in
-        Bigarray.Array1.unsafe_set buf (2 * j) (Int64.to_int32 v);
-        Bigarray.Array1.unsafe_set buf ((2 * j) + 1) (Int64.to_int32 (Int64.shift_right_logical v 32))
-      done;
-      if fields land 1 = 1 then
-        Bigarray.Array1.unsafe_set buf (fields - 1) (Bytes.get_int32_le payload (4 * (fields - 1))));
-  produce t ua;
+  let t0 = Sbt_sim.Clock.now_ns () in
+  let ua =
+    Alloc.alloc t.alloc ~hint:Alloc.Consumed_in_parallel ~scope:U.Streaming ~producer ~width
+      ~capacity:events ()
+  in
+  let t1 = charge t `Mem t0 in
+  let first = U.reserve ua events in
+  assert (first = 0);
+  let buf = U.raw ua and fields = events * width in
+  (* Two fields per 64-bit read, the low half first; an odd last one alone. *)
+  for j = 0 to (fields / 2) - 1 do
+    let v = Bytes.get_int64_le payload (8 * j) in
+    Bigarray.Array1.unsafe_set buf (2 * j) (Int64.to_int32 v);
+    Bigarray.Array1.unsafe_set buf ((2 * j) + 1) (Int64.to_int32 (Int64.shift_right_logical v 32))
+  done;
+  if fields land 1 = 1 then
+    Bigarray.Array1.unsafe_set buf (fields - 1) (Bytes.get_int32_le payload (4 * (fields - 1)));
+  let t2 = charge t `Ingest t1 in
+  Alloc.produce t.alloc ua;
+  ignore (charge t `Mem t2);
   (ua, events)
 
 (* Why the TEE turns a frame away before it is in, if it does: with the
@@ -515,11 +558,6 @@ let do_ingest_watermark t ~value =
 let as_one = function [ x ] -> x | _ -> raise (Rejected "primitive expects one input")
 let as_two = function [ a; b ] -> (a, b) | _ -> raise (Rejected "primitive expects two inputs")
 
-let scalar_i64 v =
-  let lo = Int64.to_int32 v in
-  let hi = Int64.to_int32 (Int64.shift_right_logical v 32) in
-  [| lo; hi |]
-
 (* How the TEE reads a per-record op's parameters, with the defaults a
    plain invoke applies.  Each step of a chain is read the same way, so a
    chain step and a length-1 invoke of the same (op, params) compute the
@@ -541,6 +579,278 @@ let per_record_step op params =
       F.F_shift_key { field = key_field params 0; shift }
   | op -> raise (Rejected (Printf.sprintf "invoke: %s cannot join a chain" (P.name op)))
 
+(* Requests compared by value: their arrays belong to the normal world. *)
+let same_param a b =
+  match (a, b) with
+  | P_lo x, P_lo y | P_hi x, P_hi y -> Int32.equal x y
+  | P_fields x, P_fields y -> Array.length x = Array.length y && Array.for_all2 Int.equal x y
+  | P_key_field x, P_key_field y | P_value_field x, P_value_field y | P_ts_field x, P_ts_field y
+  | P_window_size x, P_window_size y | P_slide x, P_slide y | P_k x, P_k y | P_shift x, P_shift y
+  | P_session_gap x, P_session_gap y -> x = y
+  | _ -> false
+
+let same_chain = List.equal (fun (o, p) (o', p') -> o = o' && List.equal same_param p p')
+
+(* A batch chain's steps, parsed, encoded and hashed in-TEE once per
+   distinct request.  The request is compared by value with the copy
+   kept, so a request changed in place is parsed again; a chain that
+   does not parse raises before anything is kept. *)
+let parse_chain t chain =
+  match t.last_chain with
+  | Some c when same_chain c.request chain -> c
+  | Some _ | None ->
+      let copy = function P_fields f -> P_fields (Array.copy f) | p -> p in
+      let request = List.map (fun (op, params) -> (op, List.map copy params)) chain in
+      let steps = List.map (fun (op, params) -> per_record_step op params) request in
+      let ops = List.map (fun s -> P.to_id (F.step_op s)) steps in
+      let params = F.encode_steps steps in
+      let hash = timed t `Crypto (fun () -> Sbt_attest.Record.chain_hash ~ops ~params) in
+      let c = { request; steps; ops; params; hash } in
+      t.last_chain <- Some c;
+      c
+
+(* The hint for a call's [i]th output: a single hint covers them all. *)
+let hint_at hints i = match hints with [] -> None | [ h ] -> Some h | l -> List.nth_opt l i
+
+(* A one-row output. *)
+let one_row ~mk row =
+  let dst = mk ?i:None ~width:(Array.length row) ~capacity:1 () in
+  U.append dst row;
+  [ (-1, dst) ]
+
+(* One primitive over the resolved inputs [uas]: (window, array) pairs,
+   window -1 when not window-scoped.  [mk ~i] allocates output [i]. *)
+let run_op t uas ~(mk : ?i:int -> width:int -> capacity:int -> unit -> U.t) op params =
+  match op with
+  | P.Sort ->
+      let src = as_one uas in
+      let kf = key_in params uas in
+      let vf = find_param params (function P_value_field v -> Some (in_width uas v) | _ -> None) in
+      let dst = mk ~width:(U.width src) ~capacity:(U.length src) () in
+      timed t `Compute (fun () ->
+          match vf with
+          | Some vf ->
+              (* Secondary order: stable radix by value, then by key. *)
+              Sbt_prim.Sort.sort ~src ~dst ~key_field:vf;
+              Sbt_prim.Sort.sort_in_place dst ~key_field:kf
+          | None -> Sbt_prim.Sort.sort ~src ~dst ~key_field:kf);
+      [ (-1, dst) ]
+  | P.Merge ->
+      let a, b = as_two uas in
+      let kf = key_in params uas and width = one_width "merge" uas in
+      let dst = mk ~width ~capacity:(U.length a + U.length b) () in
+      timed t `Compute (fun () -> Sbt_prim.Merge.merge2 ~a ~b ~dst ~key_field:kf);
+      [ (-1, dst) ]
+  | P.Kway_merge ->
+      if List.length uas > Sbt_prim.Merge.max_inputs then raise (Rejected "kway: too many inputs");
+      let kf = key_in params uas and width = one_width "kway" uas in
+      let total = List.fold_left (fun acc ua -> acc + U.length ua) 0 uas in
+      let dst = mk ~width ~capacity:total () in
+      timed t `Compute (fun () -> Sbt_prim.Merge.kway ~inputs:uas ~dst ~key_field:kf);
+      [ (-1, dst) ]
+  | P.Segment -> (
+      let src = as_one uas in
+      let tf = find_param params (function P_ts_field f -> Some f | _ -> None) in
+      let tf = in_width uas (Option.value ~default:2 tf) in
+      match find_param params (function P_session_gap g -> Some g | _ -> None) with
+      | Some gap ->
+          (* Gap-based session windowing.  Assignment is global, stateful
+             and in-order: the enclave remembers the last event time
+             across batches, opens a new session after [gap] ticks of
+             silence, and records each session's end so egress can hold a
+             session open until the watermark clears end + gap. *)
+          if gap <= 0 then raise (Rejected "segment: session gap must be positive");
+          t.sess_gap <- gap;
+          (* Session ids never decrease, so each session's records are one
+             run: (id, first, length), newest first. *)
+          let runs = ref [] in
+          timed t `Compute (fun () ->
+              for i = 0 to U.length src - 1 do
+                let ts = Int32.to_int (U.get_field src i tf) in
+                if ts < t.sess_last_ts then
+                  raise (Rejected "segment: session windows need in-order event times");
+                if t.sess_next_id = 0 || ts - t.sess_last_ts > gap then
+                  t.sess_next_id <- t.sess_next_id + 1;
+                let sid = t.sess_next_id - 1 in
+                t.sess_last_ts <- ts;
+                Hashtbl.replace t.sess_ends sid ts;
+                match !runs with
+                | (s, first, len) :: rest when s = sid -> runs := (s, first, len + 1) :: rest
+                | _ -> runs := (sid, i, 1) :: !runs
+              done);
+          let runs = List.rev !runs in
+          let dsts =
+            List.mapi
+              (fun i (sid, _, len) -> (sid, mk ~i ~width:(U.width src) ~capacity:len ())) runs
+          in
+          timed t `Compute (fun () ->
+              List.iter2
+                (fun (_, d) (_, first, len) -> U.append_blit d ~src ~src_pos:first ~len)
+                dsts runs);
+          dsts
+      | None ->
+          let ws =
+            match find_param params (function P_window_size w -> Some w | _ -> None) with
+            | Some w -> w
+            | None -> raise (Rejected "segment: missing window size")
+          in
+          let slide =
+            Option.value ~default:ws (find_param params (function P_slide v -> Some v | _ -> None))
+          in
+          (* One Compute span; the outputs' allocation inside it is Mem,
+             taken back out. *)
+          let mem0 = t.ns.mem and t0 = Sbt_sim.Clock.now_ns () in
+          let dsts =
+            Sbt_prim.Segment.split ~src ~ts_field:tf ~window_size:ws ~slide
+              ~alloc:(fun ~i ~win:_ ~count -> mk ~i ~width:(U.width src) ~capacity:count ())
+              ()
+          in
+          ignore (charge t `Compute t0);
+          t.ns.compute <- t.ns.compute -. (t.ns.mem -. mem0);
+          dsts)
+  | P.Sum_cnt ->
+      let src = as_one uas in
+      let vf = value_in params uas in
+      let s, n = timed t `Compute (fun () -> Sbt_prim.Agg.sum_count src ~field:vf) in
+      one_row ~mk [| Int64.to_int32 s; Int32.of_int n |]
+  | P.Top_k ->
+      let src = as_one uas in
+      let vf = value_in params uas in
+      let k = k_param params in
+      let dst = mk ~width:(U.width src) ~capacity:(min k (U.length src)) () in
+      timed t `Compute (fun () -> Sbt_prim.Misc.top_k_records ~src ~dst ~field:vf ~k);
+      [ (-1, dst) ]
+  | P.Concat ->
+      let width = one_width "concat" uas in
+      let total = List.fold_left (fun acc ua -> acc + U.length ua) 0 uas in
+      let dst = mk ~width ~capacity:total () in
+      timed t `Compute (fun () -> Sbt_prim.Misc.concat ~inputs:uas ~dst);
+      [ (-1, dst) ]
+  | P.Join ->
+      let left, right = as_two uas in
+      let kf = key_in params uas and vf = value_in params uas in
+      let runs = timed t `Compute (fun () -> Sbt_prim.Join.runs ~left ~right ~key_field:kf) in
+      let dst = mk ~width:3 ~capacity:(Sbt_prim.Join.size runs) () in
+      timed t `Compute (fun () -> Sbt_prim.Join.fill runs ~dst ~value_field:vf);
+      [ (-1, dst) ]
+  | P.Count -> one_row ~mk [| Int32.of_int (Sbt_prim.Agg.count (as_one uas)) |]
+  | P.Sum ->
+      (* WinSum consumes all of a window's segments directly. *)
+      let vf = value_in params uas in
+      let total =
+        timed t `Compute (fun () ->
+            List.fold_left (fun acc ua -> Int64.add acc (Sbt_prim.Agg.sum ua ~field:vf)) 0L uas)
+      in
+      one_row ~mk [| Int64.to_int32 total; Int64.to_int32 (Int64.shift_right_logical total 32) |]
+  | P.Median ->
+      let src = as_one uas in
+      let vf = value_in params uas in
+      let m = timed t `Compute (fun () -> Sbt_prim.Agg.median src ~field:vf) in
+      one_row ~mk [| Option.value ~default:0l m |]
+  | P.Min_max ->
+      let src = as_one uas in
+      let vf = value_in params uas in
+      let mm = timed t `Compute (fun () -> Sbt_prim.Agg.min_max src ~field:vf) in
+      let lo, hi = Option.value ~default:(0l, 0l) mm in
+      one_row ~mk [| lo; hi |]
+  | P.Average ->
+      let src = as_one uas in
+      let vf = value_in params uas in
+      let avg =
+        timed t `Compute (fun () ->
+            let s, n = Sbt_prim.Agg.sum_count src ~field:vf in
+            if n = 0 then 0L else Int64.div s (Int64.of_int n))
+      in
+      one_row ~mk [| Int64.to_int32 avg |]
+  | P.Sum_per_key | P.Count_per_key | P.Avg_per_key | P.Median_per_key | P.Unique ->
+      let src = as_one uas in
+      let kf = key_in params uas in
+      (* Count_per_key and Unique read no value field. *)
+      let vf = if op = P.Count_per_key || op = P.Unique then 0 else value_in params uas in
+      let groups = timed t `Compute (fun () -> Sbt_prim.Keyed.group_count ~src ~key_field:kf) in
+      let dst = mk ~width:2 ~capacity:groups () in
+      timed t `Compute (fun () ->
+          match op with
+          | P.Sum_per_key -> Sbt_prim.Keyed.sum_per_key ~src ~dst ~key_field:kf ~value_field:vf
+          | P.Count_per_key -> Sbt_prim.Keyed.count_per_key ~src ~dst ~key_field:kf
+          | P.Avg_per_key -> Sbt_prim.Keyed.avg_per_key ~src ~dst ~key_field:kf ~value_field:vf
+          | P.Median_per_key ->
+              Sbt_prim.Keyed.median_per_key ~src ~dst ~key_field:kf ~value_field:vf
+          | _ -> Sbt_prim.Keyed.distinct_keys ~src ~dst ~key_field:kf);
+      [ (-1, dst) ]
+  | P.Top_k_per_key ->
+      let src = as_one uas in
+      let kf = key_in params uas and vf = value_in params uas in
+      let k = k_param params in
+      let groups = timed t `Compute (fun () -> Sbt_prim.Keyed.group_count ~src ~key_field:kf) in
+      let dst = mk ~width:2 ~capacity:(groups * k) () in
+      timed t `Compute (fun () ->
+          Sbt_prim.Keyed.topk_per_key ~src ~dst ~key_field:kf ~value_field:vf ~k);
+      [ (-1, dst) ]
+  | P.Filter_band | P.Select | P.Project | P.Shift_key ->
+      let src, step =
+        match (uas, per_record_step op params) with
+        | [ src ], step -> (src, step)
+        | [ src; th ], F.F_filter_band { field; _ } when U.width th = 1 || U.width th = 2 ->
+            (* Runtime threshold (e.g. the window's global average):
+               strictly-above-threshold band. *)
+            let lo = Int32.add (U.get_field th 0 0) 1l in
+            (src, F.F_filter_band { field; lo; hi = Int32.max_int })
+        | _, F.F_filter_band _ -> raise (Rejected "filter: expects data [+ threshold] inputs")
+        | _ -> raise (Rejected "primitive expects one input")
+      in
+      if F.width_after (U.width src) [ step ] = None then raise (Rejected "invoke: bad step");
+      let dst =
+        match step with
+        | F.F_filter_band { field; lo; hi } ->
+            let n = timed t `Compute (fun () -> Sbt_prim.Filter.count_in_band ~src ~field ~lo ~hi) in
+            let dst = mk ~width:(U.width src) ~capacity:n () in
+            timed t `Compute (fun () -> Sbt_prim.Filter.filter_band ~src ~dst ~field ~lo ~hi);
+            dst
+        | F.F_select { field; value } ->
+            let n =
+              timed t `Compute (fun () ->
+                  Sbt_prim.Filter.count_in_band ~src ~field ~lo:value ~hi:value)
+            in
+            let dst = mk ~width:(U.width src) ~capacity:n () in
+            timed t `Compute (fun () -> Sbt_prim.Filter.select_eq ~src ~dst ~field ~value);
+            dst
+        | F.F_project { fields } ->
+            let dst = mk ~width:(Array.length fields) ~capacity:(U.length src) () in
+            timed t `Compute (fun () -> Sbt_prim.Misc.project ~src ~dst ~fields);
+            dst
+        | F.F_shift_key { field; shift } ->
+            let dst = mk ~width:(U.width src) ~capacity:(U.length src) () in
+            timed t `Compute (fun () -> Sbt_prim.Misc.shift_key ~src ~dst ~field ~shift);
+            dst
+      in
+      [ (-1, dst) ]
+
+(* A chain runs as one {!F.run} kernel.  It allocates the output once,
+   after its count pass; [mk] times that as Mem from inside the Compute
+   span, so it is taken back out of Compute to count once. *)
+let run_chain t uas ~(mk : ?i:int -> width:int -> capacity:int -> unit -> U.t) c =
+  let src = as_one uas in
+  let dw =
+    match F.width_after (U.width src) c.steps with
+    | Some dw -> dw
+    | None -> raise (Rejected "invoke: chain invalid for input width")
+  in
+  let mem0 = t.ns.mem and t0 = Sbt_sim.Clock.now_ns () in
+  let dst = F.run ~steps:c.steps ~src ~alloc:(fun n -> mk ~width:dw ~capacity:n ()) in
+  ignore (charge t `Compute t0);
+  t.ns.compute <- t.ns.compute -. (t.ns.mem -. mem0);
+  [ (-1, dst) ]
+
+(* The audit hints of a call's outputs from the [i]th on: one
+   (predecessor, output) pair per output that has a hint. *)
+let rec audit_hints t hints i = function
+  | [] -> []
+  | (_, ua) :: rest -> (
+      match hint_at hints i with
+      | Some h -> encode_hint_for_audit t h (U.id ua) :: audit_hints t hints (i + 1) rest
+      | None -> audit_hints t hints (i + 1) rest)
+
 (* One trusted entry runs a chain of (op, params) steps.  A length-1
    chain is a plain invoke of any primitive and emits one Execution record
    (Windowing records for Segment).  A longer chain must be all
@@ -556,308 +866,19 @@ let do_invoke (t : t) ~chain ~inputs ~trigger ~hints ~retire_inputs =
   let producer =
     match chain with (op, _) :: _ -> P.to_id op | [] -> raise (Rejected "invoke: empty chain")
   in
-  let hint_for i =
-    match hints with [] -> None | [ h ] -> Some h | l -> List.nth_opt l i
-  in
   let mk ?(i = 0) ~width ~capacity () =
-    alloc_out t ?hint:(hint_for i) ~producer ~width ~capacity ()
-  in
-  (* One primitive: (window, array) pairs, window -1 when not
-     window-scoped. *)
-  let run_op op params : (int * U.t) list =
-    let key ins = in_width ins (key_field params 0) in
-    let value ins = in_width ins (value_field params 1) in
-    match op with
-    | P.Sort ->
-        let src = as_one uas in
-        let kf = key uas in
-        let vf = find_param params (function P_value_field v -> Some (in_width uas v) | _ -> None) in
-        let dst = mk ~width:(U.width src) ~capacity:(U.length src) () in
-        timed t `Compute (fun () ->
-            match vf with
-            | Some vf ->
-                (* Secondary order: stable radix by value, then by key. *)
-                Sbt_prim.Sort.sort ~src ~dst ~key_field:vf;
-                Sbt_prim.Sort.sort_in_place dst ~key_field:kf
-            | None -> Sbt_prim.Sort.sort ~src ~dst ~key_field:kf);
-        [ (-1, dst) ]
-    | P.Merge ->
-        let a, b = as_two uas in
-        let kf = key uas and width = one_width "merge" uas in
-        let dst = mk ~width ~capacity:(U.length a + U.length b) () in
-        timed t `Compute (fun () -> Sbt_prim.Merge.merge2 ~a ~b ~dst ~key_field:kf);
-        [ (-1, dst) ]
-    | P.Kway_merge ->
-        if List.length uas > Sbt_prim.Merge.max_inputs then raise (Rejected "kway: too many inputs");
-        let kf = key uas and width = one_width "kway" uas in
-        let total = List.fold_left (fun acc ua -> acc + U.length ua) 0 uas in
-        let dst = mk ~width ~capacity:total () in
-        timed t `Compute (fun () -> Sbt_prim.Merge.kway ~inputs:uas ~dst ~key_field:kf);
-        [ (-1, dst) ]
-    | P.Segment -> (
-        let src = as_one uas in
-        let tf = find_param params (function P_ts_field f -> Some f | _ -> None) in
-        let tf = in_width uas (Option.value ~default:2 tf) in
-        match find_param params (function P_session_gap g -> Some g | _ -> None) with
-        | Some gap ->
-            (* Gap-based session windowing.  Assignment is global, stateful
-               and in-order: the enclave remembers the last event time
-               across batches, opens a new session after [gap] ticks of
-               silence, and records each session's end so egress can hold a
-               session open until the watermark clears end + gap. *)
-            if gap <= 0 then raise (Rejected "segment: session gap must be positive");
-            t.sess_gap <- gap;
-            let n = U.length src in
-            let w = U.width src in
-            let ids = Array.make (max n 1) 0 in
-            timed t `Compute (fun () ->
-                for i = 0 to n - 1 do
-                  let ts = Int32.to_int (U.get_field src i tf) in
-                  if ts < t.sess_last_ts then
-                    raise (Rejected "segment: session windows need in-order event times");
-                  if t.sess_next_id = 0 || ts - t.sess_last_ts > gap then
-                    t.sess_next_id <- t.sess_next_id + 1;
-                  let sid = t.sess_next_id - 1 in
-                  ids.(i) <- sid;
-                  t.sess_last_ts <- ts;
-                  Hashtbl.replace t.sess_ends sid ts
-                done);
-            (* Distinct session ids in first-appearance order (ids are
-               non-decreasing, so this is also ascending id order). *)
-            let order = ref [] in
-            Array.iteri
-              (fun i sid ->
-                if i < n then
-                  match !order with s :: _ when s = sid -> () | _ -> order := sid :: !order)
-              ids;
-            let sids = List.rev !order in
-            let count sid =
-              let c = ref 0 in
-              for i = 0 to n - 1 do
-                if ids.(i) = sid then incr c
-              done;
-              !c
-            in
-            let dsts =
-              List.mapi (fun i sid -> (sid, mk ~i ~width:w ~capacity:(count sid) ())) sids
-            in
-            timed t `Compute (fun () ->
-                let row = Array.make w 0l in
-                for i = 0 to n - 1 do
-                  for f = 0 to w - 1 do
-                    row.(f) <- U.get_field src i f
-                  done;
-                  U.append (List.assoc ids.(i) dsts) row
-                done);
-            dsts
-        | None ->
-            let ws =
-              match find_param params (function P_window_size w -> Some w | _ -> None) with
-              | Some w -> w
-              | None -> raise (Rejected "segment: missing window size")
-            in
-            let slide =
-              Option.value ~default:ws (find_param params (function P_slide v -> Some v | _ -> None))
-            in
-            let counts =
-              timed t `Compute (fun () ->
-                  Sbt_prim.Segment.count_per_window ~src ~ts_field:tf ~window_size:ws ~slide ())
-            in
-            let dsts =
-              List.mapi
-                (fun i (win, count) -> (win, mk ~i ~width:(U.width src) ~capacity:count ()))
-                counts
-            in
-            timed t `Compute (fun () ->
-                Sbt_prim.Segment.segment ~src ~ts_field:tf ~window_size:ws ~slide
-                  ~dst_for_window:(fun w -> List.assoc w dsts)
-                  ());
-            dsts)
-    | P.Sum_cnt ->
-        let src = as_one uas in
-        let vf = value uas in
-        let s, n = timed t `Compute (fun () -> Sbt_prim.Agg.sum_count src ~field:vf) in
-        let dst = mk ~width:2 ~capacity:1 () in
-        U.append dst [| Int64.to_int32 s; Int32.of_int n |];
-        [ (-1, dst) ]
-    | P.Top_k ->
-        let src = as_one uas in
-        let vf = value uas in
-        let k =
-          Option.value ~default:10 (find_param params (function P_k k -> Some k | _ -> None))
-        in
-        let dst = mk ~width:(U.width src) ~capacity:(min k (U.length src)) () in
-        timed t `Compute (fun () -> Sbt_prim.Misc.top_k_records ~src ~dst ~field:vf ~k);
-        [ (-1, dst) ]
-    | P.Concat ->
-        let width = one_width "concat" uas in
-        let total = List.fold_left (fun acc ua -> acc + U.length ua) 0 uas in
-        let dst = mk ~width ~capacity:total () in
-        timed t `Compute (fun () -> Sbt_prim.Misc.concat ~inputs:uas ~dst);
-        [ (-1, dst) ]
-    | P.Join ->
-        let left, right = as_two uas in
-        let kf = key uas and vf = value uas in
-        let runs = timed t `Compute (fun () -> Sbt_prim.Join.runs ~left ~right ~key_field:kf) in
-        let dst = mk ~width:3 ~capacity:(Sbt_prim.Join.size runs) () in
-        timed t `Compute (fun () -> Sbt_prim.Join.fill runs ~dst ~value_field:vf);
-        [ (-1, dst) ]
-    | P.Count ->
-        let src = as_one uas in
-        let dst = mk ~width:1 ~capacity:1 () in
-        U.append dst [| Int32.of_int (Sbt_prim.Agg.count src) |];
-        [ (-1, dst) ]
-    | P.Sum ->
-        (* WinSum consumes all of a window's segments directly. *)
-        let vf = value uas in
-        let total =
-          timed t `Compute (fun () ->
-              List.fold_left (fun acc ua -> Int64.add acc (Sbt_prim.Agg.sum ua ~field:vf)) 0L uas)
-        in
-        let dst = mk ~width:2 ~capacity:1 () in
-        U.append dst (scalar_i64 total);
-        [ (-1, dst) ]
-    | P.Unique ->
-        let src = as_one uas in
-        let kf = key uas in
-        let groups = timed t `Compute (fun () -> Sbt_prim.Keyed.group_count ~src ~key_field:kf) in
-        let dst = mk ~width:2 ~capacity:groups () in
-        timed t `Compute (fun () -> Sbt_prim.Keyed.distinct_keys ~src ~dst ~key_field:kf);
-        [ (-1, dst) ]
-    | P.Median ->
-        let src = as_one uas in
-        let vf = value uas in
-        let m = timed t `Compute (fun () -> Sbt_prim.Agg.median src ~field:vf) in
-        let dst = mk ~width:1 ~capacity:1 () in
-        U.append dst [| Option.value ~default:0l m |];
-        [ (-1, dst) ]
-    | P.Min_max ->
-        let src = as_one uas in
-        let vf = value uas in
-        let mm = timed t `Compute (fun () -> Sbt_prim.Agg.min_max src ~field:vf) in
-        let dst = mk ~width:2 ~capacity:1 () in
-        let lo, hi = Option.value ~default:(0l, 0l) mm in
-        U.append dst [| lo; hi |];
-        [ (-1, dst) ]
-    | P.Average ->
-        let src = as_one uas in
-        let vf = value uas in
-        let avg =
-          timed t `Compute (fun () ->
-              let s, n = Sbt_prim.Agg.sum_count src ~field:vf in
-              if n = 0 then 0L else Int64.div s (Int64.of_int n))
-        in
-        let dst = mk ~width:1 ~capacity:1 () in
-        U.append dst [| Int64.to_int32 avg |];
-        [ (-1, dst) ]
-    | P.Sum_per_key | P.Count_per_key | P.Avg_per_key | P.Median_per_key ->
-        let src = as_one uas in
-        let kf = key uas in
-        (* Count_per_key reads no value field. *)
-        let vf = if op = P.Count_per_key then 0 else value uas in
-        let groups = timed t `Compute (fun () -> Sbt_prim.Keyed.group_count ~src ~key_field:kf) in
-        let dst = mk ~width:2 ~capacity:groups () in
-        timed t `Compute (fun () ->
-            match op with
-            | P.Sum_per_key -> Sbt_prim.Keyed.sum_per_key ~src ~dst ~key_field:kf ~value_field:vf
-            | P.Count_per_key -> Sbt_prim.Keyed.count_per_key ~src ~dst ~key_field:kf
-            | P.Avg_per_key -> Sbt_prim.Keyed.avg_per_key ~src ~dst ~key_field:kf ~value_field:vf
-            | P.Median_per_key ->
-                Sbt_prim.Keyed.median_per_key ~src ~dst ~key_field:kf ~value_field:vf
-            | _ -> assert false);
-        [ (-1, dst) ]
-    | P.Top_k_per_key ->
-        let src = as_one uas in
-        let kf = key uas and vf = value uas in
-        let k =
-          Option.value ~default:10 (find_param params (function P_k k -> Some k | _ -> None))
-        in
-        let groups = timed t `Compute (fun () -> Sbt_prim.Keyed.group_count ~src ~key_field:kf) in
-        let dst = mk ~width:2 ~capacity:(groups * k) () in
-        timed t `Compute (fun () ->
-            Sbt_prim.Keyed.topk_per_key ~src ~dst ~key_field:kf ~value_field:vf ~k);
-        [ (-1, dst) ]
-    | P.Filter_band | P.Select | P.Project | P.Shift_key ->
-        let src, step =
-          match (uas, per_record_step op params) with
-          | [ src ], step -> (src, step)
-          | [ src; th ], F.F_filter_band { field; _ } when U.width th = 1 || U.width th = 2 ->
-              (* Runtime threshold (e.g. the window's global average):
-                 strictly-above-threshold band. *)
-              let lo = Int32.add (U.get_field th 0 0) 1l in
-              (src, F.F_filter_band { field; lo; hi = Int32.max_int })
-          | _, F.F_filter_band _ -> raise (Rejected "filter: expects data [+ threshold] inputs")
-          | _ -> raise (Rejected "primitive expects one input")
-        in
-        if F.width_after (U.width src) [ step ] = None then raise (Rejected "invoke: bad step");
-        let dst =
-          match step with
-          | F.F_filter_band { field; lo; hi } ->
-              let n =
-                timed t `Compute (fun () -> Sbt_prim.Filter.count_in_band ~src ~field ~lo ~hi)
-              in
-              let dst = mk ~width:(U.width src) ~capacity:n () in
-              timed t `Compute (fun () -> Sbt_prim.Filter.filter_band ~src ~dst ~field ~lo ~hi);
-              dst
-          | F.F_select { field; value } ->
-              let n =
-                timed t `Compute (fun () ->
-                    Sbt_prim.Filter.count_in_band ~src ~field ~lo:value ~hi:value)
-              in
-              let dst = mk ~width:(U.width src) ~capacity:n () in
-              timed t `Compute (fun () -> Sbt_prim.Filter.select_eq ~src ~dst ~field ~value);
-              dst
-          | F.F_project { fields } ->
-              let dst = mk ~width:(Array.length fields) ~capacity:(U.length src) () in
-              timed t `Compute (fun () -> Sbt_prim.Misc.project ~src ~dst ~fields);
-              dst
-          | F.F_shift_key { field; shift } ->
-              let dst = mk ~width:(U.width src) ~capacity:(U.length src) () in
-              timed t `Compute (fun () -> Sbt_prim.Misc.shift_key ~src ~dst ~field ~shift);
-              dst
-        in
-        [ (-1, dst) ]
-  in
-  (* A chain runs as one {!F.run} kernel.  It allocates the output once,
-     after its count pass; [mk] times that as Mem from inside the Compute
-     span, so it is taken back out of Compute to count once. *)
-  let run_chain steps =
-    let src = as_one uas in
-    let w = U.width src in
-    let dw =
-      match F.width_after w steps with
-      | Some dw -> dw
-      | None -> raise (Rejected "invoke: chain invalid for input width")
-    in
-    let mem_before = t.mem_ns in
-    let dst =
-      timed t `Compute (fun () ->
-          F.run ~steps ~src ~alloc:(fun n -> mk ~width:dw ~capacity:n ()))
-    in
-    t.compute_ns <- t.compute_ns -. (t.mem_ns -. mem_before);
-    [ (-1, dst) ]
+    alloc_out t ?hint:(hint_at hints i) ~producer ~width ~capacity ()
   in
   let kind, outputs =
     match chain with
-    | [ (op, params) ] -> (`Op op, run_op op params)
+    | [ (op, params) ] -> (`Op op, run_op t uas ~mk op params)
     | _ ->
-        let steps = List.map (fun (op, params) -> per_record_step op params) chain in
-        (`Chain steps, run_chain steps)
+        let c = parse_chain t chain in
+        (`Chain c, run_chain t uas ~mk c)
   in
-  List.iter (fun (_, ua) -> produce t ua) outputs;
-  (* Audit before retiring. *)
   let ts = now_us t in
-  let in_ids = List.map U.id uas @ Option.to_list trigger in
+  let in_ids () = List.map U.id uas @ Option.to_list trigger in
   let out_ids = List.map (fun (_, ua) -> U.id ua) outputs in
-  let audit_hints =
-    List.concat
-      (List.mapi
-         (fun i (_, ua) ->
-           match hint_for i with
-           | Some h -> [ encode_hint_for_audit t h (U.id ua) ]
-           | None -> [])
-         outputs)
-  in
   (match kind with
   | `Op P.Segment ->
       let batch_id = U.id (List.hd uas) in
@@ -870,25 +891,41 @@ let do_invoke (t : t) ~chain ~inputs ~trigger ~hints ~retire_inputs =
   | `Op op ->
       append_record t
         (Sbt_attest.Record.Execution
-           { ts; op = P.to_id op; inputs = in_ids; outputs = out_ids; hints = audit_hints })
-  | `Chain steps ->
-      let ops = List.map (fun s -> P.to_id (F.step_op s)) steps in
-      let params = F.encode_steps steps in
-      let last_ops, last_params, _ = t.last_chain in
-      if (last_ops, last_params) <> (ops, params) then
-        t.last_chain <-
-          (ops, params, timed t `Crypto (fun () -> Sbt_attest.Record.chain_hash ~ops ~params));
-      let _, _, chain = t.last_chain in
+           { ts; op = P.to_id op; inputs = in_ids (); outputs = out_ids;
+             hints = audit_hints t hints 0 outputs })
+  | `Chain { ops; params; hash; _ } ->
       append_record t
         (Sbt_attest.Record.Fused
-           { ts; ops; params; chain; inputs = in_ids; outputs = out_ids; hints = audit_hints }));
+           { ts; ops; params; chain = hash; inputs = in_ids (); outputs = out_ids;
+             hints = audit_hints t hints 0 outputs }));
   let out_refs =
     List.map (fun (win, ua) -> { win; ref_ = mint_ref t ua; events = U.length ua }) outputs
   in
-  if retire_inputs then List.iter (retire_ref t) inputs;
+  (* Sealing the outputs and retiring the inputs touch neither the audit
+     nor the references just minted, so they come last, in one Mem span. *)
+  let t0 = Sbt_sim.Clock.now_ns () in
+  List.iter (fun (_, ua) -> Alloc.produce t.alloc ua) outputs;
+  if retire_inputs then List.iter2 (retire t) inputs uas;
+  ignore (charge t `Mem t0);
   out_refs
 
 let chain_name = function [ (op, _) ] -> P.name op | _ -> "fused"
+
+(* One batch stage on segment [o], traced as a plain invoke would be. *)
+let step t hints (o : output) chain =
+  match t.cfg.tracer with
+  | None -> do_invoke t ~chain ~inputs:[ o.ref_ ] ~trigger:None ~hints ~retire_inputs:true
+  | Some _ ->
+      traced_prim t (chain_name chain) (fun () ->
+          do_invoke t ~chain ~inputs:[ o.ref_ ] ~trigger:None ~hints ~retire_inputs:true)
+
+(* The batch plan's stages on segment [o], each output keeping its window. *)
+let rec stages t w (o : output) = function
+  | [] -> o
+  | chain :: rest -> (
+      match step t (try List.assoc o.win w.stage_hints with Not_found -> []) o chain with
+      | [ out ] -> stages t w { out with win = o.win } rest
+      | _ -> raise (Rejected "windowing: a batch stage must have one output"))
 
 (* One world switch per batch: ingest the frame and, given a windowing
    step, run Segment on it and then the batch plan on every segment whose
@@ -897,21 +934,12 @@ let chain_name = function [ (op, _) ] -> P.name op | _ -> "fused"
    records, then one record per plan step per open segment.  Segments of
    windows below [first_open] come back unstaged, for the late policy. *)
 let do_ingest_batch t ~payload ~encrypted ~stream ~seq ~mac ~windowing =
-  let step hints (o : output) chain =
-    traced_prim t (chain_name chain) (fun () ->
-        do_invoke t ~chain ~inputs:[ o.ref_ ] ~trigger:None ~hints ~retire_inputs:true)
-  in
-  let stage w (o : output) chain =
-    match step (Option.value ~default:[] (List.assoc_opt o.win w.stage_hints)) o chain with
-    | [ out ] -> { out with win = o.win }
-    | _ -> raise (Rejected "windowing: a batch stage must have one output")
-  in
-  let staged w o = if o.win < w.first_open then o else List.fold_left (stage w) o w.plan in
   match refusal t ~payload ~encrypted ~stream ~seq ~mac with
   | Some (reason, stalled_ns) -> Refused { reason; stalled_ns }
   | None ->
       let batch, stalled_ns = do_ingest_events t ~payload ~encrypted ~stream ~seq in
-      let segments w = List.map (staged w) (step [] batch [ (P.Segment, w.segment) ]) in
+      let staged w (o : output) = if o.win < w.first_open then o else stages t w o w.plan in
+      let segments w = List.map (staged w) (step t [] batch [ (P.Segment, w.segment) ]) in
       Ingested { outs = Option.fold ~none:[ batch ] ~some:segments windowing; stalled_ns }
 
 let egress_nonce window = Int64.logor 0x4547000000000000L (Int64.of_int window)
@@ -1149,10 +1177,10 @@ let serialize_state t ~control =
   C.int_ w t.backpressure_stalls;
   C.int_ w t.sheds;
   C.int_ w t.consecutive_sheds;
-  C.f64 w t.compute_ns;
-  C.f64 w t.mem_ns;
-  C.f64 w t.crypto_ns;
-  C.f64 w t.ingest_ns;
+  C.f64 w t.ns.compute;
+  C.f64 w t.ns.mem;
+  C.f64 w t.ns.crypto;
+  C.f64 w t.ns.ingest;
   C.list_ w
     (fun w (ref_, ua) ->
       C.i64 w ref_;
@@ -1231,11 +1259,7 @@ let create cfg =
       rng;
       smc;
       smc_refused = Hashtbl.create 8;
-      now_ns = 0.0;
-      compute_ns = 0.0;
-      mem_ns = 0.0;
-      crypto_ns = 0.0;
-      ingest_ns = 0.0;
+      ns = { vt = 0.0; compute = 0.0; mem = 0.0; crypto = 0.0; ingest = 0.0 };
       invocations = 0;
       events_ingested = 0;
       bytes_ingested = 0;
@@ -1251,7 +1275,7 @@ let create cfg =
       sess_ends = Hashtbl.create 16;
       last_wm = -1;
       udfs = Hashtbl.create 8;
-      last_chain = ([], Bytes.empty, Bytes.empty);
+      last_chain = None;
       reg;
       m_events = Sbt_obs.Metrics.counter reg "tee.events_ingested";
       m_bytes = Sbt_obs.Metrics.counter reg "tee.bytes_ingested";
@@ -1276,7 +1300,7 @@ let create cfg =
   (match cfg.tracer with
   | None -> ()
   | Some tracer ->
-      let now_ns () = t.now_ns in
+      let now_ns () = t.ns.vt in
       Tz.Smc.set_observer smc ~tracer ~now_ns;
       Alloc.set_observer alloc ~tracer ~now_ns);
   (match cfg.version with
@@ -1318,10 +1342,10 @@ let restore cfg ~expect_seq blob =
   t.backpressure_stalls <- C.get_int r;
   t.sheds <- C.get_int r;
   t.consecutive_sheds <- C.get_int r;
-  t.compute_ns <- C.get_f64 r;
-  t.mem_ns <- C.get_f64 r;
-  t.crypto_ns <- C.get_f64 r;
-  t.ingest_ns <- C.get_f64 r;
+  t.ns.compute <- C.get_f64 r;
+  t.ns.mem <- C.get_f64 r;
+  t.ns.crypto <- C.get_f64 r;
+  t.ns.ingest <- C.get_f64 r;
   let arrays =
     C.get_list r (fun r ->
         let ref_ = C.get_i64 r in
@@ -1355,6 +1379,7 @@ let restore cfg ~expect_seq blob =
       | None -> ())
     arrays;
   Alloc.force_next_id t.alloc ~next:(C.get_int r);
+  Alloc.emit_trace t.alloc;
   let control = C.get_bytes r in
   if not (C.at_end r) then invalid_arg "Dataplane.restore: trailing bytes";
   { rt = t; control; ckpt_seq = seq; log_seq }
@@ -1377,12 +1402,19 @@ let busy (type a) t (req : a request) =
          end
   | _ -> false
 
+(* The allocator's trace observations go out before the call returns,
+   ahead of the world switch's own trace event. *)
+let dispatch_out (type a) t (req : a request) : a =
+  match dispatch t req with
+  | r -> Alloc.emit_trace t.alloc; r
+  | exception e -> Alloc.emit_trace t.alloc; raise e
+
 let call (type a) t (req : a request) : a =
   match t.cfg.version with
-  | Insecure -> dispatch t req
+  | Insecure -> dispatch_out t req
   | Full | Clear_ingress | Io_via_os ->
       if busy t req then Tz.Smc.refuse t.smc Tz.Smc.Invoke
-      else Tz.Smc.call t.smc Tz.Smc.Invoke (fun () -> dispatch t req)
+      else Tz.Smc.call t.smc Tz.Smc.Invoke (fun () -> dispatch_out t req)
 
 let debug_dump t =
   match t.cfg.version with
@@ -1447,10 +1479,10 @@ let reseal_correction ~egress_key ~gen (r : sealed_result) =
 
 let stats (t : t) =
   {
-    compute_ns = t.compute_ns;
-    mem_ns = t.mem_ns;
-    crypto_ns = t.crypto_ns;
-    ingest_ns = t.ingest_ns;
+    compute_ns = t.ns.compute;
+    mem_ns = t.ns.mem;
+    crypto_ns = t.ns.crypto;
+    ingest_ns = t.ns.ingest;
     switch_pairs = t.cfg.platform.Tz.Platform.switch_pairs;
     modeled_switch_ns = t.cfg.platform.Tz.Platform.modeled_switch_ns;
     modeled_copy_ns = t.cfg.platform.Tz.Platform.modeled_copy_ns;
@@ -1462,13 +1494,14 @@ let stats (t : t) =
     smc_busy_rejections = Tz.Smc.busy_rejections t.smc;
   }
 
+let crypto_ns (t : t) = t.ns.crypto
 let live_refs t = Opaque.live_count t.refs
 let pool_committed_bytes t = Pool.committed_bytes t.pool
 let pool_high_water_bytes t = Pool.high_water_bytes t.pool
 let reset_high_water t = Pool.reset_high_water t.pool
 let allocator t = t.alloc
-let set_now_ns t ns = t.now_ns <- ns
-let now_ns t = t.now_ns
+let set_now_ns t ns = t.ns.vt <- ns
+let now_ns t = t.ns.vt
 
 let metrics_quote t ~nonce =
   let payload = Sbt_obs.Metrics.encode_snapshot t.reg in

@@ -400,6 +400,10 @@ val set_now_ns : t -> float -> unit
 (** Advance the TEE's secure clock (driven by the DES's virtual time; a
     real deployment reads a secure timer). *)
 
+val crypto_ns : t -> float
+(** {!stats}' crypto total alone, read by a DES task before and after its
+    work to charge crypto at the cost model's scale. *)
+
 val now_ns : t -> float
 (** The secure clock's current virtual time. *)
 

@@ -271,9 +271,9 @@ let record ?ckpt_every ?on_checkpoint ?resume ?registry ?halt_after_window cfg
   in
   let node_count = ref 0 in
   let win w =
-    match Hashtbl.find_opt c.windows w with
-    | Some ws -> ws
-    | None ->
+    match Hashtbl.find c.windows w with
+    | ws -> ws
+    | exception Not_found ->
         let ws = { ready = []; dep_tasks = []; last_ready = [] } in
         Hashtbl.replace c.windows w ws;
         ws
@@ -297,13 +297,14 @@ let record ?ckpt_every ?on_checkpoint ?resume ?registry ?halt_after_window cfg
           raise (Sbt_fault.Fault.Crash Sbt_fault.Fault.Crash_control)
       | _ -> ());
       D.set_now_ns dp start_ns;
-      let s0 = dp |> D.stats in
+      let switch0 = platform.Sbt_tz.Platform.modeled_switch_ns
+      and copy0 = platform.Sbt_tz.Platform.modeled_copy_ns
+      and crypto0 = D.crypto_ns dp in
       let r = body () in
-      let s1 = dp |> D.stats in
       incr executed_tasks;
-      let switch_delta = s1.D.modeled_switch_ns -. s0.D.modeled_switch_ns in
-      let copy_delta = s1.D.modeled_copy_ns -. s0.D.modeled_copy_ns in
-      let crypto_delta = s1.D.crypto_ns -. s0.D.crypto_ns in
+      let switch_delta = platform.Sbt_tz.Platform.modeled_switch_ns -. switch0 in
+      let copy_delta = platform.Sbt_tz.Platform.modeled_copy_ns -. copy0 in
+      let crypto_delta = D.crypto_ns dp -. crypto0 in
       let crypto_adjust =
         crypto_delta *. (cost.Sbt_tz.Cost_model.crypto_scale -. 1.0)
         *. cost.Sbt_tz.Cost_model.host_scale
@@ -323,13 +324,19 @@ let record ?ckpt_every ?on_checkpoint ?resume ?registry ?halt_after_window cfg
   let hint_for ws stream =
     if not cfg.hints_enabled then []
     else
-      match List.assoc_opt stream ws.last_ready with
-      | Some r -> [ D.H_after r ]
-      | None -> [ D.H_parallel ]
+      match List.assoc stream ws.last_ready with
+      | r -> [ D.H_after r ]
+      | exception Not_found -> [ D.H_parallel ]
   in
   let add_ready ws stream r =
-    ws.ready <- (stream, r) :: ws.ready;
-    ws.last_ready <- (stream, r) :: List.remove_assoc stream ws.last_ready
+    let e = (stream, r) in
+    ws.ready <- e :: ws.ready;
+    ws.last_ready <- e :: List.remove_assoc stream ws.last_ready
+  in
+  (* Each window's stage hints for a frame of [stream]. *)
+  let rec stage_hints stream = function
+    | [] -> []
+    | w :: rest -> (w, hint_for (win w) stream) :: stage_hints stream rest
   in
   (* The batch-stage plan, lowered and fused once per run: each chain is
      a single stage or a run of adjacent per-record stages, and the batch
@@ -387,7 +394,7 @@ let record ?ckpt_every ?on_checkpoint ?resume ?registry ?halt_after_window cfg
      frames, which the edge must declare before ingesting past the hole —
      otherwise the verifier reads the hole as tampering. *)
   let link_holes ~stream ~seq =
-    let exp = Option.value ~default:0 (Hashtbl.find_opt c.expected_seq stream) in
+    let exp = try Hashtbl.find c.expected_seq stream with Not_found -> 0 in
     Hashtbl.replace c.expected_seq stream (max (seq + 1) exp);
     if seq > exp then List.init (seq - exp) (fun i -> exp + i) else []
   in
@@ -396,25 +403,22 @@ let record ?ckpt_every ?on_checkpoint ?resume ?registry ?halt_after_window cfg
      refusal of the ingest is a declared gap.  A rejection raised once the
      frame is in (by Segment or a stage) is no refusal, and escapes the
      run. *)
-  let ingest_with_retry ~payload ~encrypted ~stream ~seq ~mac ~windowing =
-    let rec attempt n stall =
-      match D.call dp (D.R_ingest_events { payload; encrypted; stream; seq; mac; windowing }) with
-      | D.Ingested { outs; stalled_ns } -> Ok (outs, stall +. stalled_ns)
-      | D.Refused { reason = D.Corrupt_ingress; stalled_ns } ->
-          Error (stall +. stalled_ns, Sbt_attest.Record.Corrupt_ingress)
-      | D.Refused { reason = D.Pool_pressure; stalled_ns } ->
-          Sbt_obs.Metrics.incr c_sheds;
-          instant "shed"
-            ~args:[ ("stream", Sbt_obs.Tracer.Int stream); ("seq", Sbt_obs.Tracer.Int seq) ];
-          Error (stall +. stalled_ns, Sbt_attest.Record.Pool_pressure)
-      | exception Sbt_tz.Smc.Entry_busy _ ->
-          Sbt_obs.Metrics.incr c_busy;
-          if n < plan.Sbt_fault.Fault.retry_budget then
-            let backoff = Sbt_fault.Fault.backoff_ns plan ~stream ~seq ~attempt:(n + 1) in
-            attempt (n + 1) (stall +. backoff)
-          else Error (stall, Sbt_attest.Record.Smc_unavailable)
-    in
-    attempt 0 0.0
+  let rec ingest_with_retry req ~stream ~seq n stall =
+    match D.call dp req with
+    | D.Ingested { outs; stalled_ns } -> Ok (outs, stall +. stalled_ns)
+    | D.Refused { reason = D.Corrupt_ingress; stalled_ns } ->
+        Error (stall +. stalled_ns, Sbt_attest.Record.Corrupt_ingress)
+    | D.Refused { reason = D.Pool_pressure; stalled_ns } ->
+        Sbt_obs.Metrics.incr c_sheds;
+        instant "shed"
+          ~args:[ ("stream", Sbt_obs.Tracer.Int stream); ("seq", Sbt_obs.Tracer.Int seq) ];
+        Error (stall +. stalled_ns, Sbt_attest.Record.Pool_pressure)
+    | exception Sbt_tz.Smc.Entry_busy _ ->
+        Sbt_obs.Metrics.incr c_busy;
+        if n < plan.Sbt_fault.Fault.retry_budget then
+          let backoff = Sbt_fault.Fault.backoff_ns plan ~stream ~seq ~attempt:(n + 1) in
+          ingest_with_retry req ~stream ~seq (n + 1) (stall +. backoff)
+        else Error (stall, Sbt_attest.Record.Smc_unavailable)
   in
   (* Windows egress in watermark order: each close depends on the previous
      one, which also serializes any cross-window operator state. *)
@@ -556,6 +560,55 @@ let record ?ckpt_every ?on_checkpoint ?resume ?registry ?halt_after_window cfg
              { uploads = D.uploaded_batches dp; results = List.rev !results; vt_ns = c.base_ns })
     | Some _ | None -> ()
   in
+  (* A batch call's segments: late ones to the late policy, the others
+     ready for their window's close. *)
+  let rec deliver ~closed_below ~stream = function
+    | [] -> ()
+    | (o : D.output) :: rest ->
+        if o.D.win < closed_below then late stream o else add_ready (win o.D.win) stream o.D.ref_;
+        deliver ~closed_below ~stream rest
+  in
+  (* One frame's batch call, as its DES task runs it: one world switch
+     ingests, runs Segment and the batch plan on every segment whose
+     window is still open. *)
+  let batch_call ~stream ~seq ~events ~frame_windows ~payload ~encrypted ~mac ~holes ~closed_below
+      () =
+    (* Frames the link lost before this one: declared first so
+       the audit log vouches for the hole in stream order. *)
+    if holes <> [] then
+      List.iter
+        (fun missing ->
+          c.batches_dropped <- c.batches_dropped + 1;
+          Sbt_obs.Metrics.incr c_batches_dropped;
+          declare_gap ~stream ~seq:missing ~events:0 ~windows:[]
+            ~reason:Sbt_attest.Record.Link_loss)
+        holes;
+    let windowing =
+      Some
+        {
+          D.segment = segment_params;
+          first_open = closed_below;
+          plan = batch_plan;
+          stage_hints = stage_hints stream frame_windows;
+        }
+    in
+    let req = D.R_ingest_events { payload; encrypted; stream; seq; mac; windowing } in
+    match ingest_with_retry req ~stream ~seq 0 0.0 with
+    | Ok (outs, stalled_ns) ->
+        deliver ~closed_below ~stream outs;
+        Sbt_obs.Metrics.observe h_stall stalled_ns;
+        stalled_ns
+    | Error (stalled_ns, reason) ->
+        (* Past the retry budget / rejected / shed: degrade by
+           dropping the batch and leaving a signed gap. *)
+        c.batches_dropped <- c.batches_dropped + 1;
+        Sbt_obs.Metrics.incr c_batches_dropped;
+        c.events_dropped <- c.events_dropped + events;
+        Sbt_obs.Metrics.add c_events_dropped events;
+        declare_gap ~stream ~seq ~events ~windows:frame_windows ~reason;
+        Sbt_obs.Metrics.observe h_stall stalled_ns;
+        stalled_ns
+  in
   List.iter
     (fun frame ->
       c.frame_idx <- c.frame_idx + 1;
@@ -572,54 +625,16 @@ let record ?ckpt_every ?on_checkpoint ?resume ?registry ?halt_after_window cfg
              batch call hands their segments back unstaged, and the late
              policy decides what becomes of them. *)
           let closed_below = c.next_window_to_close in
-          (* One task, one world switch: ingest, Segment, and the batch
-             plan on every segment whose window is still open. *)
-          let batch_task, batch_idx =
+          let batch =
             add_task ~arrival
-              ~label:(Printf.sprintf "batch:%d.%d" stream seq)
-              (fun () ->
-                (* Frames the link lost before this one: declared first so
-                   the audit log vouches for the hole in stream order. *)
-                List.iter
-                  (fun missing ->
-                    c.batches_dropped <- c.batches_dropped + 1;
-                    Sbt_obs.Metrics.incr c_batches_dropped;
-                    declare_gap ~stream ~seq:missing ~events:0 ~windows:[]
-                      ~reason:Sbt_attest.Record.Link_loss)
-                  holes;
-                let windowing =
-                  Some
-                    {
-                      D.segment = segment_params;
-                      first_open = closed_below;
-                      plan = batch_plan;
-                      stage_hints = List.map (fun w -> (w, hint_for (win w) stream)) frame_windows;
-                    }
-                in
-                match ingest_with_retry ~payload ~encrypted ~stream ~seq ~mac ~windowing with
-                | Ok (outs, stalled_ns) ->
-                    List.iter
-                      (fun (o : D.output) ->
-                        if o.D.win < closed_below then late stream o
-                        else add_ready (win o.D.win) stream o.D.ref_)
-                      outs;
-                    Sbt_obs.Metrics.observe h_stall stalled_ns;
-                    stalled_ns
-                | Error (stalled_ns, reason) ->
-                    (* Past the retry budget / rejected / shed: degrade by
-                       dropping the batch and leaving a signed gap. *)
-                    c.batches_dropped <- c.batches_dropped + 1;
-                    Sbt_obs.Metrics.incr c_batches_dropped;
-                    c.events_dropped <- c.events_dropped + events;
-                    Sbt_obs.Metrics.add c_events_dropped events;
-                    declare_gap ~stream ~seq ~events ~windows:frame_windows ~reason;
-                    Sbt_obs.Metrics.observe h_stall stalled_ns;
-                    stalled_ns)
+              ~label:("batch:" ^ string_of_int stream ^ "." ^ string_of_int seq)
+              (batch_call ~stream ~seq ~events ~frame_windows ~payload ~encrypted ~mac ~holes
+                 ~closed_below)
           in
           List.iter
             (fun w ->
               let ws = win w in
-              ws.dep_tasks <- (batch_task, batch_idx) :: ws.dep_tasks)
+              ws.dep_tasks <- batch :: ws.dep_tasks)
             frame_windows;
           (* Retract-and-reemit: windows this frame touches that already
              closed get a correction scheduled right here, at
@@ -633,7 +648,7 @@ let record ?ckpt_every ?on_checkpoint ?resume ?registry ?halt_after_window cfg
             |> List.sort_uniq compare
             |> List.iter (fun w ->
                    let deps =
-                     (batch_task, batch_idx) :: Option.to_list !last_close
+                     batch :: Option.to_list !last_close
                    in
                    let corr_task, corr_idx =
                      add_task ~deps ~role:(Trace.Egress_of w)

@@ -51,34 +51,44 @@ let max_width w steps =
    scratch row (a projection or key shift can change what a later filter
    sees) and marks the survivors; the output is then allocated once, at
    its exact size, and the second pass re-evaluates only the survivors
-   and writes them. *)
+   and writes them.
+
+   The row holds native ints, so no field load allocates.  Fields
+   load sign-extended, which keeps every compare equal to its int32 form,
+   and [asr] equals [Int32.shift_right] for the shifts 0-31 that
+   {!width_after} admits; survivors are written back with [Int32.of_int]. *)
 
 module U = Sbt_umem.Uarray
 
-(* Load record [r] into [row] and run the chain over it; [true] iff the
-   record survives every filter, with its output fields left in [row]. *)
-let eval steps ~w ~(src : U.buf) ~r ~(row : int32 array) ~(tmp : int32 array) =
+(* Run [steps] over [row]; [true] iff the record survives every filter,
+   with its output fields left in [row].  {!width_after} has checked each
+   field against the width its step sees, and [row] and [tmp] hold the
+   widest, so the accesses are unchecked. *)
+let rec go steps (row : int array) (tmp : int array) =
+  match steps with
+  | [] -> true
+  | F_filter_band { field; lo; hi } :: rest ->
+      let v = Array.unsafe_get row field in
+      v >= Int32.to_int lo && v <= Int32.to_int hi && go rest row tmp
+  | F_select { field; value } :: rest ->
+      Array.unsafe_get row field = Int32.to_int value && go rest row tmp
+  | F_project { fields } :: rest ->
+      for j = 0 to Array.length fields - 1 do
+        Array.unsafe_set tmp j (Array.unsafe_get row (Array.unsafe_get fields j))
+      done;
+      for j = 0 to Array.length fields - 1 do
+        Array.unsafe_set row j (Array.unsafe_get tmp j)
+      done;
+      go rest row tmp
+  | F_shift_key { field; shift } :: rest ->
+      Array.unsafe_set row field (Array.unsafe_get row field asr shift);
+      go rest row tmp
+
+let eval steps ~w ~(src : U.buf) ~r ~row ~tmp =
   for f = 0 to w - 1 do
-    row.(f) <- Bigarray.Array1.unsafe_get src ((r * w) + f)
+    Array.unsafe_set row f (Int32.to_int (Bigarray.Array1.unsafe_get src ((r * w) + f)))
   done;
-  let rec go = function
-    | [] -> true
-    | F_filter_band { field; lo; hi } :: rest ->
-        let v = Int32.to_int row.(field) in
-        v >= Int32.to_int lo && v <= Int32.to_int hi && go rest
-    | F_select { field; value } :: rest -> row.(field) = value && go rest
-    | F_project { fields } :: rest ->
-        let dw = Array.length fields in
-        for i = 0 to dw - 1 do
-          tmp.(i) <- row.(fields.(i))
-        done;
-        Array.blit tmp 0 row 0 dw;
-        go rest
-    | F_shift_key { field; shift } :: rest ->
-        row.(field) <- Int32.shift_right row.(field) shift;
-        go rest
-  in
-  go steps
+  go steps row tmp
 
 let run ~steps ~src ~alloc =
   let w = U.width src in
@@ -88,7 +98,7 @@ let run ~steps ~src ~alloc =
     | None -> invalid_arg "Fused.run: step chain invalid for input width"
   in
   let mw = max 1 (max_width w steps) in
-  let row = Array.make mw 0l and tmp = Array.make mw 0l in
+  let row = Array.make mw 0 and tmp = Array.make mw 0 in
   let n = U.length src and buf = U.raw src in
   let survived = Bytes.make n '\000' in
   let kept = ref 0 in
@@ -107,7 +117,7 @@ let run ~steps ~src ~alloc =
       ignore (eval steps ~w ~src:buf ~r ~row ~tmp);
       let b = !o * dw in
       for f = 0 to dw - 1 do
-        Bigarray.Array1.unsafe_set out (b + f) row.(f)
+        Bigarray.Array1.unsafe_set out (b + f) (Int32.of_int (Array.unsafe_get row f))
       done;
       incr o
     end

@@ -40,27 +40,51 @@ let iter_runs ~src ~ts_field ~size ~slide f =
     f first (!r - first) lo hi
   done
 
+(* The position of window [win] in the ascending [counts]. *)
+let rec pos counts win lo hi =
+  let mid = (lo + hi) / 2 in
+  let w = fst counts.(mid) in
+  if w < win then pos counts win (mid + 1) hi else if w > win then pos counts win lo (mid - 1) else mid
+
+(* The batch's runs that fall in some window, in record order, and the
+   windows they cover with their record counts, ascending.  The counts
+   come from one sweep over the sorted ends of the runs' window ranges,
+   so work and memory follow the windows the batch covers, however far
+   apart its timestamps lie. *)
+let plan ~src ~ts_field ~size ~slide =
+  let runs = ref [] and ends = ref [] in
+  iter_runs ~src ~ts_field ~size ~slide (fun first len lo hi ->
+      if lo <= hi then begin
+        runs := (first, len, lo, hi) :: !runs;
+        ends := (lo, len) :: (hi + 1, -len) :: !ends
+      end);
+  let rec sweep live acc = function
+    | (win, d) :: ((next, _) :: _ as rest) ->
+        let live = live + d in
+        let run () = List.init (next - win) (fun i -> (win + i, live)) in
+        let acc = if live > 0 then List.rev_append (run ()) acc else acc in
+        sweep live acc rest
+    | _ -> Array.of_list (List.rev acc)
+  in
+  (List.rev !runs, sweep 0 [] (List.sort (fun (a, _) (b, _) -> Int.compare a b) !ends))
+
+(* Copy each run into the destination [dst win] of every window it covers. *)
+let route ~src runs dst =
+  List.iter (fun (first, len, lo, hi) ->
+      for win = lo to hi do U.append_blit (dst win) ~src ~src_pos:first ~len done) runs
+
 let count_per_window ~src ~ts_field ~window_size ?(slide = window_size) () =
-  let counts = Hashtbl.create 8 in
-  iter_runs ~src ~ts_field ~size:window_size ~slide (fun _ len lo hi ->
-      for win = lo to hi do
-        Hashtbl.replace counts win (len + Option.value ~default:0 (Hashtbl.find_opt counts win))
-      done);
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts [])
+  Array.to_list (snd (plan ~src ~ts_field ~size:window_size ~slide))
 
 let segment ~src ~ts_field ~window_size ?(slide = window_size) ~dst_for_window () =
-  let w = U.width src in
-  let dsts = Hashtbl.create 8 in
-  let dst_of win =
-    match Hashtbl.find_opt dsts win with
-    | Some d -> d
-    | None ->
-        let d = dst_for_window win in
-        if U.width d <> w then invalid_arg "Segment.segment: width mismatch";
-        Hashtbl.replace dsts win d;
-        d
-  in
-  iter_runs ~src ~ts_field ~size:window_size ~slide (fun first len lo hi ->
-      for win = lo to hi do
-        U.append_blit (dst_of win) ~src ~src_pos:first ~len
-      done)
+  let runs, counts = plan ~src ~ts_field ~size:window_size ~slide in
+  let dsts = Array.make (Array.length counts) None in
+  route ~src runs (fun win ->
+      let i = pos counts win 0 (Array.length counts - 1) in
+      match dsts.(i) with Some d -> d | None -> let d = dst_for_window win in dsts.(i) <- Some d; d)
+
+let split ~src ~ts_field ~window_size ?(slide = window_size) ~alloc () =
+  let runs, counts = plan ~src ~ts_field ~size:window_size ~slide in
+  let dsts = Array.mapi (fun i (win, count) -> (win, alloc ~i ~win ~count)) counts in
+  route ~src runs (fun win -> snd dsts.(pos counts win 0 (Array.length counts - 1)));
+  Array.to_list dsts

@@ -9,9 +9,10 @@
     whose timestamps have the same window range.  A run ends only when a
     timestamp leaves the interval of timestamps with that range, so the
     scan divides once per run, not once per record.  The counting pass
-    updates its table once per run and window; the routing pass reserves
-    once per run and window and copies the run in one blit.  Streams are
-    near-time-ordered, so a batch is a handful of runs. *)
+    sweeps the ends of the runs' window ranges in order, so its work and
+    memory follow the windows the batch covers; the routing pass
+    reserves once per run and window and copies the run in one append.
+    Streams are near-time-ordered, so a batch is a handful of runs. *)
 
 val windows_of : ts:int -> size:int -> slide:int -> int * int
 (** Sliding windows: the inclusive [lo, hi] range of window indices
@@ -41,3 +42,13 @@ val segment :
     order of first use.  Destinations must be distinct and open, with
     sufficient capacity, else {!Sbt_umem.Uarray.Full} is raised (possibly
     before the overflowing run's records are written). *)
+
+val split :
+  src:Sbt_umem.Uarray.t -> ts_field:int -> window_size:int -> ?slide:int ->
+  alloc:(i:int -> win:int -> count:int -> Sbt_umem.Uarray.t) -> unit -> (int * Sbt_umem.Uarray.t) list
+(** {!count_per_window} and {!segment} over one scan: [alloc ~i ~win
+    ~count] makes the destination of the [i]th window in ascending order,
+    for its [count] records, and the records are then routed as
+    {!segment} routes them.  Returns the (window, destination) pairs in
+    ascending window order.  Raises [Invalid_argument] if a destination's
+    width differs from [src]'s. *)

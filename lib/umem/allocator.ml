@@ -2,17 +2,22 @@ type mode = Hint_guided | Producer_grouping
 
 type hint = No_hint | Consumed_after of Uarray.t | Consumed_in_parallel
 
+(* Ids are small ints: the identity is their hash. *)
+module Ids = Hashtbl.Make (struct type t = int let equal = Int.equal let hash i = i land max_int end)
+
 type t = {
   mode : mode;
   pool : Page_pool.t;
   vspace : Vspace.t;
-  group_of : (int, Ugroup.t) Hashtbl.t; (* uarray id -> group *)
-  producer_group : (int, Ugroup.t) Hashtbl.t; (* producer id -> its current group *)
-  groups : (int, Ugroup.t) Hashtbl.t; (* group id -> live group *)
+  group_of : Ugroup.t Ids.t; (* uarray id -> group *)
+  producer_group : Ugroup.t Ids.t; (* producer id -> its current group *)
+  groups : Ugroup.t Ids.t; (* group id -> live group *)
   mutable next_uarray_id : int;
   mutable next_group_id : int;
   mutable live_arrays : int;
   mutable observer : (Sbt_obs.Tracer.t * (unit -> float)) option;
+  mutable seen : int array; (* observations not yet emitted, four ints each *)
+  mutable n_seen : int;
 }
 
 let create ?(mode = Hint_guided) ~pool () =
@@ -21,35 +26,58 @@ let create ?(mode = Hint_guided) ~pool () =
     pool;
     (* one secure-DRAM-sized virtual range per uGroup *)
     vspace = Vspace.create ~stride_bytes:(Page_pool.budget_bytes pool) ();
-    group_of = Hashtbl.create 64;
-    producer_group = Hashtbl.create 16;
-    groups = Hashtbl.create 64;
+    group_of = Ids.create 64;
+    producer_group = Ids.create 16;
+    groups = Ids.create 64;
     next_uarray_id = 0;
     next_group_id = 0;
     live_arrays = 0;
     observer = None;
+    seen = [||];
+    n_seen = 0;
   }
 
 let mode t = t.mode
 
 let set_observer t ~tracer ~now_ns = t.observer <- Some (tracer, now_ns)
 
-let sample_pool t =
+(* An observation is kept as four ints, its kind then its values, until
+   [emit_trace] turns it into a trace event: the allocator's own calls do
+   no tracing work. *)
+let observe t kind a b c =
+  match t.observer with
+  | None -> ()
+  | Some _ ->
+      if t.n_seen + 4 > Array.length t.seen then
+        t.seen <- Array.append t.seen (Array.make (max 64 (Array.length t.seen)) 0);
+      let s = t.seen and n = t.n_seen in
+      s.(n) <- kind; s.(n + 1) <- a; s.(n + 2) <- b; s.(n + 3) <- c;
+      t.n_seen <- n + 4
+
+let sample_pool t = observe t 0 (Page_pool.committed_bytes t.pool) t.live_arrays (Ids.length t.groups)
+
+let emit_trace t =
   match t.observer with
   | None -> ()
   | Some (tracer, now_ns) ->
-      Sbt_obs.Tracer.counter tracer ~pid:1 ~tid:0 ~name:"secure-pool" ~ts_ns:(now_ns ())
-        ~series:
-          [
-            ("committed_bytes", float_of_int (Page_pool.committed_bytes t.pool));
-            ("live_uarrays", float_of_int t.live_arrays);
-            ("live_groups", float_of_int (Hashtbl.length t.groups));
-          ]
+      for e = 0 to (t.n_seen / 4) - 1 do
+        let v = t.seen and b = 4 * e in
+        if v.(b) = 0 then
+          Sbt_obs.Tracer.counter tracer ~pid:1 ~tid:0 ~name:"secure-pool" ~ts_ns:(now_ns ())
+            ~series:[ ("committed_bytes", float_of_int v.(b + 1));
+                      ("live_uarrays", float_of_int v.(b + 2)); ("live_groups", float_of_int v.(b + 3)) ]
+        else
+          Sbt_obs.Tracer.instant tracer ~pid:1 ~tid:0 ~cat:"umem" ~name:"ugroup-reclaim"
+            ~ts_ns:(now_ns ())
+            ~args:[ ("group", Sbt_obs.Tracer.Int v.(b + 1)); ("released", Sbt_obs.Tracer.Int v.(b + 2)) ]
+            ()
+      done;
+      t.n_seen <- 0
 
 let fresh_group t =
   let g = Ugroup.create ~id:t.next_group_id ~vbase:(Vspace.reserve t.vspace) in
   t.next_group_id <- t.next_group_id + 1;
-  Hashtbl.replace t.groups (Ugroup.id g) g;
+  Ids.replace t.groups (Ugroup.id g) g;
   g
 
 (* A group can accept a new member only if its tail is not open. *)
@@ -61,9 +89,9 @@ let tail_accepts g =
 (* Walk back the consumed-after chain from [pred]: append after the first
    predecessor that is produced and sits at the end of its group. *)
 let rec place_after t pred =
-  match Hashtbl.find_opt t.group_of (Uarray.id pred) with
-  | None -> fresh_group t (* predecessor already fully reclaimed: start anew *)
-  | Some g -> (
+  match Ids.find t.group_of (Uarray.id pred) with
+  | exception Not_found -> fresh_group t (* predecessor already fully reclaimed: start anew *)
+  | g -> (
       let at_end =
         match Ugroup.last g with
         | Some last -> Uarray.id last = Uarray.id pred
@@ -86,11 +114,11 @@ let choose_group t hint producer =
   | Producer_grouping -> (
       (* Ablation heuristic: same producer => same generation => same group. *)
       let key = match producer with Some p -> p | None -> -1 in
-      match Hashtbl.find_opt t.producer_group key with
+      match Ids.find_opt t.producer_group key with
       | Some g when tail_accepts g -> g
       | Some _ | None ->
           let g = fresh_group t in
-          Hashtbl.replace t.producer_group key g;
+          Ids.replace t.producer_group key g;
           g)
   | Hint_guided -> (
       match hint with
@@ -100,14 +128,10 @@ let choose_group t hint producer =
 
 let alloc t ?(hint = No_hint) ?scope ?producer ~width ~capacity () =
   let g = choose_group t hint producer in
-  let ua =
-    match scope with
-    | Some scope -> Uarray.create ~id:t.next_uarray_id ~pool:t.pool ~width ~capacity ~scope ()
-    | None -> Uarray.create ~id:t.next_uarray_id ~pool:t.pool ~width ~capacity ()
-  in
+  let ua = Uarray.create ~id:t.next_uarray_id ~pool:t.pool ~width ~capacity ?scope () in
   t.next_uarray_id <- t.next_uarray_id + 1;
   Ugroup.append g ua;
-  Hashtbl.replace t.group_of (Uarray.id ua) g;
+  Ids.replace t.group_of (Uarray.id ua) g;
   t.live_arrays <- t.live_arrays + 1;
   sample_pool t;
   ua
@@ -120,14 +144,10 @@ let alloc t ?(hint = No_hint) ?scope ?producer ~width ~capacity () =
 let alloc_restored t ~id ?scope ~width ~capacity () =
   if id < 0 then invalid_arg "Allocator.alloc_restored: negative id";
   let g = fresh_group t in
-  let ua =
-    match scope with
-    | Some scope -> Uarray.create ~id ~pool:t.pool ~width ~capacity ~scope ()
-    | None -> Uarray.create ~id ~pool:t.pool ~width ~capacity ()
-  in
+  let ua = Uarray.create ~id ~pool:t.pool ~width ~capacity ?scope () in
   if id >= t.next_uarray_id then t.next_uarray_id <- id + 1;
   Ugroup.append g ua;
-  Hashtbl.replace t.group_of (Uarray.id ua) g;
+  Ids.replace t.group_of (Uarray.id ua) g;
   t.live_arrays <- t.live_arrays + 1;
   sample_pool t;
   ua
@@ -143,38 +163,32 @@ let reclaim_group t g =
   t.live_arrays <- t.live_arrays - released;
   if Ugroup.is_exhausted g then begin
     Vspace.release t.vspace (Ugroup.vbase g);
-    Hashtbl.remove t.groups (Ugroup.id g)
+    Ids.remove t.groups (Ugroup.id g)
   end;
   if released > 0 then begin
-    (match t.observer with
-    | None -> ()
-    | Some (tracer, now_ns) ->
-        Sbt_obs.Tracer.instant tracer ~pid:1 ~tid:0 ~cat:"umem" ~name:"ugroup-reclaim"
-          ~ts_ns:(now_ns ())
-          ~args:[ ("group", Sbt_obs.Tracer.Int (Ugroup.id g)); ("released", Sbt_obs.Tracer.Int released) ]
-          ());
+    observe t 1 (Ugroup.id g) released 0;
     sample_pool t
   end
 
 let retire t ua =
   Uarray.retire ua;
-  match Hashtbl.find_opt t.group_of (Uarray.id ua) with
-  | None -> invalid_arg "Allocator.retire: unknown uArray"
-  | Some g ->
-      Hashtbl.remove t.group_of (Uarray.id ua);
+  match Ids.find t.group_of (Uarray.id ua) with
+  | exception Not_found -> invalid_arg "Allocator.retire: unknown uArray"
+  | g ->
+      Ids.remove t.group_of (Uarray.id ua);
       reclaim_group t g
 
 let produce t ua =
   Uarray.produce ua;
-  match Hashtbl.find_opt t.group_of (Uarray.id ua) with
-  | None -> invalid_arg "Allocator.produce: unknown uArray"
-  | Some g -> reclaim_group t g
+  match Ids.find t.group_of (Uarray.id ua) with
+  | exception Not_found -> invalid_arg "Allocator.produce: unknown uArray"
+  | g -> reclaim_group t g
 
-let live_groups t = Hashtbl.length t.groups
+let live_groups t = Ids.length t.groups
 let live_uarrays t = t.live_arrays
 let committed_bytes t = Page_pool.committed_bytes t.pool
 
-let pinned_bytes t = Hashtbl.fold (fun _ g acc -> acc + Ugroup.pinned_bytes g) t.groups 0
+let pinned_bytes t = Ids.fold (fun _ g acc -> acc + Ugroup.pinned_bytes g) t.groups 0
 
 let next_uarray_id t = t.next_uarray_id
 

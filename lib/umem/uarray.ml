@@ -18,10 +18,17 @@ type t = {
 exception Full of { id : int; capacity : int }
 exception Sealed of { id : int }
 
+(* Arrays of capacity 0 never hold a field, so they share one empty
+   backing store instead of each making its own. *)
+let empty = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout 0
+
 let create ~id ~pool ~width ~capacity ?(scope = Streaming) () =
   if width <= 0 then invalid_arg "Uarray.create: width must be positive";
   if capacity < 0 then invalid_arg "Uarray.create: negative capacity";
-  let buf = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (capacity * width) in
+  let buf =
+    if capacity = 0 then empty
+    else Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (capacity * width)
+  in
   { id; width; capacity; scope; pool; buf; len = 0; state = Open; committed = 0; pages_released = false }
 
 let id t = t.id
@@ -72,6 +79,8 @@ let append_fields3 t a b c =
   Bigarray.Array1.unsafe_set t.buf (base + 1) b;
   Bigarray.Array1.unsafe_set t.buf (base + 2) c
 
+let short_copy_words = 64
+
 let append_blit t ~src ~src_pos ~len =
   ensure_open t;
   if src.width <> t.width then invalid_arg "Uarray.append_blit: width mismatch";
@@ -79,9 +88,14 @@ let append_blit t ~src ~src_pos ~len =
     invalid_arg "Uarray.append_blit: bad range";
   let first = t.len in
   grow_to t (t.len + len);
-  let dst_sub = Bigarray.Array1.sub t.buf (first * t.width) (len * t.width) in
-  let src_sub = Bigarray.Array1.sub src.buf (src_pos * src.width) (len * src.width) in
-  Bigarray.Array1.blit src_sub dst_sub
+  let n = len * t.width and d = first * t.width and s = src_pos * src.width in
+  (* Two sub-array proxies and a blit cost more than copying a short
+     run word by word. *)
+  if n <= short_copy_words then
+    for i = 0 to n - 1 do
+      Bigarray.Array1.unsafe_set t.buf (d + i) (Bigarray.Array1.unsafe_get src.buf (s + i))
+    done
+  else Bigarray.Array1.blit (Bigarray.Array1.sub src.buf s n) (Bigarray.Array1.sub t.buf d n)
 
 let get_field t r f =
   if r < 0 || r >= t.len || f < 0 || f >= t.width then invalid_arg "Uarray.get_field: out of bounds";

@@ -19,7 +19,7 @@ let append t ua =
       invalid_arg "Ugroup.append: group tail is still open"
   | Some _ | None -> ());
   if t.count = Array.length t.arrays then begin
-    let bigger = Array.make (max 4 (2 * t.count)) ua in
+    let bigger = Array.make (max 1 (2 * t.count)) ua in
     Array.blit t.arrays 0 bigger 0 t.count;
     t.arrays <- bigger
   end;
@@ -57,4 +57,3 @@ let pinned_bytes t =
   done;
   !acc
 
-let members t = Array.to_list (Array.sub t.arrays t.front (t.count - t.front))

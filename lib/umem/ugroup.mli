@@ -39,5 +39,3 @@ val pinned_bytes : t -> int
 (** Committed bytes held by members that are retired but cannot be
     released yet because an earlier member is still live — the waste the
     hint ablation (Figure 10) measures. *)
-
-val members : t -> Uarray.t list
