@@ -705,15 +705,18 @@ let kernels () =
                      | D.Ingested _ | D.Refused _ -> failwith "kernels: ingest: not one batch"))
           | `Segment ->
               (* Count and route in one call, as the batch call runs it,
-                 into destinations made beforehand. *)
+                 into destinations made beforehand with the capacities
+                 an untimed split asks for. *)
+              let counts =
+                List.map
+                  (fun (_, d) -> let c = U.capacity d in free_ua d (); c)
+                  (Sbt_prim.Segment.split ~src:batch ~ts_field ~window_size:size ~slide
+                     ~alloc:(fun ~i:_ ~win:_ ~count -> fresh ~width count)
+                     ())
+              in
               row workload "Segment" width n
                 (best
-                   ~setup:(fun _ ->
-                     Array.of_list
-                       (List.map
-                          (fun (_, c) -> fresh ~width c)
-                          (Sbt_prim.Segment.count_per_window ~src:batch ~ts_field
-                             ~window_size:size ~slide ())))
+                   ~setup:(fun _ -> Array.of_list (List.map (fun c -> fresh ~width c) counts))
                    ~free:(fun dsts _ -> Array.iter (fun d -> free_ua d ()) dsts)
                    (fun dsts ->
                      Sbt_prim.Segment.split ~src:batch ~ts_field ~window_size:size ~slide

@@ -209,15 +209,14 @@ let decompress data =
       b
     end
   in
-  (* A chain hash is derived again only when (ops, params) differ from
-     the last Fused record's. *)
-  let last = ref None in
+  (* Chain hashes derived once per distinct (ops, params) in the batch. *)
+  let chains = Hashtbl.create 4 in
   let chain_of ops params =
-    match !last with
-    | Some (o, p, chain) when Bytes.equal p params && List.equal Int.equal o ops -> chain
-    | _ ->
+    match Hashtbl.find_opt chains (ops, params) with
+    | Some chain -> chain
+    | None ->
         let chain = Record.chain_hash ~ops ~params in
-        last := Some (ops, params, chain);
+        Hashtbl.add chains (ops, params) chain;
         chain
   in
   (* Each delta column is read back through its own cursor and running

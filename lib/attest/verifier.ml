@@ -198,13 +198,12 @@ let verify spec records =
   let batch_op_count = List.length spec.batch_ops in
   (* A Fused record's claim depends only on its (ops, params): the chain
      hash they commit to, and whether the params decode to those ops.  A
-     stream repeats one chain per pipeline, so a claim is derived again
-     only when they differ from the last record's. *)
-  let last_claim = ref None in
+     stream repeats a few chains, so each is derived once. *)
+  let fused_claims : (int list * bytes, bytes * bool) Hashtbl.t = Hashtbl.create 8 in
   let fused_claim ops params =
-    match !last_claim with
-    | Some (o, p, c) when Bytes.equal p params && List.equal Int.equal o ops -> c
-    | _ ->
+    match Hashtbl.find_opt fused_claims (ops, params) with
+    | Some c -> c
+    | None ->
         let decodes =
           match Sbt_prim.Fused.decode_steps params with
           | Some steps ->
@@ -212,7 +211,7 @@ let verify spec records =
           | None -> false
         in
         let c = (Record.chain_hash ~ops ~params, decodes) in
-        last_claim := Some (ops, params, c);
+        Hashtbl.add fused_claims (ops, params) c;
         c
   in
   (* Loss accounting: ingress and declared-gap frame identities, per

@@ -297,7 +297,6 @@ let traced_prim t name f =
   | Some tr ->
       let ts = t.ns.vt and before = measured_total t and crypto_before = t.ns.crypto in
       let r = f () in
-      Alloc.emit_trace t.alloc;
       let cost = t.cfg.platform.Tz.Platform.cost in
       let crypto_adjust =
         (t.ns.crypto -. crypto_before) *. (cost.Tz.Cost_model.crypto_scale -. 1.0)
@@ -661,32 +660,48 @@ let run_op t uas ~(mk : ?i:int -> width:int -> capacity:int -> unit -> U.t) op p
              session open until the watermark clears end + gap. *)
           if gap <= 0 then raise (Rejected "segment: session gap must be positive");
           t.sess_gap <- gap;
-          (* Session ids never decrease, so each session's records are one
-             run: (id, first, length), newest first. *)
-          let runs = ref [] in
+          let n = U.length src in
+          let w = U.width src in
+          let ids = Array.make (max n 1) 0 in
           timed t `Compute (fun () ->
-              for i = 0 to U.length src - 1 do
+              for i = 0 to n - 1 do
                 let ts = Int32.to_int (U.get_field src i tf) in
                 if ts < t.sess_last_ts then
                   raise (Rejected "segment: session windows need in-order event times");
                 if t.sess_next_id = 0 || ts - t.sess_last_ts > gap then
                   t.sess_next_id <- t.sess_next_id + 1;
                 let sid = t.sess_next_id - 1 in
+                ids.(i) <- sid;
                 t.sess_last_ts <- ts;
-                Hashtbl.replace t.sess_ends sid ts;
-                match !runs with
-                | (s, first, len) :: rest when s = sid -> runs := (s, first, len + 1) :: rest
-                | _ -> runs := (sid, i, 1) :: !runs
+                Hashtbl.replace t.sess_ends sid ts
               done);
-          let runs = List.rev !runs in
+          (* Distinct session ids in first-appearance order (ids are
+             non-decreasing, so this is also ascending id order). *)
+          let order = ref [] in
+          Array.iteri
+            (fun i sid ->
+              if i < n then
+                match !order with s :: _ when s = sid -> () | _ -> order := sid :: !order)
+            ids;
+          let sids = List.rev !order in
+          let count sid =
+            let c = ref 0 in
+            for i = 0 to n - 1 do
+              if ids.(i) = sid then incr c
+            done;
+            !c
+          in
           let dsts =
-            List.mapi
-              (fun i (sid, _, len) -> (sid, mk ~i ~width:(U.width src) ~capacity:len ())) runs
+            List.mapi (fun i sid -> (sid, mk ~i ~width:w ~capacity:(count sid) ())) sids
           in
           timed t `Compute (fun () ->
-              List.iter2
-                (fun (_, d) (_, first, len) -> U.append_blit d ~src ~src_pos:first ~len)
-                dsts runs);
+              let row = Array.make w 0l in
+              for i = 0 to n - 1 do
+                for f = 0 to w - 1 do
+                  row.(f) <- U.get_field src i f
+                done;
+                U.append (List.assoc ids.(i) dsts) row
+              done);
           dsts
       | None ->
           let ws =
@@ -1379,7 +1394,6 @@ let restore cfg ~expect_seq blob =
       | None -> ())
     arrays;
   Alloc.force_next_id t.alloc ~next:(C.get_int r);
-  Alloc.emit_trace t.alloc;
   let control = C.get_bytes r in
   if not (C.at_end r) then invalid_arg "Dataplane.restore: trailing bytes";
   { rt = t; control; ckpt_seq = seq; log_seq }
@@ -1402,19 +1416,12 @@ let busy (type a) t (req : a request) =
          end
   | _ -> false
 
-(* The allocator's trace observations go out before the call returns,
-   ahead of the world switch's own trace event. *)
-let dispatch_out (type a) t (req : a request) : a =
-  match dispatch t req with
-  | r -> Alloc.emit_trace t.alloc; r
-  | exception e -> Alloc.emit_trace t.alloc; raise e
-
 let call (type a) t (req : a request) : a =
   match t.cfg.version with
-  | Insecure -> dispatch_out t req
+  | Insecure -> dispatch t req
   | Full | Clear_ingress | Io_via_os ->
       if busy t req then Tz.Smc.refuse t.smc Tz.Smc.Invoke
-      else Tz.Smc.call t.smc Tz.Smc.Invoke (fun () -> dispatch_out t req)
+      else Tz.Smc.call t.smc Tz.Smc.Invoke (fun () -> dispatch t req)
 
 let debug_dump t =
   match t.cfg.version with

@@ -68,23 +68,11 @@ let plan ~src ~ts_field ~size ~slide =
   in
   (List.rev !runs, sweep 0 [] (List.sort (fun (a, _) (b, _) -> Int.compare a b) !ends))
 
-(* Copy each run into the destination [dst win] of every window it covers. *)
-let route ~src runs dst =
-  List.iter (fun (first, len, lo, hi) ->
-      for win = lo to hi do U.append_blit (dst win) ~src ~src_pos:first ~len done) runs
-
-let count_per_window ~src ~ts_field ~window_size ?(slide = window_size) () =
-  Array.to_list (snd (plan ~src ~ts_field ~size:window_size ~slide))
-
-let segment ~src ~ts_field ~window_size ?(slide = window_size) ~dst_for_window () =
-  let runs, counts = plan ~src ~ts_field ~size:window_size ~slide in
-  let dsts = Array.make (Array.length counts) None in
-  route ~src runs (fun win ->
-      let i = pos counts win 0 (Array.length counts - 1) in
-      match dsts.(i) with Some d -> d | None -> let d = dst_for_window win in dsts.(i) <- Some d; d)
-
 let split ~src ~ts_field ~window_size ?(slide = window_size) ~alloc () =
   let runs, counts = plan ~src ~ts_field ~size:window_size ~slide in
   let dsts = Array.mapi (fun i (win, count) -> (win, alloc ~i ~win ~count)) counts in
-  route ~src runs (fun win -> snd dsts.(pos counts win 0 (Array.length counts - 1)));
+  let dst win = snd dsts.(pos counts win 0 (Array.length counts - 1)) in
+  (* Copy each run into the destination of every window it covers. *)
+  List.iter (fun (first, len, lo, hi) ->
+      for win = lo to hi do U.append_blit (dst win) ~src ~src_pos:first ~len done) runs;
   Array.to_list dsts

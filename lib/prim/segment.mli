@@ -22,33 +22,17 @@ val windows_of : ts:int -> size:int -> slide:int -> int * int
     [(-slide, 0)] lands in window 0 alone, and [ts <= -slide] in no
     window ([lo > hi]). *)
 
-val count_per_window :
-  src:Sbt_umem.Uarray.t -> ts_field:int -> window_size:int -> ?slide:int -> unit -> (int * int) list
-(** [(window_index, record_count)] for every non-empty window in [src],
-    ascending by window index.  With [slide < window_size] a record
-    counts toward every window containing it. *)
-
-val segment :
-  src:Sbt_umem.Uarray.t ->
-  ts_field:int ->
-  window_size:int ->
-  ?slide:int ->
-  dst_for_window:(int -> Sbt_umem.Uarray.t) ->
-  unit ->
-  unit
-(** Route each record of [src] to [dst_for_window w] for every window [w]
-    containing it, keeping input order within each destination.  The
-    callback is invoked once per distinct window (memoized here), in
-    order of first use.  Destinations must be distinct and open, with
-    sufficient capacity, else {!Sbt_umem.Uarray.Full} is raised (possibly
-    before the overflowing run's records are written). *)
-
 val split :
   src:Sbt_umem.Uarray.t -> ts_field:int -> window_size:int -> ?slide:int ->
   alloc:(i:int -> win:int -> count:int -> Sbt_umem.Uarray.t) -> unit -> (int * Sbt_umem.Uarray.t) list
-(** {!count_per_window} and {!segment} over one scan: [alloc ~i ~win
-    ~count] makes the destination of the [i]th window in ascending order,
-    for its [count] records, and the records are then routed as
-    {!segment} routes them.  Returns the (window, destination) pairs in
-    ascending window order.  Raises [Invalid_argument] if a destination's
-    width differs from [src]'s. *)
+(** Count, then route, over one scan.  [alloc ~i ~win ~count] makes the
+    destination of the [i]th non-empty window in ascending order, for
+    the [count] records of [src] that window holds (with [slide <
+    window_size] a record counts toward every window containing it).
+    Each record of [src] is then appended to the destination of every
+    window containing it, keeping input order within each destination.
+    Returns the (window, destination) pairs in ascending window order.
+    Destinations must be distinct and open, with at least [count] free
+    records, else {!Sbt_umem.Uarray.Full} is raised (possibly before
+    the overflowing run's records are written); [Invalid_argument] if a
+    destination's width differs from [src]'s. *)

@@ -16,8 +16,6 @@ type t = {
   mutable next_group_id : int;
   mutable live_arrays : int;
   mutable observer : (Sbt_obs.Tracer.t * (unit -> float)) option;
-  mutable seen : int array; (* observations not yet emitted, four ints each *)
-  mutable n_seen : int;
 }
 
 let create ?(mode = Hint_guided) ~pool () =
@@ -33,46 +31,23 @@ let create ?(mode = Hint_guided) ~pool () =
     next_group_id = 0;
     live_arrays = 0;
     observer = None;
-    seen = [||];
-    n_seen = 0;
   }
 
 let mode t = t.mode
 
 let set_observer t ~tracer ~now_ns = t.observer <- Some (tracer, now_ns)
 
-(* An observation is kept as four ints, its kind then its values, until
-   [emit_trace] turns it into a trace event: the allocator's own calls do
-   no tracing work. *)
-let observe t kind a b c =
-  match t.observer with
-  | None -> ()
-  | Some _ ->
-      if t.n_seen + 4 > Array.length t.seen then
-        t.seen <- Array.append t.seen (Array.make (max 64 (Array.length t.seen)) 0);
-      let s = t.seen and n = t.n_seen in
-      s.(n) <- kind; s.(n + 1) <- a; s.(n + 2) <- b; s.(n + 3) <- c;
-      t.n_seen <- n + 4
-
-let sample_pool t = observe t 0 (Page_pool.committed_bytes t.pool) t.live_arrays (Ids.length t.groups)
-
-let emit_trace t =
+let sample_pool t =
   match t.observer with
   | None -> ()
   | Some (tracer, now_ns) ->
-      for e = 0 to (t.n_seen / 4) - 1 do
-        let v = t.seen and b = 4 * e in
-        if v.(b) = 0 then
-          Sbt_obs.Tracer.counter tracer ~pid:1 ~tid:0 ~name:"secure-pool" ~ts_ns:(now_ns ())
-            ~series:[ ("committed_bytes", float_of_int v.(b + 1));
-                      ("live_uarrays", float_of_int v.(b + 2)); ("live_groups", float_of_int v.(b + 3)) ]
-        else
-          Sbt_obs.Tracer.instant tracer ~pid:1 ~tid:0 ~cat:"umem" ~name:"ugroup-reclaim"
-            ~ts_ns:(now_ns ())
-            ~args:[ ("group", Sbt_obs.Tracer.Int v.(b + 1)); ("released", Sbt_obs.Tracer.Int v.(b + 2)) ]
-            ()
-      done;
-      t.n_seen <- 0
+      Sbt_obs.Tracer.counter tracer ~pid:1 ~tid:0 ~name:"secure-pool" ~ts_ns:(now_ns ())
+        ~series:
+          [
+            ("committed_bytes", float_of_int (Page_pool.committed_bytes t.pool));
+            ("live_uarrays", float_of_int t.live_arrays);
+            ("live_groups", float_of_int (Ids.length t.groups));
+          ]
 
 let fresh_group t =
   let g = Ugroup.create ~id:t.next_group_id ~vbase:(Vspace.reserve t.vspace) in
@@ -166,7 +141,13 @@ let reclaim_group t g =
     Ids.remove t.groups (Ugroup.id g)
   end;
   if released > 0 then begin
-    observe t 1 (Ugroup.id g) released 0;
+    (match t.observer with
+    | None -> ()
+    | Some (tracer, now_ns) ->
+        Sbt_obs.Tracer.instant tracer ~pid:1 ~tid:0 ~cat:"umem" ~name:"ugroup-reclaim"
+          ~ts_ns:(now_ns ())
+          ~args:[ ("group", Sbt_obs.Tracer.Int (Ugroup.id g)); ("released", Sbt_obs.Tracer.Int released) ]
+          ());
     sample_pool t
   end
 

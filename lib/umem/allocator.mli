@@ -85,17 +85,9 @@ val force_next_id : t -> next:int -> unit
     arrays.  Refuses to move backwards (ids must never be reused). *)
 
 val set_observer : t -> tracer:Sbt_obs.Tracer.t -> now_ns:(unit -> float) -> unit
-(** Observe a ["secure-pool"] counter sample (committed bytes, live
+(** Emit a ["secure-pool"] counter sample (committed bytes, live
     uArrays/uGroups) on every allocation and every reclamation that
     released arrays, plus a ["ugroup-reclaim"] instant per such
-    reclamation.  Observations are kept, as plain values, until
-    {!emit_trace}.  Timestamps come from [now_ns] (the data plane's
-    virtual clock) when they are emitted; observation never touches
-    allocator decisions. *)
-
-val emit_trace : t -> unit
-(** Emit the observations kept since the last call, in order, as trace
-    events.  The data plane calls it before each of its own trace events
-    and at the end of each call, so the trace is the one the allocator
-    would have emitted inline. *)
+    reclamation.  Timestamps come from [now_ns] (the data plane's
+    virtual clock); observation never touches allocator decisions. *)
 

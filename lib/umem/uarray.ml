@@ -79,8 +79,6 @@ let append_fields3 t a b c =
   Bigarray.Array1.unsafe_set t.buf (base + 1) b;
   Bigarray.Array1.unsafe_set t.buf (base + 2) c
 
-let short_copy_words = 64
-
 let append_blit t ~src ~src_pos ~len =
   ensure_open t;
   if src.width <> t.width then invalid_arg "Uarray.append_blit: width mismatch";
@@ -88,14 +86,9 @@ let append_blit t ~src ~src_pos ~len =
     invalid_arg "Uarray.append_blit: bad range";
   let first = t.len in
   grow_to t (t.len + len);
-  let n = len * t.width and d = first * t.width and s = src_pos * src.width in
-  (* Two sub-array proxies and a blit cost more than copying a short
-     run word by word. *)
-  if n <= short_copy_words then
-    for i = 0 to n - 1 do
-      Bigarray.Array1.unsafe_set t.buf (d + i) (Bigarray.Array1.unsafe_get src.buf (s + i))
-    done
-  else Bigarray.Array1.blit (Bigarray.Array1.sub src.buf s n) (Bigarray.Array1.sub t.buf d n)
+  let dst_sub = Bigarray.Array1.sub t.buf (first * t.width) (len * t.width) in
+  let src_sub = Bigarray.Array1.sub src.buf (src_pos * src.width) (len * src.width) in
+  Bigarray.Array1.blit src_sub dst_sub
 
 let get_field t r f =
   if r < 0 || r >= t.len || f < 0 || f >= t.width then invalid_arg "Uarray.get_field: out of bounds";

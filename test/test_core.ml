@@ -583,12 +583,12 @@ let engine_words cfg (b : B.t) =
    event (3 per pass, two passes), and one per field load in the chain
    kernel 16 per fps event.  fps's 64-event batches make its figure
    nearly all per-batch cost.  Here they read 0.49 (power), 1.72 (join)
-   and 14.1 (fps) on OCaml 5.1.1; each gate adds a margin for other
+   and 14.3 (fps) on OCaml 5.1.1; each gate adds a margin for other
    compilers.
 
    Per batch: fps at 64- and 1,024-event batches moves the same events,
    so the difference in words over the difference in batch counts is
-   what one batch costs beside its events.  It reads 863 here (1,455
+   what one batch costs beside its events.  It reads 877 here (1,455
    with the boxed chain rows, the chain re-encoded per batch and generic
    tables). *)
 let test_engine_allocation_per_event () =

@@ -275,31 +275,33 @@ let test_kway_single_input () =
 
 (* --- Segment --------------------------------------------------------------- *)
 
+(* Split into exact destinations: the (window, record count) pairs come
+   from the capacities [alloc] was asked for, and each is filled. *)
+let split_counts p ~src ~ts_field ~window_size ?slide () =
+  let dsts =
+    Segment.split ~src ~ts_field ~window_size ?slide
+      ~alloc:(fun ~i:_ ~win:_ ~count -> fresh p ~width:(U.width src) ~capacity:count)
+      ()
+  in
+  List.iter (fun (_, d) -> Alcotest.(check int) "filled" (U.capacity d) (U.length d)) dsts;
+  (List.map (fun (w, d) -> (w, U.capacity d)) dsts, dsts)
+
 let test_segment_counts_and_routing () =
   let p = pool () in
   (* ts field 1, window 100 ticks: windows 0,0,1,2,2,2 *)
   let src = ua_of_list p ~width:2 [ [ 1; 5 ]; [ 2; 99 ]; [ 3; 100 ]; [ 4; 200 ]; [ 5; 250 ]; [ 6; 299 ] ] in
-  let counts = Segment.count_per_window ~src ~ts_field:1 ~window_size:100 () in
+  let counts, dsts = split_counts p ~src ~ts_field:1 ~window_size:100 () in
   Alcotest.(check (list (pair int int))) "counts" [ (0, 2); (1, 1); (2, 3) ] counts;
-  let dsts = Hashtbl.create 4 in
-  Segment.segment ~src ~ts_field:1 ~window_size:100
-    ~dst_for_window:(fun w ->
-      let d = fresh p ~width:2 ~capacity:3 in
-      Hashtbl.replace dsts w d;
-      d)
-    ();
-  Alcotest.(check int) "window 0" 2 (U.length (Hashtbl.find dsts 0));
-  Alcotest.(check int) "window 2" 3 (U.length (Hashtbl.find dsts 2));
-  Alcotest.(check int32) "routing keeps fields" 4l (U.get_field (Hashtbl.find dsts 2) 0 0)
+  Alcotest.(check int32) "routing keeps fields" 4l (U.get_field (List.assoc 2 dsts) 0 0)
 
 let test_segment_negative_timestamps () =
   (* ts in (-slide, 0) lands in window 0 alone; ts <= -slide in none. *)
   let p = pool () in
   let src = ua_of_list p ~width:1 [ [ -1 ]; [ -49 ]; [ -50 ]; [ -99 ]; [ -100 ]; [ -250 ]; [ 10 ] ] in
   Alcotest.(check (list (pair int int))) "tumbling" [ (0, 5) ]
-    (Segment.count_per_window ~src ~ts_field:0 ~window_size:100 ());
+    (fst (split_counts p ~src ~ts_field:0 ~window_size:100 ()));
   Alcotest.(check (list (pair int int))) "sliding" [ (0, 3) ]
-    (Segment.count_per_window ~src ~ts_field:0 ~window_size:100 ~slide:50 ())
+    (fst (split_counts p ~src ~ts_field:0 ~window_size:100 ~slide:50 ()))
 
 (* Per-record reference: the window range of each record, with one
    division pair per record and no runs. *)
@@ -389,31 +391,32 @@ let prop_segment_equals_per_record =
       in
       let p = pool () in
       let src = ua_of_list p ~width rows in
-      let expected = ref_segment rows ~tf ~size ~slide in
-      let counts = Segment.count_per_window ~src ~ts_field:tf ~window_size:size ~slide () in
-      let ref_counts = List.sort compare (List.map (fun (w, l) -> (w, List.length l)) expected) in
-      let count = Hashtbl.create 8 in
-      List.iter (fun (w, l) -> Hashtbl.replace count w (List.length l)) expected;
-      (* Route into exact destinations, or shrink one by a record. *)
-      let route ~short =
-        let calls = ref [] in
-        Segment.segment ~src ~ts_field:tf ~window_size:size ~slide
-          ~dst_for_window:(fun w ->
-            let cap = Hashtbl.find count w - if w = short then 1 else 0 in
-            let d = fresh p ~width ~capacity:cap in
-            calls := (w, d) :: !calls;
-            d)
-          ();
-        List.rev_map (fun (w, d) -> (w, rows_of_ua d)) !calls
+      let expected =
+        List.sort (fun (a, _) (b, _) -> Int.compare a b) (ref_segment rows ~tf ~size ~slide)
+      in
+      let ref_counts = List.map (fun (w, l) -> (w, List.length l)) expected in
+      (* Split into exact destinations, or shrink one by a record; the
+         counts are the capacities [alloc] is asked for, in its order. *)
+      let split ~short =
+        let asked = ref [] in
+        let dsts =
+          Segment.split ~src ~ts_field:tf ~window_size:size ~slide
+            ~alloc:(fun ~i ~win ~count ->
+              asked := (i, (win, count)) :: !asked;
+              fresh p ~width ~capacity:(count - if win = short then 1 else 0))
+            ()
+        in
+        (List.rev !asked, List.map (fun (w, d) -> (w, rows_of_ua d)) dsts)
       in
       let undersized_raises =
         match expected with
         | [] -> true
         | _ -> (
             let short = fst (List.nth expected (Random.State.int st (List.length expected))) in
-            match route ~short with _ -> false | exception U.Full _ -> true)
+            match split ~short with _ -> false | exception U.Full _ -> true)
       in
-      counts = ref_counts && route ~short:min_int = expected && undersized_raises)
+      let asked, routed = split ~short:min_int in
+      asked = List.mapi (fun i c -> (i, c)) ref_counts && routed = expected && undersized_raises)
 
 (* --- Aggregations ------------------------------------------------------------ *)
 
