@@ -209,14 +209,17 @@ let decompress data =
       b
     end
   in
-  (* Chain hashes derived once per distinct (ops, params) in the batch. *)
-  let chains = Hashtbl.create 4 in
+  (* A chain hash is derived again only when (ops, params) differ from
+     the last Fused record's: one fused chain per batch plan (every
+     pipeline today) derives it once per batch, and a plan with two
+     alternating chains once per record. *)
+  let last = ref None in
   let chain_of ops params =
-    match Hashtbl.find_opt chains (ops, params) with
-    | Some chain -> chain
-    | None ->
+    match !last with
+    | Some (o, p, chain) when Bytes.equal p params && List.equal Int.equal o ops -> chain
+    | _ ->
         let chain = Record.chain_hash ~ops ~params in
-        Hashtbl.add chains (ops, params) chain;
+        last := Some (ops, params, chain);
         chain
   in
   (* Each delta column is read back through its own cursor and running

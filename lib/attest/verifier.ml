@@ -198,12 +198,16 @@ let verify spec records =
   let batch_op_count = List.length spec.batch_ops in
   (* A Fused record's claim depends only on its (ops, params): the chain
      hash they commit to, and whether the params decode to those ops.  A
-     stream repeats a few chains, so each is derived once. *)
-  let fused_claims : (int list * bytes, bytes * bool) Hashtbl.t = Hashtbl.create 8 in
+     claim is derived again only when they differ from the last record's.
+     That assumes one fused chain per batch plan, as in every pipeline
+     defined today; a plan whose stages fuse into two chains around a
+     batch op alternates them, and each of its Fused records then pays a
+     decode and a SHA-256. *)
+  let last_claim = ref None in
   let fused_claim ops params =
-    match Hashtbl.find_opt fused_claims (ops, params) with
-    | Some c -> c
-    | None ->
+    match !last_claim with
+    | Some (o, p, c) when Bytes.equal p params && List.equal Int.equal o ops -> c
+    | _ ->
         let decodes =
           match Sbt_prim.Fused.decode_steps params with
           | Some steps ->
@@ -211,7 +215,7 @@ let verify spec records =
           | None -> false
         in
         let c = (Record.chain_hash ~ops ~params, decodes) in
-        Hashtbl.add fused_claims (ops, params) c;
+        last_claim := Some (ops, params, c);
         c
   in
   (* Loss accounting: ingress and declared-gap frame identities, per

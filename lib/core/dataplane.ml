@@ -590,10 +590,12 @@ let same_param a b =
 
 let same_chain = List.equal (fun (o, p) (o', p') -> o = o' && List.equal same_param p p')
 
-(* A batch chain's steps, parsed, encoded and hashed in-TEE once per
-   distinct request.  The request is compared by value with the copy
-   kept, so a request changed in place is parsed again; a chain that
-   does not parse raises before anything is kept. *)
+(* A batch chain's steps, parsed, encoded and hashed in-TEE once while
+   the requests repeat it.  The cache holds one chain: a plan with one
+   fused chain derives it once, one with two chains (stages around a
+   batch op) derives each per call.  The request is compared by value
+   with the copy kept, so a request changed in place is parsed again; a
+   chain that does not parse raises before anything is kept. *)
 let parse_chain t chain =
   match t.last_chain with
   | Some c when same_chain c.request chain -> c
